@@ -19,7 +19,7 @@ Answer a historical what-if query from the shell::
 
 Batched service mode: answer many what-if queries over the shared
 history in one call (shared time travel, shared reenactment plans,
-optional worker pool — see DESIGN.md, "Batched answering")::
+optional worker pool — see DESIGN.md, "Answer pipeline")::
 
     python -m repro.cli whatif \
         --data ./tables/ --history history.sql \

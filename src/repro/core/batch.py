@@ -1,38 +1,40 @@
-"""Batched what-if answering: N queries over a shared history, one call.
+"""The answer pipeline driver (DESIGN.md, "Answer pipeline").
 
-The paper's headline is that reenactment + slicing make historical
-what-if queries cheap enough to answer interactively *and in volume*;
-this module supplies the volume half (see DESIGN.md, "Batched
-answering").  :func:`answer_batch_with` amortizes three things a
-sequential ``answer`` loop repeats per query:
+The paper's Algorithm 2 is one pipeline, and :func:`answer_batch_with`
+is the one way this engine runs it, for one query (``Mahif.answer``) or
+N over a shared history (``Mahif.answer_batch``):
 
 1. **Time travel** — every distinct ``(database, history-prefix)``
-   version is materialized once; versions are built shallowest-first so
-   a deeper prefix replays only the statements past the deepest shared
-   prefix already computed.
-2. **Reenactment planning** — queries whose (sliced) statement pairs are
-   structurally identical share finished operator trees, data-slicing
-   conditions and optimized plans through a keyed cache one level above
-   the compiled-plan cache (``engine._plan_reenactment``).  Static plan
-   verification (``MahifConfig(verify_plans=True)``, see DESIGN.md
-   "Static analysis") rides the same hook: fresh plans are verified and
-   their optimizer rewrites certified once, cache hits skip the check.
-3. **Delta evaluation** — per-(query, relation) evaluations fan out over
-   a ``concurrent.futures`` pool: a *process* pool for the in-process
-   backends (pure-Python evaluation does not parallelize under the GIL;
-   operator trees, databases and deltas all pickle, and workers compile
-   trees into their own per-process plan caches), a *thread* pool for
-   sqlite (the C engine releases the GIL and the connection cache is
+   version is materialized once (:func:`shared_start_databases`);
+   versions are built shallowest-first so a deeper prefix replays only
+   the statements past the deepest shared prefix already computed.
+2. **Plan** — :func:`repro.core.plan.plan_reenactment` per query.
+   Queries whose (sliced) statement pairs are structurally identical
+   share finished operator trees, data-slicing conditions and optimized
+   plans through a per-call keyed cache one level above the
+   compiled-plan cache; fresh plans are statically verified once
+   (``MahifConfig(verify_plans=True)``), cache hits skip the check.
+3. **Route** — each plan becomes one
+   :class:`~repro.core.shard.RelationShardWork` per affected relation:
+   the planner's choice under ``shards="auto"``, the static count
+   otherwise, one unsharded call at 1 shard (and always under EXPLAIN).
+4. **Execute** — every work's calls run through one task function
+   (:func:`repro.core.shard.shard_pair_task`), in-process or over the
+   engine's pool: a *process* pool for the in-process backends
+   (pure-Python evaluation does not parallelize under the GIL; operator
+   trees, databases and deltas all pickle, and workers compile trees
+   into their own per-process plan caches), a *thread* pool for sqlite
+   (the C engine releases the GIL and the connection cache is
    per-thread).
+5. **Assemble** — one :class:`~repro.core.engine.MahifResult` per query.
+
+``Method.NAIVE`` has no plan to route: its queries replay through
+:func:`~repro.core.naive.naive_what_if` over the same pool.
 
 Worker tasks are module-level functions so they pickle by reference for
-the process pool.  Process-pool IPC is bounded per *query*, not per
-(query, relation): plan results are returned with ``start_db`` stripped
-and a query's relation evaluations are grouped into one submission.
-The remaining known cost is that a batch-shared database still pickles
-once per query per phase (inside the query for planning, as ``start_db``
-for evaluation); shipping it once per worker via an executor
-initializer is the next step if profiles ever show it dominating.
+the process pool.  Process-pool IPC stays bounded: plan results return
+with ``start_db`` stripped, an unsharded call ships only the relations
+its query pair scans and a shard call only its own shard.
 """
 
 from __future__ import annotations
@@ -50,19 +52,24 @@ from typing import Callable, Sequence
 
 from ..obs import trace
 from ..relational.database import Database
-from ..relational.exec.backend import BACKEND_SQLITE, resolve_backend
+from ..relational.exec.backend import (
+    BACKEND_SQLITE,
+    resolve_backend,
+    use_backend,
+)
 from ..relational.statements import Statement
 from .degradation import record_degradation
-from .delta import DatabaseDelta, RelationDelta
-from .engine import (
-    Mahif,
-    MahifResult,
-    Method,
-    _relation_delta_task,
-    _statement_share_key,
-)
+from .delta import DatabaseDelta
+from .engine import Mahif, MahifResult, Method
 from .hwq import HistoricalWhatIfQuery
-from .naive import NaiveResult, naive_what_if
+from .naive import naive_what_if
+from .plan import ReenactmentPlan, plan_reenactment, statement_share_key
+from .planner import ExecutionChoice, plan_execution
+from .shard import (
+    RelationShardWork,
+    evaluate_shard_works,
+    plan_relation_shards,
+)
 
 __all__ = [
     "ResilientExecutor",
@@ -99,7 +106,7 @@ def shared_start_databases(
         try:
             key = (
                 id(query.database),
-                tuple(_statement_share_key(s) for s in prefix),
+                tuple(statement_share_key(s) for s in prefix),
             )
             hash(key)
             keys.append(key)
@@ -135,16 +142,16 @@ class ResilientExecutor:
 
     A SIGKILLed (OOM-killed, crashed) process-pool worker poisons the
     whole ``ProcessPoolExecutor`` — every pending and future submission
-    raises :class:`BrokenProcessPool`.  Batch tasks are pure functions
+    raises :class:`BrokenProcessPool`.  Pipeline tasks are pure functions
     of their arguments, so the whole call list can safely re-run: the
     watchdog rebuilds the pool via its factory exactly once
     (``pool_rebuild`` degradation event) and, if the rebuilt pool breaks
     too, degrades permanently to serial in-process execution
-    (``pool_serial``) — the batch *always* returns the same deltas as
-    the serial oracle, only slower.
+    (``pool_serial``) — the call *always* returns what the serial oracle
+    returns, only slower.
 
     Thread pools cannot break this way, but wrapping both kinds keeps
-    one executor type flowing through the batch and shard paths.
+    one executor type flowing through the pipeline.
     """
 
     def __init__(self, factory: Callable[[], Executor], kind: str) -> None:
@@ -155,29 +162,17 @@ class ResilientExecutor:
         self._rebuilt = False
         self._serial = False
 
-    def submit(self, task, *args):
-        """Direct submission for callers that manage futures themselves
-        (no watchdog protection — use :meth:`run` for that)."""
-        return self._executor.submit(task, *args)
-
-    def run(self, task: Callable, calls: Sequence[tuple]) -> list:
-        """Run ``task`` over every call tuple, surviving a broken pool."""
-        while True:
-            with self._lock:
-                serial, executor = self._serial, self._executor
-            if serial or executor is None:
-                return [task(*args) for args in calls]
-            try:
-                futures = [executor.submit(task, *args) for args in calls]
-                return [future.result() for future in futures]
-            except BrokenExecutor:
-                self._degrade(executor)
+    @property
+    def serial(self) -> bool:
+        """True once the pool is gone for good (twice broken, or shut
+        down): every later call runs in-process."""
+        return self._serial
 
     def run_settled(self, task: Callable, calls: Sequence[tuple]) -> list:
-        """Like :meth:`run`, but capture per-call failures as
-        ``(False, exception)`` instead of raising (``(True, result)``
-        for successes).  A broken *pool* is not a per-call failure —
-        it triggers the watchdog and the whole list re-runs."""
+        """Run ``task`` over every call tuple, surviving a broken pool;
+        one ``(True, result)`` or ``(False, exception)`` per call.  A
+        broken *pool* is not a per-call failure — it triggers the
+        watchdog and the whole list re-runs."""
         while True:
             with self._lock:
                 serial, executor = self._serial, self._executor
@@ -231,9 +226,9 @@ def _settle_serial(task: Callable, calls: Sequence[tuple]) -> list:
     return outcomes
 
 
-def _make_executor(backend: str, workers: int) -> ResilientExecutor | None:
-    if workers <= 1:
-        return None
+def _make_executor(backend: str, workers: int) -> ResilientExecutor:
+    """A ``workers``-wide pool for ``backend``: threads for sqlite,
+    forked processes for the in-process backends."""
     if backend == BACKEND_SQLITE:
         return ResilientExecutor(
             lambda: ThreadPoolExecutor(
@@ -254,96 +249,47 @@ def _make_executor(backend: str, workers: int) -> ResilientExecutor | None:
     return ResilientExecutor(_process_pool, "process")
 
 
-def _executor_kind(executor) -> str | None:
-    """'process' / 'thread' / None across raw and watchdog executors."""
+def _run_tasks_settled(
+    executor: ResilientExecutor | None,
+    task: Callable,
+    calls: Sequence[tuple],
+) -> list:
+    """Per-call ``(ok, result-or-exception)`` pairs, in-process when
+    there is no pool; pool breakage is the watchdog's business."""
     if executor is None:
-        return None
-    if isinstance(executor, ResilientExecutor):
-        return executor.kind
-    if isinstance(executor, ThreadPoolExecutor):
-        return "thread"
-    if isinstance(executor, ProcessPoolExecutor):
-        return "process"
-    return None
+        return _settle_serial(task, calls)
+    return executor.run_settled(task, calls)
 
 
 def _run_tasks(
-    executor,
+    executor: ResilientExecutor | None,
     task: Callable,
     calls: Sequence[tuple],
 ) -> list:
+    """Every call's result, raising the first failure."""
     if executor is None:
         return [task(*args) for args in calls]
-    if isinstance(executor, ResilientExecutor):
-        return executor.run(task, calls)
-    futures = [executor.submit(task, *args) for args in calls]
-    return [future.result() for future in futures]
+    results = []
+    for ok, value in executor.run_settled(task, calls):
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
-def _run_tasks_settled(
-    executor,
-    task: Callable,
-    calls: Sequence[tuple],
-) -> list:
-    """Per-call ``(ok, result-or-exception)`` pairs; pool breakage is
-    handled by the watchdog (wrapped executors) or propagates (raw)."""
-    if executor is None:
-        return _settle_serial(task, calls)
-    if isinstance(executor, ResilientExecutor):
-        return executor.run_settled(task, calls)
-    futures = [executor.submit(task, *args) for args in calls]
-    outcomes = []
-    for future in futures:
-        try:
-            outcomes.append((True, future.result()))
-        except Exception as exc:
-            outcomes.append((False, exc))
-    return outcomes
-
-
-def _naive_task(
-    backend: str, query: HistoricalWhatIfQuery
-) -> NaiveResult:
-    """Whole-query task for the NAIVE method (no per-relation split)."""
-    return naive_what_if(query, backend=backend)
-
-
-def _plan_task(config, query, method, start_db, shared=None):
+def _plan_task(config, query, method, start_db, shared):
     """Per-query planning (insert split + program slicing + reenactment
-    trees) as a pool task: slicing is solver-bound pure Python, so it
-    must cross to worker processes to parallelize.  ``shared`` is only
-    passed on thread pools, where the keyed plan cache can be mutated in
-    place; process workers rely on their per-process compiled-plan
-    caches instead.
+    trees) as a pipeline task: slicing is solver-bound pure Python, so
+    it must cross to worker processes to parallelize.  The configured
+    backend is scoped here because a pool worker does not inherit the
+    caller's scope.
 
     The returned plan has ``start_db`` stripped — the caller already
     holds it, and shipping the database back through the process pool's
     result pickle would double the IPC cost."""
-    from ..relational.exec.backend import use_backend
-
     with use_backend(config.backend):
-        plan = Mahif(config)._plan_reenactment(
-            query, method, start_db=start_db, shared=shared
-        )
+        plan = plan_reenactment(config, query, method, start_db, shared)
     return dataclasses.replace(plan, start_db=None)
-
-
-def _query_deltas_task(backend, start_db, items):
-    """All of one query's per-relation delta evaluations in one task.
-
-    Process-pool submissions are grouped per query so the (potentially
-    large, batch-shared) start database crosses the IPC boundary once
-    per query instead of once per (query, relation).  Each relation is
-    still evaluated and timed individually."""
-    return [
-        (
-            relation,
-            *_relation_delta_task(
-                backend, query_h, query_m, start_db, extra_h, extra_m
-            ),
-        )
-        for relation, query_h, query_m, extra_h, extra_m in items
-    ]
 
 
 def answer_batch_with(
@@ -354,21 +300,29 @@ def answer_batch_with(
     start_databases: Sequence[Database] | None = None,
     *,
     explain: bool = False,
+    current_states: Sequence[Database | None] | None = None,
 ) -> list[MahifResult]:
-    """Answer ``queries`` with ``method``; the worker behind
-    :meth:`Mahif.answer_batch` (which scopes the configured backend).
+    """Run the answer pipeline over ``queries`` with ``method``; the
+    worker behind :meth:`Mahif.answer` and :meth:`Mahif.answer_batch`
+    (which scope the configured backend).
 
     ``start_databases`` optionally injects the time-travelled state
     before each query's first modified statement — the what-if service
     passes versions reconstructed from a :class:`~repro.store.
     HistoryStore` checkpoint (nearest checkpoint + bounded replay)
-    instead of replaying the whole prefix here.
+    instead of replaying the whole prefix here.  ``current_states``
+    optionally hands ``Method.NAIVE`` each query's ``H(D)``.
+
+    ``workers`` (default ``config.batch_workers``) > 1 runs the plan
+    stage over the engine's pool and widens the execute stage's (see
+    :func:`_execute_stage` for the sizing rule); a stage with a single
+    call always runs in-process — there is nothing to overlap.
 
     ``explain=True`` attaches EXPLAIN ANALYZE per-operator profiles to
-    every result; profiled evaluation runs serially in-process (per-node
-    materialization is a diagnostic mode — the pool and shard fan-outs
-    are bypassed), though plan construction still shares work across
-    the batch.
+    every result: the execute stage runs the same works unsharded,
+    in-process, through the profiling evaluator (per-node
+    materialization is a diagnostic mode, not the hot path), though
+    planning still shares work across the batch.
     """
     if not queries:
         return []
@@ -380,272 +334,199 @@ def answer_batch_with(
     backend = resolve_backend(config.backend)
     if workers is None:
         workers = config.batch_workers
-    executor = _make_executor(backend, workers)
-    try:
-        if method is Method.NAIVE:
-            naives = _run_tasks(
-                executor, _naive_task, [(backend, q) for q in queries]
-            )
-            return [
-                MahifResult(
-                    delta=naive.delta,
-                    method=method,
-                    exe_seconds=naive.total_seconds,
-                    naive_breakdown=naive,
-                )
-                for naive in naives
-            ]
-        return _answer_reenactment_batch(
-            engine, backend, queries, method, executor, start_databases,
-            explain=explain,
+    if method is Method.NAIVE:
+        return _answer_naive(
+            engine, backend, queries, workers, current_states
         )
-    finally:
-        if executor is not None:
-            # cancel_futures: a failing task propagates immediately
-            # instead of letting the rest of the batch run to completion.
-            executor.shutdown(cancel_futures=True)
-
-
-def _answer_reenactment_batch(
-    engine: Mahif,
-    backend: str,
-    queries: Sequence[HistoricalWhatIfQuery],
-    method: Method,
-    executor: Executor | None,
-    start_databases: Sequence[Database] | None = None,
-    explain: bool = False,
-) -> list[MahifResult]:
     start_dbs = (
         list(start_databases)
         if start_databases is not None
         else shared_start_databases(queries)
     )
-    shared: dict | None = {} if engine.config.batch_share_plans else None
-    with trace.span(
-        "plan", method=method.value, queries=len(queries)
-    ) as plan_span:
-        if executor is None:
-            plans = [
-                engine._plan_reenactment(
-                    query, method, start_db=start_db, shared=shared
-                )
-                for query, start_db in zip(queries, start_dbs)
-            ]
-        else:
-            # Only thread pools can mutate the shared cache in place.
-            shared_arg = (
-                shared if _executor_kind(executor) == "thread" else None
-            )
-            plans = [
-                dataclasses.replace(plan, start_db=start_db)
-                for plan, start_db in zip(
-                    _run_tasks(
-                        executor,
-                        _plan_task,
-                        [
-                            (
-                                engine.config, query, method,
-                                start_db, shared_arg,
-                            )
-                            for query, start_db in zip(queries, start_dbs)
-                        ],
-                    ),
-                    start_dbs,
-                )
-            ]
-        plan_span.set_attributes(
-            {
-                "affected": sum(len(p.affected) for p in plans),
-                "ps_seconds": sum(p.ps_seconds for p in plans),
-            }
-        )
-
-    def _extras(plan, relation):
-        return (
-            plan.inserted_original[relation]
-            if plan.inserted_original is not None
-            else None,
-            plan.inserted_modified[relation]
-            if plan.inserted_modified is not None
-            else None,
-        )
-
-    deltas: list[dict[str, RelationDelta]] = [{} for _ in queries]
-    eval_seconds = [0.0] * len(queries)
-    choices: list = [None] * len(queries)
-    profiles: list[dict | None] = [None] * len(queries)
-    auto = engine.config.shards_auto
-    if explain:
-        # EXPLAIN ANALYZE: serial in-process profiled evaluation (plan
-        # construction above still shared the batch's common work).
-        from ..obs.profile import profile_query
-
-        with trace.span("execute", mode="profiled", queries=len(plans)):
-            for index, plan in enumerate(plans):
-                query_profiles: dict[str, dict] = {}
-                for relation in sorted(plan.affected):
-                    t0 = time.perf_counter()
-                    result_h, prof_h = profile_query(
-                        plan.queries_h[relation], plan.start_db,
-                        backend=backend,
-                    )
-                    result_m, prof_m = profile_query(
-                        plan.queries_m[relation], plan.start_db,
-                        backend=backend,
-                    )
-                    extra_h, extra_m = _extras(plan, relation)
-                    if extra_h is not None:
-                        result_h = result_h.union(extra_h)
-                    if extra_m is not None:
-                        result_m = result_m.union(extra_m)
-                    deltas[index][relation] = RelationDelta.between(
-                        result_h, result_m
-                    )
-                    seconds = time.perf_counter() - t0
-                    eval_seconds[index] += seconds
-                    trace.record_span(
-                        "relation", seconds,
-                        relation=relation, query=index, profiled=True,
-                    )
-                    query_profiles[relation] = {
-                        "original": prof_h,
-                        "modified": prof_m,
-                    }
-                profiles[index] = query_profiles
-    elif auto or engine.config.shards > 1:
-        # Sharded execution: fan out at (query, relation, shard)
-        # granularity through the same executor.  A shard call ships
-        # only its own shard's database and an unshardable fallback
-        # call only the relations its query pair scans, so the
-        # per-query grouping that bounds start-database pickling in the
-        # unsharded process-pool path is unnecessary here.  Partition
-        # lists are memoized across queries sharing a start database.
-        # Under ``shards="auto"`` the adaptive planner prices each plan
-        # *individually* — one batch can mix sharded and sequential
-        # members (a shards=1 choice becomes a single unsharded call).
-        from .shard import evaluate_shard_works, plan_relation_shards
-
-        if auto:
-            from .planner import plan_execution
-
-            for index, plan in enumerate(plans):
-                choices[index] = plan_execution(
-                    plan, engine.config, backend=backend
-                )
-
-        partitions: dict = {}
-        owners: list[int] = []
-        works = []
-        with trace.span("partition", queries=len(plans)) as part_span:
-            for index, plan in enumerate(plans):
-                choice = choices[index]
-                shards = (
-                    choice.shards if choice is not None
-                    else engine.config.shards
-                )
-                scheme = (
-                    choice.scheme if choice is not None
-                    else engine.config.shard_scheme
-                )
-                hints = choice.estimates if choice is not None else None
-                for relation in sorted(plan.affected):
-                    owners.append(index)
-                    work = plan_relation_shards(
-                        backend,
-                        plan,
-                        relation,
-                        shards,
-                        scheme,
-                        partitions,
-                        hints,
-                    )
-                    works.append(work)
-                    part_span.add_event(
-                        "route",
-                        relation=work.relation,
-                        query=index,
-                        shards=work.shard_count,
-                        evaluated=len(work.calls),
-                        skipped=work.skipped,
-                        sharded=work.sharded,
-                    )
-        with trace.span("execute", mode="sharded", relations=len(works)):
-            merged = evaluate_shard_works(works, executor)
-        for index, work, (delta, seconds) in zip(owners, works, merged):
-            deltas[index][work.relation] = delta
-            eval_seconds[index] += seconds
-    elif _executor_kind(executor) == "process":
-        # Grouped per query: the start database pickles once per query.
-        with trace.span("execute", mode="process-pool", queries=len(plans)):
-            grouped = _run_tasks(
-                executor,
-                _query_deltas_task,
-                [
-                    (
-                        backend,
-                        plan.start_db,
-                        [
-                            (
-                                relation,
-                                plan.queries_h[relation],
-                                plan.queries_m[relation],
-                                *_extras(plan, relation),
-                            )
-                            for relation in sorted(plan.affected)
-                        ],
-                    )
-                    for plan in plans
-                ],
-            )
-            for index, query_outcomes in enumerate(grouped):
-                for relation, delta, seconds in query_outcomes:
-                    deltas[index][relation] = delta
-                    eval_seconds[index] += seconds
-                    trace.record_span(
-                        "relation", seconds, relation=relation, query=index
-                    )
-    else:
-        # In-process (serial) or thread pool: no pickling, so fan out at
-        # per-(query, relation) granularity for maximum overlap.
-        calls: list[tuple] = []
-        owners: list[tuple[int, str]] = []
-        for index, plan in enumerate(plans):
-            for relation in sorted(plan.affected):
-                calls.append(
-                    (
-                        backend,
-                        plan.queries_h[relation],
-                        plan.queries_m[relation],
-                        plan.start_db,
-                        *_extras(plan, relation),
-                    )
-                )
-                owners.append((index, relation))
-        mode = "thread-pool" if executor is not None else "serial"
-        with trace.span("execute", mode=mode, relations=len(calls)):
-            outcomes = _run_tasks(executor, _relation_delta_task, calls)
-            for (index, relation), (delta, seconds) in zip(
-                owners, outcomes
-            ):
-                deltas[index][relation] = delta
-                eval_seconds[index] += seconds
-                trace.record_span(
-                    "relation", seconds, relation=relation, query=index
-                )
-
+    executor, _ = engine._executor(workers, len(queries))
+    plans = _plan_stage(config, queries, method, start_dbs, executor)
+    routed = _route_stage(config, backend, plans, explain)
+    _execute_stage(engine, workers, routed, explain)
     return [
         MahifResult(
-            delta=DatabaseDelta(deltas[index]),
+            delta=DatabaseDelta(entry.deltas),
             method=method,
             ps_seconds=plan.ps_seconds,
-            exe_seconds=plan.build_seconds + eval_seconds[index],
+            exe_seconds=plan.build_seconds + entry.seconds,
             slice_result=plan.slice_result,
             data_slicing=plan.data_slicing,
             queries_original=plan.queries_h,
             queries_modified=plan.queries_m,
             base_database=plan.start_db,
-            planner_choice=choices[index],
-            profile=profiles[index],
+            planner_choice=entry.choice,
+            profile=entry.profiles if explain else None,
         )
-        for index, plan in enumerate(plans)
+        for plan, entry in zip(plans, routed)
     ]
+
+
+def _answer_naive(
+    engine: Mahif, backend: str, queries, workers: int, current_states
+) -> list[MahifResult]:
+    """``Method.NAIVE`` has nothing to plan or route: statement replay
+    (Algorithm 1), one task per query."""
+    states = current_states or [None] * len(queries)
+    executor, _ = engine._executor(workers, len(queries))
+    naives = _run_tasks(
+        executor,
+        naive_what_if,
+        [(query, state, backend) for query, state in zip(queries, states)],
+    )
+    return [
+        MahifResult(
+            delta=naive.delta,
+            method=Method.NAIVE,
+            exe_seconds=naive.total_seconds,
+            naive_breakdown=naive,
+        )
+        for naive in naives
+    ]
+
+
+def _plan_stage(
+    config,
+    queries: Sequence[HistoricalWhatIfQuery],
+    method: Method,
+    start_dbs: Sequence[Database],
+    executor: ResilientExecutor | None,
+) -> list[ReenactmentPlan]:
+    """Plan every query, over the pool when there is one.  Only
+    in-process and thread-pool planning can mutate the call's shared
+    plan cache in place; process workers rely on their per-process
+    compiled-plan caches instead."""
+    shared: dict | None = {}
+    if executor is not None and executor.kind == "process":
+        shared = None
+    with trace.span(
+        "plan", method=method.value, queries=len(queries)
+    ) as plan_span:
+        stripped = _run_tasks(
+            executor,
+            _plan_task,
+            [
+                (config, query, method, start_db, shared)
+                for query, start_db in zip(queries, start_dbs)
+            ],
+        )
+        plans = [
+            dataclasses.replace(plan, start_db=start_db)
+            for plan, start_db in zip(stripped, start_dbs)
+        ]
+        plan_span.set_attributes(
+            {
+                "affected": sum(len(p.affected) for p in plans),
+                "ps_seconds": sum(p.ps_seconds for p in plans),
+                "build_seconds": sum(p.build_seconds for p in plans),
+            }
+        )
+    return plans
+
+
+@dataclasses.dataclass
+class _Routed:
+    """One query between route and assemble: its works, the planner's
+    choice (``shards="auto"`` only), and what execution fills in.
+    ``seconds`` starts as the routing cost — planner, partitioning and
+    keep-mask scans, charged to the query that caused them — and gains
+    every work's task and merge time; ``choice.shard_workers`` becomes
+    the pool width execution really ran on."""
+
+    works: list[RelationShardWork]
+    choice: ExecutionChoice | None
+    seconds: float
+    deltas: dict = dataclasses.field(default_factory=dict)
+    profiles: dict = dataclasses.field(default_factory=dict)
+
+
+def _route_stage(
+    config, backend: str, plans: Sequence[ReenactmentPlan], explain: bool
+) -> list[_Routed]:
+    """Turn every plan into one work per affected relation.
+
+    Under ``shards="auto"`` the planner prices each plan *individually*,
+    so one batch can mix sharded and unsharded members.  Partition lists
+    are memoized across queries sharing a start database.  EXPLAIN
+    routes everything unsharded: sharded execution would profile
+    partitions, not the plan the user asked about.
+    """
+    partitions: dict = {}
+    routed = []
+    with trace.span("partition", queries=len(plans)) as part_span:
+        for index, plan in enumerate(plans):
+            t0 = time.perf_counter()
+            shards, scheme, hints = config.shards, config.shard_scheme, None
+            choice = None
+            if explain:
+                shards = 1
+            elif config.shards_auto:
+                choice = plan_execution(plan, config, backend=backend)
+                shards, scheme = choice.shards, choice.scheme
+                hints = choice.estimates
+            works = [
+                plan_relation_shards(
+                    backend, plan, relation, shards, scheme,
+                    partitions, hints,
+                )
+                for relation in sorted(plan.affected)
+            ]
+            for work in works:
+                part_span.add_event(
+                    "route",
+                    relation=work.relation,
+                    query=index,
+                    shards=work.shard_count,
+                    evaluated=len(work.calls),
+                    skipped=work.skipped,
+                    sharded=work.sharded,
+                )
+            routed.append(_Routed(works, choice, time.perf_counter() - t0))
+    return routed
+
+
+def _execute_stage(
+    engine: Mahif, workers: int, routed: Sequence[_Routed], explain: bool
+) -> None:
+    """Evaluate every routed work into its query's ``deltas`` (and
+    ``profiles``), and record the pool width execution ran on (0 =
+    in-process) on every planner choice.
+
+    **Pool sizing, the one rule.**  The stage runs on the engine's pool
+    when it has at least two calls and ``max(workers, shard workers)``
+    > 1, where *shard workers* is ``config.shard_workers`` under a
+    static ``shards`` > 1 or the largest planner choice under
+    ``shards="auto"``.  EXPLAIN always runs in-process.
+    """
+    config = engine.config
+    works = [work for entry in routed for work in entry.works]
+    executor, width = None, 0
+    if not explain:
+        shard_workers = config.shard_workers if config.shards > 1 else 0
+        if config.shards_auto:
+            shard_workers = max(e.choice.shard_workers for e in routed)
+        executor, width = engine._executor(
+            max(workers, shard_workers),
+            sum(len(work.calls) for work in works),
+        )
+    mode = "profiled" if explain else (
+        f"{executor.kind}-pool" if executor is not None else "serial"
+    )
+    with trace.span("execute", mode=mode, relations=len(works)):
+        outcomes = iter(evaluate_shard_works(works, executor, explain))
+        for index, entry in enumerate(routed):
+            for work in entry.works:
+                delta, seconds, profiles = next(outcomes)
+                trace.record_span(
+                    "relation", seconds, relation=work.relation, query=index
+                )
+                entry.deltas[work.relation] = delta
+                entry.profiles[work.relation] = profiles
+                entry.seconds += seconds
+            if entry.choice is not None:
+                entry.choice = dataclasses.replace(
+                    entry.choice, shard_workers=width
+                )

@@ -45,7 +45,8 @@ from ..relational.algebra import operator_count
 from ..relational.expressions import TRUE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import MahifConfig, _ReenactmentPlan
+    from .engine import MahifConfig
+    from .plan import ReenactmentPlan
 
 __all__ = [
     "AUTO_SHARDS",
@@ -279,7 +280,7 @@ def _rows_of(relation: Any) -> Any:
 
 
 def estimate_relation(
-    plan: "_ReenactmentPlan",
+    plan: "ReenactmentPlan",
     relation: str,
     *,
     sample_limit: int = DEFAULT_SAMPLE_LIMIT,
@@ -425,7 +426,7 @@ _PLANNER_CHOICES = global_registry().counter(
 
 
 def plan_execution(
-    plan: "_ReenactmentPlan",
+    plan: "ReenactmentPlan",
     config: "MahifConfig",
     *,
     backend: str | None = None,
@@ -467,7 +468,7 @@ def plan_execution(
 
 
 def _plan_execution_inner(
-    plan: "_ReenactmentPlan",
+    plan: "ReenactmentPlan",
     config: "MahifConfig",
     *,
     backend: str | None = None,

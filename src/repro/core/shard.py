@@ -1,15 +1,20 @@
-"""Sharded, partition-parallel reenactment (DESIGN.md, "Sharded execution").
+"""The *route* and *execute* stages of the answer pipeline (DESIGN.md,
+"Answer pipeline" and "Sharded execution").
 
-The data-slicing theory already tells the engine *which* tuples a
-hypothetical modification can affect; this module uses the same
-machinery to scale reenactment *out*: each affected relation is
-horizontally partitioned (:mod:`repro.relational.partition`), the
-query pair ``(Q_H, Q_{H[M]})`` is evaluated independently per shard —
-serially or over the same ``concurrent.futures`` pools the batch path
-uses (processes for the in-process backends, threads for sqlite, whose
-per-thread connection cache gives every worker its own generation-token
-cached connections per shard database) — and the per-shard
-``(added, removed, common)`` triples merge back into one exact delta.
+Route turns one (plan, relation) into a :class:`RelationShardWork` —
+the calls that evaluate its delta; execute runs every work's calls
+through the one task function, :func:`shard_pair_task`, and assembles
+the deltas.  An unsharded work is one call answering with the
+relation's delta directly.  A sharded work scales reenactment *out*
+with the machinery data slicing already supplies (it tells the engine
+*which* tuples a hypothetical modification can affect): the relation is
+horizontally partitioned (:mod:`repro.relational.partition`), the query
+pair ``(Q_H, Q_{H[M]})`` is evaluated independently per shard —
+in-process or over the engine's pool (processes for the in-process
+backends, threads for sqlite, whose per-thread connection cache gives
+every worker its own generation-token cached connections per shard
+database) — and the per-shard ``(added, removed, common)`` triples merge
+back into one exact delta.
 
 Two properties make this sound (proof sketches in DESIGN.md):
 
@@ -42,6 +47,7 @@ from ..relational.algebra import (
     Select,
     Singleton,
     Union,
+    base_relations,
     evaluate_query,
     walk_operators,
 )
@@ -66,7 +72,6 @@ __all__ = [
     "plan_relation_shards",
     "merge_relation_shards",
     "evaluate_shard_works",
-    "evaluate_plan_sharded",
 ]
 
 
@@ -190,36 +195,62 @@ def shard_pair_task(
     db: Database,
     extra_original: Relation | None,
     extra_modified: Relation | None,
-) -> tuple[ShardDelta, float]:
-    """Evaluate one shard's (or one unsharded fallback's) query pair.
+    as_shard: bool,
+    profiled: bool,
+) -> tuple[RelationDelta | ShardDelta, float, dict | None]:
+    """Evaluate one reenactment query pair over ``db`` into its delta.
 
-    Module-level so process-pool workers pick it up by reference, like
-    :func:`repro.core.engine._relation_delta_task`; returns the shard's
-    delta triple plus its worker-side wall time.
+    The one task function of the pipeline's execute stage: every call of
+    every :class:`RelationShardWork` runs through it, in-process or in a
+    pool worker (module-level so process pools pick it up by reference;
+    the operator trees and databases it receives all pickle, and workers
+    compile into their own plan caches).  ``as_shard`` selects the result
+    shape: a shard returns its ``(added, removed, common)`` triple for
+    the merge, a whole relation its :class:`RelationDelta` directly.
+    ``profiled`` is EXPLAIN ANALYZE: the same evaluation through
+    :func:`repro.obs.profile.profile_query`, which materializes
+    bottom-up through the same backends, so the delta equals the plain
+    one.  Returns ``(delta, worker-side wall seconds, profiles)`` with
+    ``profiles`` = ``{"original": ..., "modified": ...}`` or ``None``.
     """
     t0 = time.perf_counter()
-    result_h = evaluate_query(query_h, db, backend=backend)
-    result_m = evaluate_query(query_m, db, backend=backend)
+    profiles = None
+    if profiled:
+        from ..obs.profile import profile_query
+
+        result_h, profile_h = profile_query(query_h, db, backend=backend)
+        result_m, profile_m = profile_query(query_m, db, backend=backend)
+        profiles = {"original": profile_h, "modified": profile_m}
+    else:
+        result_h = evaluate_query(query_h, db, backend=backend)
+        result_m = evaluate_query(query_m, db, backend=backend)
     if extra_original is not None:
         result_h = result_h.union(extra_original)
     if extra_modified is not None:
         result_m = result_m.union(extra_modified)
-    return shard_delta(result_h, result_m), time.perf_counter() - t0
+    delta = (
+        shard_delta(result_h, result_m)
+        if as_shard
+        else RelationDelta.between(result_h, result_m)
+    )
+    return delta, time.perf_counter() - t0, profiles
 
 
 @dataclass(frozen=True)
 class RelationShardWork:
-    """Planned shard evaluation for one (query, relation) delta.
+    """Planned evaluation of one (query, relation) delta.
 
-    ``calls`` are ready argument tuples for :func:`shard_pair_task`;
+    ``calls`` are argument tuples for :func:`shard_pair_task`, lacking
+    only its trailing ``profiled`` flag (the execute stage appends it);
     ``extra`` is the insert-split pseudo-shard (the Section-10 inserted
     tuples, merged in-parent instead of shipping them to every worker);
-    ``sharded`` is False for the unsharded fallback (one call carrying
-    the full start database and the extras inline).  ``fallback_call``
-    is the pre-built unsharded (shards=1) call for a *sharded* work —
-    if any of its shard calls fails, :func:`evaluate_shard_works`
-    re-evaluates the whole relation through it in-parent instead of
-    failing the query (degradation event ``shard_fallback``)."""
+    ``sharded`` is False for an unsharded work (one call carrying the
+    relations its pair scans and the extras inline, answering with the
+    relation's delta directly).  ``fallback_call`` is the pre-built
+    unsharded call of a *sharded* work — if any of its shard calls
+    fails, :func:`evaluate_shard_works` re-evaluates the whole relation
+    through it in-parent instead of failing the query (degradation
+    event ``shard_fallback``)."""
 
     relation: str
     calls: tuple[tuple, ...]
@@ -231,72 +262,34 @@ class RelationShardWork:
     fallback_call: tuple | None = None
 
 
-def plan_relation_shards(
-    backend: str | None,
-    plan,
-    relation: str,
-    shards: int,
-    scheme: str,
-    partitions: dict | None = None,
-    hints: Mapping | None = None,
-) -> RelationShardWork:
-    """Plan one relation's delta evaluation under ``shards`` partitions.
-
-    ``plan`` is the engine's :class:`~repro.core.engine._ReenactmentPlan`;
-    ``partitions`` optionally memoizes partition lists across queries of
-    a batch that share the same start database (keyed by database
-    identity — safe because databases are immutable).  ``hints`` maps
-    relation names to the adaptive planner's
-    :class:`~repro.core.planner.SelectivityEstimate`: its witness rows
-    let :func:`shard_keep_mask` prove shards non-skippable without
-    scanning them.
-    """
+def _unsharded_call(backend, plan, relation: str, extra_h, extra_m) -> tuple:
+    """The call evaluating ``relation``'s whole delta at once.  It ships
+    only the relations the query pair actually scans, not the whole
+    start database — on a process pool the full database would
+    otherwise pickle once per relation."""
     query_h = plan.queries_h[relation]
     query_m = plan.queries_m[relation]
-    extra_h = (
-        plan.inserted_original[relation]
-        if plan.inserted_original is not None
-        else None
-    )
-    extra_m = (
-        plan.inserted_modified[relation]
-        if plan.inserted_modified is not None
-        else None
-    )
-    base_schema = plan.start_db.schema_of(relation)
-    if (
-        shards <= 1
-        or not shardable(query_h, relation)
-        or not shardable(query_m, relation)
-    ):
-        # Unsharded fallback: ship only the relations the query pair
-        # actually scans, not the whole start database — on a process
-        # pool the full database would otherwise pickle once per
-        # fallback relation.
-        from ..relational.algebra import base_relations
-
-        needed = base_relations(query_h) | base_relations(query_m)
-        fallback_db = Database(
-            {
-                name: plan.start_db[name]
-                for name in sorted(needed)
-                if name in plan.start_db
-            }
+    needed = base_relations(query_h) | base_relations(query_m)
+    db = plan.start_db
+    if not needed >= set(db.relations):
+        db = Database(
+            {name: db[name] for name in sorted(needed) if name in db}
         )
-        call = (backend, query_h, query_m, fallback_db, extra_h, extra_m)
-        return RelationShardWork(
-            relation, (call,), None, base_schema, False, 1, 0
-        )
+    return (backend, query_h, query_m, db, extra_h, extra_m, False)
 
-    condition = routing_condition(plan.routing, relation)
-    key_index = _range_key_index(base_schema, condition) if (
-        scheme == "range"
-    ) else 0
-    # The memo stores the per-shard Database wrappers, not just the
-    # Relation parts: the sqlite backend's connection cache is keyed by
-    # database identity, so batch queries sharing a start database must
-    # reuse the same wrapper objects or every query would re-ingest
-    # every shard server-side.
+
+def _shard_databases(
+    plan, relation: str, shards: int, scheme: str, key_index: int,
+    partitions: dict | None,
+) -> list[Database]:
+    """One single-relation database per shard, memoized in ``partitions``.
+
+    The memo stores the per-shard Database wrappers, not just the
+    Relation parts: the sqlite backend's connection cache is keyed by
+    database identity, so batch queries sharing a start database must
+    reuse the same wrapper objects or every query would re-ingest every
+    shard server-side.
+    """
     key = (id(plan.start_db), relation, shards, scheme, key_index)
     shard_dbs = partitions.get(key) if partitions is not None else None
     if shard_dbs is None:
@@ -308,75 +301,111 @@ def plan_relation_shards(
         ]
         if partitions is not None:
             partitions[key] = shard_dbs
-    parts = [shard_db[relation] for shard_db in shard_dbs]
-    protect_first = _contains_singleton(query_h) or _contains_singleton(
-        query_m
+    return shard_dbs
+
+
+def plan_relation_shards(
+    backend: str | None,
+    plan,
+    relation: str,
+    shards: int,
+    scheme: str,
+    partitions: dict | None = None,
+    hints: Mapping | None = None,
+) -> RelationShardWork:
+    """Route one relation's delta evaluation under ``shards`` partitions.
+
+    ``plan`` is a :class:`~repro.core.plan.ReenactmentPlan`;
+    ``partitions`` optionally memoizes partition lists across queries of
+    a batch that share the same start database (keyed by database
+    identity — safe because databases are immutable).  ``hints`` maps
+    relation names to the adaptive planner's
+    :class:`~repro.core.planner.SelectivityEstimate`: its witness rows
+    let :func:`shard_keep_mask` prove shards non-skippable without
+    scanning them.  ``shards`` <= 1 or a pair that is not
+    :func:`shardable` yields the one-call unsharded work.
+    """
+    query_h = plan.queries_h[relation]
+    query_m = plan.queries_m[relation]
+    extra_h = extra_m = None
+    if plan.inserted_original is not None:
+        extra_h = plan.inserted_original[relation]
+        extra_m = plan.inserted_modified[relation]
+    base_schema = plan.start_db.schema_of(relation)
+    whole = _unsharded_call(backend, plan, relation, extra_h, extra_m)
+    if (
+        shards <= 1
+        or not shardable(query_h, relation)
+        or not shardable(query_m, relation)
+    ):
+        return RelationShardWork(
+            relation, (whole,), None, base_schema, False, 1, 0
+        )
+
+    condition = routing_condition(plan.routing, relation)
+    key_index = _range_key_index(base_schema, condition) if (
+        scheme == "range"
+    ) else 0
+    shard_dbs = _shard_databases(
+        plan, relation, shards, scheme, key_index, partitions
     )
     hint = hints.get(relation) if hints is not None else None
-    witnesses = getattr(hint, "witnesses", ())
     keep = shard_keep_mask(
-        parts, condition, protect_first=protect_first, witnesses=witnesses
+        [shard_db[relation] for shard_db in shard_dbs],
+        condition,
+        protect_first=_contains_singleton(query_h)
+        or _contains_singleton(query_m),
+        witnesses=getattr(hint, "witnesses", ()),
     )
     calls = tuple(
-        (backend, query_h, query_m, shard_db, None, None)
+        (backend, query_h, query_m, shard_db, None, None, True)
         for shard_db, kept in zip(shard_dbs, keep)
         if kept
     )
     extra = None
-    if extra_h is not None or extra_m is not None:
-        empty = Relation.empty(base_schema)
-        extra = shard_delta(
-            extra_h if extra_h is not None else empty,
-            extra_m if extra_m is not None else empty,
-        )
-    # Pre-built shards=1 escape hatch: shardable queries scan only their
-    # own relation, so the fallback database is just that relation.
-    fallback_call = (
-        backend,
-        query_h,
-        query_m,
-        Database({relation: plan.start_db[relation]}),
-        extra_h,
-        extra_m,
-    )
+    if extra_h is not None:
+        extra = shard_delta(extra_h, extra_m)
     return RelationShardWork(
         relation,
         calls,
         extra,
         base_schema,
         True,
-        len(parts),
+        len(shard_dbs),
         keep.count(False),
-        fallback_call,
+        whole,
     )
 
 
 def merge_relation_shards(
-    work: RelationShardWork,
-    outcomes: Sequence[tuple[ShardDelta, float]],
-) -> tuple[RelationDelta, float]:
-    """Merge a relation's shard outcomes into its delta + summed seconds."""
-    triples = [outcome[0] for outcome in outcomes]
-    if work.extra is not None and work.sharded:
+    work: RelationShardWork, triples: Sequence[ShardDelta]
+) -> RelationDelta:
+    """Merge a sharded work's shard triples (plus its insert-split
+    pseudo-shard) into the relation's exact delta."""
+    triples = list(triples)
+    if work.extra is not None:
         triples.append(work.extra)
-    delta = merge_shard_deltas(triples, schema=work.schema)
-    return delta, sum(outcome[1] for outcome in outcomes)
+    return merge_shard_deltas(triples, schema=work.schema)
 
 
 def evaluate_shard_works(
     works: Sequence[RelationShardWork],
     executor,
-) -> list[tuple[RelationDelta, float]]:
-    """Fan planned shard works out and merge them, preserving order.
+    profiled: bool = False,
+) -> list[tuple[RelationDelta, float, dict | None]]:
+    """The execute stage's one dispatch loop: run every work's calls and
+    assemble ``(delta, seconds, profiles)`` per work, preserving order.
 
-    The shared dispatch core of the single-answer and batch paths:
-    flatten every work's calls into one :func:`shard_pair_task` task
-    list, run them over ``executor`` (serially when ``None``), and
-    slice the outcomes back per work through
-    :func:`merge_relation_shards`.
+    Flattens every work's calls into one :func:`shard_pair_task` task
+    list, runs them over ``executor`` (in-process when ``None``), and
+    slices the outcomes back per work: an unsharded work's single
+    outcome is its answer, a sharded work's triples go through
+    :func:`merge_relation_shards`.  ``seconds`` sums the work's task
+    times (worker-side, so CPU cost rather than wall clock on a pool)
+    and its merge.
 
     Graceful degradation: a failed shard call does not fail the query.
-    The affected relation falls back to its pre-built ``shards=1`` call,
+    The affected relation falls back to its pre-built unsharded call,
     evaluated in-parent (``shard_fallback`` degradation event) — a
     deterministic evaluation error simply re-raises from the unsharded
     path, exactly as the sequential engine would have surfaced it, while
@@ -386,7 +415,7 @@ def evaluate_shard_works(
     from .batch import _run_tasks_settled
     from .degradation import record_degradation
 
-    calls = [call for work in works for call in work.calls]
+    calls = [(*call, profiled) for work in works for call in work.calls]
     outcomes = _run_tasks_settled(executor, shard_pair_task, calls)
     results = []
     cursor = 0
@@ -394,94 +423,29 @@ def evaluate_shard_works(
         slice_ = outcomes[cursor:cursor + len(work.calls)]
         cursor += len(work.calls)
         failures = [value for ok, value in slice_ if not ok]
-        if not failures:
+        if failures:
+            if work.fallback_call is None:
+                # Already unsharded: nothing gentler to degrade to.
+                raise failures[0]
+            record_degradation("shard_fallback")
+            results.append(shard_pair_task(*work.fallback_call, profiled))
+        elif not work.sharded:
+            results.append(slice_[0][1])
+        else:
+            seconds = 0.0
             for shard_index, (_, value) in enumerate(slice_):
                 # Pool workers see no active trace; their timings come
                 # back with the results and are attached here.
                 trace.record_span(
-                    "shard",
-                    value[1],
-                    relation=work.relation,
-                    shard=shard_index,
+                    "shard", value[1],
+                    relation=work.relation, shard=shard_index,
                 )
+                seconds += value[1]
+            t0 = time.perf_counter()
             with trace.span("merge", relation=work.relation):
-                merged_pair = merge_relation_shards(
-                    work, [value for _, value in slice_]
+                delta = merge_relation_shards(
+                    work, [value[0] for _, value in slice_]
                 )
-            results.append(merged_pair)
-            continue
-        if work.fallback_call is None:
-            # Already unsharded: nothing gentler to degrade to.
-            raise failures[0]
-        record_degradation("shard_fallback")
-        triple, seconds = shard_pair_task(*work.fallback_call)
-        trace.record_span(
-            "shard", seconds, relation=work.relation, fallback=True
-        )
-        results.append(
-            (merge_shard_deltas([triple], schema=work.schema), seconds)
-        )
+            seconds += time.perf_counter() - t0
+            results.append((delta, seconds, None))
     return results
-
-
-def evaluate_plan_sharded(
-    plan,
-    config,
-    backend: str,
-    executor=None,
-    hints: Mapping | None = None,
-) -> tuple[dict[str, RelationDelta], dict[str, dict]]:
-    """Evaluate a reenactment plan's deltas shard-parallel.
-
-    Drives every affected relation through
-    :func:`plan_relation_shards` → :func:`evaluate_shard_works`,
-    fanning the flattened shard tasks over a worker pool
-    (``config.shard_workers`` > 1) or running them serially
-    in-process.  ``executor`` lets the engine pass its cached pool
-    (created and shut down by the caller); without one, a pool is
-    created and torn down per call.  Returns the per-relation deltas
-    plus per-relation shard statistics (``shards``/``evaluated``/
-    ``skipped``/``sharded``) for inspection and tests.
-    """
-    from .batch import _make_executor
-
-    partitions: dict = {}
-    with trace.span("partition", shards=config.shards) as part_span:
-        works = [
-            plan_relation_shards(
-                backend, plan, relation, config.shards,
-                config.shard_scheme, partitions, hints,
-            )
-            for relation in sorted(plan.affected)
-        ]
-        for work in works:
-            part_span.add_event(
-                "route",
-                relation=work.relation,
-                shards=work.shard_count,
-                evaluated=len(work.calls),
-                skipped=work.skipped,
-                sharded=work.sharded,
-            )
-    owned = None
-    if executor is None:
-        executor = owned = _make_executor(backend, config.shard_workers)
-    try:
-        with trace.span(
-            "execute", mode="sharded", relations=len(works)
-        ):
-            merged = evaluate_shard_works(works, executor)
-    finally:
-        if owned is not None:
-            owned.shutdown(cancel_futures=True)
-    deltas: dict[str, RelationDelta] = {}
-    stats: dict[str, dict] = {}
-    for work, (delta, _) in zip(works, merged):
-        deltas[work.relation] = delta
-        stats[work.relation] = {
-            "shards": work.shard_count,
-            "evaluated": len(work.calls),
-            "skipped": work.skipped,
-            "sharded": work.sharded,
-        }
-    return deltas, stats

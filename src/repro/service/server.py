@@ -49,7 +49,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping, Sequence
 
 from ..core import HistoricalWhatIfQuery, Mahif, MahifConfig, Method
-from ..core.engine import _statement_share_key
+from ..core.plan import statement_share_key
 from ..relational import BACKENDS
 from ..relational.database import Database
 from ..relational.history import History
@@ -510,7 +510,7 @@ class WhatIfService:
                 (
                     type(mod).__name__,
                     mod.position,
-                    _statement_share_key(stmt) if stmt is not None else None,
+                    statement_share_key(stmt) if stmt is not None else None,
                 )
             )
         key = (method.value, backend, tuple(parts))

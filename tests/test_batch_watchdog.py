@@ -24,7 +24,7 @@ from repro.core import (
     Method,
     Replace,
 )
-from repro.core import batch as batch_module
+from repro.core import shard as shard_module
 from repro.core.batch import ResilientExecutor
 from repro.core.degradation import (
     degradation_snapshot,
@@ -69,12 +69,19 @@ def _square(x):
     return x * x
 
 
+def _values(outcomes):
+    assert all(ok for ok, _ in outcomes)
+    return [value for _, value in outcomes]
+
+
 def test_healthy_pool_runs_without_degradation():
     executor = ResilientExecutor(
         _sequenced_factory([ThreadPoolExecutor(max_workers=2)]), "thread"
     )
     try:
-        assert executor.run(_square, [(1,), (2,), (3,)]) == [1, 4, 9]
+        assert _values(
+            executor.run_settled(_square, [(1,), (2,), (3,)])
+        ) == [1, 4, 9]
     finally:
         executor.shutdown()
     assert degradation_snapshot() == {}
@@ -87,7 +94,9 @@ def test_broken_pool_rebuilds_once_then_succeeds():
         "thread",
     )
     try:
-        assert executor.run(_square, [(2,), (4,)]) == [4, 16]
+        assert _values(
+            executor.run_settled(_square, [(2,), (4,)])
+        ) == [4, 16]
     finally:
         executor.shutdown()
     assert broken.shutdowns == 1  # the poisoned pool was reaped
@@ -100,11 +109,13 @@ def test_twice_broken_pool_degrades_to_serial():
     )
     try:
         # Both pools break; the answer still arrives, computed serially.
-        assert executor.run(_square, [(3,), (5,)]) == [9, 25]
+        assert _values(
+            executor.run_settled(_square, [(3,), (5,)])
+        ) == [9, 25]
         snapshot = degradation_snapshot()
         assert snapshot == {"pool_rebuild": 1, "pool_serial": 1}
         # Permanently serial now: no further factory calls, same answers.
-        assert executor.run(_square, [(6,)]) == [36]
+        assert _values(executor.run_settled(_square, [(6,)])) == [36]
         assert degradation_snapshot() == snapshot
     finally:
         executor.shutdown()
@@ -152,7 +163,8 @@ def test_shutdown_executor_falls_back_to_serial():
     executor.shutdown()
     # The engine holds executors in caches; a post-shutdown straggler
     # call must still answer rather than crash on a missing pool.
-    assert executor.run(_square, [(7,)]) == [49]
+    assert _values(executor.run_settled(_square, [(7,)])) == [49]
+    assert executor.serial
 
 
 def test_degradation_counters_accumulate_and_reset():
@@ -168,10 +180,10 @@ def test_degradation_counters_accumulate_and_reset():
 # -- the SIGKILL regression -----------------------------------------------
 
 _KILL_FLAG: str | None = None  # set per-test; forked workers inherit it
-_REAL_TASK = batch_module._query_deltas_task
+_REAL_TASK = shard_module.shard_pair_task
 
 
-def _suicidal_query_deltas_task(backend, start_db, items):
+def _suicidal_pair_task(*call):
     """Kill exactly one worker process, then behave normally.
 
     The O_EXCL flag file makes the suicide happen once across all
@@ -186,7 +198,7 @@ def _suicidal_query_deltas_task(backend, start_db, items):
     else:
         os.close(fd)
         os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_TASK(backend, start_db, items)
+    return _REAL_TASK(*call)
 
 
 def _batch_fixture():
@@ -242,7 +254,7 @@ def test_killed_worker_mid_batch_still_matches_serial_oracle(
     ]
 
     monkeypatch.setattr(
-        batch_module, "_query_deltas_task", _suicidal_query_deltas_task
+        shard_module, "shard_pair_task", _suicidal_pair_task
     )
     monkeypatch.setattr(
         sys.modules[__name__], "_KILL_FLAG", str(tmp_path / "killed-once")
@@ -256,3 +268,20 @@ def test_killed_worker_mid_batch_still_matches_serial_oracle(
         "exercised nothing"
     )
     assert degradation_snapshot().get("pool_rebuild", 0) >= 1
+
+
+def test_engine_replaces_a_pool_that_went_serial():
+    """The engine keeps one pool across calls; once the watchdog has
+    given up on it (serial for good), the next call gets a fresh one
+    instead of staying serial for the engine's lifetime."""
+    queries = _batch_fixture()
+    engine = Mahif(MahifConfig(backend="sqlite", batch_workers=2))
+    first = engine.answer_batch(queries, Method.R_PS_DS)
+    pool = engine._pool
+    assert pool is not None and not pool.serial
+    assert engine.answer_batch(queries, Method.R_PS_DS)[0].delta == first[0].delta
+    assert engine._pool is pool  # reused, not rebuilt per call
+    pool.shutdown()
+    again = engine.answer_batch(queries, Method.R_PS_DS)
+    assert [r.delta for r in again] == [r.delta for r in first]
+    assert engine._pool is not pool and not engine._pool.serial

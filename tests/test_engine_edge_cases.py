@@ -12,7 +12,7 @@ from repro.core import (
     Method,
     Replace,
 )
-from repro.core.engine import _affected_relations
+from repro.core.plan import affected_relations
 from repro.core.hwq import align
 from repro.relational.algebra import Project, RelScan, Select
 from repro.relational.expressions import and_, col, ge, le, lit
@@ -71,7 +71,7 @@ class TestAffectedRelationClosure:
             [Replace(1, UpdateStatement("R", {"P": col("P") + 2},
                                         window(40, 60)))],
         )
-        assert _affected_relations(aligned) == {"R", "S"}
+        assert affected_relations(aligned) == {"R", "S"}
 
     def test_closure_is_transitive(self):
         hop1 = InsertQuery("S", RelScan("R"))
@@ -86,7 +86,7 @@ class TestAffectedRelationClosure:
             [Replace(1, UpdateStatement("R", {"P": col("P") + 2},
                                         window(40, 60)))],
         )
-        assert _affected_relations(aligned) == {"R", "S", "T"}
+        assert affected_relations(aligned) == {"R", "S", "T"}
 
     def test_cross_relation_delta_computed(self):
         """End-to-end: the delta on the downstream relation appears."""

@@ -31,9 +31,9 @@ from repro.relational.algebra import (
     Union,
     evaluate_query,
 )
+from repro.relational.exec.backend import BACKENDS
 from repro.relational.expressions import col, ge, lit, lt
 
-BACKENDS = ("interpreted", "compiled", "sqlite")
 
 #: One Prometheus text-format sample line: name{labels} value.
 _METRIC_LINE = re.compile(
@@ -386,11 +386,14 @@ class TestEngineExplain:
             assert isinstance(side, OperatorProfile)
             assert side.rows >= 0 and side.seconds >= 0.0
 
-    def test_profile_config_flag(self, query):
-        result = Mahif(MahifConfig(profile=True)).answer(
-            query, Method.R_PS_DS
-        )
-        assert result.profile is not None
+    def test_explain_is_per_call(self, query):
+        # EXPLAIN is a per-call request, not engine state: one engine
+        # profiles the call that asks and no other.
+        engine = Mahif(MahifConfig())
+        assert engine.answer(query, Method.R_PS_DS).profile is None
+        explained = engine.answer(query, Method.R_PS_DS, explain=True)
+        assert explained.profile is not None
+        assert engine.answer(query, Method.R_PS_DS).profile is None
 
     def test_naive_explain_has_no_profile(self, query):
         result = Mahif(MahifConfig()).answer(

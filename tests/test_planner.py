@@ -4,7 +4,7 @@ planning").
 Four claims under test:
 
 * **Differential**: ``shards="auto"`` answers are bit-identical to
-  ``shards=1`` for fuzzed histories/queries across all 3 backends × all
+  ``shards=1`` for fuzzed histories/queries across all 4 backends × all
   5 methods, on the single and the batched answering path — the planner
   may only ever trade time, never answers.
 * **Cost model**: sub-threshold inputs (every fuzz-sized query, and
@@ -49,14 +49,15 @@ from repro.core import (
     estimate_relation,
     plan_execution,
 )
+from repro.core.batch import shared_start_databases
+from repro.core.plan import plan_reenactment
 from repro.core.planner import DEFAULT_COST_MODEL
 from repro.core.shard import routing_condition, shard_keep_mask
 from repro.relational import History, partition_relation
+from repro.relational.exec.backend import BACKENDS
 from repro.relational.expressions import TRUE
 from repro.service import ServiceClient, WhatIfServer, WhatIfService
 from repro.service.wire import SpecError, normalize_shards
-
-BACKENDS = ("interpreted", "compiled", "sqlite")
 
 N_HWQS = 3
 N_BATCHES = 2
@@ -108,8 +109,8 @@ def big_query():
 
 def _plan_of(query, method, *, backend="compiled"):
     config = MahifConfig(backend=backend, shards="auto")
-    engine = Mahif(config)
-    return engine._plan_reenactment(query, method), config
+    (start_db,) = shared_start_databases([query])
+    return plan_reenactment(config, query, method, start_db), config
 
 
 class TestAutoDifferential:
@@ -363,3 +364,64 @@ class TestServiceVisibility:
         auto = client.whatif("orders", self.SPEC, shards="auto")
         assert auto["delta"] == explicit["delta"]
         assert "planner" in auto
+
+    def test_recorded_workers_are_the_pool_the_answer_ran_on(
+        self, tmp_path, monkeypatch
+    ):
+        """The planner's worker count is not just reported: the pool the
+        answer executes on is sized from it, and the payload records
+        that pool's width."""
+        from repro.core import batch as batch_module
+        from repro.core import planner as planner_module
+
+        # A model under which sharding and parallel dispatch are free,
+        # on a box with four CPUs: the planner asks for >= 2 workers.
+        monkeypatch.setattr(
+            planner_module,
+            "DEFAULT_COST_MODEL",
+            CostModel(
+                partition_row_cost=0.0,
+                keep_scan_row_cost=0.0,
+                merge_row_cost=0.0,
+                shard_fixed_cost=0.0,
+                planning_cost=0.0,
+                min_benefit_seconds=0.0,
+                min_speedup=1.0,
+                parallel_threshold_seconds=0.0,
+            ),
+        )
+        monkeypatch.setattr(planner_module.os, "cpu_count", lambda: 4)
+        widths = []
+        make_executor = batch_module._make_executor
+
+        def spy(backend, workers):
+            widths.append(workers)
+            return make_executor(backend, workers)
+
+        monkeypatch.setattr(batch_module, "_make_executor", spy)
+
+        service = WhatIfService(tmp_path / "stores", default_shards="auto")
+        rows = [(key, key % 7) for key in range(2000)]
+        service.register(
+            "r",
+            Database({"R": Relation.from_rows(Schema.of("k", "v"), rows)}),
+            History(
+                tuple(
+                    parse_history(
+                        """
+                        UPDATE R SET v = v + 1 WHERE k < 600;
+                        UPDATE R SET v = v * 2 WHERE k < 400;
+                        """
+                    )
+                )
+            ),
+        )
+        # The routing matches span several range shards, so execution
+        # really has calls to overlap.
+        spec = {"replace": [[1, "UPDATE R SET v = v + 2 WHERE k < 300"]]}
+        (answer,) = service.answer("r", [spec], method="R")
+        planned = answer["planner"]["shard_workers"]
+        assert planned >= 2
+        assert widths == [planned]
+        oracle = service.answer("r", [spec], method="N", shards=1)
+        assert answer["delta"] == oracle[0]["delta"]

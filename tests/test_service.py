@@ -1,4 +1,4 @@
-"""The concurrent what-if service: HTTP round trips, three-backend
+"""The concurrent what-if service: HTTP round trips, every-backend
 equality with the in-process engine, result-cache behavior, concurrency,
 and restart persistence."""
 
@@ -16,6 +16,7 @@ from repro import (
     Schema,
     parse_history,
 )
+from repro.relational.exec.backend import BACKENDS
 from repro.service import (
     METHODS,
     ServiceClient,
@@ -26,7 +27,6 @@ from repro.service import (
     result_payload,
 )
 
-BACKENDS = ("interpreted", "compiled", "sqlite")
 
 HISTORY_SQL = """
 UPDATE Orders SET ShippingFee = 0 WHERE Price >= 50;

@@ -9,9 +9,12 @@ from repro.core import (
     Method,
     Replace,
 )
+from repro.core.batch import shared_start_databases
 from repro.core.data_slicing import DataSlicingConditions
+from repro.core.plan import plan_reenactment
 from repro.core.shard import (
-    evaluate_plan_sharded,
+    evaluate_shard_works,
+    plan_relation_shards,
     routing_condition,
     shard_keep_mask,
     shardable,
@@ -132,6 +135,13 @@ class TestRouting:
         assert shard_keep_mask(parts, TRUE) == [True, True, True]
 
 
+def _plan(config, query, method, start_db=None):
+    """The pipeline's time-travel and plan stages for one query."""
+    if start_db is None:
+        (start_db,) = shared_start_databases([query])
+    return plan_reenactment(config, query, method, start_db)
+
+
 class TestEngineSharded:
     @pytest.mark.parametrize("scheme", ["hash", "range"])
     @pytest.mark.parametrize("shards", [2, 4, 9])
@@ -146,22 +156,20 @@ class TestEngineSharded:
     def test_skip_statistics_on_clustered_workload(self):
         """Range partitioning + a narrow window: shards the modification
         provably cannot touch skip reenactment entirely."""
-        engine = Mahif(MahifConfig(shards=4, shard_scheme="range"))
+        config = MahifConfig(shards=4, shard_scheme="range")
         query = window_query()
         with use_backend("compiled"):
-            plan = engine._plan_reenactment(query, Method.R)
-            deltas, stats = evaluate_plan_sharded(
-                plan, engine.config, "compiled"
+            plan = _plan(config, query, Method.R)
+            work = plan_relation_shards(
+                "compiled", plan, "data", config.shards, config.shard_scheme
             )
-        assert stats["data"]["sharded"] is True
-        assert stats["data"]["shards"] == 4
-        assert stats["data"]["skipped"] == 3
+            ((delta, _, _),) = evaluate_shard_works([work], None)
+        assert work.sharded is True
+        assert work.shard_count == 4
+        assert work.skipped == 3
+        assert len(work.calls) == 1
         oracle = Mahif(MahifConfig()).answer(query, Method.R).delta
-        assert dict(oracle.relations) == {
-            name: delta
-            for name, delta in deltas.items()
-            if not delta.is_empty()
-        }
+        assert dict(oracle.relations) == {"data": delta}
 
     def test_insert_modification_survives_full_skip(self):
         """An inserted tuple arrives via a singleton, not the base rows;
@@ -201,9 +209,10 @@ class TestEngineSharded:
         engine = Mahif(MahifConfig(shards=3))
         assert engine.answer(query, Method.R).delta == oracle
         with use_backend("compiled"):
-            plan = engine._plan_reenactment(query, Method.R)
-            _, stats = evaluate_plan_sharded(plan, engine.config, "compiled")
-        assert stats["data"]["sharded"] is False
+            plan = _plan(engine.config, query, Method.R)
+            work = plan_relation_shards("compiled", plan, "data", 3, "range")
+        assert work.sharded is False
+        assert (work.shard_count, work.skipped) == (1, 0)
 
     @pytest.mark.parametrize("backend", ["compiled", "sqlite"])
     def test_shard_worker_pools(self, backend):
@@ -237,19 +246,15 @@ class TestEngineSharded:
         Database wrappers — the sqlite connection cache is keyed by
         database identity, so fresh wrappers per query would re-ingest
         every shard server-side."""
-        from repro.core.shard import plan_relation_shards
-
-        engine = Mahif(MahifConfig(shards=3))
+        config = MahifConfig(shards=3)
         db = make_db()
         first = window_query(db)
         second = HistoricalWhatIfQuery(
             first.history, db, (Replace(2, window_update(1, 3, 55)),)
         )
         with use_backend("compiled"):
-            plan_a = engine._plan_reenactment(first, Method.R)
-            plan_b = engine._plan_reenactment(
-                second, Method.R, start_db=plan_a.start_db
-            )
+            plan_a = _plan(config, first, Method.R)
+            plan_b = _plan(config, second, Method.R, plan_a.start_db)
             partitions: dict = {}
             work_a = plan_relation_shards(
                 "compiled", plan_a, "data", 3, "range", partitions

@@ -494,12 +494,12 @@ class TestEngineWiring:
 
     def test_engine_rejects_unsound_optimizer(self, monkeypatch):
         """Re-inject an optimizer bug; the engine must refuse the plan."""
-        import repro.core.engine as engine_mod
+        import repro.core.plan as plan_mod
 
         def broken_optimize(op, config=None):
             return Difference(op, op)  # always-empty: provably unsound
 
-        monkeypatch.setattr(engine_mod, "optimize", broken_optimize)
+        monkeypatch.setattr(plan_mod, "optimize", broken_optimize)
         query = random_hwq(fresh_rng(31337))
         config = MahifConfig(verify_plans=True)
         with pytest.raises(PlanVerificationError) as excinfo:
@@ -510,12 +510,12 @@ class TestEngineWiring:
         Mahif(MahifConfig(verify_plans=False)).answer(query, Method.R)
 
     def test_batch_path_inherits_verification(self, monkeypatch):
-        import repro.core.engine as engine_mod
+        import repro.core.plan as plan_mod
 
         def broken_optimize(op, config=None):
             return Difference(op, op)
 
-        monkeypatch.setattr(engine_mod, "optimize", broken_optimize)
+        monkeypatch.setattr(plan_mod, "optimize", broken_optimize)
         query = random_hwq(fresh_rng(777))
         with pytest.raises(PlanVerificationError):
             Mahif(MahifConfig(verify_plans=True)).answer_batch(
