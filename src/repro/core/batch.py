@@ -20,12 +20,10 @@ N over a shared history (``Mahif.answer_batch``):
    otherwise, one unsharded call at 1 shard (and always under EXPLAIN).
 4. **Execute** — every work's calls run through one task function
    (:func:`repro.core.shard.shard_pair_task`), in-process or over the
-   engine's pool: a *process* pool for the in-process backends
-   (pure-Python evaluation does not parallelize under the GIL; operator
-   trees, databases and deltas all pickle, and workers compile trees
-   into their own per-process plan caches), a *thread* pool for sqlite
-   (the C engine releases the GIL and the connection cache is
-   per-thread).
+   engine's pool (:mod:`repro.core.pool`: processes for the in-process
+   backends — operator trees, databases and deltas all pickle, and
+   workers compile trees into their own per-process plan caches —
+   threads for sqlite).
 5. **Assemble** — one :class:`~repro.core.engine.MahifResult` per query.
 
 ``Method.NAIVE`` has no plan to route: its queries replay through
@@ -33,38 +31,28 @@ N over a shared history (``Mahif.answer_batch``):
 
 Worker tasks are module-level functions so they pickle by reference for
 the process pool.  Process-pool IPC stays bounded: plan results return
-with ``start_db`` stripped, an unsharded call ships only the relations
-its query pair scans and a shard call only its own shard.
+with ``start_db`` stripped, and on its way to a process pool an
+unsharded call is cut down to the relations its query pair scans (a
+shard call carries only its own shard anyway).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..obs import trace
 from ..relational.database import Database
-from ..relational.exec.backend import (
-    BACKEND_SQLITE,
-    resolve_backend,
-    use_backend,
-)
+from ..relational.exec.backend import resolve_backend, use_backend
 from ..relational.statements import Statement
-from .degradation import record_degradation
 from .delta import DatabaseDelta
 from .engine import Mahif, MahifResult, Method
 from .hwq import HistoricalWhatIfQuery
 from .naive import naive_what_if
 from .plan import ReenactmentPlan, plan_reenactment, statement_share_key
 from .planner import ExecutionChoice, plan_execution
+from .pool import ResilientExecutor, run_tasks
 from .shard import (
     RelationShardWork,
     evaluate_shard_works,
@@ -135,146 +123,6 @@ def shared_start_databases(
                 versions[key] = state
         results[index] = state
     return results  # type: ignore[return-value]
-
-
-class ResilientExecutor:
-    """A pool with a watchdog: rebuild a broken pool once, then serial.
-
-    A SIGKILLed (OOM-killed, crashed) process-pool worker poisons the
-    whole ``ProcessPoolExecutor`` — every pending and future submission
-    raises :class:`BrokenProcessPool`.  Pipeline tasks are pure functions
-    of their arguments, so the whole call list can safely re-run: the
-    watchdog rebuilds the pool via its factory exactly once
-    (``pool_rebuild`` degradation event) and, if the rebuilt pool breaks
-    too, degrades permanently to serial in-process execution
-    (``pool_serial``) — the call *always* returns what the serial oracle
-    returns, only slower.
-
-    Thread pools cannot break this way, but wrapping both kinds keeps
-    one executor type flowing through the pipeline.
-    """
-
-    def __init__(self, factory: Callable[[], Executor], kind: str) -> None:
-        self._factory = factory
-        self.kind = kind  # "process" | "thread"
-        self._executor: Executor | None = factory()
-        self._lock = threading.Lock()
-        self._rebuilt = False
-        self._serial = False
-
-    @property
-    def serial(self) -> bool:
-        """True once the pool is gone for good (twice broken, or shut
-        down): every later call runs in-process."""
-        return self._serial
-
-    def run_settled(self, task: Callable, calls: Sequence[tuple]) -> list:
-        """Run ``task`` over every call tuple, surviving a broken pool;
-        one ``(True, result)`` or ``(False, exception)`` per call.  A
-        broken *pool* is not a per-call failure — it triggers the
-        watchdog and the whole list re-runs."""
-        while True:
-            with self._lock:
-                serial, executor = self._serial, self._executor
-            if serial or executor is None:
-                return _settle_serial(task, calls)
-            try:
-                futures = [executor.submit(task, *args) for args in calls]
-                outcomes = []
-                for future in futures:
-                    try:
-                        outcomes.append((True, future.result()))
-                    except BrokenExecutor:
-                        raise
-                    except Exception as exc:
-                        outcomes.append((False, exc))
-                return outcomes
-            except BrokenExecutor:
-                self._degrade(executor)
-
-    def _degrade(self, broken: Executor) -> None:
-        """Replace the broken pool (once) or drop to serial, exactly one
-        transition per broken pool even under concurrent callers."""
-        with self._lock:
-            if self._executor is not broken:
-                return  # another thread already handled this pool
-            broken.shutdown(wait=False, cancel_futures=True)
-            if not self._rebuilt:
-                self._rebuilt = True
-                self._executor = self._factory()
-                record_degradation("pool_rebuild")
-            else:
-                self._serial = True
-                self._executor = None
-                record_degradation("pool_serial")
-
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False):
-        with self._lock:
-            executor, self._executor = self._executor, None
-            self._serial = True
-        if executor is not None:
-            executor.shutdown(wait=wait, cancel_futures=cancel_futures)
-
-
-def _settle_serial(task: Callable, calls: Sequence[tuple]) -> list:
-    outcomes = []
-    for args in calls:
-        try:
-            outcomes.append((True, task(*args)))
-        except Exception as exc:
-            outcomes.append((False, exc))
-    return outcomes
-
-
-def _make_executor(backend: str, workers: int) -> ResilientExecutor:
-    """A ``workers``-wide pool for ``backend``: threads for sqlite,
-    forked processes for the in-process backends."""
-    if backend == BACKEND_SQLITE:
-        return ResilientExecutor(
-            lambda: ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="mahif-batch"
-            ),
-            "thread",
-        )
-
-    def _process_pool() -> Executor:
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # platform without fork: spawn/forkserver default
-            context = None
-        return ProcessPoolExecutor(max_workers=workers, mp_context=context)
-
-    return ResilientExecutor(_process_pool, "process")
-
-
-def _run_tasks_settled(
-    executor: ResilientExecutor | None,
-    task: Callable,
-    calls: Sequence[tuple],
-) -> list:
-    """Per-call ``(ok, result-or-exception)`` pairs, in-process when
-    there is no pool; pool breakage is the watchdog's business."""
-    if executor is None:
-        return _settle_serial(task, calls)
-    return executor.run_settled(task, calls)
-
-
-def _run_tasks(
-    executor: ResilientExecutor | None,
-    task: Callable,
-    calls: Sequence[tuple],
-) -> list:
-    """Every call's result, raising the first failure."""
-    if executor is None:
-        return [task(*args) for args in calls]
-    results = []
-    for ok, value in executor.run_settled(task, calls):
-        if not ok:
-            raise value
-        results.append(value)
-    return results
 
 
 def _plan_task(config, query, method, start_db, shared):
@@ -372,7 +220,7 @@ def _answer_naive(
     (Algorithm 1), one task per query."""
     states = current_states or [None] * len(queries)
     executor, _ = engine._executor(workers, len(queries))
-    naives = _run_tasks(
+    naives = run_tasks(
         executor,
         naive_what_if,
         [(query, state, backend) for query, state in zip(queries, states)],
@@ -405,7 +253,7 @@ def _plan_stage(
     with trace.span(
         "plan", method=method.value, queries=len(queries)
     ) as plan_span:
-        stripped = _run_tasks(
+        stripped = run_tasks(
             executor,
             _plan_task,
             [

@@ -49,6 +49,7 @@ from .delta import DatabaseDelta
 from .hwq import HistoricalWhatIfQuery
 from .naive import NaiveResult
 from .planner import AUTO_SHARDS, ExecutionChoice
+from .pool import ResilientExecutor, make_executor
 from .program_slicing import ProgramSlicingConfig, SliceResult
 
 __all__ = [
@@ -261,27 +262,36 @@ class Mahif:
         #: startup would otherwise dominate the small per-query work
         #: parallel execution targets.  Shut down when the engine is
         #: collected.
-        self._pool = None
+        self._pool: ResilientExecutor | None = None
         self._pool_width = 0
         self._pool_lock = threading.Lock()
 
     def _executor(self, workers: int, calls: int):
         """``(pool, width)`` for a pipeline stage of ``calls`` tasks that
         wants ``workers`` workers; ``(None, 0)`` means in-process — fewer
-        than two workers, or a single call with nothing to overlap.  An
-        existing pool is reused at the width it has; one that
-        degraded to serial (its workers died twice) is replaced."""
+        than two workers, or a single call with nothing to overlap.  The
+        pool only ever grows: a call asking for no more than the
+        existing width reuses it, one asking for more — or finding the
+        pool degraded to serial (its workers died twice) — replaces it.
+        The retired pool finishes what other threads already submitted
+        and releases its workers."""
         if workers <= 1 or calls <= 1:
             return None, 0
         with self._pool_lock:
-            if self._pool is None or self._pool.serial:
-                from .batch import _make_executor
-
-                self._pool = _make_executor(
-                    resolve_backend(self.config.backend), workers
+            retired = self._pool
+            if (
+                retired is None
+                or retired.serial
+                or workers > self._pool_width
+            ):
+                self._pool_width = max(workers, self._pool_width)
+                self._pool = make_executor(
+                    resolve_backend(self.config.backend), self._pool_width
                 )
-                self._pool_width = workers
-                weakref.finalize(
+                if retired is not None:
+                    self._pool_finalizer.detach()
+                    retired.shutdown(wait=False)
+                self._pool_finalizer = weakref.finalize(
                     self, self._pool.shutdown,
                     wait=False, cancel_futures=True,
                 )

@@ -62,7 +62,9 @@ from ..relational.partition import (
 from ..obs import trace
 from ..relational.relation import Relation
 from .data_slicing import DataSlicingConditions
+from .degradation import record_degradation
 from .delta import RelationDelta
+from .pool import ResilientExecutor, run_settled
 
 __all__ = [
     "shardable",
@@ -244,8 +246,8 @@ class RelationShardWork:
     only its trailing ``profiled`` flag (the execute stage appends it);
     ``extra`` is the insert-split pseudo-shard (the Section-10 inserted
     tuples, merged in-parent instead of shipping them to every worker);
-    ``sharded`` is False for an unsharded work (one call carrying the
-    relations its pair scans and the extras inline, answering with the
+    ``sharded`` is False for an unsharded work (one call over the start
+    database itself with the extras inline, answering with the
     relation's delta directly).  ``fallback_call`` is the pre-built
     unsharded call of a *sharded* work — if any of its shard calls
     fails, :func:`evaluate_shard_works` re-evaluates the whole relation
@@ -262,20 +264,22 @@ class RelationShardWork:
     fallback_call: tuple | None = None
 
 
-def _unsharded_call(backend, plan, relation: str, extra_h, extra_m) -> tuple:
-    """The call evaluating ``relation``'s whole delta at once.  It ships
-    only the relations the query pair actually scans, not the whole
-    start database — on a process pool the full database would
-    otherwise pickle once per relation."""
-    query_h = plan.queries_h[relation]
-    query_m = plan.queries_m[relation]
+def _scanned_only(call: tuple) -> tuple:
+    """``call`` with its database cut down to the relations its query
+    pair scans — applied only where the call is about to pickle (a
+    process pool), where the whole start database would otherwise ship
+    once per relation.  Everywhere else a call carries the database
+    object it was routed with: the sqlite backend's connection cache is
+    keyed by database identity, so a fresh subset wrapper per answer
+    would re-ingest the relation server-side every time."""
+    backend, query_h, query_m, db, *rest = call
     needed = base_relations(query_h) | base_relations(query_m)
-    db = plan.start_db
-    if not needed >= set(db.relations):
-        db = Database(
-            {name: db[name] for name in sorted(needed) if name in db}
-        )
-    return (backend, query_h, query_m, db, extra_h, extra_m, False)
+    if needed >= set(db.relations):
+        return call
+    subset = Database(
+        {name: db[name] for name in sorted(needed) if name in db}
+    )
+    return (backend, query_h, query_m, subset, *rest)
 
 
 def _shard_databases(
@@ -332,7 +336,7 @@ def plan_relation_shards(
         extra_h = plan.inserted_original[relation]
         extra_m = plan.inserted_modified[relation]
     base_schema = plan.start_db.schema_of(relation)
-    whole = _unsharded_call(backend, plan, relation, extra_h, extra_m)
+    whole = (backend, query_h, query_m, plan.start_db, extra_h, extra_m, False)
     if (
         shards <= 1
         or not shardable(query_h, relation)
@@ -390,7 +394,7 @@ def merge_relation_shards(
 
 def evaluate_shard_works(
     works: Sequence[RelationShardWork],
-    executor,
+    executor: ResilientExecutor | None,
     profiled: bool = False,
 ) -> list[tuple[RelationDelta, float, dict | None]]:
     """The execute stage's one dispatch loop: run every work's calls and
@@ -412,11 +416,10 @@ def evaluate_shard_works(
     a shard-infrastructure failure recovers.  Pool breakage is handled a
     layer below by the batch watchdog.
     """
-    from .batch import _run_tasks_settled
-    from .degradation import record_degradation
-
     calls = [(*call, profiled) for work in works for call in work.calls]
-    outcomes = _run_tasks_settled(executor, shard_pair_task, calls)
+    if executor is not None and executor.kind == "process":
+        calls = [_scanned_only(call) for call in calls]
+    outcomes = run_settled(executor, shard_pair_task, calls)
     results = []
     cursor = 0
     for work in works:

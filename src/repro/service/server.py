@@ -41,6 +41,7 @@ prefix replay) and, within a batch, shared reenactment plans.
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 import threading
@@ -567,6 +568,10 @@ class WhatIfService:
             raise ServiceError(f"unknown method {method!r}") from None
         if workers is None:
             workers = self.batch_workers
+        # Engines, and with them their pools, are shared across requests
+        # and outlive them: one request must not be able to park more
+        # workers on the server than it has cores to run them on.
+        workers = min(workers, os.cpu_count() or 1)
         try:
             shards = normalize_shards(shards)
         except SpecError as exc:

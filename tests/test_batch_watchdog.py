@@ -285,3 +285,59 @@ def test_engine_replaces_a_pool_that_went_serial():
     again = engine.answer_batch(queries, Method.R_PS_DS)
     assert [r.delta for r in again] == [r.delta for r in first]
     assert engine._pool is not pool and not engine._pool.serial
+
+
+def test_engine_pool_grows_to_the_widest_request():
+    """A later call asking for more workers than the pool has gets them
+    (the first caller does not fix the width for the engine's lifetime);
+    a narrower one reuses the wider pool, and the retired pool is shut
+    down rather than left holding idle workers."""
+    queries = _batch_fixture()
+    engine = Mahif(MahifConfig(backend="sqlite"))
+    first = engine.answer_batch(queries, Method.R_PS_DS, workers=2)
+    narrow = engine._pool
+    assert engine._pool_width == 2
+    wider = engine.answer_batch(queries, Method.R_PS_DS, workers=3)
+    assert engine._pool is not narrow and engine._pool_width == 3
+    assert narrow.serial  # retired: shut down, not leaked
+    wide = engine._pool
+    engine.answer_batch(queries, Method.R_PS_DS, workers=2)
+    assert engine._pool is wide and engine._pool_width == 3
+    assert [r.delta for r in wider] == [r.delta for r in first]
+
+
+def test_retiring_a_pool_never_interrupts_a_submission():
+    """The engine may retire a pool another thread is submitting to (a
+    wider request replaces it): shutdown waits for the submission in
+    progress, whose futures then run to completion, instead of failing
+    it with 'cannot schedule new futures after shutdown'."""
+    import threading
+
+    entered, release = threading.Event(), threading.Event()
+
+    class SlowSubmit(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            entered.set()
+            assert release.wait(10)
+            return super().submit(fn, *args)
+
+    executor = ResilientExecutor(lambda: SlowSubmit(max_workers=1), "thread")
+    outcomes = []
+    caller = threading.Thread(
+        target=lambda: outcomes.extend(
+            executor.run_settled(_square, [(7,)])
+        )
+    )
+    caller.start()
+    assert entered.wait(10)
+    retirer = threading.Thread(
+        target=executor.shutdown, kwargs={"wait": False}
+    )
+    retirer.start()
+    retirer.join(0.2)
+    assert retirer.is_alive()  # held off until the submission is in
+    release.set()
+    caller.join(10)
+    retirer.join(10)
+    assert _values(outcomes) == [49]
+    assert executor.serial

@@ -371,7 +371,7 @@ class TestServiceVisibility:
         """The planner's worker count is not just reported: the pool the
         answer executes on is sized from it, and the payload records
         that pool's width."""
-        from repro.core import batch as batch_module
+        from repro.core import engine as engine_module
         from repro.core import planner as planner_module
 
         # A model under which sharding and parallel dispatch are free,
@@ -392,13 +392,13 @@ class TestServiceVisibility:
         )
         monkeypatch.setattr(planner_module.os, "cpu_count", lambda: 4)
         widths = []
-        make_executor = batch_module._make_executor
+        make_executor = engine_module.make_executor
 
         def spy(backend, workers):
             widths.append(workers)
             return make_executor(backend, workers)
 
-        monkeypatch.setattr(batch_module, "_make_executor", spy)
+        monkeypatch.setattr(engine_module, "make_executor", spy)
 
         service = WhatIfService(tmp_path / "stores", default_shards="auto")
         rows = [(key, key % 7) for key in range(2000)]

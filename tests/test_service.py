@@ -146,6 +146,32 @@ class TestAnswering:
             result_payload(r)["delta"] for r in expected
         ]
 
+    def test_requested_workers_are_capped_at_the_core_count(
+        self, server, monkeypatch
+    ):
+        """Engines and their pools are cached across requests: no
+        request may size one beyond the machine's cores."""
+        import os
+
+        from repro.core import engine as engine_module
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        widths = []
+        make_executor = engine_module.make_executor
+
+        def spy(backend, workers):
+            widths.append(workers)
+            return make_executor(backend, workers)
+
+        monkeypatch.setattr(engine_module, "make_executor", spy)
+        specs = [spec_for(t) for t in (25, 40, 60, 75)]
+        pooled = server.service.answer(
+            "orders", specs, backend="sqlite", workers=64
+        )
+        assert widths == [2]
+        serial = server.service.answer("orders", specs, backend="compiled")
+        assert [a["delta"] for a in pooled] == [a["delta"] for a in serial]
+
     def test_methods_agree(self, client):
         spec = spec_for(60)
         deltas = {
