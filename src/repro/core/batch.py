@@ -44,7 +44,7 @@ from typing import Sequence
 
 from ..obs import trace
 from ..relational.database import Database
-from ..relational.exec.backend import resolve_backend, use_backend
+from ..relational.exec.backend import resolve_backend
 from ..relational.statements import Statement
 from .delta import DatabaseDelta
 from .engine import Mahif, MahifResult, Method
@@ -74,6 +74,7 @@ def _trimmed_prefix(query: HistoricalWhatIfQuery) -> tuple[Statement, ...]:
 
 def shared_start_databases(
     queries: Sequence[HistoricalWhatIfQuery],
+    backend: str | None = None,
 ) -> list[Database]:
     """The time-travelled start database for every query, shared.
 
@@ -81,9 +82,10 @@ def shared_start_databases(
     distinct prefixes are materialized shallowest-first, each starting
     from the deepest already-materialized prefix of itself, so a batch
     whose modifications all sit at one position replays the common
-    prefix exactly once.  Statements run through the ambient execution
-    backend, like the sequential path.
+    prefix exactly once.  Statements replay through the named execution
+    backend (``None``: compiled).
     """
+    apply = resolve_backend(backend).apply
     prefixes = [_trimmed_prefix(query) for query in queries]
     keys: list[tuple | None] = []
     for query, prefix in zip(queries, prefixes):
@@ -118,7 +120,7 @@ def shared_start_databases(
                         base, done = other_state, len(other)
             state = base
             for stmt in prefix[done:]:
-                state = stmt.apply(state)
+                state = apply(stmt, state)
             if key is not None:
                 versions[key] = state
         results[index] = state
@@ -128,15 +130,12 @@ def shared_start_databases(
 def _plan_task(config, query, method, start_db, shared):
     """Per-query planning (insert split + program slicing + reenactment
     trees) as a pipeline task: slicing is solver-bound pure Python, so
-    it must cross to worker processes to parallelize.  The configured
-    backend is scoped here because a pool worker does not inherit the
-    caller's scope.
+    it must cross to worker processes to parallelize.
 
     The returned plan has ``start_db`` stripped — the caller already
     holds it, and shipping the database back through the process pool's
     result pickle would double the IPC cost."""
-    with use_backend(config.backend):
-        plan = plan_reenactment(config, query, method, start_db, shared)
+    plan = plan_reenactment(config, query, method, start_db, shared)
     return dataclasses.replace(plan, start_db=None)
 
 
@@ -151,8 +150,9 @@ def answer_batch_with(
     current_states: Sequence[Database | None] | None = None,
 ) -> list[MahifResult]:
     """Run the answer pipeline over ``queries`` with ``method``; the
-    worker behind :meth:`Mahif.answer` and :meth:`Mahif.answer_batch`
-    (which scope the configured backend).
+    worker behind :meth:`Mahif.answer` and :meth:`Mahif.answer_batch`.
+    Every stage that executes anything — time travel, the insert split,
+    the evaluation tasks, naive replay — is handed ``config.backend``.
 
     ``start_databases`` optionally injects the time-travelled state
     before each query's first modified statement — the what-if service
@@ -179,21 +179,18 @@ def answer_batch_with(
             "start_databases must supply one database per query"
         )
     config = engine.config
-    backend = resolve_backend(config.backend)
     if workers is None:
         workers = config.batch_workers
     if method is Method.NAIVE:
-        return _answer_naive(
-            engine, backend, queries, workers, current_states
-        )
+        return _answer_naive(engine, queries, workers, current_states)
     start_dbs = (
         list(start_databases)
         if start_databases is not None
-        else shared_start_databases(queries)
+        else shared_start_databases(queries, config.backend)
     )
     executor, _ = engine._executor(workers, len(queries))
     plans = _plan_stage(config, queries, method, start_dbs, executor)
-    routed = _route_stage(config, backend, plans, explain)
+    routed = _route_stage(config, plans, explain)
     _execute_stage(engine, workers, routed, explain)
     return [
         MahifResult(
@@ -214,7 +211,7 @@ def answer_batch_with(
 
 
 def _answer_naive(
-    engine: Mahif, backend: str, queries, workers: int, current_states
+    engine: Mahif, queries, workers: int, current_states
 ) -> list[MahifResult]:
     """``Method.NAIVE`` has nothing to plan or route: statement replay
     (Algorithm 1), one task per query."""
@@ -223,7 +220,10 @@ def _answer_naive(
     naives = run_tasks(
         executor,
         naive_what_if,
-        [(query, state, backend) for query, state in zip(queries, states)],
+        [
+            (query, state, engine.config.backend)
+            for query, state in zip(queries, states)
+        ],
     )
     return [
         MahifResult(
@@ -292,7 +292,7 @@ class _Routed:
 
 
 def _route_stage(
-    config, backend: str, plans: Sequence[ReenactmentPlan], explain: bool
+    config, plans: Sequence[ReenactmentPlan], explain: bool
 ) -> list[_Routed]:
     """Turn every plan into one work per affected relation.
 
@@ -312,12 +312,12 @@ def _route_stage(
             if explain:
                 shards = 1
             elif config.shards_auto:
-                choice = plan_execution(plan, config, backend=backend)
+                choice = plan_execution(plan, config)
                 shards, scheme = choice.shards, choice.scheme
                 hints = choice.estimates
             works = [
                 plan_relation_shards(
-                    backend, plan, relation, shards, scheme,
+                    config.backend, plan, relation, shards, scheme,
                     partitions, hints,
                 )
                 for relation in sorted(plan.affected)

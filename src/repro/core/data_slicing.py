@@ -30,6 +30,7 @@ from ..relational.algebra import (
     Singleton,
     Union,
     base_relations,
+    evaluate_query,
     output_schema,
 )
 from ..relational.expressions import (
@@ -314,31 +315,19 @@ def slicing_selectivity(
     relations of ``db`` — the observable effect of Theorem 2's
     ``σ_{∨ theta(m_i)↓*}`` selections, reported by the backend benchmark
     and useful when judging whether slicing pays off on a workload.
-    Conditions are evaluated through the selected execution backend
-    (compiled row closures by default).
+    Each condition runs as the selection it stands for, through the
+    named execution backend (``None``: compiled).
     """
-    from ..relational.exec import compile_predicate
-    from ..relational.exec.backend import BACKEND_COMPILED, resolve_backend
-    from ..relational.expressions import evaluate
-
-    compiled = resolve_backend(backend) == BACKEND_COMPILED
-    result: dict[str, tuple[int, int]] = {}
-    for relation_name, condition in conditions.items():
-        if relation_name not in db:
-            continue
-        relation = db[relation_name]
-        total = len(relation.tuples)
-        if compiled:
-            predicate = compile_predicate(condition, relation.schema)
-            kept = sum(1 for row in relation.tuples if predicate(row))
-        else:
-            kept = sum(
-                1
-                for row in relation.tuples
-                if bool(evaluate(condition, relation.schema.as_dict(row)))
-            )
-        result[relation_name] = (kept, total)
-    return result
+    return {
+        name: (
+            len(
+                evaluate_query(Select(RelScan(name), condition), db, backend)
+            ),
+            len(db[name]),
+        )
+        for name, condition in conditions.items()
+        if name in db
+    }
 
 
 def compute_data_slicing(

@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 
 from ..relational.algebra import Operator
 from ..relational.database import Database
-from ..relational.exec.backend import resolve_backend, use_backend
+from ..relational.exec.backend import resolve_backend
 from ..relational.optimizer import OptimizerConfig
 from .data_slicing import DataSlicingConditions
 from .delta import DatabaseDelta
@@ -89,8 +89,10 @@ class MahifConfig:
     statement) and the Section-8.3.3 greedy search (``"greedy"`` — one
     call per candidate, exact Theorem-4 checks).
 
-    ``backend`` selects the execution backend for every query and
-    statement evaluated while answering: ``"compiled"`` (the default)
+    ``backend`` names the execution backend for every query and
+    statement evaluated while answering — the pipeline hands it to each
+    stage explicitly, there is no ambient default to consult:
+    ``"compiled"`` (the default, and what ``None`` is normalised to)
     runs closure-compiled streaming pipelines with hash joins,
     ``"interpreted"`` the original tree-walking evaluator (kept as the
     differential-testing oracle), ``"sqlite"`` the middleware path of
@@ -185,7 +187,10 @@ class MahifConfig:
                 f"unknown shard scheme {self.shard_scheme!r}; expected one "
                 f"of {PARTITION_SCHEMES}"
             )
-        resolve_backend(self.backend)  # raises ValueError when unknown
+        # Raises ValueError when unknown; None becomes "compiled".
+        object.__setattr__(
+            self, "backend", resolve_backend(self.backend).name
+        )
 
     @property
     def shards_auto(self) -> bool:
@@ -286,7 +291,7 @@ class Mahif:
             ):
                 self._pool_width = max(workers, self._pool_width)
                 self._pool = make_executor(
-                    resolve_backend(self.config.backend), self._pool_width
+                    self.config.backend, self._pool_width
                 )
                 if retired is not None:
                     self._pool_finalizer.detach()
@@ -308,10 +313,6 @@ class Mahif:
         """Answer a HWQ with the selected method: the answer pipeline
         run on ``[query]``.
 
-        The configured execution backend is scoped around the whole
-        pipeline, so statement replay (naive), reenactment queries and
-        the delta all run through it.
-
         ``explain=True`` runs EXPLAIN ANALYZE: the answer carries a
         per-operator time/row-count :attr:`MahifResult.profile` and
         executes unsharded, in-process.  NAIVE has no operator trees to
@@ -319,11 +320,10 @@ class Mahif:
         """
         from .batch import answer_batch_with
 
-        with use_backend(self.config.backend):
-            return answer_batch_with(
-                self, [query], method,
-                explain=explain, current_states=[current_state],
-            )[0]
+        return answer_batch_with(
+            self, [query], method,
+            explain=explain, current_states=[current_state],
+        )[0]
 
     def answer_batch(
         self,
@@ -359,11 +359,10 @@ class Mahif:
         """
         from .batch import answer_batch_with
 
-        with use_backend(self.config.backend):
-            return answer_batch_with(
-                self, list(queries), method, workers, start_databases,
-                explain=explain,
-            )
+        return answer_batch_with(
+            self, list(queries), method, workers, start_databases,
+            explain=explain,
+        )
 
 
 def answer(

@@ -65,14 +65,17 @@ def _empty_database(schemas: Mapping[str, Schema]) -> Database:
 
 
 def split_inserts(
-    aligned: AlignedHistories, schemas: Mapping[str, Schema]
+    aligned: AlignedHistories,
+    schemas: Mapping[str, Schema],
+    backend: str | None = None,
 ) -> InsertSplit:
     """Split constant inserts out of an aligned pair.
 
     A position is dropped when *either* side is an ``I_t`` (its partner is
     then a no-op or another insert by construction of the alignment); the
     inserted tuples and everything the suffix statements do to them are
-    captured by replaying each full history over an empty database.
+    captured by replaying each full history over an empty database,
+    through the named execution backend (``None``: compiled).
     """
     if not can_split(aligned):
         raise ModificationError(
@@ -100,8 +103,8 @@ def split_inserts(
         History(tuple(original_side)), History(tuple(modified_side))
     )
     empty = _empty_database(schemas)
-    inserted_original = aligned.original.execute(empty)
-    inserted_modified = aligned.modified.execute(empty)
+    inserted_original = aligned.original.execute(empty, backend)
+    inserted_modified = aligned.modified.execute(empty, backend)
     return InsertSplit(
         without_inserts=without,
         insert_positions=tuple(insert_positions),

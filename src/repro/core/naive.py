@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 from ..relational.database import Database
-from ..relational.exec.backend import use_backend
 from ..relational.relation import Relation
 from .delta import DatabaseDelta
 from .hwq import HistoricalWhatIfQuery
@@ -67,32 +66,23 @@ def naive_what_if(
     always does — it *is* the database); otherwise it is computed here but
     not charged to any phase, mirroring the paper's accounting.
 
-    ``backend`` scopes the execution backend used for statement replay
-    (UPDATE/DELETE predicates and Set clauses run compiled by default);
-    ``None`` keeps the ambient default, e.g. the engine's configured one.
+    ``backend`` names the execution backend every statement replays
+    through (``None``: compiled).
     """
-    with use_backend(backend):
-        return _naive_what_if(query, current_state)
-
-
-def _naive_what_if(
-    query: HistoricalWhatIfQuery,
-    current_state: Database | None,
-) -> NaiveResult:
     aligned = query.aligned()
     trimmed, k = aligned.trim_prefix()
 
     # Time travel to the state before the first modified statement.
-    start_db = query.history.prefix(k).execute(query.database)
+    start_db = query.history.prefix(k).execute(query.database, backend)
     if current_state is None:
-        current_state = trimmed.original.execute(start_db)
+        current_state = trimmed.original.execute(start_db, backend)
 
     accessed = trimmed.modified.accessed_relations() | trimmed.original.accessed_relations()
 
     t0 = time.perf_counter()
     copy = _copy_database(start_db, accessed)
     t1 = time.perf_counter()
-    modified_state = trimmed.modified.execute(copy)
+    modified_state = trimmed.modified.execute(copy, backend)
     t2 = time.perf_counter()
     delta = DatabaseDelta.between(current_state, modified_state)
     t3 = time.perf_counter()

@@ -133,7 +133,9 @@ def affected_relations(aligned: AlignedHistories) -> set[str]:
     return affected
 
 
-def _peel_inserts(pair: AlignedHistories, schemas: Mapping[str, Schema]):
+def _peel_inserts(
+    pair: AlignedHistories, schemas: Mapping[str, Schema], backend: str
+):
     """Section 10: ``(pair without constant inserts, inserted-tuple side
     of H, of H[M])`` — the pair itself and two ``None`` when it holds no
     constant insert."""
@@ -143,7 +145,7 @@ def _peel_inserts(pair: AlignedHistories, schemas: Mapping[str, Schema]):
         + tuple(pair.modified.statements)
     ):
         return pair, None, None
-    split = split_inserts(pair, schemas)
+    split = split_inserts(pair, schemas, backend)
     return (
         split.without_inserts, split.inserted_original, split.inserted_modified
     )
@@ -306,7 +308,7 @@ def plan_reenactment(
     # reenactment, optionally data-sliced.
     if method.uses_program_slicing and can_split(pair):
         pair, inserted_original, inserted_modified = _peel_inserts(
-            pair, schemas
+            pair, schemas, config.backend
         )
         slice_result, ps_seconds = _slice(config, pair, start_db, schemas)
         pair = pair.subset(slice_result.kept_positions)

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from ..obs import trace
 from ..obs.metrics import global_registry
 from ..relational.algebra import operator_count
+from ..relational.exec.backend import BACKENDS
 from ..relational.expressions import TRUE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -216,9 +217,10 @@ def calibrate_cost_model(report: Mapping[str, Any]) -> CostModel:
         ds_base = _DEFAULT_DS_ROW_COST["compiled"]
         row_op: dict[str, float] = {}
         ds_row: dict[str, float] = {}
-        for backend in ("interpreted", "compiled", "sqlite", "vector"):
+        for backend in BACKENDS:
             exe = float(largest.get(f"{backend}_exe", 0.0))
             if exe <= 0:
+                # repro-lint: allow[backend-dispatch] -- not dispatch: legacy BENCH_backend.json reports have no measured vector column
                 if backend == "vector":
                     # Pre-vector reports simply lack the column: keep
                     # the measured ratios for the other backends and
@@ -429,7 +431,6 @@ def plan_execution(
     plan: "ReenactmentPlan",
     config: "MahifConfig",
     *,
-    backend: str | None = None,
     cost_model: CostModel | None = None,
     sample_limit: int = DEFAULT_SAMPLE_LIMIT,
     max_shards: int = MAX_AUTO_SHARDS,
@@ -444,7 +445,6 @@ def plan_execution(
         choice = _plan_execution_inner(
             plan,
             config,
-            backend=backend,
             cost_model=cost_model,
             sample_limit=sample_limit,
             max_shards=max_shards,
@@ -471,7 +471,6 @@ def _plan_execution_inner(
     plan: "ReenactmentPlan",
     config: "MahifConfig",
     *,
-    backend: str | None = None,
     cost_model: CostModel | None = None,
     sample_limit: int = DEFAULT_SAMPLE_LIMIT,
     max_shards: int = MAX_AUTO_SHARDS,
@@ -488,12 +487,11 @@ def _plan_execution_inner(
     two shards will actually be evaluated *and* the parallelizable
     evaluation work dwarfs pool dispatch overhead.
     """
-    from ..relational.exec.backend import resolve_backend
     from .shard import _contains_singleton
 
     from .shard import shardable
 
-    backend = backend or resolve_backend(config.backend)
+    backend = config.backend
     model = cost_model or DEFAULT_COST_MODEL
     scheme = config.shard_scheme
     filtered = plan.method.uses_data_slicing

@@ -20,7 +20,7 @@ from concurrent.futures import (
 )
 from typing import Callable, Sequence
 
-from ..relational.exec.backend import BACKEND_SQLITE
+from ..relational.exec.backend import resolve_backend
 from .degradation import record_degradation
 
 __all__ = ["ResilientExecutor", "make_executor", "run_settled", "run_tasks"]
@@ -108,15 +108,14 @@ class ResilientExecutor:
             executor.shutdown(wait=wait, cancel_futures=cancel_futures)
 
 
-def make_executor(backend: str, workers: int) -> ResilientExecutor:
-    """A ``workers``-wide pool for ``backend``: threads for sqlite,
-    forked processes for the in-process backends."""
-    if backend == BACKEND_SQLITE:
-        return ResilientExecutor(
-            lambda: ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="mahif-batch"
-            ),
-            "thread",
+def make_executor(backend: str | None, workers: int) -> ResilientExecutor:
+    """A ``workers``-wide pool of the kind ``backend`` asks for
+    (:attr:`~repro.relational.exec.backend.Backend.pool_kind`): threads
+    for sqlite, forked processes for the in-process backends."""
+
+    def _thread_pool() -> Executor:
+        return ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="mahif-batch"
         )
 
     def _process_pool() -> Executor:
@@ -128,7 +127,10 @@ def make_executor(backend: str, workers: int) -> ResilientExecutor:
             context = None
         return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
-    return ResilientExecutor(_process_pool, "process")
+    kind = resolve_backend(backend).pool_kind
+    return ResilientExecutor(
+        _thread_pool if kind == "thread" else _process_pool, kind
+    )
 
 
 def run_settled(

@@ -33,9 +33,10 @@ def configure_logging(
     """Redirect events to ``sink`` (None restores stderr); ``clock``
     parameterizes the ``ts`` field for deterministic tests."""
     global _SINK, _CLOCK
-    _SINK = sink
-    if clock is not None:
-        _CLOCK = clock
+    with _LOCK:
+        _SINK = sink
+        if clock is not None:
+            _CLOCK = clock
 
 
 def log_event(event: str, **fields: Any) -> None:

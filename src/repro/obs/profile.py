@@ -5,12 +5,12 @@ operator's *own* work and counting its output rows: children are
 profiled first and materialized, then the node is re-rooted over a
 scratch database in which each child subtree is replaced by a scan of
 its materialized result.  Because the re-rooted single-operator tree is
-evaluated through the ordinary backend dispatch, the same profiler
-covers all three backends — compiled pipelines, the interpreted oracle
-and the sqlite translation — without per-backend hooks, and the final
-relation is exactly what plain evaluation would have produced (the
-per-node materialization is the documented EXPLAIN ANALYZE overhead;
-profiling is a diagnostic mode, never the hot path).
+evaluated through the ordinary backend seam, the same profiler covers
+all four backends — compiled pipelines, the interpreted oracle, the
+sqlite translation and the vector kernels — without per-backend hooks,
+and the final relation is exactly what plain evaluation would have
+produced (the per-node materialization is the documented EXPLAIN
+ANALYZE overhead; profiling is a diagnostic mode, never the hot path).
 
 The result is an :class:`OperatorProfile` tree mirroring the plan
 shape, with a terminal :meth:`~OperatorProfile.pretty` rendering::

@@ -24,9 +24,6 @@ from .exec import (
     BACKEND_SQLITE,
     BACKEND_VECTOR,
     BACKENDS,
-    get_default_backend,
-    set_default_backend,
-    use_backend,
 )
 from .database import Database
 from .expressions import (
@@ -124,8 +121,7 @@ __all__ = [
     # execution backends
     "BACKEND_COMPILED", "BACKEND_INTERPRETED", "BACKEND_SQLITE",
     "BACKEND_VECTOR",
-    "BACKENDS", "get_default_backend", "set_default_backend",
-    "use_backend",
+    "BACKENDS",
     # parsing / rendering
     "parse_expression", "parse_statement", "parse_history",
     "statement_to_sql", "query_to_sql", "history_to_sql",

@@ -4,8 +4,10 @@ Reenactment (Definition 3 of the paper) compiles histories into algebra
 trees built from generalized projection (projection onto arbitrary
 expressions, used for updates), selection (deletes), union (inserts) and —
 for delta computation and ``INSERT ... SELECT`` queries — difference and
-join.  The evaluator interprets trees directly over
-:class:`~repro.relational.database.Database` instances.
+join.  The evaluator here (:func:`evaluate_query_interpreted`) interprets
+trees directly over :class:`~repro.relational.database.Database`
+instances and is the reference every other execution backend is tested
+against; :func:`evaluate_query` runs a tree through a named backend.
 
 Operator trees are immutable; rewrites (data slicing injects selections at
 the leaves, Section 10 pulls unions up past projections) return new trees.
@@ -25,12 +27,7 @@ from .expressions import (
     evaluate,
     simplify,
 )
-from .exec.backend import (
-    BACKEND_COMPILED,
-    BACKEND_SQLITE,
-    BACKEND_VECTOR,
-    resolve_backend,
-)
+from .exec.backend import resolve_backend
 from .relation import Relation
 from .schema import Schema, SchemaError, check_union_compatible
 
@@ -162,34 +159,21 @@ def evaluate_query(
 ) -> Relation:
     """Evaluate an operator tree over a database (set semantics).
 
-    ``backend`` selects the execution backend: ``"compiled"`` (the
-    default — see :mod:`repro.relational.exec`) streams the plan through
-    closure-compiled operators, ``"interpreted"`` walks the tree per
-    tuple, ``"sqlite"`` translates the tree to SQL and executes it
-    server-side on an in-memory SQLite database (the paper's middleware
-    architecture), and ``None`` defers to the process default
-    (:func:`repro.relational.exec.get_default_backend`, usually set by
-    the engine's :class:`~repro.core.engine.MahifConfig`).  All backends
+    ``backend`` names the execution backend (see
+    :mod:`repro.relational.exec.backend`): ``"compiled"`` — also what
+    ``None`` means — streams the plan through closure-compiled
+    operators, ``"interpreted"`` walks the tree per tuple
+    (:func:`evaluate_query_interpreted`, the reference), ``"sqlite"``
+    translates the tree to SQL and executes it server-side on an
+    in-memory SQLite database (the paper's middleware architecture), and
+    ``"vector"`` runs whole-column kernels over typed columns.  All four
     are differentially tested to agree on every operator and expression
     shape; the caveats are error *raising* inside join conditions over
     ill-typed data, where the hash join skips pairs the interpreter
     would have evaluated, and the sqlite backend's typed-domain caveats
     (see DESIGN.md, "Execution backends").
     """
-    resolved = resolve_backend(backend)
-    if resolved == BACKEND_COMPILED:
-        from .exec.plan_compile import execute_plan
-
-        return execute_plan(op, db)
-    if resolved == BACKEND_SQLITE:
-        from .exec.sql_backend import execute_query_sqlite
-
-        return execute_query_sqlite(op, db)
-    if resolved == BACKEND_VECTOR:
-        from .exec.vector_compile import execute_plan_vector
-
-        return execute_plan_vector(op, db)
-    return evaluate_query_interpreted(op, db)
+    return resolve_backend(backend).evaluate(op, db)
 
 
 def evaluate_query_interpreted(op: Operator, db: Database) -> Relation:

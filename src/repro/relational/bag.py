@@ -12,14 +12,17 @@ slicing theorems hold without the key assumption.
 This module provides the bag world: :class:`BagRelation` (tuple →
 multiplicity), statement application, a bag evaluator for the same
 operator algebra, and bag deltas.  Tests use it to show the set-semantics
-collision counterexample is benign under bags.
+collision counterexample is benign under bags.  As in the set world, the
+implementations here are the tree-walking *reference* semantics;
+``apply_statement_bag`` / ``evaluate_query_bag`` run through a named
+execution backend (see :mod:`repro.relational.exec.backend`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .algebra import (
     Difference,
@@ -32,12 +35,7 @@ from .algebra import (
     Union,
 )
 from .database import Database
-from .exec.backend import (
-    BACKEND_COMPILED,
-    BACKEND_SQLITE,
-    BACKEND_VECTOR,
-    resolve_backend,
-)
+from .exec.backend import resolve_backend
 from .expressions import Expr, evaluate
 from .history import History
 from .relation import Relation
@@ -48,13 +46,14 @@ from .statements import (
     InsertTuple,
     Statement,
     UpdateStatement,
-    compiled_update_row,
 )
 
 __all__ = [
     "BagRelation",
     "BagDatabase",
     "apply_statement_bag",
+    "apply_statement_bag_interpreted",
+    "apply_insert_bag",
     "execute_history_bag",
     "evaluate_query_bag",
     "evaluate_query_bag_interpreted",
@@ -200,89 +199,65 @@ class BagDatabase:
 
 # -- statements over bags -----------------------------------------------------
 
-def apply_statement_bag(stmt: Statement, db: BagDatabase) -> BagDatabase:
-    """Apply a statement with bag semantics (multiplicities preserved).
+def apply_statement_bag(
+    stmt: Statement, db: BagDatabase, backend: str | None = None
+) -> BagDatabase:
+    """Apply a statement with bag semantics (multiplicities preserved)
+    through the named execution backend (``None``: compiled)."""
+    return resolve_backend(backend).apply_bag(stmt, db)
 
-    Update/delete conditions and Set clauses run through the configured
-    execution backend: compiled row closures by default, per-row dict
-    bindings under the interpreter, or one translated SQL statement
-    executed server-side under the sqlite middleware backend (see
-    :mod:`repro.relational.exec`).
-    """
-    backend = resolve_backend(None)
-    if backend == BACKEND_SQLITE:
-        from .exec.sql_backend import apply_statement_sqlite_bag
 
-        return apply_statement_sqlite_bag(stmt, db)
+def apply_insert_bag(
+    stmt: InsertTuple | InsertQuery,
+    db: BagDatabase,
+    run_query: Callable[[Operator, BagDatabase], BagRelation],
+) -> BagDatabase:
+    """``I_t`` / ``I_Q`` under bags: the same for every in-process
+    backend up to how it evaluates ``Q`` (``run_query(query, db)``)."""
     relation = db[stmt.relation]
-    compiled = backend == BACKEND_COMPILED
-    vector = backend == BACKEND_VECTOR
+    if isinstance(stmt, InsertTuple):
+        return db.with_relation(stmt.relation, relation.add_row(stmt.values))
+    result = run_query(stmt.query, db)
+    if result.schema.arity != relation.schema.arity:
+        raise SchemaError(
+            f"INSERT SELECT arity {result.schema.arity} does not "
+            f"match {stmt.relation} arity {relation.schema.arity}"
+        )
+    # INSERT ... SELECT is positional (like the set-semantics path):
+    # relabel the query result to the target schema before the union.
+    result = BagRelation(relation.schema, result.multiplicities)
+    return db.with_relation(stmt.relation, relation.union_all(result))
+
+
+def apply_statement_bag_interpreted(
+    stmt: Statement, db: BagDatabase
+) -> BagDatabase:
+    """The reference bag semantics: one dict binding per distinct row
+    (the differential oracle)."""
+    relation = db[stmt.relation]
+    schema = relation.schema
     if isinstance(stmt, UpdateStatement):
         counts: Counter = Counter()
-        if vector:
-            from .exec.vector_compile import bag_update_counts
-
-            counts.update(bag_update_counts(stmt, relation))
-        elif compiled:
-            update_row = compiled_update_row(stmt, relation.schema)
-            for row, count in relation.multiplicities.items():
-                counts[update_row(row)] += count
-        else:
-            for row, count in relation.multiplicities.items():
-                binding = relation.schema.as_dict(row)
-                updated = stmt.apply_to_row(binding)
-                counts[relation.schema.from_dict(updated)] += count
-        return db.with_relation(
-            stmt.relation, BagRelation(relation.schema, counts)
-        )
-    if isinstance(stmt, DeleteStatement):
-        if vector:
-            from .exec.vector_compile import bag_delete_counts
-
-            kept = bag_delete_counts(stmt, relation)
-        elif compiled:
-            from .exec import compile_predicate
-
-            predicate = compile_predicate(stmt.condition, relation.schema)
-            kept = {
-                row: count
-                for row, count in relation.multiplicities.items()
-                if not predicate(row)
-            }
-        else:
-            kept = {
-                row: count
-                for row, count in relation.multiplicities.items()
-                if not bool(
-                    evaluate(stmt.condition, relation.schema.as_dict(row))
-                )
-            }
-        return db.with_relation(
-            stmt.relation, BagRelation(relation.schema, kept)
-        )
-    if isinstance(stmt, InsertTuple):
-        return db.with_relation(
-            stmt.relation, relation.add_row(stmt.values)
-        )
-    if isinstance(stmt, InsertQuery):
-        result = evaluate_query_bag(stmt.query, db)
-        if result.schema.arity != relation.schema.arity:
-            raise SchemaError(
-                f"INSERT SELECT arity {result.schema.arity} does not "
-                f"match {stmt.relation} arity {relation.schema.arity}"
-            )
-        # INSERT ... SELECT is positional (like the set-semantics path):
-        # relabel the query result to the target schema before the union.
-        result = BagRelation(relation.schema, result.multiplicities)
-        return db.with_relation(
-            stmt.relation, relation.union_all(result)
-        )
-    raise TypeError(f"unknown statement {stmt!r}")
+        for row, count in relation.multiplicities.items():
+            updated = stmt.apply_to_row(schema.as_dict(row))
+            counts[schema.from_dict(updated)] += count
+    elif isinstance(stmt, DeleteStatement):
+        counts = {
+            row: count
+            for row, count in relation.multiplicities.items()
+            if not bool(evaluate(stmt.condition, schema.as_dict(row)))
+        }
+    else:
+        return apply_insert_bag(stmt, db, evaluate_query_bag_interpreted)
+    return db.with_relation(stmt.relation, BagRelation(schema, counts))
 
 
-def execute_history_bag(history: History, db: BagDatabase) -> BagDatabase:
+def execute_history_bag(
+    history: History, db: BagDatabase, backend: str | None = None
+) -> BagDatabase:
+    apply = resolve_backend(backend).apply_bag
     for stmt in history:
-        db = apply_statement_bag(stmt, db)
+        db = apply(stmt, db)
     return db
 
 
@@ -295,25 +270,11 @@ def evaluate_query_bag(
 
     Projection preserves multiplicities (no dedup), union is additive,
     difference is monus, join multiplies multiplicities — the standard
-    N[X]-semiring specialization.  ``backend`` selects compiled streaming
-    pipelines (default), the tree-walking interpreter, or server-side
-    SQLite execution with a hidden multiplicity column, as in
-    :func:`repro.relational.algebra.evaluate_query`.
+    N[X]-semiring specialization.  ``backend`` names the execution
+    backend as in :func:`repro.relational.algebra.evaluate_query`
+    (sqlite carries multiplicities in a hidden count column).
     """
-    resolved = resolve_backend(backend)
-    if resolved == BACKEND_COMPILED:
-        from .exec.bag_compile import execute_plan_bag
-
-        return execute_plan_bag(op, db)
-    if resolved == BACKEND_SQLITE:
-        from .exec.sql_backend import execute_query_sqlite_bag
-
-        return execute_query_sqlite_bag(op, db)
-    if resolved == BACKEND_VECTOR:
-        from .exec.vector_compile import execute_plan_vector_bag
-
-        return execute_plan_vector_bag(op, db)
-    return evaluate_query_bag_interpreted(op, db)
+    return resolve_backend(backend).evaluate_bag(op, db)
 
 
 def evaluate_query_bag_interpreted(op: Operator, db: BagDatabase) -> BagRelation:

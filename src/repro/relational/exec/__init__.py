@@ -15,19 +15,21 @@ This subpackage lowers the interpreted algebra to compiled form:
   whole-column kernels, bitmap selections and bloom-prefiltered coded
   hash joins, falling back to the compiled per-row closures wherever
   eager vectorized evaluation could diverge from interpreter semantics,
-* :mod:`.backend` — the process-wide ``"compiled"`` / ``"interpreted"``
-  / ``"sqlite"`` / ``"vector"`` switch that
-  :func:`repro.relational.algebra.evaluate_query` and friends consult;
-  compiled is the default, the interpreter stays available as the
-  differential-testing oracle.
+* :mod:`.backend` — the seam: one immutable :class:`Backend` per name,
+  looked up by :func:`resolve_backend`, through which
+  :func:`repro.relational.algebra.evaluate_query`, ``Statement.apply``
+  and friends reach every executor above; compiled is what ``None``
+  means, the interpreter stays available as the differential-testing
+  oracle.
 
 The compilers import the algebra module, which itself dispatches into
 this package at evaluation time — so everything except the import-light
-backend switch is exported lazily (PEP 562) to keep imports acyclic.
+backend seam is exported lazily (PEP 562) to keep imports acyclic.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Any
 
 from .backend import (
@@ -36,100 +38,60 @@ from .backend import (
     BACKEND_SQLITE,
     BACKEND_VECTOR,
     BACKENDS,
-    get_default_backend,
+    Backend,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
 
+#: Lazily exported name -> the submodule that defines it.
+_LAZY = {
+    # expression compilation
+    "compile_expr": "expr_compile",
+    "compile_predicate": "expr_compile",
+    "compile_row": "expr_compile",
+    "const_fingerprint": "expr_compile",
+    "clear_expr_cache": "expr_compile",
+    "expr_cache_info": "expr_compile",
+    # plan compilation (set semantics)
+    "CompiledPlan": "plan_compile",
+    "compile_plan": "plan_compile",
+    "execute_plan": "plan_compile",
+    "plan_fingerprint": "plan_compile",
+    "split_equijoin_condition": "plan_compile",
+    "clear_plan_cache": "plan_compile",
+    "plan_cache_info": "plan_compile",
+    # plan compilation (bag semantics)
+    "CompiledBagPlan": "bag_compile",
+    "compile_plan_bag": "bag_compile",
+    "execute_plan_bag": "bag_compile",
+    "clear_bag_plan_cache": "bag_compile",
+    "bag_plan_cache_info": "bag_compile",
+    # vector columnar backend
+    "execute_plan_vector": "vector_compile",
+    "execute_plan_vector_bag": "vector_compile",
+    "vectorize_condition": "vector_compile",
+    # sqlite middleware backend
+    "SqlBackendError": "sql_backend",
+    "execute_query_sqlite": "sql_backend",
+    "execute_query_sqlite_bag": "sql_backend",
+    "apply_statement_sqlite": "sql_backend",
+    "apply_statement_sqlite_bag": "sql_backend",
+    "clear_sqlite_cache": "sql_backend",
+    "sqlite_cache_info": "sql_backend",
+    "set_sqlite_cache_limit": "sql_backend",
+}
+
 __all__ = [
-    # backend switch
+    # backend seam
     "BACKEND_COMPILED",
     "BACKEND_INTERPRETED",
     "BACKEND_SQLITE",
     "BACKEND_VECTOR",
     "BACKENDS",
-    "get_default_backend",
-    "set_default_backend",
     "resolve_backend",
-    "use_backend",
-    # expression compilation
-    "compile_expr",
-    "compile_predicate",
-    "compile_row",
-    "const_fingerprint",
-    "clear_expr_cache",
-    "expr_cache_info",
-    # plan compilation (set semantics)
-    "CompiledPlan",
-    "compile_plan",
-    "execute_plan",
-    "plan_fingerprint",
-    "split_equijoin_condition",
-    "clear_plan_cache",
-    "plan_cache_info",
-    # plan compilation (bag semantics)
-    "CompiledBagPlan",
-    "compile_plan_bag",
-    "execute_plan_bag",
-    "clear_bag_plan_cache",
-    "bag_plan_cache_info",
-    # vector columnar backend
-    "execute_plan_vector",
-    "execute_plan_vector_bag",
-    "vectorize_condition",
-    # sqlite middleware backend
-    "SqlBackendError",
-    "execute_query_sqlite",
-    "execute_query_sqlite_bag",
-    "apply_statement_sqlite",
-    "apply_statement_sqlite_bag",
-    "clear_sqlite_cache",
-    "sqlite_cache_info",
-    "set_sqlite_cache_limit",
+    *_LAZY,
     # maintenance
     "clear_caches",
 ]
-
-_EXPR_EXPORTS = {
-    "compile_expr",
-    "compile_predicate",
-    "compile_row",
-    "const_fingerprint",
-    "clear_expr_cache",
-    "expr_cache_info",
-}
-_PLAN_EXPORTS = {
-    "CompiledPlan",
-    "compile_plan",
-    "execute_plan",
-    "plan_fingerprint",
-    "split_equijoin_condition",
-    "clear_plan_cache",
-    "plan_cache_info",
-}
-_BAG_EXPORTS = {
-    "CompiledBagPlan",
-    "compile_plan_bag",
-    "execute_plan_bag",
-    "clear_bag_plan_cache",
-    "bag_plan_cache_info",
-}
-_VECTOR_EXPORTS = {
-    "execute_plan_vector",
-    "execute_plan_vector_bag",
-    "vectorize_condition",
-}
-_SQLITE_EXPORTS = {
-    "SqlBackendError",
-    "execute_query_sqlite",
-    "execute_query_sqlite_bag",
-    "apply_statement_sqlite",
-    "apply_statement_sqlite_bag",
-    "clear_sqlite_cache",
-    "sqlite_cache_info",
-    "set_sqlite_cache_limit",
-}
 
 
 def clear_caches() -> None:
@@ -146,24 +108,7 @@ def clear_caches() -> None:
 
 
 def __getattr__(name: str) -> Any:
-    if name in _EXPR_EXPORTS:
-        from . import expr_compile
-
-        return getattr(expr_compile, name)
-    if name in _PLAN_EXPORTS:
-        from . import plan_compile
-
-        return getattr(plan_compile, name)
-    if name in _BAG_EXPORTS:
-        from . import bag_compile
-
-        return getattr(bag_compile, name)
-    if name in _VECTOR_EXPORTS:
-        from . import vector_compile
-
-        return getattr(vector_compile, name)
-    if name in _SQLITE_EXPORTS:
-        from . import sql_backend
-
-        return getattr(sql_backend, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

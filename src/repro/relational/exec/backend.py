@@ -1,45 +1,42 @@
-"""Execution-backend selection.
+"""The execution-backend seam: the one module that knows the backends.
 
-Four backends evaluate the same operator algebra:
+Mahif is a middleware — every reenactment query and every replayed
+statement crosses exactly one boundary, to whatever executes it.  A
+:class:`Backend` is that boundary for one executor: evaluate an operator
+tree, apply a statement, each under set and bag semantics.  Four exist:
 
-* ``"compiled"`` (the default) — :mod:`repro.relational.exec` lowers
-  expression trees to Python closures over positional row tuples and
-  operator trees to streaming generator pipelines with a hash-join fast
-  path (see DESIGN.md, "Execution backends"),
-* ``"interpreted"`` — the original tree-walking evaluator, kept as the
-  reference oracle for differential testing,
+* ``"compiled"`` (what ``None`` means everywhere) — expression trees
+  lowered to Python closures over positional row tuples, operator trees
+  to streaming generator pipelines with a hash-join fast path
+  (:mod:`.plan_compile`, :mod:`.bag_compile`),
+* ``"interpreted"`` — the tree-walking reference semantics in
+  :mod:`repro.relational.algebra`, :mod:`~repro.relational.statements`
+  and :mod:`~repro.relational.bag`, kept as the differential oracle,
 * ``"sqlite"`` — the middleware backend of the paper's architecture:
-  operator trees and statements are translated to SQL and executed
-  server-side on an in-memory :mod:`sqlite3` database (see
-  :mod:`repro.relational.exec.sql_backend`),
-* ``"vector"`` — columnar evaluation: relations become typed NumPy
-  columns (pure-Python typed columns without NumPy) and operators run
-  as whole-column kernels — bitmap selections, bloom-prefiltered coded
-  hash joins, eager bag aggregation (see
-  :mod:`repro.relational.exec.vector_compile`).
+  trees and statements translated to SQL and executed server-side on an
+  in-memory :mod:`sqlite3` database (:mod:`.sql_backend`),
+* ``"vector"`` — columnar evaluation over typed NumPy columns with
+  whole-column kernels (:mod:`.vector_compile`).
 
-The default is process-wide state so that code without a config in hand
-(statement application inside :meth:`History.execute`, ad-hoc
-``evaluate_query`` calls) picks the engine-selected backend.  The engine
-scopes its configured backend with :func:`use_backend`, restoring the
-previous default on exit, so nested engines with different configs
-compose correctly.  The *scope* is thread-local (layered over the
-process-wide default): concurrent threads — e.g. the what-if service
-answering two requests with different backends — each see their own
-``use_backend`` stack and cannot corrupt each other's save/restore,
-while :func:`set_default_backend` still changes the process default for
-threads with no active scope.
+There is no ambient choice: a backend is named by a call argument
+(``evaluate_query(op, db, backend="sqlite")``, ``stmt.apply(db,
+backend=...)``) or by ``MahifConfig(backend=...)``, which the engine
+hands down its pipeline explicitly.  Code with neither — the history
+store, ``VersionedDatabase``, ad-hoc ``stmt.apply(db)`` — runs compiled.
+Nothing here is mutated after import, so concurrent engines cannot
+observe each other's choice.
 
-This module is import-light on purpose: :mod:`repro.relational.algebra`
-imports it at module load, while the compilers (which import the algebra)
-are only pulled in lazily at evaluation time.
+This module is import-light on purpose: the algebra imports it at module
+load, while the executors (which import the algebra) are only pulled in
+when a backend's entry point is first called.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Iterator
+from dataclasses import dataclass
+from importlib import import_module
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 __all__ = [
     "BACKEND_COMPILED",
@@ -47,67 +44,100 @@ __all__ = [
     "BACKEND_SQLITE",
     "BACKEND_VECTOR",
     "BACKENDS",
-    "get_default_backend",
-    "set_default_backend",
+    "Backend",
     "resolve_backend",
-    "use_backend",
 ]
 
 BACKEND_COMPILED = "compiled"
 BACKEND_INTERPRETED = "interpreted"
 BACKEND_SQLITE = "sqlite"
 BACKEND_VECTOR = "vector"
-BACKENDS = (
-    BACKEND_COMPILED, BACKEND_INTERPRETED, BACKEND_SQLITE, BACKEND_VECTOR
+
+
+@dataclass(frozen=True)
+class Backend:
+    """One executor behind the seam.
+
+    ``evaluate(op, db)`` / ``evaluate_bag(op, bag_db)`` run an operator
+    tree to a ``Relation`` / ``BagRelation``; ``apply(stmt, db)`` /
+    ``apply_bag(stmt, bag_db)`` run one statement to the next database.
+    ``pool_kind`` is what a worker pool for this backend is made of:
+    ``"process"`` for the in-process executors (pure Python does not
+    parallelize under the GIL), ``"thread"`` for sqlite (the C engine
+    releases the GIL and its connection cache is per-thread).
+    """
+
+    name: str
+    pool_kind: str
+    evaluate: Callable[[Any, Any], Any]
+    evaluate_bag: Callable[[Any, Any], Any]
+    apply: Callable[[Any, Any], Any]
+    apply_bag: Callable[[Any, Any], Any]
+
+
+_RELATIONAL = __name__.rsplit(".", 2)[0]
+
+
+def _late(module: str, function: str) -> Callable[[Any, Any], Any]:
+    """``repro.relational.<module>.<function>``, imported when called:
+    the executors import the algebra, which imports this module."""
+    path = f"{_RELATIONAL}.{module}"
+
+    def entry_point(subject: Any, db: Any) -> Any:
+        return getattr(import_module(path), function)(subject, db)
+
+    return entry_point
+
+
+_BACKENDS: Mapping[str, Backend] = MappingProxyType(
+    {
+        backend.name: backend
+        for backend in (
+            Backend(
+                BACKEND_COMPILED,
+                "process",
+                _late("exec.plan_compile", "execute_plan"),
+                _late("exec.bag_compile", "execute_plan_bag"),
+                _late("exec.plan_compile", "apply_statement_compiled"),
+                _late("exec.bag_compile", "apply_statement_compiled_bag"),
+            ),
+            Backend(
+                BACKEND_INTERPRETED,
+                "process",
+                _late("algebra", "evaluate_query_interpreted"),
+                _late("bag", "evaluate_query_bag_interpreted"),
+                _late("statements", "apply_statement_interpreted"),
+                _late("bag", "apply_statement_bag_interpreted"),
+            ),
+            Backend(
+                BACKEND_SQLITE,
+                "thread",
+                _late("exec.sql_backend", "execute_query_sqlite"),
+                _late("exec.sql_backend", "execute_query_sqlite_bag"),
+                _late("exec.sql_backend", "apply_statement_sqlite"),
+                _late("exec.sql_backend", "apply_statement_sqlite_bag"),
+            ),
+            Backend(
+                BACKEND_VECTOR,
+                "process",
+                _late("exec.vector_compile", "execute_plan_vector"),
+                _late("exec.vector_compile", "execute_plan_vector_bag"),
+                _late("exec.vector_compile", "apply_statement_vector"),
+                _late("exec.vector_compile", "apply_statement_vector_bag"),
+            ),
+        )
+    }
 )
 
-_default_backend = BACKEND_COMPILED
-
-#: Per-thread ``use_backend`` override (None = fall through to the
-#: process default).  A plain attribute on a ``threading.local``.
-_scoped = threading.local()
+BACKENDS = tuple(_BACKENDS)
 
 
-def _validate(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown execution backend {backend!r}; expected one of "
-            f"{BACKENDS}"
-        )
-    return backend
-
-
-def get_default_backend() -> str:
-    """The backend used when no explicit backend is passed: this
-    thread's active ``use_backend`` scope, else the process default."""
-    scoped = getattr(_scoped, "backend", None)
-    return scoped if scoped is not None else _default_backend
-
-
-def set_default_backend(backend: str) -> str:
-    """Set the process-wide default backend; returns the previous one."""
-    global _default_backend
-    previous = _default_backend
-    _default_backend = _validate(backend)
-    return previous
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve an optional explicit backend against the default."""
-    if backend is None:
-        return get_default_backend()
-    return _validate(backend)
-
-
-@contextmanager
-def use_backend(backend: str | None) -> Iterator[str]:
-    """Scope the default backend for this thread; ``None`` keeps the
-    current effective default.  Save/restore is per-thread, so
-    concurrent scopes with different backends cannot interleave."""
-    resolved = resolve_backend(backend)
-    previous = getattr(_scoped, "backend", None)
-    _scoped.backend = resolved
+def resolve_backend(name: str | None = None) -> Backend:
+    """The :class:`Backend` called ``name``; ``None`` is ``"compiled"``."""
     try:
-        yield resolved
-    finally:
-        _scoped.backend = previous
+        return _BACKENDS[BACKEND_COMPILED if name is None else name]
+    except (KeyError, TypeError):  # TypeError: an unhashable "name"
+        raise ValueError(
+            f"unknown execution backend {name!r}; expected one of "
+            f"{BACKENDS}"
+        ) from None

@@ -26,12 +26,15 @@ from ..algebra import (
     base_relations,
     output_schema,
 )
+from ..bag import BagRelation, apply_insert_bag
 from ..expressions import TRUE
 from ..schema import Schema, SchemaError, check_union_compatible
+from ..statements import DeleteStatement, Statement, UpdateStatement
 from .expr_compile import compile_predicate, compile_row
 from .plan_compile import (
     _null_free,
     _schemas_key,
+    compiled_update_row,
     plan_fingerprint,
     split_equijoin_condition,
 )
@@ -40,6 +43,7 @@ __all__ = [
     "CompiledBagPlan",
     "compile_plan_bag",
     "execute_plan_bag",
+    "apply_statement_compiled_bag",
     "clear_bag_plan_cache",
     "bag_plan_cache_info",
 ]
@@ -80,9 +84,7 @@ class CompiledBagPlan:
         """Stream ``(row, count)`` pairs; a row may appear repeatedly."""
         return self._source(db)
 
-    def execute(self, db: Any):
-        from ..bag import BagRelation
-
+    def execute(self, db: Any) -> BagRelation:
         counts: Counter = Counter()
         for row, count in self._source(db):
             counts[row] += count
@@ -232,8 +234,8 @@ def compile_plan_bag(
         return CompiledBagPlan(schema, op, key, source, uses_hash_join)
 
 
-def execute_plan_bag(op: Operator, db: Any):
-    """Compile-and-run convenience used by ``evaluate_query_bag``."""
+def execute_plan_bag(op: Operator, db: Any) -> BagRelation:
+    """Compile and run: the compiled backend's ``evaluate_bag``."""
     names = base_relations(op)
     schemas: dict[str, Schema] = {}
     for name in names:
@@ -241,6 +243,29 @@ def execute_plan_bag(op: Operator, db: Any):
             raise SchemaError(f"no relation named {name!r}")
         schemas[name] = db.schema_of(name)
     return compile_plan_bag(op, schemas).execute(db)
+
+
+def apply_statement_compiled_bag(stmt: Statement, db: Any) -> Any:
+    """The compiled backend's ``apply_bag``: the closures of
+    :func:`~.plan_compile.apply_statement_compiled` over distinct rows,
+    multiplicities carried along."""
+    relation = db[stmt.relation]
+    schema = relation.schema
+    if isinstance(stmt, UpdateStatement):
+        update_row = compiled_update_row(stmt, schema)
+        counts: Counter = Counter()
+        for row, count in relation.multiplicities.items():
+            counts[update_row(row)] += count
+    elif isinstance(stmt, DeleteStatement):
+        predicate = compile_predicate(stmt.condition, schema)
+        counts = {
+            row: count
+            for row, count in relation.multiplicities.items()
+            if not predicate(row)
+        }
+    else:
+        return apply_insert_bag(stmt, db, execute_plan_bag)
+    return db.with_relation(stmt.relation, BagRelation(schema, counts))
 
 
 def clear_bag_plan_cache() -> None:

@@ -30,6 +30,7 @@ across repeated trials (see the plan-cache note in DESIGN.md).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import filterfalse
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..algebra import (
@@ -55,12 +56,20 @@ from ..expressions import (
 )
 from ..relation import Relation
 from ..schema import Schema, SchemaError, check_union_compatible
+from ..statements import (
+    DeleteStatement,
+    Statement,
+    UpdateStatement,
+    apply_insert,
+)
 from .expr_compile import compile_predicate, compile_row, const_fingerprint
 
 __all__ = [
     "CompiledPlan",
     "compile_plan",
     "execute_plan",
+    "compiled_update_row",
+    "apply_statement_compiled",
     "plan_fingerprint",
     "split_equijoin_condition",
     "clear_plan_cache",
@@ -364,7 +373,7 @@ def compile_plan(
 
 
 def execute_plan(op: Operator, db: Any) -> Relation:
-    """Compile-and-run convenience used by ``evaluate_query``."""
+    """Compile and run: the compiled backend's ``evaluate``."""
     names = base_relations(op)
     schemas: dict[str, Schema] = {}
     for name in names:
@@ -372,6 +381,44 @@ def execute_plan(op: Operator, db: Any) -> Relation:
             raise SchemaError(f"no relation named {name!r}")
         schemas[name] = db.schema_of(name)
     return compile_plan(op, schemas).execute(db)
+
+
+def compiled_update_row(
+    stmt: UpdateStatement, schema: Schema
+) -> Callable[[tuple], tuple]:
+    """One compiled ``row -> row`` closure for a whole UPDATE statement:
+    ``if theta then Set(t) else t`` evaluated positionally.
+
+    Shared by the set- and bag-semantics apply paths (and the vector
+    backend's row-wise fallback) so they cannot drift apart.
+    """
+    predicate = compile_predicate(stmt.condition, schema)
+    set_row = compile_row(
+        tuple(stmt.set_expression_for(attribute) for attribute in schema),
+        schema,
+    )
+
+    def update_row(row: tuple) -> tuple:
+        return set_row(row) if predicate(row) else row
+
+    return update_row
+
+
+def apply_statement_compiled(stmt: Statement, db: Any) -> Any:
+    """The compiled backend's ``apply``: one compiled predicate plus one
+    compiled whole-row Set closure, no per-row dict bindings."""
+    relation = db[stmt.relation]
+    schema = relation.schema
+    if isinstance(stmt, UpdateStatement):
+        stmt.check_set_attributes(schema)
+        update_row = compiled_update_row(stmt, schema)
+        rows = frozenset(map(update_row, relation.tuples))
+    elif isinstance(stmt, DeleteStatement):
+        predicate = compile_predicate(stmt.condition, schema)
+        rows = frozenset(filterfalse(predicate, relation.tuples))
+    else:
+        return apply_insert(stmt, db, execute_plan)
+    return db.with_relation(stmt.relation, Relation(schema, rows))
 
 
 def clear_plan_cache() -> None:

@@ -394,12 +394,7 @@ def _validate_statement(stmt, relation_schema: Schema) -> None:
     from ..statements import InsertTuple, UpdateStatement
 
     if isinstance(stmt, UpdateStatement):
-        for attribute in stmt.set_clauses:
-            if attribute not in relation_schema:
-                raise SchemaError(
-                    f"UPDATE sets unknown attribute {attribute!r} "
-                    f"on {stmt.relation}"
-                )
+        stmt.check_set_attributes(relation_schema)
     if isinstance(stmt, InsertTuple):
         if len(stmt.values) != relation_schema.arity:
             raise SchemaError(

@@ -39,6 +39,7 @@ through a lossy ``float64`` cast).
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from typing import Any, Callable, Sequence
 
 from ..algebra import (
@@ -52,6 +53,7 @@ from ..algebra import (
     Union,
     base_relations,
 )
+from ..bag import BagRelation, apply_insert_bag
 from ..columnar import (
     Column,
     ColumnarTable,
@@ -77,8 +79,19 @@ from ..expressions import (
 )
 from ..relation import Relation
 from ..schema import Schema, SchemaError, check_union_compatible
+from ..statements import (
+    DeleteStatement,
+    Statement,
+    UpdateStatement,
+    apply_insert,
+)
+from .bag_compile import apply_statement_compiled_bag
 from .expr_compile import compile_predicate, compile_row
-from .plan_compile import _null_free, split_equijoin_condition
+from .plan_compile import (
+    _null_free,
+    apply_statement_compiled,
+    split_equijoin_condition,
+)
 
 try:
     import numpy as np
@@ -88,10 +101,8 @@ except ImportError:  # pragma: no cover - kernels disabled, fallbacks run
 __all__ = [
     "execute_plan_vector",
     "execute_plan_vector_bag",
-    "apply_update_vector",
-    "apply_delete_vector",
-    "bag_update_counts",
-    "bag_delete_counts",
+    "apply_statement_vector",
+    "apply_statement_vector_bag",
     "vectorize_condition",
 ]
 
@@ -806,103 +817,70 @@ def execute_plan_vector_bag(op: Operator, db: Any):
 
 # -- statement application ---------------------------------------------------
 
-def apply_update_vector(stmt: Any, db: Any) -> Any:
-    """Set-semantics UPDATE: condition bitmap + Set kernels over the
-    cached columnar view; compiled closures when kernels refuse."""
-    relation = db[stmt.relation]
-    schema = relation.schema
-    table = columnar_of_relation(relation)
+def _update_kernel(stmt: Any, table: ColumnarTable):
+    """``(updated rows, original rows, condition flags)`` of an UPDATE
+    over ``table``, or ``None`` when a kernel refuses (the caller falls
+    back to the compiled backend)."""
     mask = vectorize_condition(stmt.condition, table)
-    if mask is not None:
-        exprs = tuple(stmt.set_expression_for(a) for a in schema)
-        columns = []
-        for expr in exprs:
-            col = _vec_expr(expr, table)
-            if col is None:
-                columns = []
-                break
-            columns.append(col)
-        if columns or not exprs:
-            updated = ColumnarTable(
-                schema, columns, table.nrows
-            ).tuples()
-            originals = table.tuples()
-            flags = mask.tolist()
-            rows = frozenset(
-                updated[i] if flags[i] else originals[i]
-                for i in range(table.nrows)
-            )
-            return db.with_relation(stmt.relation, Relation(schema, rows))
-    from ..statements import compiled_update_row
-
-    update_row = compiled_update_row(stmt, schema)
-    rows = frozenset(update_row(t) for t in relation.tuples)
-    return db.with_relation(stmt.relation, Relation(schema, rows))
+    if mask is None:
+        return None
+    columns = []
+    for attribute in table.schema:
+        col = _vec_expr(stmt.set_expression_for(attribute), table)
+        if col is None:
+            return None
+        columns.append(col)
+    updated = ColumnarTable(table.schema, columns, table.nrows).tuples()
+    return updated, table.tuples(), mask.tolist()
 
 
-def apply_delete_vector(stmt: Any, db: Any) -> Any:
-    """Set-semantics DELETE: keep-mask kernel, else compiled predicate."""
+def apply_statement_vector(stmt: Statement, db: Any) -> Any:
+    """The vector backend's ``apply``: condition bitmap + Set kernels
+    over the cached columnar view; the compiled backend's row closures
+    when a kernel refuses."""
     relation = db[stmt.relation]
-    table = columnar_of_relation(relation)
-    mask = vectorize_condition(stmt.condition, table)
-    if mask is not None:
-        kept_table = table.take(np.nonzero(~mask)[0])
-        kept = frozenset(kept_table.tuples())
+    if isinstance(stmt, UpdateStatement):
+        stmt.check_set_attributes(relation.schema)
+        kernel = _update_kernel(stmt, columnar_of_relation(relation))
+        if kernel is None:
+            return apply_statement_compiled(stmt, db)
+        rows = frozenset(
+            new if flag else old for new, old, flag in zip(*kernel)
+        )
+    elif isinstance(stmt, DeleteStatement):
+        table = columnar_of_relation(relation)
+        mask = vectorize_condition(stmt.condition, table)
+        if mask is None:
+            return apply_statement_compiled(stmt, db)
+        rows = frozenset(table.take(np.nonzero(~mask)[0]).tuples())
     else:
-        from itertools import filterfalse
-
-        predicate = compile_predicate(stmt.condition, relation.schema)
-        kept = frozenset(filterfalse(predicate, relation.tuples))
-    return db.with_relation(
-        stmt.relation, Relation(relation.schema, kept)
-    )
+        return apply_insert(stmt, db, execute_plan_vector)
+    return db.with_relation(stmt.relation, Relation(relation.schema, rows))
 
 
-def bag_update_counts(stmt: Any, relation: Any) -> dict[tuple, int]:
-    """Bag-semantics UPDATE: new multiplicity mapping for the target."""
-    schema = relation.schema
-    table = columnar_of_bag(relation)
-    mask = vectorize_condition(stmt.condition, table)
-    if mask is not None:
-        exprs = tuple(stmt.set_expression_for(a) for a in schema)
-        columns = []
-        for expr in exprs:
-            col = _vec_expr(expr, table)
-            if col is None:
-                columns = []
-                break
-            columns.append(col)
-        if columns or not exprs:
-            updated = ColumnarTable(schema, columns, table.nrows).tuples()
-            originals = table.tuples()
-            flags = mask.tolist()
-            mult = table.mult if table.mult is not None else [1] * table.nrows
-            counts: dict[tuple, int] = {}
-            for i in range(table.nrows):
-                row = updated[i] if flags[i] else originals[i]
-                counts[row] = counts.get(row, 0) + mult[i]
-            return counts
-    from ..statements import compiled_update_row
-
-    update_row = compiled_update_row(stmt, schema)
-    counts = {}
-    for row, count in relation.multiplicities.items():
-        new_row = update_row(row)
-        counts[new_row] = counts.get(new_row, 0) + count
-    return counts
-
-
-def bag_delete_counts(stmt: Any, relation: Any) -> dict[tuple, int]:
-    """Bag-semantics DELETE: surviving multiplicity mapping."""
-    table = columnar_of_bag(relation)
-    mask = vectorize_condition(stmt.condition, table)
-    if mask is not None:
+def apply_statement_vector_bag(stmt: Statement, db: Any) -> Any:
+    """The vector backend's ``apply_bag``: the same kernels over the
+    distinct rows, multiplicities carried along."""
+    relation = db[stmt.relation]
+    if isinstance(stmt, UpdateStatement):
+        table = columnar_of_bag(relation)
+        kernel = _update_kernel(stmt, table)
+        if kernel is None:
+            return apply_statement_compiled_bag(stmt, db)
+        mult = table.mult if table.mult is not None else [1] * table.nrows
+        counts: Counter = Counter()
+        for new, old, flag, count in zip(*kernel, mult):
+            counts[new if flag else old] += count
+    elif isinstance(stmt, DeleteStatement):
+        table = columnar_of_bag(relation)
+        mask = vectorize_condition(stmt.condition, table)
+        if mask is None:
+            return apply_statement_compiled_bag(stmt, db)
         kept = table.take(np.nonzero(~mask)[0])
         mult = kept.mult if kept.mult is not None else [1] * kept.nrows
-        return dict(zip(kept.tuples(), mult))
-    predicate = compile_predicate(stmt.condition, relation.schema)
-    return {
-        row: count
-        for row, count in relation.multiplicities.items()
-        if not predicate(row)
-    }
+        counts = dict(zip(kept.tuples(), mult))
+    else:
+        return apply_insert_bag(stmt, db, execute_plan_vector_bag)
+    return db.with_relation(
+        stmt.relation, BagRelation(relation.schema, counts)
+    )

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .database import Database
+from .exec.backend import resolve_backend
 from .statements import Statement, is_tuple_independent
 
 __all__ = ["History"]
@@ -46,13 +47,17 @@ class History:
         return self.statements[index - 1]
 
     # -- execution -----------------------------------------------------------
-    def execute(self, db: Database) -> Database:
-        """``H(D)``: apply all statements in order."""
+    def execute(self, db: Database, backend: str | None = None) -> Database:
+        """``H(D)``: apply all statements in order, through the named
+        execution backend (``None``: compiled)."""
+        apply = resolve_backend(backend).apply
         for stmt in self.statements:
-            db = stmt.apply(db)
+            db = apply(stmt, db)
         return db
 
-    def execute_with_snapshots(self, db: Database) -> Iterator[Database]:
+    def execute_with_snapshots(
+        self, db: Database, backend: str | None = None
+    ) -> Iterator[Database]:
         """Lazily yield ``D_0, D_1, ..., D_n`` where ``D_i = H_i(D)``.
 
         ``D_0`` is the input database.  A generator, so consumers that
@@ -60,9 +65,10 @@ class History:
         O(n) full states at once; wrap in ``list()`` for the eager
         chain.
         """
+        apply = resolve_backend(backend).apply
         yield db
         for stmt in self.statements:
-            db = stmt.apply(db)
+            db = apply(stmt, db)
             yield db
 
     # -- sub-histories ---------------------------------------------------

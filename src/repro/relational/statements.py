@@ -12,6 +12,12 @@ given sparsely as ``{attribute: expression}``; attributes not mentioned are
 implicitly the identity, matching the paper's shorthand
 ``(A_i1 <- e_1, ..., A_im <- e_m)``.
 
+This module holds the *reference* semantics — per-row dict bindings over
+the tree-walking evaluators (:func:`apply_statement_interpreted`, the
+differential oracle).  :meth:`Statement.apply` runs a statement through
+an execution backend (see :mod:`repro.relational.exec.backend`), of
+which that reference is one.
+
 A delete with condition ``false`` is the *no-op* statement used for padding
 histories when modifications insert or delete statements (Section 6).
 """
@@ -19,16 +25,11 @@ histories when modifications insert or delete statements (Section 6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
-from .algebra import Operator, base_relations, evaluate_query
+from .algebra import Operator, base_relations, evaluate_query_interpreted
 from .database import Database
-from .exec.backend import (
-    BACKEND_COMPILED,
-    BACKEND_SQLITE,
-    BACKEND_VECTOR,
-    resolve_backend,
-)
+from .exec.backend import resolve_backend
 from .expressions import (
     Expr,
     FALSE,
@@ -46,33 +47,13 @@ __all__ = [
     "DeleteStatement",
     "InsertTuple",
     "InsertQuery",
-    "compiled_update_row",
+    "apply_insert",
+    "apply_statement_interpreted",
     "no_op",
     "is_no_op",
     "is_tuple_independent",
     "statements_equal",
 ]
-
-
-def compiled_update_row(stmt: "UpdateStatement", schema: Schema):
-    """One compiled ``row -> row`` closure for a whole UPDATE statement:
-    ``if theta then Set(t) else t`` evaluated positionally.
-
-    Shared by the set- and bag-semantics apply paths so the two cannot
-    drift apart.
-    """
-    from .exec import compile_predicate, compile_row
-
-    predicate = compile_predicate(stmt.condition, schema)
-    set_row = compile_row(
-        tuple(stmt.set_expression_for(attribute) for attribute in schema),
-        schema,
-    )
-
-    def update_row(row: tuple) -> tuple:
-        return set_row(row) if predicate(row) else row
-
-    return update_row
 
 
 class Statement:
@@ -84,8 +65,11 @@ class Statement:
 
     relation: str
 
-    def apply(self, db: Database) -> Database:
-        raise NotImplementedError
+    def apply(self, db: Database, backend: str | None = None) -> Database:
+        """The database after this statement, computed by the named
+        execution backend (``None``: compiled).  Every backend agrees
+        with :func:`apply_statement_interpreted`."""
+        return resolve_backend(backend).apply(self, db)
 
     def accessed_relations(self) -> set[str]:
         """All relations this statement reads (including the target)."""
@@ -121,36 +105,14 @@ class UpdateStatement(Statement):
             updated[attribute] = evaluate(expr, row)
         return updated
 
-    def apply(self, db: Database) -> Database:
-        relation = db[self.relation]
+    def check_set_attributes(self, schema: Schema) -> None:
+        """Reject a Set clause naming an attribute ``schema`` lacks."""
         for attribute in self.set_clauses:
-            if attribute not in relation.schema:
+            if attribute not in schema:
                 raise SchemaError(
                     f"UPDATE sets unknown attribute {attribute!r} "
                     f"on {self.relation}"
                 )
-        backend = resolve_backend(None)
-        if backend == BACKEND_SQLITE:
-            from .exec.sql_backend import apply_statement_sqlite
-
-            return apply_statement_sqlite(self, db)
-        if backend == BACKEND_VECTOR:
-            from .exec.vector_compile import apply_update_vector
-
-            return apply_update_vector(self, db)
-        if backend == BACKEND_COMPILED:
-            # Positional fast path: one compiled predicate plus one
-            # compiled whole-row Set closure, no per-row dict bindings.
-            update_row = compiled_update_row(self, relation.schema)
-            rows = frozenset(update_row(t) for t in relation.tuples)
-        else:
-            rows = frozenset(
-                relation.schema.from_dict(
-                    self.apply_to_row(relation.schema.as_dict(t))
-                )
-                for t in relation
-            )
-        return db.with_relation(self.relation, Relation(relation.schema, rows))
 
 
 @dataclass(frozen=True)
@@ -159,34 +121,6 @@ class DeleteStatement(Statement):
 
     relation: str
     condition: Expr = TRUE
-
-    def apply(self, db: Database) -> Database:
-        relation = db[self.relation]
-        backend = resolve_backend(None)
-        if backend == BACKEND_SQLITE:
-            from .exec.sql_backend import apply_statement_sqlite
-
-            return apply_statement_sqlite(self, db)
-        if backend == BACKEND_VECTOR:
-            from .exec.vector_compile import apply_delete_vector
-
-            return apply_delete_vector(self, db)
-        if backend == BACKEND_COMPILED:
-            from itertools import filterfalse
-
-            from .exec import compile_predicate
-
-            predicate = compile_predicate(self.condition, relation.schema)
-            kept = frozenset(filterfalse(predicate, relation.tuples))
-        else:
-            kept = frozenset(
-                t
-                for t in relation
-                if not bool(
-                    evaluate(self.condition, relation.schema.as_dict(t))
-                )
-            )
-        return db.with_relation(self.relation, Relation(relation.schema, kept))
 
 
 @dataclass(frozen=True)
@@ -198,14 +132,6 @@ class InsertTuple(Statement):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
-
-    def apply(self, db: Database) -> Database:
-        relation = db[self.relation]
-        if resolve_backend(None) == BACKEND_SQLITE:
-            from .exec.sql_backend import apply_statement_sqlite
-
-            return apply_statement_sqlite(self, db)
-        return db.with_relation(self.relation, relation.insert(self.values))
 
 
 @dataclass(frozen=True)
@@ -220,23 +146,52 @@ class InsertQuery(Statement):
     relation: str
     query: Operator
 
-    def apply(self, db: Database) -> Database:
-        relation = db[self.relation]
-        if resolve_backend(None) == BACKEND_SQLITE:
-            from .exec.sql_backend import apply_statement_sqlite
-
-            return apply_statement_sqlite(self, db)
-        result = evaluate_query(self.query, db)
-        if result.schema.arity != relation.schema.arity:
-            raise SchemaError(
-                f"INSERT SELECT arity {result.schema.arity} does not match "
-                f"{self.relation} arity {relation.schema.arity}"
-            )
-        rows = relation.tuples | frozenset(result.tuples)
-        return db.with_relation(self.relation, Relation(relation.schema, rows))
-
     def accessed_relations(self) -> set[str]:
         return {self.relation} | base_relations(self.query)
+
+
+def apply_insert(
+    stmt: InsertTuple | InsertQuery,
+    db: Database,
+    run_query: Callable[[Operator, Database], Relation],
+) -> Database:
+    """``I_t(R) = R ∪ {t}`` and ``I_Q(R) = R ∪ Q(D)``: the same for
+    every in-process backend up to how it evaluates ``Q``
+    (``run_query(query, db)``)."""
+    relation = db[stmt.relation]
+    if isinstance(stmt, InsertTuple):
+        return db.with_relation(stmt.relation, relation.insert(stmt.values))
+    result = run_query(stmt.query, db)
+    if result.schema.arity != relation.schema.arity:
+        raise SchemaError(
+            f"INSERT SELECT arity {result.schema.arity} does not match "
+            f"{stmt.relation} arity {relation.schema.arity}"
+        )
+    rows = relation.tuples | frozenset(result.tuples)
+    return db.with_relation(stmt.relation, Relation(relation.schema, rows))
+
+
+def apply_statement_interpreted(stmt: Statement, db: Database) -> Database:
+    """The reference semantics of Equations (1)–(4): one dict binding
+    per row through the tree-walking evaluators (the differential
+    oracle)."""
+    relation = db[stmt.relation]
+    schema = relation.schema
+    if isinstance(stmt, UpdateStatement):
+        stmt.check_set_attributes(schema)
+        rows = frozenset(
+            schema.from_dict(stmt.apply_to_row(schema.as_dict(t)))
+            for t in relation
+        )
+    elif isinstance(stmt, DeleteStatement):
+        rows = frozenset(
+            t
+            for t in relation
+            if not bool(evaluate(stmt.condition, schema.as_dict(t)))
+        )
+    else:
+        return apply_insert(stmt, db, evaluate_query_interpreted)
+    return db.with_relation(stmt.relation, Relation(schema, rows))
 
 
 def no_op(relation: str) -> DeleteStatement:

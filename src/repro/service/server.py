@@ -753,8 +753,8 @@ class WhatIfService:
         Returns ``((results, backend_used), degraded_from)``.  Only
         sqlite has an external moving part (the C library, its
         connections, its temp storage); its errors re-answer on the
-        compiled backend, which the three-way differential suite proves
-        answer-equivalent.  Compiled/interpreted failures are
+        compiled backend, which the four-way differential suite proves
+        answer-equivalent.  The in-process backends' failures are
         deterministic Python errors and propagate.
         """
         import sqlite3
@@ -770,6 +770,7 @@ class WhatIfService:
             )
             return (results, backend), None
         except sqlite3.Error as exc:
+            # repro-lint: allow[backend-dispatch] -- not dispatch: only the backend that owns sqlite3 may degrade on a sqlite3.Error
             if backend != "sqlite":
                 raise
             self._sqlite_fallbacks.inc()

@@ -1,9 +1,9 @@
-"""Seeded generators for three-way differential fuzzing.
+"""Seeded generators for four-way differential fuzzing.
 
 Shared by ``tests/test_sql_backend_differential.py``: random typed
 schemas, databases (NULL-heavy, negative numbers, duplicate-prone and
 quote-laden strings), histories, and what-if modifications, built so
-that every generated plan/statement is *well-typed for all three
+that every generated plan/statement is *well-typed for all four
 backends* — ordered comparisons stay within a type group, because the
 interpreter raises :class:`EvaluationError` on ``1 < 'x'`` while SQLite
 applies its cross-type ordering.  Cross-group *equality* is generated on
@@ -352,7 +352,7 @@ def fresh_rng(offset=0):
 # The history-store codec promises *exact* round trips — bool is not 1,
 # 1 is not 1.0, and the non-finite floats survive — so its property fuzz
 # draws from a wider, nastier value pool than the backend-differential
-# generators (which keep values well-typed for all three backends).
+# generators (which keep values well-typed for all four backends).
 
 SPECIAL_FLOATS = (
     float("inf"), float("-inf"), float("nan"), -0.0, 1e308, 5e-324

@@ -20,6 +20,7 @@ from repro.core import (
     slicing_selectivity,
 )
 from repro.relational import (
+    BACKENDS,
     BagDatabase,
     BagRelation,
     Database,
@@ -29,7 +30,6 @@ from repro.relational import (
     evaluate_query_bag,
     evaluate_query_bag_interpreted,
     evaluate_query_interpreted,
-    use_backend,
 )
 from repro.relational.algebra import (
     Difference,
@@ -45,8 +45,7 @@ from repro.relational.exec import (
     compile_plan,
     compile_predicate,
     compile_row,
-    get_default_backend,
-    set_default_backend,
+    resolve_backend,
     split_equijoin_condition,
 )
 from repro.relational.expressions import (
@@ -711,10 +710,8 @@ class TestCompiledStatements:
             history = History.of(
                 *[self.random_statement(rng, schema) for _ in range(5)]
             )
-            with use_backend("compiled"):
-                compiled = history.execute(db)
-            with use_backend("interpreted"):
-                interpreted = history.execute(db)
+            compiled = history.execute(db, backend="compiled")
+            interpreted = history.execute(db, backend="interpreted")
             assert compiled.same_contents(interpreted), trial
 
     def test_update_merging_rows_matches(self):
@@ -723,10 +720,8 @@ class TestCompiledStatements:
             {"R": Relation.from_rows(schema, [(1, 1), (2, 1), (3, 2)])}
         )
         stmt = UpdateStatement("R", {"a": lit(0)}, eq(col("b"), 1))
-        with use_backend("compiled"):
-            compiled = stmt.apply(db)
-        with use_backend("interpreted"):
-            interpreted = stmt.apply(db)
+        compiled = stmt.apply(db, backend="compiled")
+        interpreted = stmt.apply(db, backend="interpreted")
         assert compiled["R"].tuples == interpreted["R"].tuples
         assert compiled["R"].tuples == frozenset({(0, 1), (3, 2)})
 
@@ -839,17 +834,8 @@ class TestEngineDifferential:
 
     def test_default_backend_is_compiled(self):
         assert MahifConfig().backend == "compiled"
-        assert get_default_backend() == "compiled"
-
-    def test_use_backend_restores_previous_default(self):
-        before = get_default_backend()
-        with use_backend("interpreted"):
-            assert get_default_backend() == "interpreted"
-        assert get_default_backend() == before
-
-    def test_set_default_backend_validates(self):
-        with pytest.raises(ValueError):
-            set_default_backend("postgres")
+        assert MahifConfig(backend=None).backend == "compiled"
+        assert resolve_backend(None).name == "compiled"
 
 
 # ---------------------------------------------------------------------------
@@ -867,11 +853,41 @@ class TestSlicingSelectivity:
             }
         )
         conditions = {"R": ge(col("a"), 6), "missing": TRUE}
-        compiled = slicing_selectivity(conditions, db, backend="compiled")
-        interpreted = slicing_selectivity(
-            conditions, db, backend="interpreted"
+        for backend in BACKENDS:
+            assert slicing_selectivity(conditions, db, backend=backend) == {
+                "R": (4, 10)
+            }, backend
+
+    def test_selectivity_runs_on_the_named_backend(self, monkeypatch):
+        """``backend="vector"`` reaches the vector executor — it used to
+        fall into the interpreter's per-row arm."""
+        import dataclasses
+
+        from repro.relational.exec import backend as seam
+
+        calls = []
+        real = seam.resolve_backend("vector")
+
+        def spy(op, db):
+            calls.append(op)
+            return real.evaluate(op, db)
+
+        monkeypatch.setattr(
+            seam,
+            "_BACKENDS",
+            {
+                **seam._BACKENDS,
+                "vector": dataclasses.replace(real, evaluate=spy),
+            },
         )
-        assert compiled == interpreted == {"R": (4, 10)}
+        db = Database(
+            {"R": Relation.from_rows(Schema.of("a"), [(1,), (7,), (9,)])}
+        )
+        condition = ge(col("a"), 6)
+        assert slicing_selectivity({"R": condition}, db, backend="vector") == {
+            "R": (2, 3)
+        }
+        assert calls == [Select(RelScan("R"), condition)]
 
 
 # ---------------------------------------------------------------------------

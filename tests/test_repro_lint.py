@@ -227,6 +227,113 @@ class TestUnlockedModuleState:
         """
         assert lint(good) == []
 
+    def test_global_rebinding_is_flagged(self):
+        # the shape of the process-default backend this rule was blind to
+        bad = """
+            _default = "compiled"
+
+            def set_default(name):
+                global _default
+                previous = _default
+                _default = name
+                return previous
+        """
+        findings = lint(bad)
+        assert rules_of(findings) == ["unlocked-module-state"]
+        assert "global '_default' rebound" in findings[0].message
+
+    def test_global_rebinding_under_module_lock_is_clean(self):
+        good = """
+            import threading
+
+            _LOCK = threading.Lock()
+            _hits = _misses = 0
+
+            def record(hit):
+                global _hits, _misses
+                with _LOCK:
+                    if hit:
+                        _hits += 1
+                    else:
+                        _hits, _misses = _hits, _misses + 1
+        """
+        assert lint(good) == []
+
+    def test_global_declaration_belongs_to_its_own_function(self):
+        # reading a global, or assigning a same-named local in a nested
+        # function that did not declare it, rebinds nothing
+        good = """
+            _mode = "a"
+
+            def outer():
+                global _mode
+                current = _mode
+
+                def inner():
+                    _mode = "local"
+                    return _mode
+
+                return current, inner()
+        """
+        assert lint(good) == []
+
+
+# ---------------------------------------------------------------------------
+# rule: backend-dispatch
+# ---------------------------------------------------------------------------
+
+class TestBackendDispatch:
+    BAD = """
+        from .exec.backend import BACKEND_SQLITE, resolve_backend
+
+        def evaluate(op, db, backend=None):
+            resolved = resolve_backend(backend)
+            if resolved == BACKEND_SQLITE:
+                return run_sqlite(op, db)
+            if resolved == "vector":
+                return run_vector(op, db)
+            if backend in ("compiled", "interpreted"):
+                return run_in_process(op, db)
+            return backend_module.BACKEND_COMPILED != resolved
+    """
+
+    def test_name_comparisons_are_flagged(self):
+        findings = lint(self.BAD, "src/repro/relational/algebra.py")
+        assert rules_of(findings) == ["backend-dispatch"] * 4
+
+    def test_the_seam_module_and_non_library_code_are_exempt(self):
+        assert lint(self.BAD, "src/repro/relational/exec/backend.py") == []
+        assert lint(self.BAD, "benchmarks/bench_backend_compiled.py") == []
+        assert lint(self.BAD, "tests/test_x.py") == []
+
+    def test_asking_the_backend_is_clean(self):
+        good = """
+            COSTS = {"compiled": 1.0, "sqlite": 3.5}
+
+            def evaluate(op, db, backend=None):
+                return resolve_backend(backend).evaluate(op, db)
+
+            def pool_for(backend):
+                kind = resolve_backend(backend).pool_kind
+                return make_threads() if kind == "thread" else make_procs()
+
+            def cost(backend):
+                return COSTS.get(backend, COSTS["compiled"])
+        """
+        assert lint(good, "src/repro/core/pool.py") == []
+
+    def test_pragma_exempts_a_comparison_that_is_not_dispatch(self):
+        good = """
+            def answer(backend):
+                try:
+                    return run(backend)
+                except sqlite3.Error:
+                    # repro-lint: allow[backend-dispatch] -- only sqlite may degrade on a sqlite3.Error
+                    if backend != "sqlite":
+                        raise
+        """
+        assert lint(good, "src/repro/service/server.py") == []
+
 
 # ---------------------------------------------------------------------------
 # pragmas

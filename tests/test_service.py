@@ -419,7 +419,7 @@ class TestPersistence:
 
 class TestRobustness:
     """Regressions for the review findings: partial appends, broken
-    store directories, empty/invalid registration, backend scoping."""
+    store directories, empty/invalid registration."""
 
     def test_invalid_statement_mid_append_persists_nothing(
         self, client, orders_db, paper_history
@@ -524,39 +524,6 @@ class TestRobustness:
             assert second["history_length"] == 2
         finally:
             server.shutdown()
-
-    def test_use_backend_scopes_are_per_thread(self):
-        import threading
-
-        from repro.relational import get_default_backend, use_backend
-
-        base = get_default_backend()
-        errors = []
-        barrier = threading.Barrier(2)
-
-        def scoped(backend):
-            try:
-                for _ in range(50):
-                    barrier.wait(timeout=10)
-                    with use_backend(backend):
-                        if get_default_backend() != backend:
-                            errors.append(
-                                f"{backend} saw {get_default_backend()}"
-                            )
-                        barrier.wait(timeout=10)
-            except threading.BrokenBarrierError:
-                pass
-
-        threads = [
-            threading.Thread(target=scoped, args=(b,))
-            for b in ("sqlite", "interpreted")
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not errors, errors
-        assert get_default_backend() == base
 
 
 class TestRequestValidation:

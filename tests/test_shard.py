@@ -24,7 +24,6 @@ from repro.relational import (
     History,
     Relation,
     Schema,
-    use_backend,
 )
 from repro.relational.algebra import (
     Difference,
@@ -158,12 +157,11 @@ class TestEngineSharded:
         provably cannot touch skip reenactment entirely."""
         config = MahifConfig(shards=4, shard_scheme="range")
         query = window_query()
-        with use_backend("compiled"):
-            plan = _plan(config, query, Method.R)
-            work = plan_relation_shards(
-                "compiled", plan, "data", config.shards, config.shard_scheme
-            )
-            ((delta, _, _),) = evaluate_shard_works([work], None)
+        plan = _plan(config, query, Method.R)
+        work = plan_relation_shards(
+            "compiled", plan, "data", config.shards, config.shard_scheme
+        )
+        ((delta, _, _),) = evaluate_shard_works([work], None)
         assert work.sharded is True
         assert work.shard_count == 4
         assert work.skipped == 3
@@ -208,9 +206,8 @@ class TestEngineSharded:
         oracle = Mahif(MahifConfig()).answer(query, Method.R).delta
         engine = Mahif(MahifConfig(shards=3))
         assert engine.answer(query, Method.R).delta == oracle
-        with use_backend("compiled"):
-            plan = _plan(engine.config, query, Method.R)
-            work = plan_relation_shards("compiled", plan, "data", 3, "range")
+        plan = _plan(engine.config, query, Method.R)
+        work = plan_relation_shards("compiled", plan, "data", 3, "range")
         assert work.sharded is False
         assert (work.shard_count, work.skipped) == (1, 0)
 
@@ -252,16 +249,15 @@ class TestEngineSharded:
         second = HistoricalWhatIfQuery(
             first.history, db, (Replace(2, window_update(1, 3, 55)),)
         )
-        with use_backend("compiled"):
-            plan_a = _plan(config, first, Method.R)
-            plan_b = _plan(config, second, Method.R, plan_a.start_db)
-            partitions: dict = {}
-            work_a = plan_relation_shards(
-                "compiled", plan_a, "data", 3, "range", partitions
-            )
-            work_b = plan_relation_shards(
-                "compiled", plan_b, "data", 3, "range", partitions
-            )
+        plan_a = _plan(config, first, Method.R)
+        plan_b = _plan(config, second, Method.R, plan_a.start_db)
+        partitions: dict = {}
+        work_a = plan_relation_shards(
+            "compiled", plan_a, "data", 3, "range", partitions
+        )
+        work_b = plan_relation_shards(
+            "compiled", plan_b, "data", 3, "range", partitions
+        )
         dbs_a = {id(call[3]) for call in work_a.calls}
         dbs_b = {id(call[3]) for call in work_b.calls}
         assert dbs_a & dbs_b, "shard databases were rebuilt, not reused"

@@ -35,6 +35,7 @@ from fuzz_differential import (
 
 from repro.core import Mahif, MahifConfig, Method
 from repro.relational import (
+    BACKENDS,
     BagDatabase,
     bag_delta,
     execute_history_bag,
@@ -44,8 +45,6 @@ from repro.relational import (
     stable_shard_of,
 )
 from repro.relational.statements import InsertQuery, InsertTuple
-
-BACKENDS = ("interpreted", "compiled", "sqlite", "vector")
 
 N_HWQS = 5
 N_FALLBACK_HWQS = 3

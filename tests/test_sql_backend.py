@@ -19,7 +19,6 @@ from repro.relational import (
     evaluate_query_bag,
     evaluate_query_bag_interpreted,
     evaluate_query_interpreted,
-    use_backend,
 )
 from repro.relational.algebra import (
     Difference,
@@ -196,11 +195,12 @@ class TestAdversarialValues:
         schema = Schema.of("a", MULT_COLUMN)
         db = Database({"R": Relation.from_rows(schema, [(1, 2)])})
         bag_db = BagDatabase.from_set_database(db)
-        with use_backend("sqlite"):
-            with pytest.raises(SqlBackendError, match="reserved"):
-                DeleteStatement("R", TRUE).apply(db)
-            with pytest.raises(SqlBackendError, match="reserved"):
-                apply_statement_bag(DeleteStatement("R", TRUE), bag_db)
+        with pytest.raises(SqlBackendError, match="reserved"):
+            DeleteStatement("R", TRUE).apply(db, backend="sqlite")
+        with pytest.raises(SqlBackendError, match="reserved"):
+            apply_statement_bag(
+                DeleteStatement("R", TRUE), bag_db, backend="sqlite"
+            )
 
     def test_case_colliding_identifiers_rejected(self):
         db = Database(
@@ -282,8 +282,7 @@ class TestStatements:
             {"R": Relation.from_rows(Schema.of("a", "b"), [(1, 2)])}
         )
         stmt = UpdateStatement("R", {"a": col("b"), "b": col("a")}, TRUE)
-        with use_backend("sqlite"):
-            result = stmt.apply(db)
+        result = stmt.apply(db, backend="sqlite")
         assert result["R"].tuples == frozenset({(2, 1)})
 
     def test_update_merging_rows(self):
@@ -295,22 +294,19 @@ class TestStatements:
             }
         )
         stmt = UpdateStatement("R", {"a": lit(0)}, eq(col("b"), 1))
-        with use_backend("sqlite"):
-            result = stmt.apply(db)
+        result = stmt.apply(db, backend="sqlite")
         assert result["R"].tuples == frozenset({(0, 1), (3, 2)})
 
     def test_update_unknown_attribute_raises_schema_error(self):
         db = make_db()
         stmt = UpdateStatement("R", {"zz": lit(1)}, TRUE)
-        with use_backend("sqlite"):
-            with pytest.raises(SchemaError, match="unknown attribute"):
-                stmt.apply(db)
+        with pytest.raises(SchemaError, match="unknown attribute"):
+            stmt.apply(db, backend="sqlite")
 
     def test_insert_arity_mismatch_raises_schema_error(self):
         db = make_db()
-        with use_backend("sqlite"):
-            with pytest.raises(SchemaError, match="arity"):
-                InsertTuple("R", (1, 2, 3)).apply(db)
+        with pytest.raises(SchemaError, match="arity"):
+            InsertTuple("R", (1, 2, 3)).apply(db, backend="sqlite")
 
     def test_insert_select_positional_relabel(self):
         db = Database(
@@ -319,8 +315,7 @@ class TestStatements:
                 "S": Relation.from_rows(Schema.of("x", "y"), [(7, 8)]),
             }
         )
-        with use_backend("sqlite"):
-            result = InsertQuery("R", RelScan("S")).apply(db)
+        result = InsertQuery("R", RelScan("S")).apply(db, backend="sqlite")
         assert (7, 8) in result["R"].tuples
 
     def test_insert_select_arity_mismatch(self):
@@ -330,17 +325,14 @@ class TestStatements:
                 "W": Relation.from_rows(Schema.of("x", "y", "z"), [(1, 2, 3)]),
             }
         )
-        with use_backend("sqlite"):
-            with pytest.raises(SchemaError, match="arity 3 does not match"):
-                InsertQuery("R", RelScan("W")).apply(db)
+        with pytest.raises(SchemaError, match="arity 3 does not match"):
+            InsertQuery("R", RelScan("W")).apply(db, backend="sqlite")
 
     def test_delete_with_null_condition(self):
         db = make_db()
         stmt = DeleteStatement("R", gt(col("b"), 5))
-        with use_backend("sqlite"):
-            via_sqlite = stmt.apply(db)
-        with use_backend("interpreted"):
-            via_interp = stmt.apply(db)
+        via_sqlite = stmt.apply(db, backend="sqlite")
+        via_interp = stmt.apply(db, backend="interpreted")
         assert via_sqlite.same_contents(via_interp)
         assert (2, None) in via_sqlite["R"].tuples  # NULL not matched
 
@@ -351,16 +343,13 @@ class TestStatements:
             DeleteStatement("R", IsNull(col("a"))),
             InsertTuple("R", (9, None)),
         )
-        with use_backend("sqlite"):
-            via_sqlite = history.execute(db)
-        with use_backend("interpreted"):
-            via_interp = history.execute(db)
+        via_sqlite = history.execute(db, backend="sqlite")
+        via_interp = history.execute(db, backend="interpreted")
         assert via_sqlite.same_contents(via_interp)
 
     def test_untouched_relations_are_shared(self):
         db = make_db()
-        with use_backend("sqlite"):
-            result = DeleteStatement("R", TRUE).apply(db)
+        result = DeleteStatement("R", TRUE).apply(db, backend="sqlite")
         assert result["S"] is db["S"]
 
 
@@ -381,8 +370,7 @@ class TestConnectionCache:
         clear_sqlite_cache()
         db = make_db()
         before = evaluate_query(RelScan("R"), db, backend="sqlite")
-        with use_backend("sqlite"):
-            DeleteStatement("R", TRUE).apply(db)
+        DeleteStatement("R", TRUE).apply(db, backend="sqlite")
         after = evaluate_query(RelScan("R"), db, backend="sqlite")
         assert after.tuples == before.tuples  # db itself is immutable
 

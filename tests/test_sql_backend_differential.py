@@ -36,13 +36,13 @@ from test_exec_compiled import (
 
 from repro.core import Mahif, MahifConfig, Method
 from repro.relational import (
+    BACKENDS,
     BagDatabase,
     evaluate_query,
     evaluate_query_bag,
     evaluate_query_bag_interpreted,
     evaluate_query_interpreted,
     execute_history_bag,
-    use_backend,
 )
 from repro.relational.algebra import (
     Difference,
@@ -60,8 +60,6 @@ from repro.relational.expressions import (
     variables_of,
 )
 from repro.relational.schema import SchemaError
-
-BACKENDS = ("interpreted", "compiled", "sqlite", "vector")
 
 #: The non-oracle backends, compared against the interpreter.
 CHECKED = ("compiled", "sqlite", "vector")
@@ -230,9 +228,10 @@ class TestReplayDifferential:
             set_states = {}
             bag_states = {}
             for backend in BACKENDS:
-                with use_backend(backend):
-                    set_states[backend] = history.execute(db)
-                    bag_states[backend] = execute_history_bag(history, bag_db)
+                set_states[backend] = history.execute(db, backend=backend)
+                bag_states[backend] = execute_history_bag(
+                    history, bag_db, backend=backend
+                )
             for backend in CHECKED:
                 assert set_states[backend].same_contents(
                     set_states["interpreted"]
@@ -345,13 +344,12 @@ class TestBatchDifferential:
                 set_states = {}
                 bag_states = {}
                 for backend in BACKENDS:
-                    with use_backend(backend):
-                        set_states[backend] = modified.execute(
-                            query.database
-                        )
-                        bag_states[backend] = execute_history_bag(
-                            modified, bag_db
-                        )
+                    set_states[backend] = modified.execute(
+                        query.database, backend=backend
+                    )
+                    bag_states[backend] = execute_history_bag(
+                        modified, bag_db, backend=backend
+                    )
                 for backend in CHECKED:
                     assert set_states[backend].same_contents(
                         set_states["interpreted"]

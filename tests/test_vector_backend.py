@@ -22,7 +22,6 @@ from repro.relational import (
     evaluate_query_bag,
     evaluate_query_bag_interpreted,
     evaluate_query_interpreted,
-    use_backend,
 )
 from repro.relational.algebra import (
     Difference,
@@ -328,27 +327,22 @@ class TestVectorStatements:
         stmt = UpdateStatement(
             "R", {"b": Arith("+", col("b"), lit(1))}, gt(col("a"), 1)
         )
-        with use_backend("compiled"):
-            expected = stmt.apply(db)
-        with use_backend("vector"):
-            actual = stmt.apply(db)
+        expected = stmt.apply(db, backend="compiled")
+        actual = stmt.apply(db, backend="vector")
         assert actual["R"] == expected["R"]
 
     def test_delete_matches_compiled(self):
         db = _db()
         stmt = DeleteStatement("R", ge(col("b"), 30))
-        with use_backend("compiled"):
-            expected = stmt.apply(db)
-        with use_backend("vector"):
-            actual = stmt.apply(db)
+        expected = stmt.apply(db, backend="compiled")
+        actual = stmt.apply(db, backend="vector")
         assert actual["R"] == expected["R"]
 
     def test_update_error_propagates(self):
         db = _db()
         stmt = UpdateStatement("R", {"b": Var("free")}, gt(col("a"), 0))
-        with use_backend("vector"):
-            with pytest.raises(EvaluationError):
-                stmt.apply(db)
+        with pytest.raises(EvaluationError):
+            stmt.apply(db, backend="vector")
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,20 @@ this tool enforces them mechanically (DESIGN.md, "Static analysis"):
 
 ``unlocked-module-state``
     A module-level mutable container (dict/list/set/...) mutated inside
-    a function must do so under a ``with``-statement on a module-level
+    a function, or a module-level name rebound through a ``global``
+    statement, must do so under a ``with``-statement on a module-level
     ``threading.Lock``/``RLock`` (the ``sql_backend.py`` connection-
     cache pattern).  If the module declares no lock at all, every
     mutation is a finding.
+
+``backend-dispatch``
+    Which executor runs is decided in exactly one module,
+    ``src/repro/relational/exec/backend.py`` (DESIGN.md, "Execution
+    backends › Switching").  Anywhere else under ``src/repro/``,
+    comparing a value to a ``BACKEND_*`` constant or to one of the four
+    backend-name literals is a finding: it is the first arm of an
+    if-chain that the next backend will miss.  Ask the resolved
+    ``Backend`` instead, or allowlist a comparison that is not dispatch.
 
 ``swallow-baseexception``
     ``except BaseException:`` and bare ``except:`` handlers swallow
@@ -82,8 +92,12 @@ RULES: dict[str, str] = {
         "FileOps crash-injection seam)"
     ),
     "unlocked-module-state": (
-        "module-level mutable container mutated outside a module-level "
-        "lock's with-block"
+        "module-level mutable container mutated, or global rebound, "
+        "outside a module-level lock's with-block"
+    ),
+    "backend-dispatch": (
+        "comparison to a backend name under src/repro/ outside "
+        "relational/exec/backend.py (dispatch belongs to the Backend seam)"
     ),
     "swallow-baseexception": (
         "bare except / except BaseException without re-raise (would "
@@ -233,6 +247,46 @@ def _check_no_print(
             )
 
 
+# -- rule: backend-dispatch --------------------------------------------------
+
+#: Kept literal on purpose: the linter imports nothing from ``src``.
+_BACKEND_NAMES = frozenset({"compiled", "interpreted", "sqlite", "vector"})
+_BACKEND_CONSTANT = re.compile(r"^BACKEND_[A-Z]+$")
+
+
+def _names_a_backend(node: ast.expr) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and node.value in _BACKEND_NAMES
+    if isinstance(node, ast.Name):
+        return bool(_BACKEND_CONSTANT.match(node.id))
+    if isinstance(node, ast.Attribute):
+        return bool(_BACKEND_CONSTANT.match(node.attr))
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_a_backend(element) for element in node.elts)
+    return False
+
+
+def _check_backend_dispatch(
+    tree: ast.AST, path: str
+) -> Iterator[tuple[int, str, str]]:
+    if not _in_library_scope(path) or Path(path).parts[-2:] == (
+        "exec", "backend.py"
+    ):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+            _names_a_backend(operand)
+            for operand in (node.left, *node.comparators)
+        ):
+            yield (
+                node.lineno,
+                "backend-dispatch",
+                "comparison to a backend name — dispatch through "
+                "resolve_backend(...) and the Backend it returns, or "
+                "allowlist a comparison that is not dispatch",
+            )
+
+
 # -- rules: exception swallowing --------------------------------------------
 
 def _has_bare_raise(handler: ast.ExceptHandler) -> bool:
@@ -333,10 +387,12 @@ def _check_unlocked_state(
     tree: ast.Module, path: str
 ) -> Iterator[tuple[int, str, str]]:
     mutables, locks = _module_level_names(tree)
-    if not mutables:
-        return
-
     findings: list[tuple[int, str, str]] = []
+    held = (
+        f"holding one of the declared locks {sorted(locks)}"
+        if locks
+        else "any module-level lock declared"
+    )
 
     def lock_guard(node: ast.With) -> bool:
         return any(
@@ -345,13 +401,19 @@ def _check_unlocked_state(
             for item in node.items
         )
 
-    def visit(node: ast.AST, in_function: bool, under_lock: bool) -> None:
+    def visit(
+        node: ast.AST,
+        in_function: bool,
+        under_lock: bool,
+        rebindable: frozenset[str],
+    ) -> None:
         if isinstance(node, ast.With) and lock_guard(node):
             under_lock = True
         if isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
         ):
             in_function = True
+            rebindable = _declared_global(node)
         if in_function and not under_lock:
             mutated = _mutated_name(node)
             if mutated in mutables:
@@ -359,20 +421,56 @@ def _check_unlocked_state(
                     (
                         node.lineno,
                         "unlocked-module-state",
-                        f"module-level {mutated!r} mutated without "
-                        + (
-                            f"holding one of the declared locks "
-                            f"{sorted(locks)}"
-                            if locks
-                            else "any module-level lock declared"
-                        ),
+                        f"module-level {mutated!r} mutated without {held}",
+                    )
+                )
+            for name in sorted(_rebound_names(node) & rebindable):
+                findings.append(
+                    (
+                        node.lineno,
+                        "unlocked-module-state",
+                        f"global {name!r} rebound without {held}",
                     )
                 )
         for child in ast.iter_child_nodes(node):
-            visit(child, in_function, under_lock)
+            visit(child, in_function, under_lock, rebindable)
 
-    visit(tree, False, False)
+    visit(tree, False, False, frozenset())
     yield from findings
+
+
+def _declared_global(function: ast.AST) -> frozenset[str]:
+    """Names ``function`` itself declares ``global`` (a nested function's
+    declarations are its own)."""
+    declared: set[str] = set()
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Global):
+            declared.update(node.names)
+        elif not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
+    return frozenset(declared)
+
+
+def _rebound_names(node: ast.AST) -> frozenset[str]:
+    """Bare names this statement assigns to."""
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return frozenset()
+    names: set[str] = set()
+    while targets:
+        target = targets.pop()
+        if isinstance(target, ast.Name):
+            names.add(target.id)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            targets = [*targets, *target.elts]
+    return frozenset(names)
 
 
 def _mutated_name(node: ast.AST) -> str | None:
@@ -425,6 +523,7 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
     raw: list[tuple[int, str, str]] = []
     raw.extend(_check_fileops_seam(tree, path))
     raw.extend(_check_no_print(tree, path))
+    raw.extend(_check_backend_dispatch(tree, path))
     raw.extend(_check_swallows(tree, path))
     raw.extend(_check_unlocked_state(tree, path))
     findings = [
