@@ -1,13 +1,17 @@
 """Concurrent what-if service: HTTP server, client, wire formats.
 
 The serving half of the service subsystem (the persistence half is
-:mod:`repro.store`): a stdlib ``ThreadingHTTPServer`` exposing stored
-histories and single/batched what-if answering with a per-history,
-append-invalidated result cache.  See DESIGN.md, "Service architecture"
-and the CLI's ``serve`` command.
+:mod:`repro.store`), three modules that each own one decision:
+:mod:`.cache` (``ResultCache`` — how an answer is keyed and when an
+append invalidates it), :mod:`.core` (``WhatIfService`` — stored
+histories and the staged ``answer``) and :mod:`.server`
+(``WhatIfServer`` — a stdlib ``ThreadingHTTPServer`` and its route
+table).  See DESIGN.md, "Service architecture" and the CLI's ``serve``
+command.
 """
 
 from .client import ServiceClient, ServiceClientError
+from .core import WhatIfService
 from .resilience import (
     AdmissionController,
     Deadline,
@@ -17,7 +21,7 @@ from .resilience import (
     ServiceError,
     backoff_delay,
 )
-from .server import WhatIfServer, WhatIfService
+from .server import WhatIfServer
 from .wire import (
     METHODS,
     SpecError,

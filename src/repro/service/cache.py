@@ -1,0 +1,111 @@
+"""The per-history result cache of the what-if service.
+
+This module is the only code that knows how an answer is keyed and when
+it stops being valid; :mod:`repro.service.core` looks answers up,
+publishes them and reports appends, nothing more.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Hashable, Iterable
+
+from ..core.planner import AUTO_SHARDS
+
+__all__ = ["ResultCache"]
+
+
+@dataclass(frozen=True)
+class _Entry:
+    payload: dict
+    #: The relations whose delta is non-empty: the only ones an appended
+    #: statement can access and thereby change the answer.
+    delta_relations: frozenset[str]
+
+
+class ResultCache:
+    """Answers of one stored history, kept across appends.
+
+    **Invariant: every entry is an answer over the history at the
+    cache's current length.**  Two rules maintain it:
+
+    * :meth:`put` refuses an answer computed at any other length, so a
+      computation that raced an append cannot publish a stale answer;
+    * :meth:`advance` — the history grew — drops every entry whose delta
+      relations intersect the relations the appended statements access,
+      and keeps the rest untouched.  Keeping them is sound because a
+      relation with an empty delta holds identical content in the
+      original and the hypothetical branch, so a statement that accesses
+      only such relations acts identically on both and leaves the delta
+      as it was (DESIGN.md, "The what-if service", has the proof
+      sketch).
+
+    An entry is keyed by the query fingerprint and the *effective* shard
+    count the answer executed with — a payload reports the configuration
+    it was computed under, so a request never sees an answer computed at
+    another count.  A request for :data:`~repro.core.planner.AUTO_SHARDS`
+    resolves through the count the planner last chose for that
+    fingerprint; the choice is recorded by the auto ``put`` and dies
+    with the entry it points at, so an auto answer shares its entry with
+    explicit requests at the chosen count and nothing outlives the
+    entries.
+
+    Not thread-safe: every call is made under the owning history's lock.
+    """
+
+    def __init__(self, length: int) -> None:
+        self._length = length
+        self._entries: dict[tuple[int, Hashable], _Entry] = {}
+        self._chosen: dict[Hashable, int] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, fingerprint: Hashable, shards: int) -> dict | None:
+        """The payload cached for ``fingerprint`` at ``shards``, if any."""
+        if shards == AUTO_SHARDS:
+            # No choice on record is a miss: the planner has to run.
+            if fingerprint not in self._chosen:
+                return None
+            shards = self._chosen[fingerprint]
+        entry = self._entries.get((shards, fingerprint))
+        return None if entry is None else entry.payload
+
+    def put(
+        self,
+        fingerprint: Hashable,
+        effective_shards: int,
+        auto: bool,
+        payload: dict,
+        delta_relations: Iterable[str],
+        computed_at_length: int,
+    ) -> bool:
+        """Publish an answer; False when it was computed at another
+        history length and is therefore refused."""
+        if computed_at_length != self._length:
+            return False
+        self._entries[(effective_shards, fingerprint)] = _Entry(
+            payload, frozenset(delta_relations)
+        )
+        if auto:
+            self._chosen[fingerprint] = effective_shards
+        return True
+
+    def advance(
+        self, new_length: int, accessed_relations: Iterable[str]
+    ) -> tuple[int, int]:
+        """The history grew to ``new_length`` by statements accessing
+        ``accessed_relations``; returns ``(dropped, retained)``."""
+        self._length = new_length
+        accessed = frozenset(accessed_relations)
+        stale = [
+            key
+            for key, entry in self._entries.items()
+            if entry.delta_relations & accessed
+        ]
+        for key in stale:
+            del self._entries[key]
+            shards, fingerprint = key
+            if self._chosen.get(fingerprint) == shards:
+                del self._chosen[fingerprint]
+        return len(stale), len(self._entries)

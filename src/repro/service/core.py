@@ -1,0 +1,744 @@
+"""The HTTP-agnostic what-if service: stored histories and answering.
+
+:class:`WhatIfService` owns the named persistent histories (each a
+:class:`~repro.store.HistoryStore` under one root directory), one shared
+:class:`~repro.core.Mahif` engine per (backend, shard count), and per
+history one :class:`~repro.service.cache.ResultCache`.  It is safe for
+concurrent use: histories and databases are immutable, a per-history
+lock guards store appends and the cache, and answers are computed
+outside any lock.
+
+:meth:`WhatIfService.answer` is a straight line of stages — resolve the
+request's options, look up the cache and time-travel the misses through
+the store (under the lock), compute (outside it), publish (under it
+again).  Single queries run through :meth:`Mahif.answer_batch` as a
+one-element batch, so both endpoints share the same machinery: shared
+time travel (the store's checkpoint-reconstructed version is injected,
+never a full prefix replay) and, within a batch, shared reenactment
+plans.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import pathlib
+import re
+import shutil
+import sqlite3
+import threading
+from dataclasses import dataclass, field
+from typing import Any, Hashable, Sequence
+
+from ..core import HistoricalWhatIfQuery, Mahif, MahifConfig, Method
+from ..core.degradation import record_degradation
+from ..core.plan import statement_share_key
+from ..core.planner import AUTO_SHARDS
+from ..obs import trace
+from ..obs.logging import log_event
+from ..obs.metrics import MetricsRegistry
+from ..relational import BACKENDS
+from ..relational.database import Database
+from ..relational.history import History
+from ..relational.statements import Statement
+from ..store import DEFAULT_CHECKPOINT_INTERVAL, HistoryStore, StoreError
+from .cache import ResultCache
+from .resilience import (
+    Deadline,
+    DeadlineExceeded,
+    IdempotencyCache,
+    Overloaded,
+    ServiceError,
+)
+from .wire import (
+    METHODS,
+    SpecError,
+    modifications_from_spec,
+    normalize_shards,
+    result_payload,
+)
+
+__all__ = ["WhatIfService"]
+
+_NAME_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
+
+#: Upper bound on per-request shard counts.  Engines are cached per
+#: (backend, shards), so an unbounded client-chosen count would let a
+#: client grow that map without limit; beyond ~CPU-count shards there
+#: is no win anyway.
+MAX_SHARDS = 64
+
+#: The method a request that names none is answered with.
+DEFAULT_METHOD = Method.R_PS_DS
+
+
+def _shards_option(value: Any, default: int | None, what: str) -> int:
+    """A shards spec as the count to run with (``AUTO_SHARDS`` =
+    planner-chosen); ``None`` means ``default``."""
+    try:
+        shards = normalize_shards(value)
+    except SpecError as exc:
+        raise ServiceError(str(exc)) from None
+    if shards is None:
+        shards = default
+    if shards is None or shards > MAX_SHARDS:
+        raise ServiceError(
+            f'{what} must be between 1 and {MAX_SHARDS}, 0, or "auto"'
+        )
+    return shards
+
+
+def _applied(stmt: Statement, state: Database, what: str) -> Database:
+    """``stmt.apply(state)``; a statement that does not apply is the
+    client's error (400), whatever it raised."""
+    try:
+        return stmt.apply(state)
+    except Exception as exc:
+        raise ServiceError(f"invalid {what} {stmt!r}: {exc}") from None
+
+
+def _fingerprint(options: "_Options", modifications) -> Hashable | None:
+    """What identifies an answer besides the history and the shard count
+    it ran with: method, backend and the structural share-key of every
+    modification's statement (two SQL spellings of one statement share
+    an entry).  ``None`` bypasses the cache, neither looked up nor
+    published: an explain request, or an unhashable constant.
+    """
+    if options.explain:
+        return None
+    parts = []
+    for mod in modifications:
+        stmt = getattr(mod, "statement", None)
+        parts.append(
+            (
+                type(mod).__name__,
+                mod.position,
+                statement_share_key(stmt) if stmt is not None else None,
+            )
+        )
+    key = (options.method.value, options.backend, tuple(parts))
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+@dataclass(frozen=True)
+class _Options:
+    """One request's options, resolved against the service defaults."""
+
+    method: Method
+    backend: str
+    workers: int
+    #: The requested count; ``AUTO_SHARDS`` lets the planner choose.
+    shards: int
+    explain: bool
+
+
+@dataclass
+class _Pending:
+    """One request between lookup and publish."""
+
+    #: The history length the lookup saw, hence the one a miss is
+    #: computed at.
+    length: int
+    #: One slot per spec: a hit's payload, or ``None`` until published.
+    outcomes: list[dict | None] = field(default_factory=list)
+    #: ``(slot, fingerprint, query)`` per miss, in slot order.
+    misses: list[tuple[int, Hashable | None, HistoricalWhatIfQuery]] = field(
+        default_factory=list
+    )
+    start_dbs: list[Database] | None = None
+
+    @property
+    def queries(self) -> list[HistoricalWhatIfQuery]:
+        return [query for _, _, query in self.misses]
+
+
+@dataclass
+class _HistoryHandle:
+    name: str
+    store: HistoryStore
+    initial: Database
+    lock: threading.RLock = field(default_factory=threading.RLock)
+    #: Memoized ``store.history()`` — rebuilding the statement tuple per
+    #: request is O(history length) on the cache-hit hot path.  Reset to
+    #: None by append().
+    history: History | None = None
+    cache: ResultCache = field(init=False)
+    #: idempotency key -> recorded append response (bounded LRU), so a
+    #: client retry after a lost response never double-appends.
+    idempotency: IdempotencyCache = field(
+        default_factory=IdempotencyCache
+    )
+
+    def __post_init__(self) -> None:
+        self.cache = ResultCache(len(self.store))
+
+
+class WhatIfService:
+    """Engine-level service: stores, engines, result caches.
+
+    ``root`` is the directory persistent histories live under (one
+    subdirectory per history); existing stores are reopened on startup,
+    so the service resumes exactly where the last process stopped.
+    """
+
+    def __init__(
+        self,
+        root,
+        *,
+        default_backend: str = "compiled",
+        checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+        batch_workers: int = 0,
+        default_shards: int | str = 1,
+        sync: bool = True,
+    ) -> None:
+        if default_backend not in BACKENDS:
+            raise ServiceError(f"unknown backend {default_backend!r}")
+        if checkpoint_interval < 1:
+            raise ServiceError("checkpoint_interval must be >= 1")
+        if batch_workers < 0:
+            raise ServiceError("batch_workers must be >= 0")
+        self.root = pathlib.Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.default_backend = default_backend
+        self.checkpoint_interval = checkpoint_interval
+        self.batch_workers = batch_workers
+        self.default_shards = _shards_option(
+            default_shards, None, "default_shards"
+        )
+        #: Power-loss durability for the stores this service owns: fsync
+        #: the log on append, the directory on checkpoint rename.
+        self.sync = sync
+        #: Per-service metrics: result-cache traffic plus the service's
+        #: own degradation counters (process-wide pool/shard counters
+        #: live in ``repro.core.degradation``'s global registry, merged
+        #: into the ``/metrics`` scrape by the server).
+        self.metrics = MetricsRegistry()
+        self._cache_hits = self.metrics.counter(
+            "mahif_result_cache_hits_total",
+            "Result-cache hits by history.",
+            ("history",),
+        )
+        self._cache_misses = self.metrics.counter(
+            "mahif_result_cache_misses_total",
+            "Result-cache misses by history.",
+            ("history",),
+        )
+        self._cache_invalidations = self.metrics.counter(
+            "mahif_result_cache_invalidations_total",
+            "Result-cache entries dropped by appends, by history.",
+            ("history",),
+        )
+        self._cache_entries = self.metrics.gauge(
+            "mahif_result_cache_entries",
+            "Answers currently held by the result cache, by history.",
+            ("history",),
+        )
+        self._deadline_timeouts = self.metrics.counter(
+            "mahif_deadline_timeouts_total",
+            "Compute requests that exceeded their deadline budget (504).",
+        )
+        self._sqlite_fallbacks = self.metrics.counter(
+            "mahif_sqlite_fallbacks_total",
+            "Sqlite-backend failures re-answered on the compiled backend.",
+        )
+        self._handles: dict[str, _HistoryHandle | None] = {}
+        self._handles_lock = threading.Lock()
+        #: One shared engine per (backend, shard count) — shards are part
+        #: of the key because MahifConfig is frozen per engine.
+        self._engines: dict[tuple[str, int], Mahif] = {}
+        self._engines_lock = threading.Lock()
+        self.skipped_on_startup: dict[str, str] = {}
+        self._reopen_stores()
+
+    def _reopen_stores(self) -> None:
+        for entry in sorted(self.root.iterdir()):
+            if not (entry / "META.json").is_file():
+                continue
+            try:
+                store = HistoryStore.open(entry, sync=self.sync)
+            except StoreError as exc:
+                # One unrecoverable directory (e.g. a crash between
+                # META and the base checkpoint during create) must
+                # not take down every healthy history under root.
+                self.skipped_on_startup[entry.name] = str(exc)
+                log_event(
+                    "history_skipped", history=entry.name, error=str(exc)
+                )
+                continue
+            self._handles[entry.name] = _HistoryHandle(
+                entry.name, store, store.initial()
+            )
+
+    def close(self) -> None:
+        with self._handles_lock:
+            for handle in self._handles.values():
+                if handle is not None:
+                    handle.store.close()
+            self._handles.clear()
+
+    # -- history management ---------------------------------------------------
+    def history_names(self) -> list[str]:
+        with self._handles_lock:
+            return sorted(
+                name
+                for name, handle in self._handles.items()
+                if handle is not None
+            )
+
+    def register(
+        self,
+        name: str,
+        database: Database,
+        history: History | None = None,
+        *,
+        checkpoint_interval: int | None = None,
+    ) -> dict:
+        """Create a new stored history; returns its info payload."""
+        if not isinstance(name, str) or not _NAME_RE.match(name):
+            raise ServiceError(
+                "history name must match [A-Za-z0-9_.-]{1,64}"
+            )
+        if checkpoint_interval is None:
+            checkpoint_interval = self.checkpoint_interval
+        if checkpoint_interval < 1:
+            raise ServiceError("checkpoint_interval must be >= 1")
+        with self._handles_lock:
+            if name in self._handles:
+                raise ServiceError(
+                    f"history {name!r} already exists", status=409
+                )
+            # Reserve the name, then create the store outside the global
+            # lock: writing the base checkpoint is O(database) disk I/O
+            # and must not stall requests against other histories.
+            self._handles[name] = None
+        path = self.root / name
+        store = None
+        try:
+            if (path / "META.json").exists():
+                # A store directory we did not open (e.g. skipped as
+                # broken at startup): never delete it, never reuse the
+                # name.  Distinct wording from the handle-duplicate 409
+                # so clients can tell the two apart.
+                raise ServiceError(
+                    f"name {name!r} is taken by an existing store "
+                    "directory under the service root", status=409,
+                )
+            store = HistoryStore.create(
+                path,
+                database,
+                checkpoint_interval=checkpoint_interval,
+                sync=self.sync,
+            )
+            # Append the initial history while the name is still only a
+            # reservation (other requests see 409 "being created"), so
+            # no concurrent append can interleave ahead of it.  One
+            # pass: each statement's validating apply is also the
+            # store's apply result.
+            state = database
+            for stmt in history or ():
+                state = _applied(stmt, state, "history statement")
+                store.append(stmt, state=state)
+        except BaseException as exc:
+            # Leave no partial store behind: a bad history must not
+            # squat on the name, a failed registration must be fully
+            # retryable, and a restart must not resurrect a truncated
+            # history the client was told failed.
+            with self._handles_lock:
+                self._handles.pop(name, None)
+            if store is not None:
+                store.close()
+                shutil.rmtree(path, ignore_errors=True)
+            if isinstance(exc, StoreError):
+                raise ServiceError(str(exc), status=409) from None
+            raise
+        with self._handles_lock:
+            self._handles[name] = _HistoryHandle(name, store, database)
+        return self.info(name)
+
+    def _handle(self, name: str) -> _HistoryHandle:
+        with self._handles_lock:
+            try:
+                handle = self._handles[name]
+            except KeyError:
+                raise ServiceError(
+                    f"no history named {name!r}", status=404
+                ) from None
+        if handle is None:  # reserved: registration still in flight
+            raise ServiceError(
+                f"history {name!r} is still being created", status=409
+            )
+        return handle
+
+    def info(self, name: str) -> dict:
+        handle = self._handle(name)
+        with handle.lock:
+            store = handle.store
+            return {
+                "name": name,
+                "length": len(store),
+                "relations": store.current.relation_names(),
+                "checkpoint_interval": store.checkpoint_interval,
+                "checkpoints": list(store.checkpoint_versions()),
+                "cache": {
+                    "entries": len(handle.cache),
+                    "hits": int(self._cache_hits.value(history=name)),
+                    "misses": int(self._cache_misses.value(history=name)),
+                },
+            }
+
+    def append(
+        self,
+        name: str,
+        statements: Sequence[Statement],
+        *,
+        idempotency_key: str | None = None,
+    ) -> dict:
+        """Durably append statements; incrementally invalidate the cache
+        (the rule is :class:`~repro.service.cache.ResultCache`'s).
+
+        ``idempotency_key`` makes the append replay-safe: a key seen
+        before returns the originally recorded response (marked
+        ``"idempotent_replay": true``) without appending again, so a
+        client retrying a lost response cannot double-append.  One key
+        names one logical request — reusing a key with different
+        statements replays the original outcome.
+        """
+        if not statements:
+            raise ServiceError("append requires at least one statement")
+        if idempotency_key is not None and (
+            not isinstance(idempotency_key, str)
+            or not 1 <= len(idempotency_key) <= 200
+        ):
+            raise ServiceError(
+                "idempotency_key must be a string of 1..200 characters"
+            )
+        handle = self._handle(name)
+        with handle.lock:
+            if idempotency_key is not None:
+                recorded = handle.idempotency.get(idempotency_key)
+                if recorded is not None:
+                    return {**recorded, "idempotent_replay": True}
+            # Validate the whole batch before any durable write, so a
+            # bad statement in the middle cannot persist a partial
+            # prefix (a 400, not a half-applied 500).  The validated
+            # states double as the store's apply results below.
+            states: list[Database] = []
+            state = handle.store.current
+            for stmt in statements:
+                state = _applied(stmt, state, "statement")
+                states.append(state)
+            appended = dropped = retained = 0
+            try:
+                for stmt, new_state in zip(statements, states):
+                    handle.store.append(stmt, state=new_state)
+                    appended += 1
+            except StoreError as exc:
+                # A rolled-back transient failure before anything
+                # persisted is cleanly retryable (503 + Retry-After); a
+                # mid-batch failure persisted a prefix, so a blind retry
+                # would double-append it — surface that as a 500 with
+                # the count, never as retryable.
+                if exc.retryable and appended == 0:
+                    raise Overloaded(
+                        f"append failed transiently and was rolled "
+                        f"back: {exc}", 0.25,
+                    ) from None
+                raise ServiceError(
+                    f"append persisted only {appended}/"
+                    f"{len(statements)} statements: {exc}", status=500,
+                ) from None
+            finally:
+                # Invalidate for exactly the statements that became
+                # durable — even if a later store write failed, the
+                # cache must not keep entries the persisted prefix
+                # already invalidated.
+                if appended:
+                    dropped, retained = self._advance(
+                        handle, statements[:appended]
+                    )
+            response = {
+                "name": name,
+                "length": len(handle.store),
+                "cache_dropped": dropped,
+                "cache_retained": retained,
+            }
+            if idempotency_key is not None:
+                handle.idempotency.put(idempotency_key, response)
+        return response
+
+    def _advance(
+        self, handle: _HistoryHandle, durable: Sequence[Statement]
+    ) -> tuple[int, int]:
+        """The log grew by ``durable`` (under the history's lock)."""
+        handle.history = None  # memo invalid: log advanced
+        accessed: set[str] = set()
+        for stmt in durable:
+            accessed |= stmt.accessed_relations()
+        dropped, retained = handle.cache.advance(
+            len(handle.store), accessed
+        )
+        if dropped:
+            self._cache_invalidations.inc(dropped, history=handle.name)
+        self._cache_entries.set(retained, history=handle.name)
+        span = trace.current_span()
+        if span is not None:
+            span.add_event(
+                "cache_invalidate",
+                history=handle.name,
+                dropped=dropped,
+                retained=retained,
+            )
+        return dropped, retained
+
+    # -- answering ------------------------------------------------------------
+    def _engine(self, backend: str, shards: int) -> Mahif:
+        with self._engines_lock:
+            engine = self._engines.get((backend, shards))
+            if engine is None:
+                engine = Mahif(MahifConfig(backend=backend, shards=shards))
+                self._engines[(backend, shards)] = engine
+            return engine
+
+    def answer(
+        self,
+        name: str,
+        specs: Sequence[Any],
+        *,
+        method: str | None = None,
+        backend: str | None = None,
+        workers: int | None = None,
+        shards: int | str | None = None,
+        deadline: Deadline | None = None,
+        explain: bool = False,
+    ) -> list[dict]:
+        """Answer one spec per entry over the named stored history.
+
+        Cache hits are returned immediately; misses are answered in one
+        ``answer_batch`` call (shared time travel + shared plans across
+        the missing queries) with each start version reconstructed from
+        the store's nearest checkpoint.  ``shards`` > 1 answers through
+        the sharded execution path (DESIGN.md, "Sharded execution");
+        ``shards="auto"``/``0`` lets the cost-based planner decide per
+        query — each response then records the ``planner`` decision and
+        its ``shards`` field reports the *chosen* count, under which the
+        answer is also cached.
+
+        ``deadline`` bounds the miss computation server-side: on expiry
+        the call raises :class:`~repro.service.resilience.
+        DeadlineExceeded` (504) while the abandoned computation may
+        still finish in the background and populate the cache.  A
+        sqlite-backend failure degrades to the compiled backend (the
+        answer is backend-invariant by the differential suite); the
+        response's ``backend`` field reports what actually answered and
+        ``degraded_from`` the backend that failed.
+
+        ``explain=True`` attaches an EXPLAIN ANALYZE per-operator
+        ``profile`` to every answer.  Explain requests are diagnostic:
+        they bypass the result cache entirely (never read, never
+        stored — a cached payload has no profile, and a profiled
+        payload must not be served to plain requests) and execute the
+        serial unsharded reenactment path.
+        """
+        options = self._options(method, backend, workers, shards, explain)
+        handle = self._handle(name)
+        try:
+            modifications = [modifications_from_spec(s) for s in specs]
+        except SpecError as exc:
+            raise ServiceError(str(exc)) from None
+        # One critical section, so the log cannot advance between the
+        # history snapshot and the version loads.
+        with handle.lock, trace.span("cache", history=name) as cache_span:
+            pending = self._lookup(handle, options, modifications, cache_span)
+            pending.start_dbs = self._time_travel(
+                handle.store, options.method, pending.queries
+            )
+        if pending.misses:
+            # The deadline path resolves on a worker thread; hand it the
+            # request's active span so engine spans nest under it
+            # instead of vanishing.
+            resolve = functools.partial(
+                self._resolve, handle, options, pending, trace.current_span()
+            )
+            if deadline is None:
+                resolve()
+            else:
+                try:
+                    deadline.run(resolve, "what-if computation")
+                except DeadlineExceeded:
+                    self._deadline_timeouts.inc()
+                    raise
+        return pending.outcomes
+
+    def _options(self, method, backend, workers, shards, explain) -> _Options:
+        """Stage 1: the request's options, each resolved once."""
+        try:
+            method = METHODS[method] if method else DEFAULT_METHOD
+        except KeyError:
+            raise ServiceError(f"unknown method {method!r}") from None
+        backend = backend or self.default_backend
+        if backend not in BACKENDS:
+            raise ServiceError(f"unknown backend {backend!r}")
+        if workers is None:
+            workers = self.batch_workers
+        # Engines, and with them their pools, are shared across requests
+        # and outlive them: one request must not be able to park more
+        # workers on the server than it has cores to run them on.
+        workers = min(workers, os.cpu_count() or 1)
+        shards = _shards_option(shards, self.default_shards, "shards")
+        return _Options(method, backend, workers, shards, bool(explain))
+
+    def _lookup(
+        self, handle: _HistoryHandle, options: _Options, modifications, span
+    ) -> _Pending:
+        """Stage 2, under the history's lock: bind every spec to the
+        current history and serve the ones the cache holds."""
+        if handle.history is None:
+            handle.history = handle.store.history()
+        history = handle.history
+        pending = _Pending(len(history))
+        for slot, mods in enumerate(modifications):
+            try:
+                query = HistoricalWhatIfQuery(history, handle.initial, mods)
+            except Exception as exc:
+                raise ServiceError(str(exc)) from None
+            fingerprint = _fingerprint(options, mods)
+            payload = (
+                None
+                if fingerprint is None
+                else handle.cache.get(fingerprint, options.shards)
+            )
+            if payload is not None:
+                self._cache_hits.inc(history=handle.name)
+                span.add_event("hit", query=slot)
+                # A retained entry is valid at the current length, not
+                # only at the one it was computed for.
+                pending.outcomes.append(
+                    {
+                        **payload,
+                        "history_length": pending.length,
+                        "cached": True,
+                    }
+                )
+            else:
+                self._cache_misses.inc(history=handle.name)
+                span.add_event("miss", query=slot)
+                pending.outcomes.append(None)
+                pending.misses.append((slot, fingerprint, query))
+        span.set_attributes(
+            {"queries": len(modifications), "misses": len(pending.misses)}
+        )
+        return pending
+
+    @staticmethod
+    def _time_travel(
+        store: HistoryStore, method: Method, queries
+    ) -> list[Database] | None:
+        """Stage 3, under the history's lock: each miss's start version
+        from the store — nearest checkpoint + bounded replay,
+        materialized once per *distinct* prefix.  NAIVE replays whole
+        histories itself and ignores injected start versions, so it
+        skips the I/O."""
+        if not queries or method is Method.NAIVE:
+            return None
+        prefix_lengths = [
+            query.aligned().trim_prefix()[1] for query in queries
+        ]
+        by_length = {
+            length: store.as_of(length) for length in set(prefix_lengths)
+        }
+        return [by_length[length] for length in prefix_lengths]
+
+    def _resolve(
+        self, handle: _HistoryHandle, options: _Options, pending: _Pending,
+        parent_span,
+    ) -> None:
+        """Stages 4 and 5 for the misses: compute outside the lock,
+        publish under it."""
+        with trace.use_span(parent_span):
+            results, used_backend = self._compute(
+                options, pending.queries, pending.start_dbs
+            )
+            with handle.lock:
+                self._publish(handle, options, pending, results, used_backend)
+
+    def _compute(self, options: _Options, queries, start_dbs):
+        """Stage 4: one ``answer_batch`` call; returns ``(results,
+        backend used)``.
+
+        Only sqlite has an external moving part (the C library, its
+        connections, its temp storage); its errors re-answer on the
+        compiled backend, which the four-way differential suite proves
+        answer-equivalent.  The in-process backends' failures are
+        deterministic Python errors and propagate.
+        """
+        backend = options.backend
+        while True:
+            engine = self._engine(backend, options.shards)
+            try:
+                results = engine.answer_batch(
+                    queries,
+                    options.method,
+                    workers=options.workers,
+                    start_databases=start_dbs,
+                    explain=options.explain,
+                )
+                return results, backend
+            except sqlite3.Error as exc:
+                # repro-lint: allow[backend-dispatch] -- not dispatch: only the backend that owns sqlite3 may degrade on a sqlite3.Error
+                if backend != "sqlite":
+                    raise
+                self._sqlite_fallbacks.inc()
+                record_degradation("sqlite_fallback")
+                log_event(
+                    "sqlite_fallback", error=str(exc), degraded_to="compiled"
+                )
+                backend = "compiled"
+
+    def _publish(
+        self, handle: _HistoryHandle, options: _Options, pending: _Pending,
+        results, used_backend: str,
+    ) -> None:
+        """Stage 5, under the history's lock: fill the misses' slots and
+        offer each answer to the cache."""
+        for (slot, fingerprint, _), result in zip(pending.misses, results):
+            choice = result.planner_choice
+            # The payload's "shards" is the *effective* count the answer
+            # executed with — the planner's choice under auto, the
+            # request's otherwise — and the count it is cached under.
+            effective = choice.shards if choice is not None else options.shards
+            payload = {
+                **result_payload(result),
+                "history_length": pending.length,
+                "method": options.method.value,
+                "backend": used_backend,
+                "shards": effective,
+            }
+            if choice is not None:
+                payload["planner"] = choice.payload()
+            if used_backend != options.backend:
+                payload["degraded_from"] = options.backend
+            pending.outcomes[slot] = {**payload, "cached": False}
+            if fingerprint is not None:
+                handle.cache.put(
+                    fingerprint,
+                    effective,
+                    options.shards == AUTO_SHARDS,
+                    payload,
+                    # The wire delta lists exactly the relations whose
+                    # delta is non-empty (wire.delta_payload).
+                    payload["delta"].keys(),
+                    pending.length,
+                )
+        self._cache_entries.set(len(handle.cache), history=handle.name)
+
+    def service_stats(self) -> dict:
+        """Service-level resilience counters for ``/health`` — read from
+        the same registry instruments ``/metrics`` scrapes."""
+        return {
+            "deadline_timeouts": int(self._deadline_timeouts.value()),
+            "sqlite_fallbacks": int(self._sqlite_fallbacks.value()),
+        }

@@ -76,6 +76,8 @@ class TestMetricsEndpoint:
         samples = parse_exposition(client.metrics())
         assert samples['mahif_result_cache_hits_total{history="orders"}'] == 1
         assert samples['mahif_result_cache_misses_total{history="orders"}'] == 1
+        assert samples['mahif_result_cache_entries{history="orders"}'] == 1
+        assert client.info("orders")["cache"]["entries"] == 1
         # An append touching the cached delta's relation drops the entry.
         client.append(
             "orders",
@@ -89,11 +91,17 @@ class TestMetricsEndpoint:
             ]
             >= 1
         )
+        assert samples['mahif_result_cache_entries{history="orders"}'] == 0
+        assert client.info("orders")["cache"]["entries"] == 0
 
     def test_metrics_scrape_counts_itself(self, client):
-        client.metrics()
-        samples = parse_exposition(client.metrics())
-        assert samples['mahif_requests_total{route="metrics",code="200"}'] >= 1
+        first = parse_exposition(client.metrics())
+        assert first['mahif_requests_total{route="metrics",code="200"}'] == 1
+        # ...and, going through the same dispatch as every other route,
+        # is timed (an observation lands after the body is rendered).
+        second = parse_exposition(client.metrics())
+        assert second['mahif_requests_total{route="metrics",code="200"}'] == 2
+        assert second['mahif_request_seconds_count{route="metrics"}'] == 1
 
     def test_metrics_can_be_disabled(self, tmp_path, orders_db):
         service = WhatIfService(tmp_path / "stores")

@@ -336,6 +336,41 @@ class TestBackendDispatch:
 
 
 # ---------------------------------------------------------------------------
+# rule: long-function
+# ---------------------------------------------------------------------------
+
+class TestLongFunction:
+    @staticmethod
+    def function_of(lines: int) -> str:
+        body = "\n".join(f"    x = {i}" for i in range(lines - 1))
+        return f"def answer(self):\n{body}\n"
+
+    def test_a_function_over_80_lines_is_flagged(self):
+        findings = lint(self.function_of(81), "src/repro/service/core.py")
+        assert rules_of(findings) == ["long-function"]
+        assert findings[0].line == 1 and "81 lines" in findings[0].message
+
+    def test_methods_and_docstrings_count(self):
+        method = (
+            "class Service:\n"
+            "    def answer(self):\n"
+            '        """' + "\n".join(["doc"] * 60) + '"""\n'
+            + "\n".join(f"        x = {i}" for i in range(25)) + "\n"
+        )
+        findings = lint(method, "src/repro/service/core.py")
+        assert rules_of(findings) == ["long-function"]
+
+    def test_80_lines_is_the_limit_not_over_it(self):
+        assert lint(self.function_of(80), "src/repro/service/core.py") == []
+
+    def test_scope_is_the_service_package_only(self):
+        long = self.function_of(200)
+        assert lint(long, "src/repro/core/batch.py") == []
+        assert lint(long, "tests/service/test_x.py") == []
+        assert lint(long, "benchmarks/service/bench.py") == []
+
+
+# ---------------------------------------------------------------------------
 # pragmas
 # ---------------------------------------------------------------------------
 

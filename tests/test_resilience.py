@@ -270,20 +270,20 @@ def test_deadline_expiry_returns_504(tmp_path, orders_db, paper_history):
     try:
         service = server.service
         release = threading.Event()
-        real_misses = service._answer_misses
+        real_compute = service._compute
 
-        def stalled_misses(*args, **kwargs):
+        def stalled_compute(*args, **kwargs):
             release.wait(10)
-            return real_misses(*args, **kwargs)
+            return real_compute(*args, **kwargs)
 
-        service._answer_misses = stalled_misses
+        service._compute = stalled_compute
         client = ServiceClient(server.url, retries=0, timeout=30.0)
         with pytest.raises(ServiceClientError) as excinfo:
             client.whatif("orders", SPEC)
         assert excinfo.value.status == 504
         assert not excinfo.value.retryable
         release.set()
-        service._answer_misses = real_misses
+        service._compute = real_compute
         health = ServiceClient(server.url).health()
         assert health["resilience"]["deadline_timeouts"] == 1
         # With the stall gone the same query answers fine under a
@@ -399,6 +399,10 @@ def test_draining_sheds_everything_but_health(
         health = client.health()
         assert health["ok"] and not health["ready"]
         assert health["resilience"]["draining"]
+        # ...and a scrape: the shed requests are exactly what it shows.
+        assert 'mahif_requests_total{route="info",code="503"} 1' in (
+            client.metrics()
+        )
     finally:
         server.shutdown()
 
@@ -557,10 +561,14 @@ def test_sqlite_failure_degrades_to_compiled(
     server.start_background()
     try:
         service = server.service
-        # Pre-seed the engine cache with a poisoned sqlite engine; the
-        # compiled fallback is built lazily and untouched.
-        with service._engines_lock:
-            service._engines[("sqlite", 1)] = _BrokenSqliteEngine()
+        # Every sqlite engine is poisoned; the compiled fallback is the
+        # service's own.
+        real_engine = service._engine
+        service._engine = lambda backend, shards: (
+            _BrokenSqliteEngine()
+            if backend == "sqlite"
+            else real_engine(backend, shards)
+        )
         client = ServiceClient(server.url)
         answer = client.whatif("orders", SPEC, backend="sqlite")
         assert answer["backend"] == "compiled"

@@ -1,0 +1,201 @@
+"""``ResultCache`` against a brute-force model.
+
+The cache keeps answers across appends; its contract (the class
+docstring) is small enough to restate as a model that remembers
+*everything*: a plain list of every ``put`` with the history length it
+was made at, and a plain list of every append with the relations it
+accessed.  The model answers a ``get`` by scanning both lists — "put at
+the then-current length, and no statement appended since accessed one
+of its delta relations" — and never drops or re-keys anything, so it
+shares no logic with the cache's incremental bookkeeping.
+
+Single-threaded and engine-free: the harness plays the engine by fixing,
+per fingerprint, the relations its answer's delta touches until an
+append accesses one of them (only then may the answer, and with it the
+footprint, change).  Seeded through ``MAHIF_FUZZ_SEED``; the number of
+sequences scales with ``MAHIF_FUZZ_SCALE`` like the other fuzz suites.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+
+import pytest
+
+from repro.core.planner import AUTO_SHARDS
+from repro.service.cache import ResultCache
+
+_SCALE = float(os.environ.get("MAHIF_FUZZ_SCALE", "1.0"))
+_SEED = int(os.environ.get("MAHIF_FUZZ_SEED", "20260927"))
+
+FINGERPRINTS = ("q0", "q1", "q2", "q3", "q4")
+RELATIONS = ("R", "S", "T", "U")
+SHARD_COUNTS = (1, 2, 4)
+
+
+class Model:
+    """Every put and every append ever made, scanned on demand."""
+
+    def __init__(self, length: int) -> None:
+        self.length = length
+        #: (fingerprint, effective shards, auto, payload, relations, length)
+        self.puts: list[tuple] = []
+        #: (length after the append, relations it accessed)
+        self.appends: list[tuple[int, frozenset]] = []
+
+    def put(self, fingerprint, shards, auto, payload, relations, at) -> None:
+        if at == self.length:  # anything else was computed on another history
+            self.puts.append(
+                (fingerprint, shards, auto, payload, frozenset(relations), at)
+            )
+
+    def advance(self, new_length: int, accessed) -> None:
+        self.length = new_length
+        self.appends.append((new_length, frozenset(accessed)))
+
+    def _alive(self, put) -> bool:
+        *_, relations, at = put
+        return not any(
+            length > at and accessed & relations
+            for length, accessed in self.appends
+        )
+
+    def get(self, fingerprint, shards):
+        alive = [p for p in self.puts if p[0] == fingerprint and self._alive(p)]
+        if shards == AUTO_SHARDS:
+            chosen = [p[1] for p in alive if p[2]]
+            if not chosen:
+                return None
+            shards = chosen[-1]
+        payloads = [p[3] for p in alive if p[1] == shards]
+        return payloads[-1] if payloads else None
+
+    def entries(self) -> set:
+        return {(p[0], p[1]) for p in self.puts if self._alive(p)}
+
+
+STEPS = 200
+
+
+def some_relations(rng: random.Random, at_least: int) -> frozenset:
+    return frozenset(rng.sample(RELATIONS, rng.randrange(at_least, 3)))
+
+
+def run(seed: int) -> dict:
+    """Drive cache and model with one random sequence, comparing every
+    observable; returns how often each interesting case occurred."""
+    rng = random.Random(seed)
+    length = rng.randrange(0, 5)
+    cache, model = ResultCache(length), Model(length)
+    # An empty delta stays empty whatever is appended (q0); any other
+    # footprint is redrawn non-empty so the run never settles there.
+    footprint = {fp: some_relations(rng, 1) for fp in FINGERPRINTS}
+    footprint["q0"] = frozenset()
+    seen = {"hits": 0, "stale": 0, "dropped": 0, "retained": 0}
+    for step in range(STEPS):
+        action = rng.random()
+        if action < 0.45:
+            fingerprint = rng.choice(FINGERPRINTS)
+            shards = rng.choice(SHARD_COUNTS)
+            auto = rng.random() < 0.4
+            # One put in five lost a race with an append.
+            at = length if rng.random() < 0.8 else length - rng.randrange(1, 3)
+            payload = {"answer": step}
+            accepted = cache.put(
+                fingerprint, shards, auto, payload, footprint[fingerprint], at
+            )
+            assert accepted == (at == length)
+            seen["stale"] += not accepted
+            model.put(
+                fingerprint, shards, auto, payload, footprint[fingerprint], at
+            )
+        elif action < 0.8:
+            fingerprint = rng.choice(FINGERPRINTS)
+            shards = rng.choice((*SHARD_COUNTS, AUTO_SHARDS))
+            got = cache.get(fingerprint, shards)
+            assert got is model.get(fingerprint, shards), (seed, step)
+            seen["hits"] += got is not None
+        else:
+            accessed = some_relations(rng, 0)
+            before = model.entries()
+            length += rng.randrange(1, 3)
+            model.advance(length, accessed)
+            after = model.entries()
+            assert cache.advance(length, accessed) == (
+                len(before - after), len(after)
+            ), (seed, step)
+            seen["dropped"] += len(before - after)
+            seen["retained"] += len(after)
+            for fingerprint, relations in footprint.items():
+                if relations & accessed:  # the answer may have changed
+                    footprint[fingerprint] = some_relations(rng, 1)
+            assert len(cache) == len(after)
+    return seen
+
+
+@pytest.mark.parametrize("trial", range(max(1, int(20 * _SCALE))))
+def test_cache_agrees_with_the_model(trial):
+    seen = run(_SEED + trial)
+    # The sequence exercised what it is meant to: hits, refused puts,
+    # and appends that drop some entries while retaining others.
+    assert all(seen.values()), seen
+
+
+class TestContract:
+    def test_explicit_and_auto_share_the_entry_at_the_chosen_count(self):
+        cache = ResultCache(3)
+        payload = {"answer": 1}
+        assert cache.put("q", 2, True, payload, {"R"}, 3)
+        assert cache.get("q", AUTO_SHARDS) is payload
+        assert cache.get("q", 2) is payload
+        assert len(cache) == 1
+
+    def test_two_explicit_counts_never_share(self):
+        cache = ResultCache(3)
+        cache.put("q", 2, False, {"answer": 1}, {"R"}, 3)
+        assert cache.get("q", 1) is None
+        assert cache.get("q", 4) is None
+        # ...and an explicit answer alone gives auto nothing to resolve
+        # through: the planner has to run.
+        assert cache.get("q", AUTO_SHARDS) is None
+
+    def test_advance_drops_overlapping_entries_and_only_those(self):
+        cache = ResultCache(3)
+        kept, gone = {"answer": "kept"}, {"answer": "gone"}
+        cache.put("kept", 1, False, kept, {"R"}, 3)
+        cache.put("gone", 1, False, gone, {"R", "S"}, 3)
+        cache.put("empty-delta", 1, False, {}, (), 3)
+        assert cache.advance(4, {"S", "T"}) == (1, 2)
+        assert cache.get("kept", 1) is kept
+        assert cache.get("gone", 1) is None
+        # Retained entries answer for the *new* length.
+        assert cache.put("late", 1, False, {}, (), 3) is False
+        assert cache.put("fresh", 1, False, {}, (), 4) is True
+
+    def test_a_dropped_entry_takes_its_auto_choice_with_it(self):
+        """The memo leak: nothing keyed by the fingerprint remains."""
+        cache = ResultCache(0)
+        cache.put("q", 2, True, {"answer": 1}, {"R"}, 0)
+        assert cache.advance(1, {"R"}) == (1, 0)
+        assert cache.get("q", AUTO_SHARDS) is None
+        # A dangling choice would resolve auto to this new entry; a
+        # removed one leaves auto a miss until the planner chooses again.
+        cache.put("q", 2, False, {"answer": 2}, {"R"}, 1)
+        assert cache.get("q", AUTO_SHARDS) is None
+        assert cache._chosen == {}
+
+    def test_a_refused_put_records_no_choice(self):
+        cache = ResultCache(5)
+        assert cache.put("q", 2, True, {"answer": 1}, {"R"}, 4) is False
+        assert len(cache) == 0
+        cache.put("q", 2, False, {"answer": 2}, {"R"}, 5)
+        assert cache.get("q", AUTO_SHARDS) is None
+        assert cache._chosen == {}
+
+    def test_a_retained_entry_keeps_its_auto_choice(self):
+        cache = ResultCache(0)
+        payload = {"answer": 1}
+        cache.put("q", 4, True, payload, {"R"}, 0)
+        assert cache.advance(1, {"S"}) == (0, 1)
+        assert cache.get("q", AUTO_SHARDS) is payload

@@ -661,6 +661,27 @@ class TestRegistrationCleanup:
         finally:
             revived.close()
 
+    def test_register_applies_each_statement_once(
+        self, tmp_path, orders_db, paper_history, monkeypatch
+    ):
+        """One replay: the apply that validates a statement is also the
+        state the store is handed."""
+        applied = []
+        for cls in {type(stmt) for stmt in paper_history}:
+
+            def counting(stmt, *args, _apply=cls.apply, **kwargs):
+                applied.append(stmt)
+                return _apply(stmt, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "apply", counting)
+        service = WhatIfService(tmp_path / "stores-once")
+        try:
+            info = service.register("once", orders_db, paper_history)
+        finally:
+            service.close()
+        assert info["length"] == len(paper_history)
+        assert applied == list(paper_history)
+
     def test_skipped_store_directory_name_is_not_reusable(
         self, tmp_path, orders_db
     ):

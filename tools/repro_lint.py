@@ -44,6 +44,13 @@ this tool enforces them mechanically (DESIGN.md, "Static analysis"):
     code actually expects, bind and record the error, or allowlist the
     intentionally-broad defensive handlers with a pragma.
 
+``long-function``
+    Under ``src/repro/service/`` a function or method longer than 80
+    physical lines (``def`` line to last line, docstring included) is a
+    finding.  The service's ``answer`` once grew to 222 lines with the
+    cache rule buried in a nested closure; split a long function into
+    named stages instead.
+
 ``no-print``
     Library code under ``src/repro/`` must not call bare ``print()``:
     observability goes through the structured ``repro.obs`` layer
@@ -106,6 +113,10 @@ RULES: dict[str, str] = {
     "broad-swallow": (
         "except Exception without binding or re-raise (anonymous "
         "swallow)"
+    ),
+    "long-function": (
+        "function longer than 80 lines under src/repro/service/ (split "
+        "it into named stages)"
     ),
     "no-print": (
         "bare print() in library code under src/repro/ (route through "
@@ -244,6 +255,31 @@ def _check_no_print(
                 "bare print() in library code — emit a structured "
                 "log_event / metric instead, or allowlist user-facing "
                 "output with a pragma",
+            )
+
+
+# -- rule: long-function -----------------------------------------------------
+
+_MAX_SERVICE_FUNCTION_LINES = 80
+
+
+def _check_long_functions(
+    tree: ast.AST, path: str
+) -> Iterator[tuple[int, str, str]]:
+    parts = Path(path).parts
+    if not _in_library_scope(path) or "service" not in parts:
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        length = (node.end_lineno or node.lineno) - node.lineno + 1
+        if length > _MAX_SERVICE_FUNCTION_LINES:
+            yield (
+                node.lineno,
+                "long-function",
+                f"{node.name}() is {length} lines long (limit "
+                f"{_MAX_SERVICE_FUNCTION_LINES}) — split it into named "
+                "stages",
             )
 
 
@@ -523,6 +559,7 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
     raw: list[tuple[int, str, str]] = []
     raw.extend(_check_fileops_seam(tree, path))
     raw.extend(_check_no_print(tree, path))
+    raw.extend(_check_long_functions(tree, path))
     raw.extend(_check_backend_dispatch(tree, path))
     raw.extend(_check_swallows(tree, path))
     raw.extend(_check_unlocked_state(tree, path))
