@@ -21,7 +21,7 @@ from typing import Mapping
 import networkx as nx
 
 from ..relational.database import Database
-from ..relational.expressions import FALSE, and_, or_, simplify
+from ..relational.expressions import and_, variables_of
 from ..relational.history import History
 from ..relational.schema import Schema
 from ..relational.statements import (
@@ -31,7 +31,7 @@ from ..relational.statements import (
     Statement,
     UpdateStatement,
 )
-from ..solver.sat import SolverConfig, check_satisfiable
+from ..solver.session import SolverConfig, SolverSession
 from ..symbolic.compress import CompressionConfig, compress_relation
 from ..symbolic.symexec import (
     prune_defining_conjuncts,
@@ -156,8 +156,8 @@ def build_dependency_graph(
                         graph.add_edge(i, j)
             continue
 
-        from ..relational.expressions import variables_of
-
+        session = SolverSession(phi_d, solver)
+        phi_d_variables = variables_of(phi_d)
         for index, i in enumerate(positions):
             tuple_i, local_i = run.steps[i - 1]
             theta_i = and_(
@@ -168,15 +168,12 @@ def build_dependency_graph(
                 theta_j = and_(
                     local_j, _condition_over(history[j], tuple_j)
                 )
-                core = simplify(and_(theta_i, theta_j))
-                if core == FALSE:
-                    continue
-                needed = variables_of(core) | variables_of(phi_d)
+                core = and_(theta_i, theta_j)
                 defs = prune_defining_conjuncts(
-                    run.global_conjuncts, needed
+                    run.global_conjuncts,
+                    variables_of(core) | phi_d_variables,
                 )
-                formula = and_(phi_d, *defs, core)
-                if not check_satisfiable(formula, solver).is_unsat:
+                if not session.check(core, defs).is_unsat:
                     graph.add_edge(i, j)
 
     return DependencyAnalysis(graph=graph, history=history)

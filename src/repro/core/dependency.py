@@ -17,6 +17,13 @@ statements of H / H[M] and Φ_defs are the defining equalities of the
 symbolic runs.  The formula size is linear in the history length and
 independent of the database size — the property that makes PS cost flat in
 relation size (Figure 16).
+
+All n checks of a relation share ``Φ_D`` and the "affected by some
+modification" disjunction over ``m``; only ``θ_{u_i}`` differs.  The
+shared part is therefore prepared once per relation in a
+:class:`repro.solver.session.SolverSession` and each statement checks its
+own core against it (DESIGN.md "Program slicing and the solver front
+end").
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ from ..relational.expressions import (
     FALSE,
     and_,
     or_,
-    simplify,
     substitute_attributes,
+    variables_of,
 )
 from ..relational.schema import Schema
 from ..relational.statements import (
@@ -40,7 +47,7 @@ from ..relational.statements import (
     Statement,
     UpdateStatement,
 )
-from ..solver.sat import SolverConfig, check_satisfiable
+from ..solver.session import SolverSession
 from ..symbolic.compress import CompressionConfig, compress_relation
 from ..symbolic.symexec import (
     prune_defining_conjuncts,
@@ -161,6 +168,14 @@ def dependency_slice(
                 )
         affected_any = or_(*mod_affected) if mod_affected else FALSE
 
+        # Φ_D and "affected by some modification" are the same in every
+        # check below: prepare them once.
+        shared = and_(phi_d, affected_any)
+        start = time.perf_counter()
+        session = SolverSession(shared, config.solver)
+        solver_seconds += time.perf_counter() - start
+        shared_variables = variables_of(shared)
+
         for position in range(1, n + 1):
             if position in modified_positions:
                 continue
@@ -171,15 +186,13 @@ def dependency_slice(
             tuple_m, local_m = run_m.steps[position - 1]
             touches_h = and_(local_h, _condition_over(stmt, tuple_h))
             touches_m = and_(local_m, _condition_over(stmt, tuple_m))
-            core = and_(affected_any, or_(touches_h, touches_m))
-            from ..relational.expressions import variables_of
-
-            needed = variables_of(core) | variables_of(phi_d)
-            relevant = prune_defining_conjuncts(defs, needed)
-            formula = and_(phi_d, *relevant, core)
+            core = or_(touches_h, touches_m)
+            relevant = prune_defining_conjuncts(
+                defs, variables_of(core) | shared_variables
+            )
 
             start = time.perf_counter()
-            result = check_satisfiable(simplify(formula), config.solver)
+            result = session.check(core, relevant)
             solver_seconds += time.perf_counter() - start
             solver_calls += 1
             if not result.is_unsat:

@@ -34,13 +34,11 @@ from ..relational.database import Database
 from ..relational.expressions import (
     Expr,
     Not,
-    and_,
-    evaluate,
-    simplify,
+    variables_of,
 )
 from ..relational.history import History
 from ..relational.schema import Schema
-from ..solver.sat import SolverConfig, check_satisfiable
+from ..solver.session import SolverConfig, SolverSession
 from ..symbolic.compress import CompressionConfig, compress_relation
 from ..symbolic.symexec import (
     SymbolicExecutionError,
@@ -147,15 +145,11 @@ def check_history_equivalence(
             return EquivalenceResult(EquivalenceVerdict.UNKNOWN)
 
         equal = histories_equal_condition(run_a, run_b)
-        from ..relational.expressions import variables_of
-
-        needed = variables_of(equal) | variables_of(phi_d)
         defs = prune_defining_conjuncts(
             tuple(run_a.global_conjuncts) + tuple(run_b.global_conjuncts),
-            needed,
+            variables_of(equal) | variables_of(phi_d),
         )
-        formula = and_(phi_d, *defs, Not(equal))
-        result = check_satisfiable(simplify(formula), solver)
+        result = SolverSession(phi_d, solver).check(Not(equal), defs)
         if result.is_unsat:
             continue
         if result.is_sat:

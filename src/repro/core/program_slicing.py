@@ -35,10 +35,11 @@ from ..relational.expressions import (
     eq,
     or_,
     simplify,
+    variables_of,
 )
 from ..relational.history import History
 from ..relational.schema import Schema
-from ..solver.sat import SatResult, SolverConfig, check_satisfiable
+from ..solver.session import SolverConfig, SolverSession
 from ..symbolic.compress import CompressionConfig, compress_relation
 from ..symbolic.symexec import (
     SingleTupleRun,
@@ -155,7 +156,11 @@ class _RelationSlicer:
         )
         self._counter = 0
         self.solver_calls = 0
-        self.solver_seconds = 0.0
+        # Φ_D is the same for every candidate: prepare it once.
+        start = time.perf_counter()
+        self._session = SolverSession(self.phi_d, config.solver)
+        self.solver_seconds = time.perf_counter() - start
+        self._phi_d_variables = variables_of(self.phi_d)
         self.run_h = self._run(aligned.original, "h")
         self.run_m = self._run(aligned.modified, "m")
 
@@ -179,20 +184,18 @@ class _RelationSlicer:
         body = slicing_condition(
             self.run_h, self.run_m, run_h_sliced, run_m_sliced
         )
-        from ..relational.expressions import variables_of
-
         all_defs = (
             list(self.run_h.global_conjuncts)
             + list(self.run_m.global_conjuncts)
             + list(run_h_sliced.global_conjuncts)
             + list(run_m_sliced.global_conjuncts)
         )
-        needed = variables_of(body) | variables_of(self.phi_d)
-        relevant = prune_defining_conjuncts(all_defs, needed)
-        formula = and_(*([self.phi_d] + relevant + [Not(body)]))
+        relevant = prune_defining_conjuncts(
+            all_defs, variables_of(body) | self._phi_d_variables
+        )
 
         start = time.perf_counter()
-        result: SatResult = check_satisfiable(formula, self.config.solver)
+        result = self._session.check(Not(body), relevant)
         self.solver_seconds += time.perf_counter() - start
         self.solver_calls += 1
         # UNSAT proves the candidate is a slice; SAT/UNKNOWN keep it out.

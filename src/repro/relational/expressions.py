@@ -573,7 +573,9 @@ def simplify(expr: Expr) -> Expr:
     """Simplify an expression to a fixpoint of the local rules."""
     previous: Expr | None = None
     current = expr
-    while current != previous:
+    # transform returns the same object when no rule fired, so identity
+    # settles the common case without comparing the trees
+    while current is not previous and current != previous:
         previous = current
         current = transform(current, _simplify_node)
     return current

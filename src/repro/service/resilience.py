@@ -111,8 +111,6 @@ class ResilienceConfig:
     max_body_bytes: int = 16 * 1024 * 1024
     #: How long graceful shutdown waits for in-flight requests to drain.
     drain_timeout: float = 10.0
-    #: Replayable append responses remembered per history.
-    idempotency_capacity: int = 1024
 
     def __post_init__(self) -> None:
         if self.max_in_flight < 0:
@@ -126,8 +124,6 @@ class ResilienceConfig:
             and self.default_deadline_ms < 1
         ):
             raise ValueError("default_deadline_ms must be >= 1")
-        if self.idempotency_capacity < 1:
-            raise ValueError("idempotency_capacity must be >= 1")
 
 
 class Deadline:

@@ -3,8 +3,10 @@
 Replaces the paper's CPLEX dependency: condition formulas are compiled to
 MILPs with the Figure-13 rules (:mod:`repro.solver.compiler`) and solved
 for feasibility with branch and bound over scipy LP relaxations
-(:mod:`repro.solver.branch_bound`).  :mod:`repro.solver.sat` is the
-high-level entry point used by program slicing, and
+(:mod:`repro.solver.branch_bound`).  :mod:`repro.solver.session` is the
+entry point used by program slicing — many checks behind one prepared
+prefix, decided by :mod:`repro.solver.intervals` where possible —
+:mod:`repro.solver.sat` its one-shot form, and
 :mod:`repro.solver.bruteforce` cross-validates the whole pipeline in tests.
 """
 
@@ -19,14 +21,15 @@ from .compiler import (
     compile_formula,
 )
 from .milp import LinearConstraint, MILPModel, ModelError, Variable
-from .sat import SatResult, SolverConfig, check_satisfiable
+from .sat import check_satisfiable
+from .session import SatResult, SolverConfig, SolverSession
 
 __all__ = [
     "MILPModel", "Variable", "LinearConstraint", "ModelError",
     "FormulaCompiler", "AffineForm", "StringEncoder",
     "UnsupportedExpression", "compile_formula",
     "Feasibility", "SolveResult", "solve", "is_feasible",
-    "SatResult", "SolverConfig", "check_satisfiable",
+    "SatResult", "SolverConfig", "SolverSession", "check_satisfiable",
     "enumerate_satisfying", "is_satisfiable_bruteforce",
     "IntervalOutcome", "interval_presolve",
 ]

@@ -16,6 +16,19 @@ Only comparisons of the shape ``var op constant`` / ``constant op var``
 (over numbers or strings — strings only for ``=``/``!=``) participate;
 any other atom makes its disjunct inconclusive-for-SAT but can still be
 proven UNSAT by the box alone.
+
+The n dependency checks of one what-if are ``Φ_D ∧ rest_i`` with the
+same ``Φ_D``, so the work is split at that seam: :class:`IntervalPrefix`
+folds the shared prefix into its boxes once, and ``decide(rest)`` copies
+each prefix box and applies only the atoms of ``rest`` to the copy.  A
+box's final state does not depend on the order its atoms arrive in, so
+this is the decision procedure above, not an approximation of it;
+:func:`interval_presolve` is the same code with an empty prefix.
+
+Nothing here simplifies: callers hand in simplified formulas
+(:class:`repro.solver.session.SolverSession` is the one place that calls
+``simplify``).  Unsimplified input is still decided soundly, only less
+often — a foldable ``1 <= 2`` atom is a residual.
 """
 
 from __future__ import annotations
@@ -31,11 +44,11 @@ from ..relational.expressions import (
     Expr,
     Logic,
     Not,
+    TRUE,
     Var,
-    simplify,
 )
 
-__all__ = ["IntervalOutcome", "interval_presolve"]
+__all__ = ["IntervalOutcome", "IntervalPrefix", "interval_presolve"]
 
 #: Abort DNF expansion beyond this many disjuncts.
 _DNF_LIMIT = 256
@@ -64,6 +77,19 @@ class _Box:
     @classmethod
     def empty(cls) -> "_Box":
         return cls({}, {}, {}, {}, {}, {}, {})
+
+    def copy(self) -> "_Box":
+        return _Box(
+            dict(self.lower),
+            dict(self.lower_strict),
+            dict(self.upper),
+            dict(self.upper_strict),
+            dict(self.string_eq),
+            {name: set(v) for name, v in self.string_neq.items()},
+            {name: set(v) for name, v in self.numeric_neq.items()},
+            self.impossible,
+            self.residual,
+        )
 
     def finalize(self) -> None:
         """Checks that need the complete fact set: point intervals hitting
@@ -232,26 +258,58 @@ def _apply_atom(box: _Box, atom: Expr) -> None:
         box.add_lower(name, value, strict=False)
 
 
-def interval_presolve(formula: Expr) -> IntervalOutcome:
-    """Try to decide satisfiability by interval reasoning alone."""
-    normalized = _to_nnf(simplify(formula))
-    disjuncts = _dnf(normalized)
-    if disjuncts is None:
-        return IntervalOutcome.UNKNOWN
-
-    any_unknown = False
-    for atoms in disjuncts:
-        box = _Box.empty()
-        for atom in atoms:
-            _apply_atom(box, atom)
-            if box.impossible:
-                break
-        if not box.impossible:
-            box.finalize()
+def _fold(box: _Box, atoms: list[Expr]) -> None:
+    """Apply ``atoms`` in turn, stopping once the box is empty."""
+    for atom in atoms:
+        _apply_atom(box, atom)
         if box.impossible:
-            continue
-        if box.residual:
-            any_unknown = True
-            continue
-        return IntervalOutcome.SAT
-    return IntervalOutcome.UNKNOWN if any_unknown else IntervalOutcome.UNSAT
+            return
+
+
+class IntervalPrefix:
+    """The boxes of a conjunction's shared prefix, folded once.
+
+    ``prefix`` is a simplified formula.  One box is kept per DNF disjunct
+    of the prefix that is not already empty; ``decide(rest)`` answers for
+    ``prefix ∧ rest``.  The blow-up cut-off counts what the one-shot
+    expansion of the whole conjunction would have counted — prefix
+    disjuncts (empty ones included) times the disjuncts of ``rest``.
+    """
+
+    def __init__(self, prefix: Expr = TRUE) -> None:
+        disjuncts = _dnf(_to_nnf(prefix))
+        self._width = None if disjuncts is None else len(disjuncts)
+        self._boxes: list[_Box] = []
+        for atoms in disjuncts or ():
+            box = _Box.empty()
+            _fold(box, atoms)
+            if not box.impossible:
+                self._boxes.append(box)
+
+    def decide(self, rest: Expr) -> IntervalOutcome:
+        """Try to decide ``prefix ∧ rest`` by interval reasoning alone."""
+        if self._width is None:
+            return IntervalOutcome.UNKNOWN
+        disjuncts = _dnf(_to_nnf(rest))
+        if disjuncts is None or self._width * len(disjuncts) > _DNF_LIMIT:
+            return IntervalOutcome.UNKNOWN
+
+        any_unknown = False
+        for prefix_box in self._boxes:
+            for atoms in disjuncts:
+                box = prefix_box.copy()
+                _fold(box, atoms)
+                if not box.impossible:
+                    box.finalize()
+                if box.impossible:
+                    continue
+                if box.residual:
+                    any_unknown = True
+                    continue
+                return IntervalOutcome.SAT
+        return IntervalOutcome.UNKNOWN if any_unknown else IntervalOutcome.UNSAT
+
+
+def interval_presolve(formula: Expr) -> IntervalOutcome:
+    """Try to decide satisfiability of one (simplified) formula."""
+    return IntervalPrefix().decide(formula)

@@ -1,122 +1,25 @@
-"""High-level satisfiability API used by program slicing.
+"""One-shot satisfiability API.
 
 Program slicing needs one primitive (Section 8.3.2): *is this condition
-formula satisfiable?*  If the negated slicing condition is unsatisfiable
-the candidate is a valid slice.  This module wraps compilation + branch and
-bound and maps every failure mode (unsupported expression, node-limit hit)
-to :data:`Feasibility.UNKNOWN`, which callers treat as "cannot prove",
-keeping the overall algorithm sound.
+formula satisfiable?*  :func:`check_satisfiable` answers it for a single
+whole formula and is exactly a :class:`repro.solver.session.SolverSession`
+with an empty prefix and one check — the session simplifies the formula
+(once; nothing here or downstream does so again), short-circuits the
+trivial cases, tries the interval presolver and falls through to MILP
+compilation + branch and bound.  Callers that ask many questions behind
+a shared prefix hold a session instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
-from ..relational.expressions import Expr, FALSE, TRUE, simplify
-from .branch_bound import Feasibility, SolveResult, solve
-from .compiler import (
-    DEFAULT_BIG_M,
-    DEFAULT_EPSILON,
-    FormulaCompiler,
-    UnsupportedExpression,
-)
+from ..relational.expressions import Expr
+from .session import SatResult, SolverConfig, SolverSession
 
 __all__ = ["SatResult", "check_satisfiable", "SolverConfig"]
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tunables for the satisfiability pipeline.
-
-    ``use_interval_presolve`` short-circuits formulas decidable by pure
-    interval reasoning (most of the Section-9 dependency checks) before
-    paying for MILP compilation; disable it to benchmark the raw MILP
-    path.
-    """
-
-    big_m: float = DEFAULT_BIG_M
-    epsilon: float = DEFAULT_EPSILON
-    node_limit: int = 400
-    use_interval_presolve: bool = True
-
-
-@dataclass(frozen=True)
-class SatResult:
-    """Outcome of a satisfiability check with an optional witness.
-
-    ``witness`` maps variable names to (decoded) values when satisfiable.
-    ``model_stats`` carries the compiled model size for benchmarking (the
-    paper reports MILP cost separately as "PS" time).
-    """
-
-    status: Feasibility
-    witness: dict[str, Any] | None = None
-    model_stats: dict[str, int] | None = None
-    nodes: int = 0
-
-    @property
-    def is_sat(self) -> bool:
-        return self.status is Feasibility.FEASIBLE
-
-    @property
-    def is_unsat(self) -> bool:
-        return self.status is Feasibility.INFEASIBLE
 
 
 def check_satisfiable(
     formula: Expr, config: SolverConfig | None = None
 ) -> SatResult:
-    """Check whether ``formula`` has a satisfying assignment.
-
-    The formula is simplified first; the trivial cases short-circuit the
-    solver entirely (histories frequently produce constant-foldable slicing
-    conditions).
-    """
-    config = config or SolverConfig()
-    simplified = simplify(formula)
-    if simplified == TRUE:
-        return SatResult(Feasibility.FEASIBLE, {})
-    if simplified == FALSE:
-        return SatResult(Feasibility.INFEASIBLE)
-
-    if config.use_interval_presolve:
-        from .intervals import IntervalOutcome, interval_presolve
-
-        outcome = interval_presolve(simplified)
-        if outcome is IntervalOutcome.SAT:
-            return SatResult(Feasibility.FEASIBLE)
-        if outcome is IntervalOutcome.UNSAT:
-            return SatResult(Feasibility.INFEASIBLE)
-
-    compiler = FormulaCompiler(big_m=config.big_m, epsilon=config.epsilon)
-    try:
-        compiler.assert_condition(simplified)
-    except UnsupportedExpression:
-        return SatResult(Feasibility.UNKNOWN)
-
-    result: SolveResult = solve(compiler.model, node_limit=config.node_limit)
-    witness = None
-    if result.status is Feasibility.FEASIBLE and result.assignment is not None:
-        witness = _decode_witness(compiler, result.assignment)
-    return SatResult(
-        result.status,
-        witness,
-        compiler.model.stats(),
-        result.nodes,
-    )
-
-
-def _decode_witness(
-    compiler: FormulaCompiler, assignment: dict[str, float]
-) -> dict[str, Any]:
-    """Strip the compiler's variable-name prefixes and decode strings."""
-    witness: dict[str, Any] = {}
-    for name, value in assignment.items():
-        if name.startswith("attr::") or name.startswith("sym::"):
-            plain = name.split("::", 1)[1]
-            decoded = None
-            if abs(value - round(value)) < 1e-6:
-                decoded = compiler.encoder.decode(int(round(value)))
-            witness[plain] = decoded if decoded is not None else value
-    return witness
+    """Check whether ``formula`` has a satisfying assignment."""
+    return SolverSession(config=config).check(formula)

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from ..relational.expressions import (
+    Cmp,
+    Const,
     Expr,
     If,
     Not,
@@ -33,6 +35,7 @@ from ..relational.expressions import (
     eq,
     simplify,
     substitute_attributes,
+    variables_of,
 )
 from ..relational.history import History
 from ..relational.schema import Schema
@@ -131,8 +134,6 @@ def apply_statement(
         return db.with_table(stmt.relation, VCTable(table.schema, tuple(new_rows)))
 
     if isinstance(stmt, InsertTuple):
-        from ..relational.expressions import Const
-
         inserted = SymbolicTuple(
             {
                 attribute: Const(value)
@@ -178,8 +179,6 @@ class SingleTupleRun:
 
     def output_variables(self) -> set[str]:
         names = self.output_tuple.variables()
-        from ..relational.expressions import variables_of
-
         names |= variables_of(self.local_condition)
         return names
 
@@ -197,8 +196,6 @@ def prune_defining_conjuncts(
     keep a conjunct iff it defines a needed variable, adding the variables
     it mentions to the needed set until fixpoint.
     """
-    from ..relational.expressions import Cmp, variables_of
-
     remaining = list(conjuncts)
     kept: list[Expr] = []
     needed = set(needed_variables)

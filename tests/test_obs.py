@@ -9,19 +9,26 @@ import threading
 import pytest
 
 from repro import (
+    Database,
     HistoricalWhatIfQuery,
+    History,
     Mahif,
     MahifConfig,
     Method,
+    Relation,
+    Schema,
     parse_statement,
 )
 from repro.core import Replace
+from repro.core.dependency import dependency_slice
+from repro.core.hwq import align
 from repro.obs import trace
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    global_registry,
 )
 from repro.obs.profile import OperatorProfile, profile_query
 from repro.relational.algebra import (
@@ -32,7 +39,8 @@ from repro.relational.algebra import (
     evaluate_query,
 )
 from repro.relational.exec.backend import BACKENDS
-from repro.relational.expressions import col, ge, lit, lt
+from repro.relational.expressions import and_, col, ge, le, lit, lt
+from repro.relational.statements import UpdateStatement
 
 
 #: One Prometheus text-format sample line: name{labels} value.
@@ -432,3 +440,46 @@ class TestEngineExplain:
         assert "plan" in names
         assert "execute" in names
         assert "relation" in names
+
+
+# -- solver outcome counters -----------------------------------------------
+
+
+def test_solver_checks_counter_moves_by_solver_calls():
+    """``mahif_solver_checks_total{decided_by,outcome}``: one increment per
+    statement checked, so an operator reads "0 MILP calls" off /metrics."""
+    schema = Schema.of("k", "P", "F")
+    database = Database(
+        {"R": Relation.from_rows(schema, [(i, i, 0) for i in range(100)])}
+    )
+
+    def window(low):
+        return and_(ge(col("P"), low), le(col("P"), low + 5))
+
+    history = History.of(
+        *[
+            UpdateStatement("R", {"F": col("F") + 1}, window(10 * i))
+            for i in range(11)
+        ]
+    )
+    aligned = align(
+        history,
+        [Replace(1, UpdateStatement("R", {"F": col("F") + 1}, window(2)))],
+    )
+    counter = global_registry().counter(
+        "mahif_solver_checks_total", "", ("decided_by", "outcome")
+    )
+    before = counter.series()
+    result = dependency_slice(aligned, database, {"R": schema})
+    moved = {
+        key: value - before.get(key, 0)
+        for key, value in counter.series().items()
+        if value != before.get(key, 0)
+    }
+    assert result.solver_calls == 10
+    assert sum(moved.values()) == result.solver_calls
+    # disjoint windows over P: the boxes decide every check, all UNSAT
+    assert moved == {("intervals", "unsat"): 10}
+    assert 'mahif_solver_checks_total{decided_by="intervals",outcome="unsat"}' in (
+        global_registry().render()
+    )

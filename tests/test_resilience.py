@@ -11,8 +11,10 @@ admission controller).
 
 from __future__ import annotations
 
+import dataclasses
 import email.message
 import http.client
+import inspect
 import io
 import json
 import sqlite3
@@ -167,6 +169,19 @@ def test_idempotency_cache_is_bounded_lru():
     assert cache.get("a") == {"n": 1}
     assert cache.get("c") == {"n": 3}
     assert len(cache) == 2
+
+
+def test_every_resilience_config_field_is_read_by_the_server():
+    """A tunable that is validated and then read by nothing is a lie to
+    the operator: ``idempotency_capacity`` was one (the idempotency
+    table's bound is ``IdempotencyCache``'s own) and is gone."""
+    import repro.service.server as server
+
+    source = inspect.getsource(server)
+    for field in dataclasses.fields(ResilienceConfig):
+        assert f"resilience.{field.name}" in source, field.name
+    with pytest.raises(TypeError):
+        ResilienceConfig(idempotency_capacity=8)
 
 
 # -- server: admission, deadlines, body guards -----------------------------

@@ -1,7 +1,11 @@
 """Solver substrate tests: MILP model, Figure-13 compiler, branch & bound,
 and cross-validation against brute-force enumeration."""
 
+import random
+
 import pytest
+from fuzz_differential import FUZZ_SEED, scaled
+from test_solver_session import random_definition, random_formula
 
 from repro.relational.expressions import (
     Attr,
@@ -9,6 +13,7 @@ from repro.relational.expressions import (
     IsNull,
     Var,
     and_,
+    attributes_of,
     col,
     eq,
     ge,
@@ -20,6 +25,7 @@ from repro.relational.expressions import (
     neq,
     not_,
     or_,
+    variables_of,
 )
 from repro.relational.parser import parse_expression
 from repro.solver import (
@@ -259,24 +265,39 @@ class TestBruteForce:
         )
         assert len(found) == 3
 
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "x >= 2 AND x <= 3",
-            "x = 1 OR y = 2",
-            "x + y = 4 AND x >= 3",
-            "NOT (x = 0) AND x <= 1 AND x >= 0",
-            "x > 1 AND x < 2",   # unsat over integers, sat over reals
-            "x >= 5 AND x <= 4",
-        ],
-    )
-    def test_milp_vs_bruteforce_integer_domains(self, source):
+    FIXED = [
+        "x >= 2 AND x <= 3",
+        "x = 1 OR y = 2",
+        "x + y = 4 AND x >= 3",
+        "NOT (x = 0) AND x <= 1 AND x >= 0",
+        "x > 1 AND x < 2",   # unsat over integers, sat over reals
+        "x >= 5 AND x <= 4",
+    ]
+
+    def test_milp_vs_bruteforce_integer_domains(self):
         """MILP satisfiability must never be False when brute force over a
         finite integer subdomain finds a witness (MILP domains are a
-        superset)."""
-        formula = parse_expression(source)
-        domains = {name: range(0, 6) for name in ("x", "y")}
-        brute = is_satisfiable_bruteforce(formula, domains)
-        milp = check_satisfiable(formula)
-        if brute:
-            assert milp.is_sat
+        superset).  The fixed formulas, then the seeded generator of
+        tests/test_solver_session.py (``MAHIF_FUZZ_SEED``/``_SCALE``)."""
+        rng = random.Random(FUZZ_SEED)
+        formulas = [parse_expression(source) for source in self.FIXED]
+        for _ in range(scaled(60)):
+            numeric = ["x", "y", "z"][: rng.randint(2, 3)]
+            formula = random_formula(rng, numeric, 3)
+            if rng.random() < 0.4:
+                formula = and_(
+                    random_definition(rng, numeric),
+                    formula,
+                    random_formula(rng, numeric + ["d"], 1),
+                )
+            formulas.append(formula)
+        config = SolverConfig(use_interval_presolve=False)
+        for formula in formulas:
+            domains = {
+                name: ("a", "b") if name == "c" else range(-1, 5)
+                for name in variables_of(formula) | attributes_of(formula)
+            }
+            if is_satisfiable_bruteforce(formula, domains):
+                assert check_satisfiable(formula, config).is_sat, (
+                    f"seed={FUZZ_SEED}: {formula}"
+                )
