@@ -5,9 +5,11 @@ is the one way this engine runs it, for one query (``Mahif.answer``) or
 N over a shared history (``Mahif.answer_batch``):
 
 1. **Time travel** — every distinct ``(database, history-prefix)``
-   version is materialized once (:func:`shared_start_databases`);
+   version is materialized once (:func:`shared_start_databases`) and
+   kept in the engine's :class:`~repro.core.engine.VersionCache`;
    versions are built shallowest-first so a deeper prefix replays only
-   the statements past the deepest shared prefix already computed.
+   the statements past the deepest shared prefix already computed, in
+   this call or an earlier one.
 2. **Plan** — :func:`repro.core.plan.plan_reenactment` per query.
    Queries whose (sliced) statement pairs are structurally identical
    share finished operator trees, data-slicing conditions and optimized
@@ -43,11 +45,12 @@ import time
 from typing import Sequence
 
 from ..obs import trace
+from ..obs.metrics import global_registry
 from ..relational.database import Database
 from ..relational.exec.backend import resolve_backend
 from ..relational.statements import Statement
 from .delta import DatabaseDelta
-from .engine import Mahif, MahifResult, Method
+from .engine import Mahif, MahifResult, Method, VersionCache
 from .hwq import HistoricalWhatIfQuery
 from .naive import naive_what_if
 from .plan import ReenactmentPlan, plan_reenactment, statement_share_key
@@ -66,15 +69,73 @@ __all__ = [
 ]
 
 
-def _trimmed_prefix(query: HistoricalWhatIfQuery) -> tuple[Statement, ...]:
-    """The statements before the query's first modified position."""
-    _, prefix_length = query.aligned().trim_prefix()
-    return tuple(query.history.statements[:prefix_length])
+#: Time travel by what the engine's version cache could contribute.  An
+#: empty prefix (first statement modified) has nothing to look up and
+#: is not counted.
+_VERSION_OUTCOMES = global_registry().counter(
+    "mahif_version_cache_total",
+    "Time travel to a non-empty history prefix by version-cache "
+    "outcome: hit (nothing replayed), extended (replayed from a "
+    "shallower kept version), miss (replayed from the base database).",
+    ("outcome",),
+)
+
+
+def _prefix_key(prefix: Sequence[Statement]) -> tuple | None:
+    """The prefix as the version cache keys it, or ``None`` when a
+    statement embeds an unhashable constant (no sharing then).
+    Statements hash via their structural share key (UpdateStatement
+    carries a dict); building the tuple never hashes, so probe here."""
+    key = tuple(statement_share_key(s) for s in prefix)
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+def _time_travel(
+    queries: Sequence[HistoricalWhatIfQuery],
+    backend: str | None,
+    versions: VersionCache,
+) -> list[tuple[Database, float]]:
+    """``(start database, seconds it cost)`` per query — see
+    :func:`shared_start_databases`.  A query is charged its own
+    alignment, lookup and the statements replayed on its behalf; one
+    that finds its version already there is charged the lookup."""
+    apply = resolve_backend(backend).apply
+    prefixes, seconds = [], []
+    for query in queries:
+        t0 = time.perf_counter()
+        _, prefix_length = query.aligned().trim_prefix()
+        prefixes.append(query.history.statements[:prefix_length])
+        seconds.append(time.perf_counter() - t0)
+    states: list[Database | None] = [None] * len(queries)
+    for index in sorted(range(len(queries)), key=lambda i: len(prefixes[i])):
+        t0 = time.perf_counter()
+        prefix = prefixes[index]
+        base = state = queries[index].database
+        key = _prefix_key(prefix) if prefix else None
+        done = 0
+        if key is not None:
+            done, state = versions.deepest(base, key)
+            _VERSION_OUTCOMES.inc(
+                outcome="hit" if done == len(prefix)
+                else "extended" if done else "miss"
+            )
+        for stmt in prefix[done:]:
+            state = apply(stmt, state)
+        if key is not None and done < len(prefix):
+            state = versions.put(base, key, state)
+        states[index] = state
+        seconds[index] += time.perf_counter() - t0
+    return list(zip(states, seconds))  # type: ignore[arg-type]
 
 
 def shared_start_databases(
     queries: Sequence[HistoricalWhatIfQuery],
     backend: str | None = None,
+    versions: VersionCache | None = None,
 ) -> list[Database]:
     """The time-travelled start database for every query, shared.
 
@@ -82,49 +143,16 @@ def shared_start_databases(
     distinct prefixes are materialized shallowest-first, each starting
     from the deepest already-materialized prefix of itself, so a batch
     whose modifications all sit at one position replays the common
-    prefix exactly once.  Statements replay through the named execution
-    backend (``None``: compiled).
+    prefix exactly once.  ``versions`` is where materialized versions
+    are kept — the calling engine's :class:`~repro.core.engine.
+    VersionCache`, so the sharing extends across its calls (a what-if at
+    position 35 after one at 30 replays 5 statements); a caller without
+    an engine shares within this call only.  Statements replay through
+    the named execution backend (``None``: compiled).
     """
-    apply = resolve_backend(backend).apply
-    prefixes = [_trimmed_prefix(query) for query in queries]
-    keys: list[tuple | None] = []
-    for query, prefix in zip(queries, prefixes):
-        # Statements hash via their structural share key (UpdateStatement
-        # carries a dict); unhashable constants fall back to no sharing.
-        # Building the tuple never hashes, so probe with hash() here —
-        # otherwise the TypeError would escape from versions.get() below.
-        try:
-            key = (
-                id(query.database),
-                tuple(statement_share_key(s) for s in prefix),
-            )
-            hash(key)
-            keys.append(key)
-        except TypeError:
-            keys.append(None)
-    versions: dict[tuple, Database] = {}
-    results: list[Database | None] = [None] * len(queries)
-    for index in sorted(range(len(queries)), key=lambda i: len(prefixes[i])):
-        query, prefix, key = queries[index], prefixes[index], keys[index]
-        state = versions.get(key) if key is not None else None
-        if state is None:
-            base, done = query.database, 0
-            if key is not None:
-                db_id, prefix_key = key
-                for (other_id, other), other_state in versions.items():
-                    if (
-                        other_id == db_id
-                        and done < len(other) <= len(prefix)
-                        and other == prefix_key[: len(other)]
-                    ):
-                        base, done = other_state, len(other)
-            state = base
-            for stmt in prefix[done:]:
-                state = apply(stmt, state)
-            if key is not None:
-                versions[key] = state
-        results[index] = state
-    return results  # type: ignore[return-value]
+    if versions is None:
+        versions = VersionCache()
+    return [state for state, _ in _time_travel(queries, backend, versions)]
 
 
 def _plan_task(config, query, method, start_db, shared):
@@ -183,11 +211,11 @@ def answer_batch_with(
         workers = config.batch_workers
     if method is Method.NAIVE:
         return _answer_naive(engine, queries, workers, current_states)
-    start_dbs = (
-        list(start_databases)
-        if start_databases is not None
-        else shared_start_databases(queries, config.backend)
-    )
+    if start_databases is not None:
+        travelled = [(database, 0.0) for database in start_databases]
+    else:
+        travelled = _time_travel(queries, config.backend, engine._versions)
+    start_dbs = [database for database, _ in travelled]
     executor, _ = engine._executor(workers, len(queries))
     plans = _plan_stage(config, queries, method, start_dbs, executor)
     routed = _route_stage(config, plans, explain)
@@ -198,6 +226,7 @@ def answer_batch_with(
             method=method,
             ps_seconds=plan.ps_seconds,
             exe_seconds=plan.build_seconds + entry.seconds,
+            time_travel_seconds=seconds,
             slice_result=plan.slice_result,
             data_slicing=plan.data_slicing,
             queries_original=plan.queries_h,
@@ -206,7 +235,7 @@ def answer_batch_with(
             planner_choice=entry.choice,
             profile=entry.profiles if explain else None,
         )
-        for plan, entry in zip(plans, routed)
+        for plan, entry, (_, seconds) in zip(plans, routed, travelled)
     ]
 
 

@@ -27,8 +27,8 @@ following the paper's WLOG normalizations:
 4. *assemble* the per-relation deltas into a :class:`MahifResult`.
 
 This module holds the vocabulary (:class:`Method`, :class:`MahifConfig`,
-:class:`MahifResult`) and the :class:`Mahif` facade that owns the worker
-pool.
+:class:`MahifResult`) and the :class:`Mahif` facade that owns what
+outlives a call: the worker pool and the :class:`VersionCache`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import enum
 import os
 import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -57,6 +58,7 @@ __all__ = [
     "MahifConfig",
     "MahifResult",
     "Mahif",
+    "VersionCache",
     "answer",
     "answer_batch",
 ]
@@ -217,16 +219,24 @@ class MahifResult:
     time of its evaluation tasks + merging shard results.  Task time is
     measured where the task runs, so on a pool it is CPU cost rather
     than wall clock; in-process, ``total_seconds`` accounts for the
-    call's wall time up to time travel and the insert split.  For
+    call's wall time up to the insert split.  For
     ``Method.NAIVE`` it is the Figure-15 creation + execution + delta
-    total.  ``slice_result`` and ``data_slicing`` expose what the
-    optimizations did for inspection and the ablation benchmarks.
+    total.  ``time_travel_seconds`` is what reaching the version before
+    the first modified statement cost *this* query: aligning, the
+    version-cache lookup and every prefix statement it had to replay —
+    charged, like routing, to the query whose miss caused the replay, so
+    near zero on a version-cache hit and 0 when the caller injected the
+    start version (the service's store did the travelling) or the method
+    is NAIVE (which replays by definition).  ``slice_result`` and
+    ``data_slicing`` expose what the optimizations did for inspection
+    and the ablation benchmarks.
     """
 
     delta: DatabaseDelta
     method: Method
     ps_seconds: float = 0.0
     exe_seconds: float = 0.0
+    time_travel_seconds: float = 0.0
     slice_result: SliceResult | None = None
     data_slicing: DataSlicingConditions | None = None
     queries_original: Mapping[str, Operator] | None = None
@@ -249,7 +259,82 @@ class MahifResult:
 
     @property
     def total_seconds(self) -> float:
-        return self.ps_seconds + self.exe_seconds
+        return self.time_travel_seconds + self.ps_seconds + self.exe_seconds
+
+
+#: Time-travelled versions one engine keeps.  A session asks about a
+#: handful of positions of one or two histories; each state shares every
+#: relation its prefix did not write with its base, so eight cost a few
+#: relations' worth of rows, not eight databases'.
+VERSION_CACHE_CAPACITY = 8
+
+
+class VersionCache:
+    """Time-travelled database versions, least recently used evicted:
+    ``(base database identity, prefix share keys) -> state``.
+
+    The time-travel stage's memory (:func:`repro.core.batch.
+    shared_start_databases`), owned by a :class:`Mahif` so the second
+    what-if over a ``(database, history prefix)`` replays nothing and
+    one a few statements deeper replays only those.  Keyed on the
+    *identity* of the base database — comparing 12 000 rows to find out
+    whether two databases are equal costs what the replay does — and
+    on the prefix statements' type-faithful share keys
+    (:func:`repro.core.plan.statement_share_key`), never on the prefix
+    length: two histories over one database may share a length and
+    nothing else.  Every entry pins its base database, so an ``id()``
+    cannot be recycled into a live key; the pin is released with the
+    entry (eviction, or the engine's death).  Safe for concurrent use:
+    one lock around the probes, states are computed outside it, and
+    when two threads race on one version the first stored wins so a
+    version keeps one identity (which is what lets the Φ_D memo of
+    :mod:`repro.symbolic.compress` hit on it).
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: (id(base), prefix key) -> (base, state), oldest first.
+        self._entries: OrderedDict[
+            tuple[int, tuple], tuple[Database, Database]
+        ] = OrderedDict()
+
+    def deepest(
+        self, database: Database, prefix_key: tuple
+    ) -> tuple[int, Database]:
+        """``(statements covered, state)`` of the longest kept prefix of
+        ``prefix_key`` over ``database``; ``(0, database)`` when none."""
+        base_id = id(database)
+        with self._lock:
+            best = (base_id, prefix_key)
+            if best not in self._entries:
+                prefixes = [
+                    key
+                    for key in self._entries
+                    if key[0] == base_id
+                    and key[1] == prefix_key[: len(key[1])]
+                ]
+                if not prefixes:
+                    return 0, database
+                best = max(prefixes, key=lambda key: len(key[1]))
+            self._entries.move_to_end(best)
+            return len(best[1]), self._entries[best][1]
+
+    def put(
+        self, database: Database, prefix_key: tuple, state: Database
+    ) -> Database:
+        """Keep ``state`` as the version ``prefix_key`` reaches from
+        ``database``; returns the kept state (an earlier one wins)."""
+        key = (id(database), prefix_key)
+        with self._lock:
+            _, kept = self._entries.setdefault(key, (database, state))
+            self._entries.move_to_end(key)
+            while len(self._entries) > VERSION_CACHE_CAPACITY:
+                self._entries.popitem(last=False)
+            return kept
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
 
 class Mahif:
@@ -270,6 +355,9 @@ class Mahif:
         self._pool: ResilientExecutor | None = None
         self._pool_width = 0
         self._pool_lock = threading.Lock()
+        #: Versions this engine has time-travelled to; keep one engine
+        #: per session and the prefix is replayed once, not per answer.
+        self._versions = VersionCache()
 
     def _executor(self, workers: int, calls: int):
         """``(pool, width)`` for a pipeline stage of ``calls`` tasks that
@@ -343,7 +431,8 @@ class Mahif:
 
         * each distinct ``(database, history-prefix)`` version is
           time-travelled to once, reusing the deepest shared prefix
-          already materialized,
+          already materialized (by this call or, the engine keeping its
+          versions, an earlier one),
         * queries that slice to the same statement set share their
           reenactment operator trees, data-slicing conditions and
           optimized plans,

@@ -17,10 +17,10 @@ This module supplies its data layer:
   ``to_relation()`` / ``to_bag()`` views so the interpreter oracle and
   the store codec keep consuming row tuples unchanged.
 * :func:`columnar_of_relation` / :func:`columnar_of_bag` — per-object
-  columnarization caches, evicted by weak finalizers (mirrors the sqlite
-  backend's connection cache; :class:`~repro.relational.bag.BagRelation`
-  is unhashable, so entries are keyed by ``id`` with a generation token
-  guarding against id reuse).
+  columnarization caches on object identity
+  (:class:`~repro.relational.identity_memo.IdentityMemo`:
+  :class:`~repro.relational.bag.BagRelation` is unhashable, so entries
+  are keyed by ``id`` and evicted by weak finalizers).
 * :func:`bulk_shard_indices` / :func:`ordered_indices_by_column` — bulk
   helpers behind the partitioners in
   :mod:`repro.relational.partition`.
@@ -41,14 +41,13 @@ interpreter, enforced here and rechecked by the kernels):
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
-import weakref
 import zlib
 from typing import Any, Iterable, Sequence
 
 from .bag import BagRelation
+from .identity_memo import IdentityMemo
 from .relation import Relation
 from .schema import Schema
 
@@ -339,56 +338,34 @@ class ColumnarTable:
 
 # -- columnarization caches --------------------------------------------------
 
-_CACHE_LOCK = threading.Lock()
-#: id(relation) -> (generation token, table); evicted by weak finalizers.
-_REL_CACHE: dict[int, tuple[int, ColumnarTable]] = {}
-_BAG_CACHE: dict[int, tuple[int, ColumnarTable]] = {}
-_generation = itertools.count()
+_RELATIONS = IdentityMemo()
+_BAGS = IdentityMemo()
 
 
-def _evict(cache: dict, key: int, token: int) -> None:
-    with _CACHE_LOCK:
-        entry = cache.get(key)
-        if entry is not None and entry[0] == token:
-            del cache[key]
-
-
-def _cached_table(cache: dict, obj: Any, build) -> ColumnarTable:
-    key = id(obj)
-    with _CACHE_LOCK:
-        entry = cache.get(key)
-        if entry is not None:
-            return entry[1]
-    table = build(obj)
-    with _CACHE_LOCK:
-        token = next(_generation)
-        cache[key] = (token, table)
-    weakref.finalize(obj, _evict, cache, key, token)
+def _cached_table(memo: IdentityMemo, obj: Any, build) -> ColumnarTable:
+    table = memo.find(obj)
+    if table is None:
+        table = memo.remember(obj, None, build(obj))
     return table
 
 
 def columnar_of_relation(relation: Relation) -> ColumnarTable:
     """The cached columnar view of a stored set relation."""
-    return _cached_table(_REL_CACHE, relation, ColumnarTable.from_relation)
+    return _cached_table(_RELATIONS, relation, ColumnarTable.from_relation)
 
 
 def columnar_of_bag(bag: BagRelation) -> ColumnarTable:
     """The cached columnar view of a stored bag relation."""
-    return _cached_table(_BAG_CACHE, bag, ColumnarTable.from_bag)
+    return _cached_table(_BAGS, bag, ColumnarTable.from_bag)
 
 
 def clear_columnar_cache() -> None:
-    with _CACHE_LOCK:
-        _REL_CACHE.clear()
-        _BAG_CACHE.clear()
+    _RELATIONS.clear()
+    _BAGS.clear()
 
 
 def columnar_cache_info() -> dict[str, int]:
-    with _CACHE_LOCK:
-        return {
-            "relations": len(_REL_CACHE),
-            "bags": len(_BAG_CACHE),
-        }
+    return {"relations": len(_RELATIONS), "bags": len(_BAGS)}
 
 
 # -- partition helpers -------------------------------------------------------

@@ -160,7 +160,6 @@ class _Pending:
 class _HistoryHandle:
     name: str
     store: HistoryStore
-    initial: Database
     lock: threading.RLock = field(default_factory=threading.RLock)
     #: Memoized ``store.history()`` — rebuilding the statement tuple per
     #: request is O(history length) on the cache-hit hot path.  Reset to
@@ -269,9 +268,7 @@ class WhatIfService:
                     "history_skipped", history=entry.name, error=str(exc)
                 )
                 continue
-            self._handles[entry.name] = _HistoryHandle(
-                entry.name, store, store.initial()
-            )
+            self._handles[entry.name] = _HistoryHandle(entry.name, store)
 
     def close(self) -> None:
         with self._handles_lock:
@@ -356,7 +353,7 @@ class WhatIfService:
                 raise ServiceError(str(exc), status=409) from None
             raise
         with self._handles_lock:
-            self._handles[name] = _HistoryHandle(name, store, database)
+            self._handles[name] = _HistoryHandle(name, store)
         return self.info(name)
 
     def _handle(self, name: str) -> _HistoryHandle:
@@ -599,10 +596,11 @@ class WhatIfService:
         if handle.history is None:
             handle.history = handle.store.history()
         history = handle.history
+        initial = handle.store.initial()
         pending = _Pending(len(history))
         for slot, mods in enumerate(modifications):
             try:
-                query = HistoricalWhatIfQuery(history, handle.initial, mods)
+                query = HistoricalWhatIfQuery(history, initial, mods)
             except Exception as exc:
                 raise ServiceError(str(exc)) from None
             fingerprint = _fingerprint(options, mods)

@@ -126,6 +126,9 @@ class HistoryStore:
         self._log_fh = ops.open(path / _LOG, "ab")
         self._closed = False
         self._failed: str | None = None
+        #: Version 0, held: the database ``create()`` was given, or
+        #: checkpoint 0 decoded at most once (see :meth:`initial`).
+        self._initial: Database | None = None
 
     # -- lifecycle -----------------------------------------------------------
     @classmethod
@@ -167,6 +170,7 @@ class HistoryStore:
             sync=sync,
             ops=ops,
         )
+        store._initial = initial
         store._write_checkpoint(0, initial)
         if sync:
             ops.fsync_dir(path)
@@ -216,7 +220,8 @@ class HistoryStore:
         # than one interval.  Checkpoints are loaded lazily — only when
         # a rebuild (or the final current-state replay) needs a base —
         # so a routine reopen costs one checkpoint load, not all of
-        # them; content corruption is likewise handled lazily, by
+        # them (checkpoint 0, when it is that one, stays held as version
+        # 0); content corruption is likewise handled lazily, by
         # :meth:`as_of`'s fallback-and-reheal.
         grid = range(interval, len(statements) + 1, interval)
         checkpoint_versions = sorted({0} | {v for v in grid if v in named})
@@ -466,7 +471,8 @@ class HistoryStore:
     def replay_cost(self, version: int) -> int:
         """Statements :meth:`as_of` replays for ``version`` — by the
         checkpoint policy always ``< checkpoint_interval`` (and 0 when
-        the version is the current state or a checkpoint)."""
+        the version is the current state or a checkpoint; version 0
+        costs nothing at all, not even a read: it is held)."""
         self._check_version(version)
         if version == len(self._statements):
             return 0
@@ -476,7 +482,9 @@ class HistoryStore:
         """Reconstruct the state after the first ``version`` statements.
 
         Loads the nearest checkpoint at or below ``version`` and replays
-        the ≤ ``checkpoint_interval`` statements between the two.  A
+        the ≤ ``checkpoint_interval`` statements between the two; the
+        current state and version 0 are held, so they cost nothing and
+        come back as the same object every time.  A
         checkpoint whose content has rotted is discarded, the replay
         falls back to the next one below, and every checkpoint-grid
         version the longer replay crosses is re-written — one corrupt
@@ -505,26 +513,33 @@ class HistoryStore:
         """
         while True:
             base = self._nearest_checkpoint(version)
+            if base == 0:
+                return 0, self.initial()
             try:
                 return base, _load_checkpoint(self._path, base)
-            except StoreError as exc:
-                if base == 0:
-                    raise StoreError(
-                        f"store at {self._path} lost its base "
-                        f"checkpoint: {exc}"
-                    ) from None
+            except StoreError:
                 self._checkpoint_versions.remove(base)
                 (
                     self._path / _CHECKPOINT_DIR / _checkpoint_name(base)
                 ).unlink(missing_ok=True)
 
     def initial(self) -> Database:
-        return self.as_of(0)
+        """Version 0, the pre-history state — always the same object:
+        the database :meth:`create` was given, or checkpoint 0 decoded
+        the first time it is needed after :meth:`open`."""
+        if self._initial is None:
+            try:
+                self._initial = _load_checkpoint(self._path, 0)
+            except StoreError as exc:
+                raise StoreError(
+                    f"store at {self._path} lost its base checkpoint: {exc}"
+                ) from None
+        return self._initial
 
     def versions(self) -> Iterator[tuple[int, Database]]:
         """Lazily iterate ``(version, state)`` pairs oldest-first, one
         statement apply per step (no checkpoint reloads)."""
-        state = _load_checkpoint(self._path, 0)
+        state = self.initial()
         yield 0, state
         for index, stmt in enumerate(self._statements, start=1):
             state = stmt.apply(state)

@@ -16,8 +16,10 @@ omitted from the constraint, as the paper prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from types import NoneType
+from typing import Any
 
+from ..obs.metrics import global_registry
 from ..relational.expressions import (
     Expr,
     TRUE,
@@ -27,7 +29,9 @@ from ..relational.expressions import (
     le,
     or_,
 )
+from ..relational.identity_memo import IdentityMemo
 from ..relational.relation import Relation
+from ..relational.schema import Schema
 from .vctable import SymbolicTuple
 
 __all__ = ["CompressionConfig", "compress_relation", "constraint_admits_all"]
@@ -52,6 +56,20 @@ class CompressionConfig:
     max_distinct: int = DEFAULT_MAX_DISTINCT
 
 
+#: Φ_D per relation identity; inner key ``(symbolic tuple, config)``.
+#: Φ_D is a function of the (immutable) relation alone, so it is
+#: remembered *on* the relation and dies with it — an engine-owned map
+#: would have to pin every state it was ever handed.
+_PHI_D = IdentityMemo()
+
+_MEMO_OUTCOMES = global_registry().counter(
+    "mahif_phi_d_memo_total",
+    "compress_relation calls by outcome: hit (Φ_D remembered on the "
+    "relation) or miss (the relation was scanned).",
+    ("outcome",),
+)
+
+
 def compress_relation(
     relation: Relation,
     symbolic_tuple: SymbolicTuple,
@@ -62,64 +80,96 @@ def compress_relation(
     Returns Φ_D: a disjunction with one disjunct per group.  An empty
     relation compresses to ``TRUE`` (no information, all worlds possible —
     still a safe over-approximation).
+
+    The result is memoised on the relation's identity: asking again for
+    the same relation object, symbolic tuple and config returns the same
+    expression without touching a row.
     """
     config = config or CompressionConfig()
-    rows = [relation.schema.as_dict(t) for t in relation]
+    key = (symbolic_tuple, config)
+    try:
+        hash(key)
+    except TypeError:  # an unhashable constant in the symbolic tuple
+        return _compress(relation, symbolic_tuple, config)
+    phi_d = _PHI_D.find(relation, key)
+    if phi_d is not None:
+        _MEMO_OUTCOMES.inc(outcome="hit")
+        return phi_d
+    _MEMO_OUTCOMES.inc(outcome="miss")
+    return _PHI_D.remember(
+        relation, key, _compress(relation, symbolic_tuple, config)
+    )
+
+
+def _compress(
+    relation: Relation, symbolic_tuple: SymbolicTuple, config: CompressionConfig
+) -> Expr:
+    """The scan behind :func:`compress_relation`, column-wise: rows are
+    transposed once per group and every column is classified by the set
+    of its value types instead of value by value."""
+    rows = list(relation)
     if not rows:
         return TRUE
-
-    groups = _partition(rows, config)
     disjuncts = [
-        _group_constraint(group, relation, symbolic_tuple, config)
-        for group in groups
+        _group_constraint(group, relation.schema, symbolic_tuple, config)
+        for group in _partition(rows, relation.schema, config)
         if group
     ]
     return or_(*disjuncts) if disjuncts else TRUE
 
 
 def _partition(
-    rows: list[dict[str, Any]], config: CompressionConfig
-) -> list[list[dict[str, Any]]]:
+    rows: list[tuple], schema: Schema, config: CompressionConfig
+) -> list[list[tuple]]:
     """Split rows into groups per the configuration."""
     if config.group_by is None:
         return [rows]
-    attribute = config.group_by
-    sample = rows[0].get(attribute)
-    if isinstance(sample, str) or isinstance(sample, bool):
-        buckets: dict[Any, list[dict[str, Any]]] = {}
+    index = schema.index_of(config.group_by)
+    sample = rows[0][index]
+    if isinstance(sample, (str, bool)):
+        buckets: dict[Any, list[tuple]] = {}
         for row in rows:
-            buckets.setdefault(row[attribute], []).append(row)
+            buckets.setdefault(row[index], []).append(row)
         return list(buckets.values())
     # numeric group-by: quantile buckets
-    ordered = sorted(rows, key=lambda r: (r[attribute] is None, r[attribute]))
+    ordered = sorted(rows, key=lambda r: (r[index] is None, r[index]))
     n = max(1, config.num_groups)
     size = max(1, (len(ordered) + n - 1) // n)
     return [ordered[i : i + size] for i in range(0, len(ordered), size)]
 
 
 def _group_constraint(
-    group: list[dict[str, Any]],
-    relation: Relation,
+    group: list[tuple],
+    schema: Schema,
     symbolic_tuple: SymbolicTuple,
     config: CompressionConfig,
 ) -> Expr:
     """One conjunction of per-attribute range constraints for a group."""
     conjuncts: list[Expr] = []
-    for attribute in relation.schema:
+    for attribute, column in zip(schema, zip(*group)):
         var = symbolic_tuple[attribute]
-        values = [row[attribute] for row in group if row[attribute] is not None]
-        if not values:
+        types = set(map(type, column))
+        has_null = NoneType in types
+        types.discard(NoneType)
+        if not types:
             continue
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        if all(
+            issubclass(t, (int, float)) and not issubclass(t, bool)
+            for t in types
+        ):
+            values = (
+                [v for v in column if v is not None] if has_null else column
+            )
             low, high = min(values), max(values)
             if low == high:
                 conjuncts.append(eq(var, low))
             else:
                 conjuncts.append(and_(ge(var, low), le(var, high)))
-        elif all(isinstance(v, str) for v in values):
-            distinct = sorted(set(values))
+        elif all(issubclass(t, str) for t in types):
+            distinct = set(column)
+            distinct.discard(None)
             if len(distinct) <= config.max_distinct:
-                conjuncts.append(or_(*[eq(var, v) for v in distinct]))
+                conjuncts.append(or_(*[eq(var, v) for v in sorted(distinct)]))
             # else: unordered high-cardinality attribute — omit (paper)
         # mixed-type / boolean attributes: omit, still sound
     return and_(*conjuncts) if conjuncts else TRUE

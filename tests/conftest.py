@@ -70,3 +70,20 @@ def u1_prime():
     return parse_statement(
         "UPDATE Orders SET ShippingFee = 0 WHERE Price >= 60;"
     )
+
+
+@pytest.fixture
+def checkpoint_loads(monkeypatch) -> list[int]:
+    """The version of every checkpoint the history store reads and
+    decodes from now on, in order — a count of disk work, not a timing."""
+    from repro.store import history_store
+
+    loads: list[int] = []
+    real_load = history_store._load_checkpoint
+
+    def load(path, version):
+        loads.append(version)
+        return real_load(path, version)
+
+    monkeypatch.setattr(history_store, "_load_checkpoint", load)
+    return loads

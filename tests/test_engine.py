@@ -219,8 +219,11 @@ class TestEngineAccounting:
         result = Mahif().answer(self.make_query(), Method.R_PS_DS)
         assert result.ps_seconds > 0
         assert result.exe_seconds > 0
+        assert result.time_travel_seconds > 0
         assert result.total_seconds == pytest.approx(
-            result.ps_seconds + result.exe_seconds
+            result.time_travel_seconds
+            + result.ps_seconds
+            + result.exe_seconds
         )
 
     def test_r_method_has_no_ps_cost(self):

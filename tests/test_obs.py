@@ -445,6 +445,16 @@ class TestEngineExplain:
 # -- solver outcome counters -----------------------------------------------
 
 
+def series_moved(counter, before: dict) -> dict:
+    """The label tuples whose value changed since ``before``, by how
+    much (the global registry is shared by every test in the process)."""
+    return {
+        key: value - before.get(key, 0)
+        for key, value in counter.series().items()
+        if value != before.get(key, 0)
+    }
+
+
 def test_solver_checks_counter_moves_by_solver_calls():
     """``mahif_solver_checks_total{decided_by,outcome}``: one increment per
     statement checked, so an operator reads "0 MILP calls" off /metrics."""
@@ -471,11 +481,7 @@ def test_solver_checks_counter_moves_by_solver_calls():
     )
     before = counter.series()
     result = dependency_slice(aligned, database, {"R": schema})
-    moved = {
-        key: value - before.get(key, 0)
-        for key, value in counter.series().items()
-        if value != before.get(key, 0)
-    }
+    moved = series_moved(counter, before)
     assert result.solver_calls == 10
     assert sum(moved.values()) == result.solver_calls
     # disjoint windows over P: the boxes decide every check, all UNSAT
@@ -483,3 +489,62 @@ def test_solver_checks_counter_moves_by_solver_calls():
     assert 'mahif_solver_checks_total{decided_by="intervals",outcome="unsat"}' in (
         global_registry().render()
     )
+
+
+# -- version cache and Φ_D memo counters -------------------------------------
+
+
+def test_version_cache_and_phi_d_memo_counters_for_three_answers():
+    """``mahif_version_cache_total{outcome}`` and
+    ``mahif_phi_d_memo_total{outcome}`` over one engine asked at
+    positions 4, 4 and 6 of one history: replay, nothing, two
+    statements — and Φ_D scanned once per version reached."""
+    schema = Schema.of("k", "P", "F")
+    database = Database(
+        {"R": Relation.from_rows(schema, [(i, i, 0) for i in range(100)])}
+    )
+
+    def update(low, bump=1):
+        return UpdateStatement(
+            "R",
+            {"F": col("F") + bump},
+            and_(ge(col("P"), low), le(col("P"), low + 30)),
+        )
+
+    history = History.of(*[update(10 * i) for i in range(6)])
+    registry = global_registry()
+    versions = registry.counter("mahif_version_cache_total", "", ("outcome",))
+    memo = registry.counter("mahif_phi_d_memo_total", "", ("outcome",))
+
+    engine = Mahif()
+    seen = []
+    for position, bump in ((4, 7), (4, 8), (6, 9)):
+        before = versions.series(), memo.series()
+        result = engine.answer(
+            HistoricalWhatIfQuery(
+                history, database,
+                (Replace(position, update(10 * position, bump)),),
+            )
+        )
+        seen.append(
+            (series_moved(versions, before[0]), series_moved(memo, before[1]))
+        )
+        assert result.total_seconds == pytest.approx(
+            result.time_travel_seconds
+            + result.ps_seconds
+            + result.exe_seconds
+        )
+    assert seen == [
+        ({("miss",): 1}, {("miss",): 1}),
+        ({("hit",): 1}, {("hit",): 1}),
+        ({("extended",): 1}, {("miss",): 1}),
+    ]
+    # an empty prefix has nothing to look up and is not counted
+    before = versions.series()
+    engine.answer(
+        HistoricalWhatIfQuery(history, database, (Replace(1, update(5)),))
+    )
+    assert series_moved(versions, before) == {}
+    rendered = registry.render()
+    assert 'mahif_version_cache_total{outcome="extended"} ' in rendered
+    assert 'mahif_phi_d_memo_total{outcome="hit"} ' in rendered

@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from fuzz_differential import random_history, random_typed_database
 from repro.relational import Database, Relation, Schema
 from repro.relational.expressions import TRUE, col, ge, lit
 from repro.relational.statements import (
@@ -359,3 +360,94 @@ def test_recovered_log_is_clean_prefix_on_disk(tmp_path):
     assert raw == b"" or raw.endswith(b"\n")
     for line in lines:
         json.loads(line)  # every remaining record parses
+
+
+# -- version 0 is held --------------------------------------------------------
+#
+# ``initial()`` / ``as_of(0)`` return one held object — the database
+# ``create()`` was given, or checkpoint 0 decoded at most once after
+# ``open()`` — so "answers are the same before and after a restart" now
+# rests on the codec round trip of checkpoint 0.
+
+
+def _typed_rows(database: Database) -> dict:
+    """Rows with their value types: ``repr`` tells ``1`` from ``True``
+    from ``1.0``, which ``==`` does not."""
+    return {
+        name: (relation.schema, sorted(map(repr, relation.tuples)))
+        for name, relation in database.relations.items()
+    }
+
+
+def test_version_zero_survives_a_restart_bit_for_bit(tmp_path):
+    rng = random.Random(_SEED)
+    for trial in range(max(3, int(12 * _SCALE))):
+        database, types = random_typed_database(rng, rows=rng.randint(1, 14))
+        history = random_history(rng, database, types, length=5)
+        path = tmp_path / f"s{trial}"
+        interval = rng.choice((2, 3, 32))
+        with HistoryStore.create(
+            path, database, checkpoint_interval=interval
+        ) as store:
+            assert store.initial() is database
+            store.append_history(history)
+            assert store.as_of(0) is database
+        with HistoryStore.open(path) as store:
+            reopened = store.as_of(0)
+            assert reopened is store.initial() is store.as_of(0)
+            assert _typed_rows(reopened) == _typed_rows(database)
+            assert next(store.versions()) == (0, reopened)
+
+
+def test_corrupt_or_missing_base_checkpoint_fails_open_or_first_use(tmp_path):
+    """With the history shorter than a checkpoint interval ``open()``
+    itself needs version 0; with a deeper checkpoint at hand it opens,
+    and the first call that needs version 0 raises."""
+
+    def store_with(name, interval, damage):
+        path = tmp_path / name
+        with HistoryStore.create(
+            path, make_db(), checkpoint_interval=interval
+        ) as store:
+            for stmt in make_statements(5):
+                store.append(stmt)
+        damage(path / "checkpoints" / "ckpt-00000000.json")
+        return path
+
+    def corrupt(base):
+        base.write_text("{corrupt")
+
+    for damage in (corrupt, os.remove):
+        name = damage.__name__
+        with pytest.raises(StoreError, match="base checkpoint"):
+            HistoryStore.open(store_with(f"short-{name}", 32, damage))
+    with pytest.raises(StoreError, match="base checkpoint"):
+        # a missing base is seen by name, before anything is decoded
+        HistoryStore.open(store_with("deep-remove", 2, os.remove))
+    with HistoryStore.open(store_with("deep-corrupt", 2, corrupt)) as store:
+        states = expected_prefix_states(make_statements(5))
+        assert store.current.same_contents(states[5])
+        assert store.as_of(4).same_contents(states[4])
+        for needs_base in (store.initial, lambda: store.as_of(1)):
+            with pytest.raises(StoreError, match="base checkpoint"):
+                needs_base()
+
+
+def test_checkpoint_zero_is_decoded_at_most_once(tmp_path, checkpoint_loads):
+    loads = checkpoint_loads
+    statements = make_statements(5)
+    for name, interval, at_open in (("short", 32, [0]), ("deep", 2, [4])):
+        path = tmp_path / name
+        with HistoryStore.create(
+            path, make_db(), checkpoint_interval=interval
+        ) as store:
+            for stmt in statements:
+                store.append(stmt)
+            store.initial(), store.as_of(0), store.as_of(1)
+            assert loads == []  # version 0 is the database it was given
+        with HistoryStore.open(path) as store:
+            assert loads == at_open
+            store.initial(), store.as_of(0), store.as_of(1), store.initial()
+            assert loads.count(0) == 1
+            assert store.replay_cost(0) == 0
+        loads.clear()

@@ -1,0 +1,512 @@
+"""Warm equals cold: the engine's version cache and the Φ_D memo.
+
+A long-lived :class:`~repro.core.Mahif` keeps the database versions it
+has time-travelled to (``core/engine.py`` ``VersionCache``, keyed on the
+base database's *identity* and the prefix statements' share keys), and
+``compress_relation`` remembers Φ_D on the *identity* of the relation it
+scanned (``symbolic/compress.py``).  Both are pure reuse: every answer
+of a warm engine must be the answer of a fresh engine over a fresh copy
+of the same database — the oracle here shares neither objects nor
+engine with the side under test, so neither cache can reach it.
+
+What is fuzzed, seeded through ``MAHIF_FUZZ_SEED`` / ``MAHIF_FUZZ_SCALE``
+(``tests/fuzz_differential.py``):
+
+(i)   one engine per backend answering a random sequence of what-ifs at
+      random positions, with all five methods, over several
+      ``(database, history)`` pairs chosen to collide wherever a wrong
+      key would let them: two equal but distinct databases, a third
+      with other rows, two histories that share a prefix and then
+      diverge at equal length; plus three directed cases — ``Const(1)``
+      against ``Const(True)`` in a prefix statement, an unhashable
+      constant in the prefix, two compression configs over one database;
+(ii)  id recycling: databases are created, asked about, dropped and
+      collected until both a database ``id()`` and a relation ``id()``
+      have come round again — never a stale state, never a stale Φ_D,
+      and the Φ_D memo ends with the entries it started with;
+(iii) eight threads on one engine, mixed positions: the serial answers;
+(iv)  eviction: more distinct prefixes than the cache holds.
+
+The last section is the deterministic work floor (counts, never wall
+time): the second what-if at a position replays 0 prefix statements and
+scans 0 rows, one five statements deeper replays exactly 5, and a served
+miss with an empty prefix reads no checkpoint.  Every one of those
+assertions fails on the commit before the caches existed.
+
+Mutation checks, each made by hand on the final tree at the default
+seed and reverted; each must fail (i) or (ii):
+
+* key the version cache on the prefix *length* instead of its share
+  keys (``_prefix_key`` returning ``(len(prefix),)``) — fails (i)
+  ``test_warm_engine_answers_like_a_fresh_one`` (diverging histories)
+  and ``test_constant_types_in_the_prefix_keep_versions_apart``;
+* drop the pin (``VersionCache.put`` storing ``(None, state)``) — fails
+  (ii): a recycled ``id()`` finds the dead database's version (a wrong
+  delta in most heap layouts, the key/pin assertion in all);
+* drop ``CompressionConfig`` from the memo's inner key (``key =
+  symbolic_tuple``) — fails (i)
+  ``test_two_compression_configs_over_one_database``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from fuzz_differential import (
+    fresh_rng,
+    random_history,
+    random_modification,
+    random_relation,
+    random_typed_database,
+    scaled,
+)
+from repro.core import (
+    HistoricalWhatIfQuery,
+    Mahif,
+    MahifConfig,
+    Method,
+    ProgramSlicingConfig,
+    Replace,
+)
+from repro.core import batch as batch_module
+from repro.core import dependency
+from repro.core.engine import VERSION_CACHE_CAPACITY
+from repro.relational import Database, History, Relation, Schema
+from repro.relational.expressions import (
+    Cmp,
+    Const,
+    and_,
+    col,
+    ge,
+    gt,
+    le,
+    lit,
+)
+from repro.relational.statements import DeleteStatement, UpdateStatement
+from repro.service import WhatIfService
+from repro.symbolic import compress
+from repro.symbolic.compress import CompressionConfig, compress_relation
+from repro.symbolic.vctable import SymbolicTuple
+
+BACKENDS = ("compiled", "vector", "interpreted")
+
+
+def twin(database: Database) -> Database:
+    """An equal database sharing no object with ``database``."""
+    return Database(
+        {
+            name: Relation(relation.schema, frozenset(relation.tuples))
+            for name, relation in database.relations.items()
+        }
+    )
+
+
+def outcome(engine: Mahif, query: HistoricalWhatIfQuery, method: Method):
+    """What an answer is compared by: the delta with value *types*
+    (``repr`` tells ``1`` from ``True``; ``==`` does not) and the slice."""
+    try:
+        result = engine.answer(query, method)
+    # A query the generators made unanswerable must fail the same way.
+    except Exception as exc:
+        return type(exc).__name__
+    kept = result.slice_result.kept_positions if result.slice_result else None
+    delta = sorted(
+        (name, list(relation_delta.annotated_rows()))
+        for name, relation_delta in result.delta.relations.items()
+    )
+    return repr(delta), kept
+
+
+def cold(query: HistoricalWhatIfQuery, method: Method, config: MahifConfig):
+    """The oracle: a fresh engine over a fresh copy of the database."""
+    return outcome(
+        Mahif(config),
+        HistoricalWhatIfQuery(
+            query.history, twin(query.database), query.modifications
+        ),
+        method,
+    )
+
+
+# -- (i) warm equals cold ----------------------------------------------------
+
+
+def colliding_pairs(rng):
+    """``(database, history)`` pairs a wrong cache key would confuse."""
+    database, types = random_typed_database(rng, rows=rng.randint(6, 14))
+    other_rows = Database(
+        {
+            name: random_relation(
+                rng, relation.schema, types[name], len(relation) + 1
+            )
+            for name, relation in database.relations.items()
+        }
+    )
+    history = random_history(rng, database, types, length=rng.randint(6, 9))
+    shared = rng.randint(1, len(history) - 2)
+    diverged = random_history(
+        rng, database, types, length=len(history) - shared
+    )
+    forked = History(
+        history.statements[:shared] + diverged.statements
+    )
+    pairs = [
+        (database, history),
+        (twin(database), history),
+        (other_rows, history),
+        (database, forked),
+    ]
+    return pairs, types
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_warm_engine_answers_like_a_fresh_one(backend):
+    rng = fresh_rng(offset=1700 + BACKENDS.index(backend))
+    config = MahifConfig(backend=backend)
+    for _ in range(scaled(4)):
+        pairs, types = colliding_pairs(rng)
+        warm = Mahif(config)
+        for step in range(16):
+            database, history = rng.choice(pairs)
+            modification = random_modification(rng, database, types, history)
+            query = HistoricalWhatIfQuery(history, database, (modification,))
+            method = rng.choice(list(Method))
+            assert outcome(warm, query, method) == cold(
+                query, method, config
+            ), (step, method, modification)
+        assert len(warm._versions) <= VERSION_CACHE_CAPACITY
+
+
+SCHEMA = Schema.of("k", "P", "F")
+
+
+def window(low, high):
+    return and_(ge(col("P"), low), le(col("P"), high))
+
+
+def rows_database(rows) -> Database:
+    return Database({"R": Relation.from_rows(SCHEMA, rows)})
+
+
+def windows_history(length: int) -> History:
+    """Overlapping windows, so every prefix is a different state."""
+    return History.of(
+        *[
+            UpdateStatement(
+                "R", {"F": col("F") + i + 1}, window(5 * i, 5 * i + 40)
+            )
+            for i in range(length)
+        ]
+    )
+
+
+def replace_at(position: int, bump: int = 100) -> tuple:
+    return (
+        Replace(
+            position,
+            UpdateStatement(
+                "R",
+                {"F": col("F") + bump},
+                window(5 * position, 5 * position + 30),
+            ),
+        ),
+    )
+
+
+def test_constant_types_in_the_prefix_keep_versions_apart():
+    """``SET F = 1`` and ``SET F = TRUE`` are equal statements under
+    dataclass equality and write differently typed rows; the histories
+    they start must not share a version."""
+    database = rows_database([(i, i, 5) for i in range(20)])
+    histories = [
+        History.of(
+            UpdateStatement("R", {"F": Const(value)}, ge(col("k"), 0)),
+            DeleteStatement("R", gt(col("k"), 15)),
+        )
+        for value in (1, True)
+    ]
+    assert histories[0] == histories[1]
+    modification = (Replace(2, DeleteStatement("R", gt(col("k"), 10))),)
+    for backend in BACKENDS:
+        config = MahifConfig(backend=backend)
+        warm = Mahif(config)
+        answers = []
+        for history in histories * 2:
+            query = HistoricalWhatIfQuery(history, database, modification)
+            answers.append(outcome(warm, query, Method.R_PS_DS))
+            assert answers[-1] == cold(query, Method.R_PS_DS, config)
+        assert answers[0] != answers[1]
+        assert answers[:2] == answers[2:]
+
+
+def test_unhashable_constant_in_the_prefix_is_answered_without_sharing():
+    database = rows_database([(i, i, 5) for i in range(20)])
+    history = History.of(
+        DeleteStatement("R", Cmp("=", col("k"), Const((9, [9])))),
+        UpdateStatement("R", {"F": col("F") + 1}, window(0, 10)),
+        UpdateStatement("R", {"F": col("F") + 2}, window(5, 15)),
+    )
+    for backend in BACKENDS:
+        config = MahifConfig(backend=backend)
+        warm = Mahif(config)
+        for position in (3, 2, 3):
+            query = HistoricalWhatIfQuery(
+                history, database, replace_at(position)
+            )
+            assert outcome(warm, query, Method.R_PS_DS) == cold(
+                query, Method.R_PS_DS, config
+            )
+        assert len(warm._versions) == 0
+
+
+def test_two_compression_configs_over_one_database():
+    """Two engines that compress differently, one database object: each
+    gets its own Φ_D.  ``k`` and ``P`` move together in the data, so
+    "``P`` low and ``k`` high" is satisfiable in the one box over all
+    rows and in neither of two quantile groups: one config keeps the
+    third statement, the other slices it away."""
+    rows = [(i, i, 5) for i in range(10)] + [(i, i, 5) for i in range(90, 100)]
+    database = rows_database(rows)
+    history = History.of(
+        UpdateStatement("R", {"F": col("F") + 1}, window(0, 5)),
+        UpdateStatement("R", {"F": col("F") + 2}, window(40, 60)),
+        UpdateStatement(
+            "R", {"F": col("F") + 3}, and_(ge(col("k"), 92), le(col("k"), 95))
+        ),
+    )
+    query = HistoricalWhatIfQuery(
+        history, database,
+        (Replace(1, UpdateStatement("R", {"F": lit(0)}, window(0, 7))),),
+    )
+    configs = [
+        MahifConfig(
+            program_slicing=ProgramSlicingConfig(compression=compression)
+        )
+        for compression in (
+            CompressionConfig(),
+            CompressionConfig(group_by="P", num_groups=2),
+        )
+    ]
+    answers = []
+    for config in configs * 2:
+        answers.append(outcome(Mahif(config), query, Method.R_PS_DS))
+        assert answers[-1] == cold(query, Method.R_PS_DS, config)
+    # same delta, different slices: the configs are told apart
+    assert answers[0][0] == answers[1][0]
+    assert (answers[0][1], answers[1][1]) == ((1, 3), (1,))
+
+
+# -- (ii) id recycling -------------------------------------------------------
+
+
+def assert_keys_are_pinned(engine: Mahif) -> None:
+    """Which candidate lands on a dead database's address is the
+    allocator's choice; that no key can outlive its database is not:
+    every key's ``id()`` is the ``id()`` of the object its entry pins."""
+    for (base_id, _), (base, _) in engine._versions._entries.items():
+        assert id(base) == base_id
+
+
+def test_recycled_ids_never_find_a_dead_database():
+    """Databases are made, asked about and dropped until database
+    ``id()``s that were asked about and relation ``id()``s that were
+    compressed have come round again, eight times each.  Each round
+    allocates a spread of candidates and asks about the one standing
+    where a dead database stood — most recently dead first, so an entry
+    that outlived its database is found while the cache still holds
+    it."""
+    history = windows_history(4)
+    modification = replace_at(3)
+    symbolic = SymbolicTuple.fresh(SCHEMA, prefix="recycle")
+    gc.collect()  # earlier tests' garbage must not count as the start
+    entries = len(compress._PHI_D)
+    engine = Mahif()
+    asked: dict[int, int] = {}  # id(database) -> round it was asked in
+    compressed: set[int] = set()
+    recycled = {"database": 0, "relation": 0}
+    for round_number in range(2000):
+        # Every candidate's rows differ from every other's, this round
+        # and before, so a stale version or Φ_D is a different answer.
+        candidates = [
+            rows_database(
+                [(i, i, 64 * round_number + n) for i in range(8 + n % 5)]
+            )
+            for n in range(32)
+        ]
+        for candidate in candidates:
+            relation = candidate["R"]
+            recycled["relation"] += id(relation) in compressed
+            compressed.add(id(relation))
+            assert compress_relation(relation, symbolic) == compress._compress(
+                relation, symbolic, CompressionConfig()
+            ), round_number
+        database = max(candidates, key=lambda c: asked.get(id(c), -1))
+        recycled["database"] += id(database) in asked
+        asked[id(database)] = round_number
+        query = HistoricalWhatIfQuery(history, database, modification)
+        assert outcome(engine, query, Method.R_PS_DS) == cold(
+            query, Method.R_PS_DS, engine.config
+        ), round_number
+        assert len(engine._versions) <= VERSION_CACHE_CAPACITY
+        assert_keys_are_pinned(engine)
+        del candidates, candidate, database, relation, query
+        gc.collect()
+        if min(recycled.values()) >= 8:
+            break
+    assert min(recycled.values()) >= 8, "too few id()s came round"
+    # The engine's versions pin their databases; with the engine gone
+    # every relation this test compressed is dead, and so is its Φ_D.
+    del engine
+    gc.collect()
+    assert len(compress._PHI_D) == entries
+
+
+# -- (iii) one engine, many threads -----------------------------------------
+
+
+def test_threads_sharing_an_engine_get_the_serial_answers():
+    database = rows_database([(i, i, 5) for i in range(60)])
+    history = windows_history(12)
+    queries = [
+        HistoricalWhatIfQuery(
+            history, database, replace_at(position, bump=100 + index)
+        )
+        for index, position in enumerate([2, 9, 5, 12, 9, 3, 7, 11] * 4)
+    ]
+    serial = [cold(query, Method.R_PS_DS, MahifConfig()) for query in queries]
+    engine = Mahif()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(outcome, engine, query, Method.R_PS_DS)
+                for query in queries
+            ]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert 0 < len(engine._versions) <= VERSION_CACHE_CAPACITY
+
+
+# -- (iv) eviction ------------------------------------------------------------
+
+
+def test_more_prefixes_than_the_cache_holds():
+    database = rows_database([(i, i, 5) for i in range(60)])
+    history = windows_history(VERSION_CACHE_CAPACITY + 4)
+    engine = Mahif()
+    positions = list(range(2, VERSION_CACHE_CAPACITY + 5))
+    assert len(positions) == VERSION_CACHE_CAPACITY + 3
+    for position in positions + positions[:1] + positions[::-3]:
+        query = HistoricalWhatIfQuery(history, database, replace_at(position))
+        assert outcome(engine, query, Method.R_PS_DS) == cold(
+            query, Method.R_PS_DS, engine.config
+        ), position
+        assert len(engine._versions) <= VERSION_CACHE_CAPACITY
+    assert len(engine._versions) == VERSION_CACHE_CAPACITY
+
+
+# -- the work floor: counts, never wall time ---------------------------------
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counters on the two things a repeated what-if must not redo:
+    prefix statements applied by the time-travel stage, and rows read
+    while ``dependency_slice`` compresses a relation."""
+    counts = {"applied": 0, "rows": 0}
+    real_resolve = batch_module.resolve_backend
+    real_compress = dependency.compress_relation
+    real_iter = Relation.__iter__
+    compressing = []
+
+    def resolve(name):
+        backend = real_resolve(name)
+
+        def apply(statement, state):
+            counts["applied"] += 1
+            return backend.apply(statement, state)
+
+        return dataclasses.replace(backend, apply=apply)
+
+    def compress_counted(*args, **kwargs):
+        compressing.append(True)
+        try:
+            return real_compress(*args, **kwargs)
+        finally:
+            compressing.pop()
+
+    def iterate(self):
+        if compressing:
+            counts["rows"] += len(self)
+        return real_iter(self)
+
+    monkeypatch.setattr(batch_module, "resolve_backend", resolve)
+    monkeypatch.setattr(dependency, "compress_relation", compress_counted)
+    monkeypatch.setattr(Relation, "__iter__", iterate)
+    return counts
+
+
+def test_second_whatif_at_a_position_replays_and_scans_nothing(work):
+    rows = 500
+    database = rows_database([(i, i % 200, 5) for i in range(rows)])
+    history = windows_history(40)
+    engine = Mahif()
+
+    def ask(position, bump):
+        before = dict(work)
+        engine.answer(
+            HistoricalWhatIfQuery(
+                history, database, replace_at(position, bump)
+            ),
+            Method.R_PS_DS,
+        )
+        return {name: work[name] - before[name] for name in work}
+
+    assert ask(30, 100) == {"applied": 29, "rows": rows}
+    assert ask(30, 101) == {"applied": 0, "rows": 0}
+    # five statements deeper: those five, and a version never seen
+    assert ask(35, 102) == {"applied": 5, "rows": rows}
+    assert ask(35, 103) == {"applied": 0, "rows": 0}
+    assert ask(30, 104) == {"applied": 0, "rows": 0}
+
+
+def test_served_miss_with_an_empty_prefix_reads_no_checkpoint(
+    tmp_path, checkpoint_loads
+):
+    loads = checkpoint_loads
+    database = rows_database([(i, i, 5) for i in range(50)])
+    history = windows_history(5)
+
+    def spec(bump):
+        statement = f"UPDATE R SET F = F + {bump} WHERE P >= 0 AND P <= 20"
+        return {"replace": [[1, statement]]}
+
+    service = WhatIfService(tmp_path, sync=False)
+    try:
+        service.register("h", database, history)
+        (answer,) = service.answer("h", [spec(7)])
+        assert answer["cached"] is False
+        assert loads == []
+    finally:
+        service.close()
+
+    # After a restart: open() decodes checkpoint 0 once (this history is
+    # shorter than a checkpoint interval) and that copy is version 0.
+    service = WhatIfService(tmp_path, sync=False)
+    try:
+        assert loads == [0]
+        (again,) = service.answer("h", [spec(8)])
+        assert again["cached"] is False
+        assert loads == [0]
+        (first,) = service.answer("h", [spec(7)])
+        assert first["delta"] == answer["delta"]
+    finally:
+        service.close()
