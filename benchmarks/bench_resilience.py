@@ -29,16 +29,17 @@ shedding-off goodput — is the acceptance criterion for admission
 control actually buying something under saturation.
 
 Results land in ``results.jsonl`` (experiment ``"resilience"``) and
-``BENCH_resilience.json`` at the repo root.
+``BENCH_resilience.json`` at the repo root (untracked).
 """
 
+import json
 import os
 import pathlib
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.bench import print_series_table, write_bench_report
+from repro.bench import print_series_table
 from repro.relational.expressions import Attr
 from repro.relational.sqlgen import statement_to_sql
 from repro.relational.statements import UpdateStatement
@@ -234,10 +235,9 @@ def test_goodput_under_overload(benchmark):
     )
     off, on = row["shedding_off"], row["shedding_on"]
 
-    write_bench_report(
-        TARGET,
-        "resilience",
-        {
+    report = {
+        "experiment": "resilience",
+        "workload": {
             "dataset": "taxi",
             "rows": ROWS,
             "updates": UPDATES,
@@ -251,8 +251,10 @@ def test_goodput_under_overload(benchmark):
             "and latency percentiles at 2x saturation, admission "
             "control on vs off",
         },
-        overload=[row],
-    )
+        "overload": [row],
+    }
+    with TARGET.open("w") as out:
+        json.dump(report, out, indent=2)
 
     print_series_table(
         f"Resilience — {CLIENTS} clients vs {MAX_IN_FLIGHT} slots "

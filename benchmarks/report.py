@@ -84,19 +84,6 @@ EXPERIMENTS = {
         "Paper: the approach scales well in relation size; PS cost is "
         "independent of it.",
     ),
-    "backend": (
-        "Execution backend — compiled vs interpreted (R+PS+DS hot path)",
-        "Ours: the closure-compiled streaming backend must be ≥ 3× the "
-        "tree-walking interpreter on the scaling workload's reenactment "
-        "evaluation (see DESIGN.md, Execution backends; full data in "
-        "BENCH_backend.json).",
-    ),
-    "backend_join": (
-        "Execution backend — hash join vs nested loop",
-        "Ours: on join-bearing plans the compiled backend's hash join "
-        "replaces the interpreter's O(n*m) nested loop; the gap grows "
-        "with input size.",
-    ),
     "ablation_slicing": (
         "Ablation — slicing algorithm (dependency vs greedy)",
         "Ours: dependency (Sec. 9) is the cheap default; greedy "

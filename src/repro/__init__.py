@@ -27,8 +27,9 @@ Quickstart::
     query = HistoricalWhatIfQuery(history, db, (Replace(1, new_u1),))
     print(Mahif().answer(query, Method.R_PS_DS).delta.pretty())
 
-See DESIGN.md for the paper-to-module inventory and EXPERIMENTS.md for
-the reproduced evaluation.
+See DESIGN.md for the paper-to-module inventory; the reproduced
+evaluation (EXPERIMENTS.md) is generated by ``python
+benchmarks/report.py``, not checked in.
 """
 
 from .core import (

@@ -2,19 +2,15 @@
 
 from .harness import (
     RESULTS,
-    BatchTiming,
     MethodTiming,
     format_table,
     print_series_table,
     record_result,
-    run_batch,
     run_method,
     run_methods,
 )
-from .reporting import write_bench_report
 
 __all__ = [
-    "MethodTiming", "BatchTiming", "run_method", "run_methods", "run_batch",
+    "MethodTiming", "run_method", "run_methods",
     "format_table", "print_series_table", "RESULTS", "record_result",
-    "write_bench_report",
 ]

@@ -21,10 +21,8 @@ from ..workloads.generator import Workload, WorkloadSpec, build_workload
 
 __all__ = [
     "MethodTiming",
-    "BatchTiming",
     "run_method",
     "run_methods",
-    "run_batch",
     "print_series_table",
     "format_table",
     "RESULTS",
@@ -75,41 +73,6 @@ def run_method(
         exe_seconds=result.exe_seconds,
         delta_size=len(result.delta),
         result=result,
-    )
-
-
-@dataclass(frozen=True)
-class BatchTiming:
-    """Wall-clock result of answering a batch of HWQs with one method.
-
-    ``total_seconds`` is the end-to-end wall time of the whole batch —
-    the figure the batched-answering benchmark compares against a
-    sequential ``answer`` loop over the same queries.
-    """
-
-    method: Method
-    total_seconds: float
-    results: tuple[MahifResult, ...]
-
-    @property
-    def deltas(self) -> tuple:
-        return tuple(result.delta for result in self.results)
-
-
-def run_batch(
-    queries: Sequence[HistoricalWhatIfQuery],
-    method: Method,
-    config: MahifConfig | None = None,
-    *,
-    workers: int | None = None,
-) -> BatchTiming:
-    """Answer a batch of HWQs in one :meth:`Mahif.answer_batch` call."""
-    engine = Mahif(config)
-    start = time.perf_counter()
-    results = engine.answer_batch(queries, method, workers=workers)
-    total = time.perf_counter() - start
-    return BatchTiming(
-        method=method, total_seconds=total, results=tuple(results)
     )
 
 

@@ -39,7 +39,6 @@ from .planner import (
     CostModel,
     ExecutionChoice,
     SelectivityEstimate,
-    calibrate_cost_model,
     estimate_relation,
     plan_execution,
 )
@@ -81,7 +80,7 @@ __all__ = [
     "Mahif", "MahifConfig", "MahifResult", "Method", "answer",
     "answer_batch",
     "AUTO_SHARDS", "CostModel", "ExecutionChoice", "SelectivityEstimate",
-    "calibrate_cost_model", "estimate_relation", "plan_execution",
+    "estimate_relation", "plan_execution",
     "SourceTuple", "evaluate_with_provenance", "explain_delta",
     "DependencyAnalysis", "build_dependency_graph",
     "EquivalenceVerdict", "EquivalenceResult", "check_history_equivalence",

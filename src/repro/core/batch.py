@@ -176,6 +176,7 @@ def answer_batch_with(
     *,
     explain: bool = False,
     current_states: Sequence[Database | None] | None = None,
+    shards: int | str | None = None,
 ) -> list[MahifResult]:
     """Run the answer pipeline over ``queries`` with ``method``; the
     worker behind :meth:`Mahif.answer` and :meth:`Mahif.answer_batch`.
@@ -193,6 +194,8 @@ def answer_batch_with(
     stage over the engine's pool and widens the execute stage's (see
     :func:`_execute_stage` for the sizing rule); a stage with a single
     call always runs in-process — there is nothing to overlap.
+    ``shards`` (default ``config.shards``) likewise overrides the shard
+    count for this call only.
 
     ``explain=True`` attaches EXPLAIN ANALYZE per-operator profiles to
     every result: the execute stage runs the same works unsharded,
@@ -207,6 +210,8 @@ def answer_batch_with(
             "start_databases must supply one database per query"
         )
     config = engine.config
+    if shards is not None:
+        config = dataclasses.replace(config, shards=shards)
     if workers is None:
         workers = config.batch_workers
     if method is Method.NAIVE:
@@ -219,7 +224,7 @@ def answer_batch_with(
     executor, _ = engine._executor(workers, len(queries))
     plans = _plan_stage(config, queries, method, start_dbs, executor)
     routed = _route_stage(config, plans, explain)
-    _execute_stage(engine, workers, routed, explain)
+    _execute_stage(engine, config, workers, routed, explain)
     return [
         MahifResult(
             delta=DatabaseDelta(entry.deltas),
@@ -366,7 +371,8 @@ def _route_stage(
 
 
 def _execute_stage(
-    engine: Mahif, workers: int, routed: Sequence[_Routed], explain: bool
+    engine: Mahif, config, workers: int, routed: Sequence[_Routed],
+    explain: bool,
 ) -> None:
     """Evaluate every routed work into its query's ``deltas`` (and
     ``profiles``), and record the pool width execution ran on (0 =
@@ -378,7 +384,6 @@ def _execute_stage(
     static ``shards`` > 1 or the largest planner choice under
     ``shards="auto"``.  EXPLAIN always runs in-process.
     """
-    config = engine.config
     works = [work for entry in routed for work in entry.works]
     executor, width = None, 0
     if not explain:

@@ -419,6 +419,7 @@ class Mahif:
         method: Method = Method.R_PS_DS,
         *,
         workers: int | None = None,
+        shards: int | str | None = None,
         start_databases: Sequence[Database] | None = None,
         explain: bool = False,
     ) -> list[MahifResult]:
@@ -441,6 +442,10 @@ class Mahif:
           ``workers``/``config.batch_workers`` > 1 — a process pool for
           the in-process backends, a thread pool for sqlite.
 
+        ``shards`` overrides ``config.shards`` for this call, as
+        ``workers`` does ``config.batch_workers`` (the what-if service
+        routes each request's count through one engine per backend).
+
         ``start_databases`` optionally injects each query's
         time-travelled start version (the what-if service supplies
         checkpoint-reconstructed states from its history store instead
@@ -450,7 +455,7 @@ class Mahif:
 
         return answer_batch_with(
             self, list(queries), method, workers, start_databases,
-            explain=explain,
+            explain=explain, shards=shards,
         )
 
 

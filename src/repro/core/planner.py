@@ -14,10 +14,8 @@ are already nearly free at planning time:
   kept as *witness* rows that later prove shards non-skippable without
   rescanning them,
 * shardability — :func:`repro.core.shard.shardable` per query pair,
-* per-backend constant costs — calibrated once from
-  ``BENCH_backend.json``-style microbenchmarks
-  (:func:`calibrate_cost_model`), with defaults measured on the
-  ``benchmarks/bench_shard.py`` workload.
+* per-backend constant costs — :data:`DEFAULT_COST_MODEL`, measured at
+  PR 6 on a 40 000-row, 12-update range workload (see git history).
 
 The output is an :class:`ExecutionChoice` — shard count, worker count,
 partition scheme and backend — consumed by ``Mahif.answer`` /
@@ -42,7 +40,6 @@ from typing import TYPE_CHECKING, Any, Mapping
 from ..obs import trace
 from ..obs.metrics import global_registry
 from ..relational.algebra import operator_count
-from ..relational.exec.backend import BACKENDS
 from ..relational.expressions import TRUE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,7 +53,6 @@ __all__ = [
     "SelectivityEstimate",
     "CostModel",
     "DEFAULT_COST_MODEL",
-    "calibrate_cost_model",
     "ExecutionChoice",
     "estimate_relation",
     "plan_execution",
@@ -112,15 +108,15 @@ class SelectivityEstimate:
         return self.matched / self.sampled
 
 
-# Constants measured on the benchmarks/bench_shard.py workload (40k
-# rows, 12 updates, compiled backend): evaluating an unfiltered
+# Constants measured at PR 6 on a 40 000-row, 12-update range workload
+# (see git history), compiled backend: evaluating an unfiltered
 # reenactment pair costs ~4.7e-7 s per (row × operator); a data-sliced
 # pair is dominated by the injected selection's scan at ~1.2e-6 s per
 # row; range partitioning (sort + per-shard Relation rebuild) costs
 # ~1.8e-6 s per row — which is exactly why sharding loses on R+PS+DS:
 # partitioning 40k rows (~73ms) costs more than the whole sliced
-# evaluation (~45ms).  Interpreted scales from BENCH_backend.json's
-# hot-path ratio (~10x compiled); sqlite pays an extra per-row shard
+# evaluation (~45ms).  Interpreted scales by its measured hot-path
+# ratio (~10x compiled); sqlite pays an extra per-row shard
 # ingest (every shard becomes its own server-side database); vector
 # amortises per-row dispatch into whole-column kernels, so its per-row
 # constants sit below compiled (measured on the same bench workload,
@@ -197,49 +193,6 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 
-def calibrate_cost_model(report: Mapping[str, Any]) -> CostModel:
-    """Derive a :class:`CostModel` from a ``BENCH_backend.json`` report.
-
-    Only backend *ratios* are taken from the report (its absolute
-    numbers measure a different workload): the compiled per-row-op
-    constant anchors the scale and each backend's hot-path exe time on
-    the largest measured size rescales it.  Malformed or partial reports
-    fall back to :data:`DEFAULT_COST_MODEL` — calibration must never be
-    able to break planning.
-    """
-    try:
-        rows = report["hot_path"]
-        largest = max(rows, key=lambda entry: entry["rows"])
-        compiled = float(largest["compiled_exe"])
-        if compiled <= 0:
-            return DEFAULT_COST_MODEL
-        base = _DEFAULT_ROW_OP_COST["compiled"]
-        ds_base = _DEFAULT_DS_ROW_COST["compiled"]
-        row_op: dict[str, float] = {}
-        ds_row: dict[str, float] = {}
-        for backend in BACKENDS:
-            exe = float(largest.get(f"{backend}_exe", 0.0))
-            if exe <= 0:
-                # repro-lint: allow[backend-dispatch] -- not dispatch: legacy BENCH_backend.json reports have no measured vector column
-                if backend == "vector":
-                    # Pre-vector reports simply lack the column: keep
-                    # the measured ratios for the other backends and
-                    # fall back to the default constants for vector.
-                    row_op[backend] = _DEFAULT_ROW_OP_COST[backend]
-                    ds_row[backend] = _DEFAULT_DS_ROW_COST[backend]
-                    continue
-                return DEFAULT_COST_MODEL
-            ratio = exe / compiled
-            row_op[backend] = base * ratio
-            ds_row[backend] = ds_base * ratio
-        return CostModel(
-            row_op_cost=MappingProxyType(row_op),
-            ds_row_cost=MappingProxyType(ds_row),
-        )
-    except (KeyError, TypeError, ValueError):
-        return DEFAULT_COST_MODEL
-
-
 @dataclass(frozen=True)
 class ExecutionChoice:
     """The planner's verdict for one reenactment plan.
@@ -286,7 +239,6 @@ def estimate_relation(
     relation: str,
     *,
     sample_limit: int = DEFAULT_SAMPLE_LIMIT,
-    max_witnesses: int = MAX_WITNESSES,
 ) -> SelectivityEstimate:
     """Sample one relation's routing selectivity (bounded, never O(n)).
 
@@ -333,7 +285,7 @@ def estimate_relation(
             hit = True
         if hit:
             matched += 1
-            if len(witnesses) < max_witnesses:
+            if len(witnesses) < MAX_WITNESSES:
                 witnesses.append(row)
         if sampled >= sample_limit:
             break
@@ -434,7 +386,6 @@ def plan_execution(
     cost_model: CostModel | None = None,
     sample_limit: int = DEFAULT_SAMPLE_LIMIT,
     max_shards: int = MAX_AUTO_SHARDS,
-    cpu_count: int | None = None,
 ) -> ExecutionChoice:
     """Choose an execution configuration for one reenactment plan,
     recording the decision (counter + trace span) on the way out.
@@ -448,7 +399,6 @@ def plan_execution(
             cost_model=cost_model,
             sample_limit=sample_limit,
             max_shards=max_shards,
-            cpu_count=cpu_count,
         )
         span_.set_attributes(
             {
@@ -474,7 +424,6 @@ def _plan_execution_inner(
     cost_model: CostModel | None = None,
     sample_limit: int = DEFAULT_SAMPLE_LIMIT,
     max_shards: int = MAX_AUTO_SHARDS,
-    cpu_count: int | None = None,
 ) -> ExecutionChoice:
     """Choose an execution configuration for one reenactment plan.
 
@@ -612,10 +561,9 @@ def _plan_execution_inner(
             evaluated_total >= 2
             and parallel_work >= model.parallel_threshold_seconds
         ):
-            cpus = cpu_count if cpu_count is not None else (
-                os.cpu_count() or 1
+            workers = max(
+                0, min(evaluated_total, best_shards, os.cpu_count() or 1)
             )
-            workers = max(0, min(evaluated_total, best_shards, cpus))
             if workers < 2:
                 workers = 0
         reason = (

@@ -63,15 +63,11 @@ __all__ = [
 class ProgramSlicingConfig:
     """Tunables for program slicing.
 
-    ``compression`` controls Φ_D; ``solver`` the MILP backend;
-    ``skip_modified_positions`` avoids wasting solver calls trying to drop
-    the modified statements themselves (dropping them almost never yields
-    a valid slice, and the check would reject it anyway).
+    ``compression`` controls Φ_D; ``solver`` the MILP backend.
     """
 
     compression: CompressionConfig = field(default_factory=CompressionConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    skip_modified_positions: bool = True
 
 
 @dataclass(frozen=True)
@@ -255,7 +251,9 @@ def greedy_slice(
         )
         current = set(positions)
         for candidate in positions:
-            if config.skip_modified_positions and candidate in modified:
+            if candidate in modified:
+                # Dropping a modified statement almost never yields a
+                # valid slice, and they are re-added below anyway.
                 continue
             trial = current - {candidate}
             if slicer.is_slice(trial):

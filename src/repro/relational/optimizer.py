@@ -65,18 +65,16 @@ class OptimizerConfig:
     """Rewrite knobs.
 
     ``max_expression_size`` bounds per-output expression growth during
-    projection merging; ``push_selections`` moves filters toward scans.
+    projection merging and selection pushdown; ``growth_factor`` is the
+    growth a merge may cost over the two projections it replaces.
     """
 
-    merge_projections: bool = True
-    fuse_selections: bool = True
-    push_selections: bool = True
     max_expression_size: int = 512
     growth_factor: float = 1.25
 
 
 def optimize(op: Operator, config: OptimizerConfig | None = None) -> Operator:
-    """Rewrite an operator tree to a fixpoint of the enabled rules."""
+    """Rewrite an operator tree to a fixpoint of the rules."""
     config = config or OptimizerConfig()
     previous = None
     current = op
@@ -138,13 +136,13 @@ def _rewrite_select(op: Select, config: OptimizerConfig) -> Operator:
         # keep a recognizable empty selection over the scan
         return Select(op.input, FALSE)
     # selection fusion
-    if config.fuse_selections and isinstance(op.input, Select):
+    if isinstance(op.input, Select):
         return _rewrite_select(
             Select(op.input.input, and_(op.input.condition, condition)),
             config,
         )
     # pushdown through projection
-    if config.push_selections and isinstance(op.input, Project):
+    if isinstance(op.input, Project):
         inner = op.input
         substitution = {name: expr for expr, name in inner.outputs}
         pushed = simplify(substitute_attributes(condition, substitution))
@@ -154,7 +152,7 @@ def _rewrite_select(op: Select, config: OptimizerConfig) -> Operator:
                 inner.outputs,
             )
     # pushdown through union
-    if config.push_selections and isinstance(op.input, Union):
+    if isinstance(op.input, Union):
         return _rewrite_union(
             Union(
                 _rewrite_select(Select(op.input.left, condition), config),
@@ -189,27 +187,24 @@ def _rewrite_project(op: Project, config: OptimizerConfig) -> Operator:
             tuple(name for _, name in inner.outputs),
         ):
             return inner
-        if config.merge_projections:
-            substitution = {name: expr for expr, name in inner.outputs}
-            merged = []
-            total = 0
-            for expr, name in outputs:
-                combined = simplify(
-                    substitute_attributes(expr, substitution)
-                )
-                total += expr_size(combined)
-                merged.append((combined, name))
-            parts_size = sum(expr_size(e) for e, _ in outputs) + sum(
-                expr_size(e) for e, _ in inner.outputs
+        substitution = {name: expr for expr, name in inner.outputs}
+        merged = []
+        total = 0
+        for expr, name in outputs:
+            combined = simplify(substitute_attributes(expr, substitution))
+            total += expr_size(combined)
+            merged.append((combined, name))
+        parts_size = sum(expr_size(e) for e, _ in outputs) + sum(
+            expr_size(e) for e, _ in inner.outputs
+        )
+        budget = min(
+            config.max_expression_size,
+            int(config.growth_factor * parts_size) + 8,
+        )
+        if total <= budget:
+            return _rewrite_project(
+                Project(inner.input, tuple(merged)), config
             )
-            budget = min(
-                config.max_expression_size,
-                int(config.growth_factor * parts_size) + 8,
-            )
-            if total <= budget:
-                return _rewrite_project(
-                    Project(inner.input, tuple(merged)), config
-                )
     return Project(inner, outputs)
 
 

@@ -2,7 +2,7 @@
 
 :class:`WhatIfService` owns the named persistent histories (each a
 :class:`~repro.store.HistoryStore` under one root directory), one shared
-:class:`~repro.core.Mahif` engine per (backend, shard count), and per
+:class:`~repro.core.Mahif` engine per backend, and per
 history one :class:`~repro.service.cache.ResultCache`.  It is safe for
 concurrent use: histories and databases are immutable, a per-history
 lock guards store appends and the cache, and answers are computed
@@ -62,10 +62,9 @@ __all__ = ["WhatIfService"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 
-#: Upper bound on per-request shard counts.  Engines are cached per
-#: (backend, shards), so an unbounded client-chosen count would let a
-#: client grow that map without limit; beyond ~CPU-count shards there
-#: is no win anyway.
+#: Upper bound on per-request shard counts: every shard costs a
+#: partition and a task per affected relation, so a client-chosen count
+#: must not be unbounded; beyond ~CPU-count shards there is no win anyway.
 MAX_SHARDS = 64
 
 #: The method a request that names none is answered with.
@@ -246,9 +245,9 @@ class WhatIfService:
         )
         self._handles: dict[str, _HistoryHandle | None] = {}
         self._handles_lock = threading.Lock()
-        #: One shared engine per (backend, shard count) — shards are part
-        #: of the key because MahifConfig is frozen per engine.
-        self._engines: dict[tuple[str, int], Mahif] = {}
+        #: One shared engine per backend; a request's shard count is an
+        #: argument of the call, not of the engine.
+        self._engines: dict[str, Mahif] = {}
         self._engines_lock = threading.Lock()
         self.skipped_on_startup: dict[str, str] = {}
         self._reopen_stores()
@@ -492,12 +491,12 @@ class WhatIfService:
         return dropped, retained
 
     # -- answering ------------------------------------------------------------
-    def _engine(self, backend: str, shards: int) -> Mahif:
+    def _engine(self, backend: str) -> Mahif:
         with self._engines_lock:
-            engine = self._engines.get((backend, shards))
+            engine = self._engines.get(backend)
             if engine is None:
-                engine = Mahif(MahifConfig(backend=backend, shards=shards))
-                self._engines[(backend, shards)] = engine
+                engine = Mahif(MahifConfig(backend=backend))
+                self._engines[backend] = engine
             return engine
 
     def answer(
@@ -675,12 +674,13 @@ class WhatIfService:
         """
         backend = options.backend
         while True:
-            engine = self._engine(backend, options.shards)
+            engine = self._engine(backend)
             try:
                 results = engine.answer_batch(
                     queries,
                     options.method,
                     workers=options.workers,
+                    shards=options.shards,
                     start_databases=start_dbs,
                     explain=options.explain,
                 )

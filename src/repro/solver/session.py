@@ -33,15 +33,13 @@ from typing import Any, Iterable
 from ..obs.metrics import global_registry
 from ..relational.expressions import Expr, FALSE, TRUE, and_, simplify
 from .branch_bound import Feasibility, solve
-from .compiler import (
-    DEFAULT_BIG_M,
-    DEFAULT_EPSILON,
-    FormulaCompiler,
-    UnsupportedExpression,
-)
+from .compiler import FormulaCompiler, UnsupportedExpression
 from .intervals import IntervalOutcome, IntervalPrefix
 
 __all__ = ["SatResult", "SolverConfig", "SolverSession"]
+
+#: Branch-and-bound nodes before a check gives up with ``UNKNOWN``.
+NODE_LIMIT = 400
 
 
 @dataclass(frozen=True)
@@ -54,9 +52,6 @@ class SolverConfig:
     path.
     """
 
-    big_m: float = DEFAULT_BIG_M
-    epsilon: float = DEFAULT_EPSILON
-    node_limit: int = 400
     use_interval_presolve: bool = True
 
 
@@ -156,15 +151,13 @@ class SolverSession:
                 return "intervals", SatResult(Feasibility.INFEASIBLE)
 
         formula = and_(*(f for f in (self._prefix, rest) if f != TRUE))
-        compiler = FormulaCompiler(
-            big_m=self._config.big_m, epsilon=self._config.epsilon
-        )
+        compiler = FormulaCompiler()
         try:
             compiler.assert_condition(formula)
         except UnsupportedExpression:
             return "milp", SatResult(Feasibility.UNKNOWN)
 
-        solved = solve(compiler.model, node_limit=self._config.node_limit)
+        solved = solve(compiler.model, node_limit=NODE_LIMIT)
         witness = None
         if solved.status is Feasibility.FEASIBLE and solved.assignment is not None:
             witness = _decode_witness(compiler, solved.assignment)

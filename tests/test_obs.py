@@ -258,6 +258,32 @@ class TestTracing:
             s.add_event("ignored")
         assert trace.current_span() is None
 
+    @pytest.mark.parametrize("unsampled_sink", [False, True])
+    def test_dormant_answer_builds_no_span(
+        self, monkeypatch, orders_db, paper_history, unsampled_sink
+    ):
+        """The dormant path's cost as a count, not a clock: with no sink
+        — or a sink and a lost sampling draw — a whole answer passes
+        every ``span`` / ``record_span`` / ``start_trace`` site and
+        constructs no ``Span``."""
+        built = []
+        real_init = trace.Span.__init__
+
+        def counting_init(self, trace_id, name, *rest):
+            built.append(name)
+            real_init(self, trace_id, name, *rest)
+
+        monkeypatch.setattr(trace.Span, "__init__", counting_init)
+        lines: list[str] = []
+        trace.configure_tracing(
+            lines.append if unsampled_sink else None, sample=0.0
+        )
+        with trace.start_trace("request"):
+            Mahif(MahifConfig(shards=2)).answer(
+                _paper_query(orders_db, paper_history), Method.R_PS_DS
+            )
+        assert built == [] and lines == []
+
     def test_deterministic_sampler(self):
         lines: list[str] = []
         draws = iter([True, False])

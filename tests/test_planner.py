@@ -45,13 +45,11 @@ from repro.core import (
     MahifConfig,
     Method,
     Replace,
-    calibrate_cost_model,
     estimate_relation,
     plan_execution,
 )
 from repro.core.batch import shared_start_databases
 from repro.core.plan import plan_reenactment
-from repro.core.planner import DEFAULT_COST_MODEL
 from repro.core.shard import routing_condition, shard_keep_mask
 from repro.relational import History, partition_relation
 from repro.relational.exec.backend import BACKENDS
@@ -208,45 +206,6 @@ class TestCostModel:
         plan, config = _plan_of(big_query, Method.R)
         choice = plan_execution(plan, config, max_shards=8)
         assert 1 < choice.shards <= 8
-
-    def test_calibration_scales_backend_ratios(self):
-        report = {
-            "hot_path": [
-                {
-                    "rows": 400,
-                    "interpreted_exe": 0.01,
-                    "compiled_exe": 0.001,
-                    "sqlite_exe": 0.002,
-                },
-                {
-                    "rows": 4800,
-                    "interpreted_exe": 0.3,
-                    "compiled_exe": 0.01,
-                    "sqlite_exe": 0.02,
-                },
-            ]
-        }
-        model = calibrate_cost_model(report)
-        # Ratios come from the largest row: 30x and 2x compiled.
-        assert model.row_op("interpreted") == pytest.approx(
-            30 * model.row_op("compiled")
-        )
-        assert model.ds_row("sqlite") == pytest.approx(
-            2 * model.ds_row("compiled")
-        )
-
-    @pytest.mark.parametrize(
-        "report",
-        [
-            {},
-            {"hot_path": []},
-            {"hot_path": [{"rows": 10, "compiled_exe": 0.0}]},
-            {"hot_path": [{"rows": 10, "compiled_exe": "fast"}]},
-            {"hot_path": [{"rows": 10, "compiled_exe": 0.1}]},
-        ],
-    )
-    def test_calibration_falls_back_on_bad_reports(self, report):
-        assert calibrate_cost_model(report) is DEFAULT_COST_MODEL
 
 
 class TestEstimatesAndWitnesses:

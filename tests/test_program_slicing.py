@@ -5,7 +5,6 @@ import pytest
 from repro import Database, History, Relation, Schema
 from repro.core.hwq import Replace, align
 from repro.core.program_slicing import (
-    ProgramSlicingConfig,
     greedy_slice,
     histories_equal_condition,
     is_slice,
@@ -184,9 +183,3 @@ class TestIsSlice:
         rows = [(1, 55, 5), (2, 10, 5), (3, 95, 5)]
         aligned = align(History.of(u1, u2), [Replace(1, u1p)])
         assert not is_slice(aligned, db_with(rows), schemas(), {1})
-
-
-class TestConfig:
-    def test_skip_modified_positions_default(self):
-        config = ProgramSlicingConfig()
-        assert config.skip_modified_positions

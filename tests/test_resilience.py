@@ -579,10 +579,10 @@ def test_sqlite_failure_degrades_to_compiled(
         # Every sqlite engine is poisoned; the compiled fallback is the
         # service's own.
         real_engine = service._engine
-        service._engine = lambda backend, shards: (
+        service._engine = lambda backend: (
             _BrokenSqliteEngine()
             if backend == "sqlite"
-            else real_engine(backend, shards)
+            else real_engine(backend)
         )
         client = ServiceClient(server.url)
         answer = client.whatif("orders", SPEC, backend="sqlite")

@@ -100,14 +100,32 @@ class TestShardedAnswering:
             client.whatif("orders", spec_for(60), shards=-1)
         with pytest.raises(ServiceClientError):
             client.whatif("orders", spec_for(60), shards="many")
-        # the engine map is keyed per shard count, so client-supplied
-        # counts are capped (MAX_SHARDS) instead of growing it unbounded
+        # every shard is a partition and a task per relation, so
+        # client-supplied counts are capped (MAX_SHARDS)
         with pytest.raises(ServiceClientError):
             client.whatif("orders", spec_for(60), shards=65)
 
     def test_explicit_shards_one_overrides_server_default(self, client):
         answer = client.whatif("orders", spec_for(58), shards=1)
         assert answer["shards"] == 1
+
+    def test_shard_counts_share_one_engine_per_backend(
+        self, sharded_server, client, orders_db, paper_history
+    ):
+        """Shards travel by argument: walking the request field over
+        several counts must not make the service build an engine (a
+        worker pool, a version cache) per count."""
+        oracle = expected_delta(orders_db, paper_history, spec_for(62))
+        for shards in (1, 2, 4):
+            answer = client.whatif("orders", spec_for(62), shards=shards)
+            assert answer["shards"] == shards
+            assert "planner" not in answer
+            assert answer["cached"] is False
+            assert answer["delta"] == oracle
+        auto = client.whatif("orders", spec_for(62), shards="auto")
+        assert auto["shards"] == auto["planner"]["shards"]
+        assert auto["delta"] == oracle
+        assert list(sharded_server.service._engines) == ["compiled"]
 
 
 class TestShardedResultCache:

@@ -1,7 +1,6 @@
 """End-to-end service smoke: the real ``repro.cli serve`` process, the
 real CLI client over HTTP, deltas asserted equal to the in-process
-``Mahif.answer_batch`` oracle.  This is the test the CI service-smoke
-job runs."""
+``Mahif.answer_batch`` oracle."""
 
 import json
 import os

@@ -476,6 +476,17 @@ def test_second_whatif_at_a_position_replays_and_scans_nothing(work):
     assert ask(35, 102) == {"applied": 5, "rows": rows}
     assert ask(35, 103) == {"applied": 0, "rows": 0}
     assert ask(30, 104) == {"applied": 0, "rows": 0}
+    # one batch, three questions at a position never seen: the prefix is
+    # replayed once for all of them, not once each (57)
+    before = work["applied"]
+    engine.answer_batch(
+        [
+            HistoricalWhatIfQuery(history, database, replace_at(20, bump))
+            for bump in (105, 106, 107)
+        ],
+        Method.R_PS_DS,
+    )
+    assert work["applied"] - before == 19
 
 
 def test_served_miss_with_an_empty_prefix_reads_no_checkpoint(
