@@ -23,7 +23,7 @@ from ..relational.algebra import (
 )
 from ..relational.database import Database
 from ..relational.expressions import Attr, Const
-from ..relational.relation import Relation
+from ..relational.relation import Relation, sort_rows
 from ..relational.schema import Schema
 
 __all__ = ["RelationDelta", "DatabaseDelta", "delta_query"]
@@ -71,9 +71,9 @@ class RelationDelta:
 
     def annotated_rows(self) -> Iterator[tuple[str, tuple[Any, ...]]]:
         """Iterate ``('+', t)`` / ``('-', t)`` pairs, deterministic order."""
-        for row in sorted(self.removed, key=repr):
+        for row in sort_rows(self.removed):
             yield ("-", row)
-        for row in sorted(self.added, key=repr):
+        for row in sort_rows(self.added):
             yield ("+", row)
 
     def pretty(self) -> str:

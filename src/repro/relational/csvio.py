@@ -14,7 +14,7 @@ import pathlib
 from typing import Any, Iterable
 
 from .database import Database
-from .relation import Relation
+from .relation import Relation, sort_rows
 from .schema import Schema
 
 __all__ = [
@@ -138,8 +138,6 @@ def bag_to_csv(
     once per multiplicity (headers stay the plain schema, so the file
     also loads as a set relation, deliberately collapsing duplicates).
     """
-    from .relation import _sort_key
-
     if style not in ("count", "repeat"):
         raise ValueError(
             f"unknown bag CSV style {style!r}; expected 'count' or 'repeat'"
@@ -154,9 +152,7 @@ def bag_to_csv(
             bag_to_csv(bag, fh, style=style)
             return
     writer = csv.writer(target)
-    ordered = sorted(
-        bag.multiplicities, key=lambda t: tuple(map(_sort_key, t))
-    )
+    ordered = sort_rows(bag.multiplicities)
     if style == "count":
         writer.writerow([*bag.schema.attributes, BAG_COUNT_COLUMN])
         for row in ordered:

@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 from .expressions import Expr, evaluate
 from .schema import Schema, SchemaError
 
-__all__ = ["Relation"]
+__all__ = ["Relation", "sort_rows"]
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,8 @@ class Relation:
         return Relation(self.schema, self.tuples | {row})
 
     def sorted_rows(self) -> list[tuple[Any, ...]]:
-        """Deterministically ordered rows (for display and tests)."""
-        return sorted(self.tuples, key=lambda t: tuple(map(_sort_key, t)))
+        """Deterministically ordered rows (see :func:`sort_rows`)."""
+        return sort_rows(self.tuples)
 
     def pretty(self, limit: int = 20) -> str:
         """Simple fixed-width rendering of the relation."""
@@ -179,6 +179,38 @@ def _sort_key(value: Any) -> tuple[int, int, Any]:
             return (2, 1, 0.0)
         return (2, 0, value)
     return (3, 0, str(value))
+
+
+def sort_rows(rows: Iterable[tuple[Any, ...]]) -> list[tuple[Any, ...]]:
+    """The one deterministic row order of the tree — checkpoints, CSV,
+    the CLI's printed delta and the wire all use it: ascending by
+    :func:`_sort_key` cell by cell, so a function of the row *set*
+    (rows that differ only in which NaN object they hold tie, as they
+    must).
+
+    Building 25 000 key tuples costs ten times the sort itself, so every
+    column is first classified by the set of its value types: where
+    Python orders each column's values as their keys are ordered, its
+    own tuple order *is* the keyed order.
+    """
+    rows = list(rows)
+    if all(map(_ordered_as_keyed, zip(*rows))):
+        return sorted(rows)
+    return sorted(rows, key=lambda row: tuple(map(_sort_key, row)))
+
+
+def _ordered_as_keyed(column: tuple[Any, ...]) -> bool:
+    """Whether ``<`` and ``==`` on this column's values agree with
+    :func:`_sort_key`: all ``str``, or all ``int``/``float`` without
+    NaN — every key is then ``(rank, 0, value)`` under one rank.
+    ``None``, a ``bool``, NaN, a subclass or numbers beside strings
+    need the key."""
+    types = set(map(type, column))
+    if types == {str}:
+        return True
+    return types <= {int, float} and not (
+        float in types and any(v != v for v in column)
+    )
 
 
 def _fmt(value: Any) -> str:

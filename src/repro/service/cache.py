@@ -7,17 +7,35 @@ publishes them and reports appends, nothing more.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from ..core.planner import AUTO_SHARDS
 
-__all__ = ["ResultCache"]
+__all__ = ["CachedAnswer", "ResultCache"]
+
+
+@dataclass(frozen=True)
+class CachedAnswer:
+    """The part of an answer that is the same in every response to it,
+    in both renderings; the fields that vary per response —
+    ``history_length``, ``cached``, ``trace_id`` — are in neither."""
+
+    #: What in-process callers read.
+    payload: dict
+    #: ``payload`` as UTF-8 JSON, encoded once when the answer was
+    #: computed: what every HTTP response to it is spliced around.
+    body: bytes
+
+    @classmethod
+    def encode(cls, payload: dict) -> "CachedAnswer":
+        return cls(payload, json.dumps(payload).encode("utf-8"))
 
 
 @dataclass(frozen=True)
 class _Entry:
-    payload: dict
+    answer: CachedAnswer
     #: The relations whose delta is non-empty: the only ones an appended
     #: statement can access and thereby change the answer.
     delta_relations: frozenset[str]
@@ -41,7 +59,7 @@ class ResultCache:
       sketch).
 
     An entry is keyed by the query fingerprint and the *effective* shard
-    count the answer executed with — a payload reports the configuration
+    count the answer executed with — an answer reports the configuration
     it was computed under, so a request never sees an answer computed at
     another count.  A request for :data:`~repro.core.planner.AUTO_SHARDS`
     resolves through the count the planner last chose for that
@@ -61,22 +79,22 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, fingerprint: Hashable, shards: int) -> dict | None:
-        """The payload cached for ``fingerprint`` at ``shards``, if any."""
+    def get(self, fingerprint: Hashable, shards: int) -> CachedAnswer | None:
+        """The answer cached for ``fingerprint`` at ``shards``, if any."""
         if shards == AUTO_SHARDS:
             # No choice on record is a miss: the planner has to run.
             if fingerprint not in self._chosen:
                 return None
             shards = self._chosen[fingerprint]
         entry = self._entries.get((shards, fingerprint))
-        return None if entry is None else entry.payload
+        return None if entry is None else entry.answer
 
     def put(
         self,
         fingerprint: Hashable,
         effective_shards: int,
         auto: bool,
-        payload: dict,
+        answer: CachedAnswer,
         delta_relations: Iterable[str],
         computed_at_length: int,
     ) -> bool:
@@ -85,7 +103,7 @@ class ResultCache:
         if computed_at_length != self._length:
             return False
         self._entries[(effective_shards, fingerprint)] = _Entry(
-            payload, frozenset(delta_relations)
+            answer, frozenset(delta_relations)
         )
         if auto:
             self._chosen[fingerprint] = effective_shards

@@ -156,7 +156,7 @@ class ServiceClient:
         )
         try:
             with self._opener(request, timeout=timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
+                return json.loads(response.read())
         except urllib.error.HTTPError as exc:
             try:
                 message = json.loads(exc.read().decode("utf-8"))["error"]

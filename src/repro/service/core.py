@@ -10,8 +10,9 @@ outside any lock.
 
 :meth:`WhatIfService.answer` is a straight line of stages — resolve the
 request's options, look up the cache and time-travel the misses through
-the store (under the lock), compute (outside it), publish (under it
-again).  Single queries run through :meth:`Mahif.answer_batch` as a
+the store (under the lock), compute and encode (outside it), publish
+(under it again).  Single queries run through
+:meth:`Mahif.answer_batch` as a
 one-element batch, so both endpoints share the same machinery: shared
 time travel (the store's checkpoint-reconstructed version is injected,
 never a full prefix replay) and, within a batch, shared reenactment
@@ -42,7 +43,7 @@ from ..relational.database import Database
 from ..relational.history import History
 from ..relational.statements import Statement
 from ..store import DEFAULT_CHECKPOINT_INTERVAL, HistoryStore, StoreError
-from .cache import ResultCache
+from .cache import CachedAnswer, ResultCache
 from .resilience import (
     Deadline,
     DeadlineExceeded,
@@ -135,6 +136,25 @@ class _Options:
     explain: bool
 
 
+class Answer(dict):
+    """One answer as :meth:`WhatIfService.answer` returns it: to an
+    in-process caller a plain dict — the cached payload plus
+    ``history_length`` and ``cached`` — that also carries, for the HTTP
+    edge, the bytes the cached payload was encoded to when it was
+    computed.  The server splices the per-response fields around
+    :attr:`body` instead of serialising the dict."""
+
+    __slots__ = ("body",)
+
+    def __init__(
+        self, answer: CachedAnswer, history_length: int, cached: bool
+    ) -> None:
+        super().__init__(
+            answer.payload, history_length=history_length, cached=cached
+        )
+        self.body = answer.body
+
+
 @dataclass
 class _Pending:
     """One request between lookup and publish."""
@@ -142,8 +162,8 @@ class _Pending:
     #: The history length the lookup saw, hence the one a miss is
     #: computed at.
     length: int
-    #: One slot per spec: a hit's payload, or ``None`` until published.
-    outcomes: list[dict | None] = field(default_factory=list)
+    #: One slot per spec: a hit's answer, or ``None`` until published.
+    outcomes: list[Answer | None] = field(default_factory=list)
     #: ``(slot, fingerprint, query)`` per miss, in slot order.
     misses: list[tuple[int, Hashable | None, HistoricalWhatIfQuery]] = field(
         default_factory=list
@@ -242,6 +262,14 @@ class WhatIfService:
         self._sqlite_fallbacks = self.metrics.counter(
             "mahif_sqlite_fallbacks_total",
             "Sqlite-backend failures re-answered on the compiled backend.",
+        )
+        #: Incremented wherever a response body is serialised (the
+        #: server's own replies included): by an answer once, when it is
+        #: computed, however often it is served afterwards.
+        self.wire_encodes = self.metrics.counter(
+            "mahif_wire_encodes_total",
+            "JSON response bodies serialised, by route.",
+            ("route",),
         )
         self._handles: dict[str, _HistoryHandle | None] = {}
         self._handles_lock = threading.Lock()
@@ -510,7 +538,8 @@ class WhatIfService:
         shards: int | str | None = None,
         deadline: Deadline | None = None,
         explain: bool = False,
-    ) -> list[dict]:
+        route: str = "direct",
+    ) -> list[Answer]:
         """Answer one spec per entry over the named stored history.
 
         Cache hits are returned immediately; misses are answered in one
@@ -538,6 +567,9 @@ class WhatIfService:
         stored — a cached payload has no profile, and a profiled
         payload must not be served to plain requests) and execute the
         serial unsharded reenactment path.
+
+        ``route`` labels this call in ``mahif_wire_encodes_total``: the
+        HTTP route it serves, ``"direct"`` for an in-process caller.
         """
         options = self._options(method, backend, workers, shards, explain)
         handle = self._handle(name)
@@ -557,7 +589,8 @@ class WhatIfService:
             # request's active span so engine spans nest under it
             # instead of vanishing.
             resolve = functools.partial(
-                self._resolve, handle, options, pending, trace.current_span()
+                self._resolve, handle, options, pending, route,
+                trace.current_span(),
             )
             if deadline is None:
                 resolve()
@@ -603,23 +636,17 @@ class WhatIfService:
             except Exception as exc:
                 raise ServiceError(str(exc)) from None
             fingerprint = _fingerprint(options, mods)
-            payload = (
+            hit = (
                 None
                 if fingerprint is None
                 else handle.cache.get(fingerprint, options.shards)
             )
-            if payload is not None:
+            if hit is not None:
                 self._cache_hits.inc(history=handle.name)
                 span.add_event("hit", query=slot)
                 # A retained entry is valid at the current length, not
                 # only at the one it was computed for.
-                pending.outcomes.append(
-                    {
-                        **payload,
-                        "history_length": pending.length,
-                        "cached": True,
-                    }
-                )
+                pending.outcomes.append(Answer(hit, pending.length, True))
             else:
                 self._cache_misses.inc(history=handle.name)
                 span.add_event("miss", query=slot)
@@ -651,16 +678,21 @@ class WhatIfService:
 
     def _resolve(
         self, handle: _HistoryHandle, options: _Options, pending: _Pending,
-        parent_span,
+        route: str, parent_span,
     ) -> None:
-        """Stages 4 and 5 for the misses: compute outside the lock,
-        publish under it."""
+        """Stages 4 to 6 for the misses: compute and encode outside the
+        lock — ordering and serialising a 1 MB delta is tens of
+        milliseconds no append should wait for — publish under it."""
         with trace.use_span(parent_span):
             results, used_backend = self._compute(
                 options, pending.queries, pending.start_dbs
             )
+            answers = [
+                self._encode(options, result, used_backend, route)
+                for result in results
+            ]
             with handle.lock:
-                self._publish(handle, options, pending, results, used_backend)
+                self._publish(handle, options, pending, answers)
 
     def _compute(self, options: _Options, queries, start_dbs):
         """Stage 4: one ``answer_batch`` call; returns ``(results,
@@ -696,39 +728,46 @@ class WhatIfService:
                 )
                 backend = "compiled"
 
+    def _encode(
+        self, options: _Options, result, used_backend: str, route: str
+    ) -> CachedAnswer:
+        """Stage 5, outside any lock: everything about one answer that
+        no later response to it will change, as a dict and — once, here
+        — as the bytes every one of those responses is made of."""
+        choice = result.planner_choice
+        payload = {
+            **result_payload(result),
+            "method": options.method.value,
+            "backend": used_backend,
+            # The *effective* count the answer executed with — the
+            # planner's choice under auto, the request's otherwise — and
+            # the count it is cached under.
+            "shards": choice.shards if choice is not None else options.shards,
+        }
+        if choice is not None:
+            payload["planner"] = choice.payload()
+        if used_backend != options.backend:
+            payload["degraded_from"] = options.backend
+        self.wire_encodes.inc(route=route)
+        return CachedAnswer.encode(payload)
+
     def _publish(
         self, handle: _HistoryHandle, options: _Options, pending: _Pending,
-        results, used_backend: str,
+        answers: list[CachedAnswer],
     ) -> None:
-        """Stage 5, under the history's lock: fill the misses' slots and
+        """Stage 6, under the history's lock: fill the misses' slots and
         offer each answer to the cache."""
-        for (slot, fingerprint, _), result in zip(pending.misses, results):
-            choice = result.planner_choice
-            # The payload's "shards" is the *effective* count the answer
-            # executed with — the planner's choice under auto, the
-            # request's otherwise — and the count it is cached under.
-            effective = choice.shards if choice is not None else options.shards
-            payload = {
-                **result_payload(result),
-                "history_length": pending.length,
-                "method": options.method.value,
-                "backend": used_backend,
-                "shards": effective,
-            }
-            if choice is not None:
-                payload["planner"] = choice.payload()
-            if used_backend != options.backend:
-                payload["degraded_from"] = options.backend
-            pending.outcomes[slot] = {**payload, "cached": False}
+        for (slot, fingerprint, _), answer in zip(pending.misses, answers):
+            pending.outcomes[slot] = Answer(answer, pending.length, False)
             if fingerprint is not None:
                 handle.cache.put(
                     fingerprint,
-                    effective,
+                    answer.payload["shards"],
                     options.shards == AUTO_SHARDS,
-                    payload,
+                    answer,
                     # The wire delta lists exactly the relations whose
                     # delta is non-empty (wire.delta_payload).
-                    payload["delta"].keys(),
+                    answer.payload["delta"].keys(),
                     pending.length,
                 )
         self._cache_entries.set(len(handle.cache), history=handle.name)

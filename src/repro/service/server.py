@@ -40,7 +40,7 @@ from ..relational.history import History
 from ..relational.parser import ParseError, parse_history
 from ..relational.statements import Statement
 from ..store import CodecError, StoreError, decode_database, decode_statement
-from .core import WhatIfService
+from .core import Answer, WhatIfService
 from .resilience import (
     AdmissionController,
     Deadline,
@@ -78,11 +78,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _reply(
         self,
-        payload: dict | str,
+        payload: dict | bytes | str,
         status: int = 200,
         headers: Mapping[str, str] | None = None,
     ) -> None:
-        """Send a JSON object, or a string as Prometheus text."""
+        """Send a JSON object — a dict, or bytes that already are one
+        (an answer) — or a string as Prometheus text."""
         # Keep-alive hygiene: if a route errored before reading the
         # request body, drain it now — otherwise the unread bytes would
         # be parsed as the next request's request line.  Oversized
@@ -94,22 +95,39 @@ class _Handler(BaseHTTPRequestHandler):
             elif leftover:
                 self.close_connection = True
             self._body_consumed = True
+        app, route = self.app, self._route_label
+        content_type = "application/json"
         if isinstance(payload, str):
             content_type = "text/plain; version=0.0.4; charset=utf-8"
             body = payload.encode("utf-8")
+        elif isinstance(payload, bytes):
+            # The id arrives in a client header: escape it.
+            body = _with_fields(
+                payload, b'"trace_id": %b' % json.dumps(self._trace_id).encode()
+            )
         else:
-            content_type = "application/json"
-            if "trace_id" not in payload:
-                payload = {**payload, "trace_id": self._trace_id}
-            body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Mahif-Trace", self._trace_id)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+            app.service.wire_encodes.inc(route=route)
+            body = json.dumps(
+                {**payload, "trace_id": self._trace_id}
+            ).encode("utf-8")
+        app.response_bytes.inc(len(body), route=route)
+        phrase = self.responses.get(status, ("",))[0]
+        head = [
+            f"{self.protocol_version} {status} {phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+            f"X-Mahif-Trace: {self._trace_id}",
+            *(f"{name}: {value}" for name, value in (headers or {}).items()),
+            "\r\n",
+        ]
+        self.log_request(status)
+        # One write, hence one segment where it fits: after headers sent
+        # on their own, a body under the MSS waits out Nagle's algorithm
+        # against the client's delayed ACK (~40 ms) on every connection
+        # that is reused.
+        self.wfile.write("\r\n".join(head).encode("latin-1") + body)
 
     def _body(self) -> dict:
         raw_length = self.headers.get("Content-Length")
@@ -175,6 +193,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._trace_id = (
             self.headers.get("X-Mahif-Trace") or trace.new_trace_id()
         )
+        self._route_label = route.label
         app.tracker.enter()
         try:
             # Metrics are recorded *before* the reply bytes hit the
@@ -293,7 +312,8 @@ class _Handler(BaseHTTPRequestHandler):
         body = self._body()
         if "modifications" not in body:
             raise ServiceError('whatif requires "modifications"')
-        return self._answer(name, body, [body["modifications"]])[0], 200
+        (answer,) = self._answer(name, body, [body["modifications"]])
+        return _answer_json(answer), 200
 
     def _batch(self, name: str):
         body = self._body()
@@ -303,7 +323,9 @@ class _Handler(BaseHTTPRequestHandler):
         results = self._answer(
             name, body, specs, workers=_int_of(body, "workers")
         )
-        return {"results": results}, 200
+        return b'{"results": [%b]}' % b", ".join(
+            map(_answer_json, results)
+        ), 200
 
     def _answer(self, name: str, body: dict, specs: list, workers=None):
         """The request fields the two compute routes share."""
@@ -316,6 +338,7 @@ class _Handler(BaseHTTPRequestHandler):
             shards=body.get("shards"),
             deadline=self._deadline(),
             explain=bool(body.get("explain")),
+            route=self._route_label,
         )
 
 
@@ -353,6 +376,24 @@ _ROUTES = (
     _Route("GET", re.compile("/metrics"), "metrics", _Handler._metrics,
            guarded=False),
 )
+
+
+def _with_fields(body: bytes, fields: bytes) -> bytes:
+    """``body`` — a non-empty JSON object — with ``fields``
+    (``"name": value, ...``) added at its end, in one copy."""
+    return b"".join((memoryview(body)[:-1], b", ", fields, b"}"))
+
+
+def _answer_json(answer: Answer) -> bytes:
+    """One answer as a client reads it: the bytes it was encoded to when
+    it was computed, closed by the two fields that differ between one
+    response to it and the next — a hit is a hit, and an entry retained
+    across an append reports the new length."""
+    return _with_fields(
+        answer.body,
+        b'"history_length": %d, "cached": %s'
+        % (answer["history_length"], b"true" if answer["cached"] else b"false"),
+    )
 
 
 def _int_of(body: Mapping, key: str) -> int | None:
@@ -439,6 +480,11 @@ class WhatIfServer:
             "mahif_requests_total",
             "HTTP requests served, by route and status code.",
             ("route", "code"),
+        )
+        self.response_bytes = registry.counter(
+            "mahif_response_bytes_total",
+            "HTTP response body bytes sent, by route.",
+            ("route",),
         )
         self.service = service
         self.quiet = quiet

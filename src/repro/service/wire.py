@@ -23,6 +23,7 @@ from ..core import DeleteStatementMod, Method, Replace
 from ..core.hwq import InsertStatementMod, Modification
 from ..core.planner import AUTO_SHARDS
 from ..relational.parser import ParseError, parse_statement
+from ..relational.relation import sort_rows
 
 __all__ = [
     "SpecError",
@@ -116,10 +117,8 @@ def delta_payload(result, *, include_empty: bool = False) -> dict:
     return {
         relation: {
             "attributes": list(delta.schema.attributes),
-            "added": [list(row) for row in sorted(delta.added, key=repr)],
-            "removed": [
-                list(row) for row in sorted(delta.removed, key=repr)
-            ],
+            "added": [list(row) for row in sort_rows(delta.added)],
+            "removed": [list(row) for row in sort_rows(delta.removed)],
         }
         for relation, delta in sorted(result.delta.relations.items())
         if include_empty or delta.added or delta.removed

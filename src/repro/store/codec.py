@@ -49,7 +49,7 @@ from ..relational.expressions import (
     Not,
     Var,
 )
-from ..relational.relation import Relation
+from ..relational.relation import Relation, sort_rows
 from ..relational.schema import Schema, SchemaError
 from ..relational.statements import (
     DeleteStatement,
@@ -321,11 +321,10 @@ def _encode_relation(relation: Relation) -> dict:
 def _encode_bag_relation(relation: BagRelation) -> dict:
     return {
         "attributes": list(relation.schema.attributes),
-        "rows": sorted(
-            ([list(row), count]
-             for row, count in relation.multiplicities.items()),
-            key=repr,
-        ),
+        "rows": [
+            [list(row), relation.multiplicities[row]]
+            for row in sort_rows(relation.multiplicities)
+        ],
     }
 
 

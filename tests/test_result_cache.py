@@ -12,19 +12,26 @@ shares no logic with the cache's incremental bookkeeping.
 Single-threaded and engine-free: the harness plays the engine by fixing,
 per fingerprint, the relations its answer's delta touches until an
 append accesses one of them (only then may the answer, and with it the
-footprint, change).  Seeded through ``MAHIF_FUZZ_SEED``; the number of
-sequences scales with ``MAHIF_FUZZ_SCALE`` like the other fuzz suites.
+footprint, change).  An entry holds its answer twice — the payload dict
+and the bytes it was encoded to once — so the run also checks that every
+live entry's bytes still decode to its payload, and that the cache lets
+go of a dropped entry's bytes (they are the megabyte).  Seeded through
+``MAHIF_FUZZ_SEED``; the number of sequences scales with
+``MAHIF_FUZZ_SCALE`` like the other fuzz suites.
 """
 
 from __future__ import annotations
 
+import gc
+import json
 import os
 import random
+import types
 
 import pytest
 
 from repro.core.planner import AUTO_SHARDS
-from repro.service.cache import ResultCache
+from repro.service.cache import CachedAnswer, ResultCache
 
 _SCALE = float(os.environ.get("MAHIF_FUZZ_SCALE", "1.0"))
 _SEED = int(os.environ.get("MAHIF_FUZZ_SEED", "20260927"))
@@ -78,6 +85,22 @@ class Model:
 STEPS = 200
 
 
+def reachable_ids(root) -> set[int]:
+    """``id`` of every object ``root`` keeps alive (its classes' and
+    modules' own references aside)."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType)
+        ):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return seen
+
+
 def some_relations(rng: random.Random, at_least: int) -> frozenset:
     return frozenset(rng.sample(RELATIONS, rng.randrange(at_least, 3)))
 
@@ -93,6 +116,9 @@ def run(seed: int) -> dict:
     footprint = {fp: some_relations(rng, 1) for fp in FINGERPRINTS}
     footprint["q0"] = frozenset()
     seen = {"hits": 0, "stale": 0, "dropped": 0, "retained": 0}
+    #: The answer last accepted under each key; kept alive here, so a
+    #: dropped body's ``id`` stays its own.
+    accepted: dict[tuple, CachedAnswer] = {}
     for step in range(STEPS):
         action = rng.random()
         if action < 0.45:
@@ -101,14 +127,16 @@ def run(seed: int) -> dict:
             auto = rng.random() < 0.4
             # One put in five lost a race with an append.
             at = length if rng.random() < 0.8 else length - rng.randrange(1, 3)
-            payload = {"answer": step}
-            accepted = cache.put(
-                fingerprint, shards, auto, payload, footprint[fingerprint], at
+            answer = CachedAnswer.encode({"answer": step})
+            taken = cache.put(
+                fingerprint, shards, auto, answer, footprint[fingerprint], at
             )
-            assert accepted == (at == length)
-            seen["stale"] += not accepted
+            assert taken == (at == length)
+            seen["stale"] += not taken
+            if taken:
+                accepted[fingerprint, shards] = answer
             model.put(
-                fingerprint, shards, auto, payload, footprint[fingerprint], at
+                fingerprint, shards, auto, answer, footprint[fingerprint], at
             )
         elif action < 0.8:
             fingerprint = rng.choice(FINGERPRINTS)
@@ -116,6 +144,8 @@ def run(seed: int) -> dict:
             got = cache.get(fingerprint, shards)
             assert got is model.get(fingerprint, shards), (seed, step)
             seen["hits"] += got is not None
+            if got is not None:
+                assert json.loads(got.body) == got.payload
         else:
             accessed = some_relations(rng, 0)
             before = model.entries()
@@ -131,6 +161,12 @@ def run(seed: int) -> dict:
                 if relations & accessed:  # the answer may have changed
                     footprint[fingerprint] = some_relations(rng, 1)
             assert len(cache) == len(after)
+            held = reachable_ids(cache)
+            for key in before - after:
+                assert id(accepted.pop(key).body) not in held, (seed, step)
+            for key in after:
+                assert id(accepted[key].body) in held, (seed, step)
+                assert cache.get(*key) is accepted[key], (seed, step)
     return seen
 
 
@@ -142,10 +178,14 @@ def test_cache_agrees_with_the_model(trial):
     assert all(seen.values()), seen
 
 
+def answer_of(value) -> CachedAnswer:
+    return CachedAnswer.encode({"answer": value})
+
+
 class TestContract:
     def test_explicit_and_auto_share_the_entry_at_the_chosen_count(self):
         cache = ResultCache(3)
-        payload = {"answer": 1}
+        payload = answer_of(1)
         assert cache.put("q", 2, True, payload, {"R"}, 3)
         assert cache.get("q", AUTO_SHARDS) is payload
         assert cache.get("q", 2) is payload
@@ -153,7 +193,7 @@ class TestContract:
 
     def test_two_explicit_counts_never_share(self):
         cache = ResultCache(3)
-        cache.put("q", 2, False, {"answer": 1}, {"R"}, 3)
+        cache.put("q", 2, False, answer_of(1), {"R"}, 3)
         assert cache.get("q", 1) is None
         assert cache.get("q", 4) is None
         # ...and an explicit answer alone gives auto nothing to resolve
@@ -162,40 +202,40 @@ class TestContract:
 
     def test_advance_drops_overlapping_entries_and_only_those(self):
         cache = ResultCache(3)
-        kept, gone = {"answer": "kept"}, {"answer": "gone"}
+        kept, gone = answer_of("kept"), answer_of("gone")
         cache.put("kept", 1, False, kept, {"R"}, 3)
         cache.put("gone", 1, False, gone, {"R", "S"}, 3)
-        cache.put("empty-delta", 1, False, {}, (), 3)
+        cache.put("empty-delta", 1, False, answer_of(None), (), 3)
         assert cache.advance(4, {"S", "T"}) == (1, 2)
         assert cache.get("kept", 1) is kept
         assert cache.get("gone", 1) is None
         # Retained entries answer for the *new* length.
-        assert cache.put("late", 1, False, {}, (), 3) is False
-        assert cache.put("fresh", 1, False, {}, (), 4) is True
+        assert cache.put("late", 1, False, answer_of(None), (), 3) is False
+        assert cache.put("fresh", 1, False, answer_of(None), (), 4) is True
 
     def test_a_dropped_entry_takes_its_auto_choice_with_it(self):
         """The memo leak: nothing keyed by the fingerprint remains."""
         cache = ResultCache(0)
-        cache.put("q", 2, True, {"answer": 1}, {"R"}, 0)
+        cache.put("q", 2, True, answer_of(1), {"R"}, 0)
         assert cache.advance(1, {"R"}) == (1, 0)
         assert cache.get("q", AUTO_SHARDS) is None
         # A dangling choice would resolve auto to this new entry; a
         # removed one leaves auto a miss until the planner chooses again.
-        cache.put("q", 2, False, {"answer": 2}, {"R"}, 1)
+        cache.put("q", 2, False, answer_of(2), {"R"}, 1)
         assert cache.get("q", AUTO_SHARDS) is None
         assert cache._chosen == {}
 
     def test_a_refused_put_records_no_choice(self):
         cache = ResultCache(5)
-        assert cache.put("q", 2, True, {"answer": 1}, {"R"}, 4) is False
+        assert cache.put("q", 2, True, answer_of(1), {"R"}, 4) is False
         assert len(cache) == 0
-        cache.put("q", 2, False, {"answer": 2}, {"R"}, 5)
+        cache.put("q", 2, False, answer_of(2), {"R"}, 5)
         assert cache.get("q", AUTO_SHARDS) is None
         assert cache._chosen == {}
 
     def test_a_retained_entry_keeps_its_auto_choice(self):
         cache = ResultCache(0)
-        payload = {"answer": 1}
+        payload = answer_of(1)
         cache.put("q", 4, True, payload, {"R"}, 0)
         assert cache.advance(1, {"S"}) == (0, 1)
         assert cache.get("q", AUTO_SHARDS) is payload
