@@ -50,10 +50,10 @@ from ..relational.database import Database
 from ..relational.exec.backend import resolve_backend
 from ..relational.statements import Statement
 from .delta import DatabaseDelta
-from .engine import Mahif, MahifResult, Method, VersionCache
+from .engine import Mahif, MahifResult, Method, PrefixKey, VersionCache
 from .hwq import HistoricalWhatIfQuery
 from .naive import naive_what_if
-from .plan import ReenactmentPlan, plan_reenactment, statement_share_key
+from .plan import ReenactmentPlan, plan_reenactment, share_key_and_hash
 from .planner import ExecutionChoice, plan_execution
 from .pool import ResilientExecutor, run_tasks
 from .shard import (
@@ -65,13 +65,14 @@ from .shard import (
 __all__ = [
     "ResilientExecutor",
     "answer_batch_with",
+    "prefix_key",
     "shared_start_databases",
 ]
 
 
-#: Time travel by what the engine's version cache could contribute.  An
-#: empty prefix (first statement modified) has nothing to look up and
-#: is not counted.
+#: Time travel by what the version cache it ran against could
+#: contribute.  An empty prefix (first statement modified) has nothing
+#: to look up and is not counted.
 _VERSION_OUTCOMES = global_registry().counter(
     "mahif_version_cache_total",
     "Time travel to a non-empty history prefix by version-cache "
@@ -81,25 +82,23 @@ _VERSION_OUTCOMES = global_registry().counter(
 )
 
 
-def _prefix_key(prefix: Sequence[Statement]) -> tuple | None:
-    """The prefix as the version cache keys it, or ``None`` when a
-    statement embeds an unhashable constant (no sharing then).
-    Statements hash via their structural share key (UpdateStatement
-    carries a dict); building the tuple never hashes, so probe here."""
-    key = tuple(statement_share_key(s) for s in prefix)
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
+def prefix_key(prefix: Sequence[Statement]) -> PrefixKey | None:
+    """The (non-empty) prefix as a version cache keys it, or ``None``
+    when a statement embeds an unhashable constant (no sharing then).
+    Built from what :mod:`repro.core.plan` remembers per statement
+    object, so keying a prefix a second time walks and hashes no
+    statement."""
+    keys, hashes = zip(*map(share_key_and_hash, prefix))
+    return None if None in hashes else PrefixKey(keys, hash(hashes))
 
 
 def _time_travel(
     queries: Sequence[HistoricalWhatIfQuery],
     backend: str | None,
     versions: VersionCache,
-) -> list[tuple[Database, float]]:
-    """``(start database, seconds it cost)`` per query — see
+) -> tuple[list[tuple[Database, float]], int]:
+    """``(start database, seconds it cost)`` per query, and the prefix
+    statements applied for all of them together — see
     :func:`shared_start_databases`.  A query is charged its own
     alignment, lookup and the statements replayed on its behalf; one
     that finds its version already there is charged the lookup."""
@@ -111,11 +110,12 @@ def _time_travel(
         prefixes.append(query.history.statements[:prefix_length])
         seconds.append(time.perf_counter() - t0)
     states: list[Database | None] = [None] * len(queries)
+    replayed = 0
     for index in sorted(range(len(queries)), key=lambda i: len(prefixes[i])):
         t0 = time.perf_counter()
         prefix = prefixes[index]
         base = state = queries[index].database
-        key = _prefix_key(prefix) if prefix else None
+        key = prefix_key(prefix) if prefix else None
         done = 0
         if key is not None:
             done, state = versions.deepest(base, key)
@@ -125,11 +125,12 @@ def _time_travel(
             )
         for stmt in prefix[done:]:
             state = apply(stmt, state)
+        replayed += len(prefix) - done
         if key is not None and done < len(prefix):
             state = versions.put(base, key, state)
         states[index] = state
         seconds[index] += time.perf_counter() - t0
-    return list(zip(states, seconds))  # type: ignore[arg-type]
+    return list(zip(states, seconds)), replayed  # type: ignore[arg-type]
 
 
 def shared_start_databases(
@@ -144,15 +145,21 @@ def shared_start_databases(
     from the deepest already-materialized prefix of itself, so a batch
     whose modifications all sit at one position replays the common
     prefix exactly once.  ``versions`` is where materialized versions
-    are kept — the calling engine's :class:`~repro.core.engine.
-    VersionCache`, so the sharing extends across its calls (a what-if at
-    position 35 after one at 30 replays 5 statements); a caller without
-    an engine shares within this call only.  Statements replay through
-    the named execution backend (``None``: compiled).
+    are kept — the caller's :class:`~repro.core.engine.VersionCache`
+    (an engine's, the what-if service's), so the sharing extends across
+    its calls (a what-if at position 35 after one at 30 replays 5
+    statements); a caller without one shares within this call only.
+    Statements replay through the named execution backend (``None``:
+    compiled).  Under an active trace the caller's span is told how many
+    statements were applied (``replayed``).
     """
     if versions is None:
         versions = VersionCache()
-    return [state for state, _ in _time_travel(queries, backend, versions)]
+    travelled, replayed = _time_travel(queries, backend, versions)
+    span = trace.current_span()
+    if span is not None:
+        span.set_attribute("replayed", replayed)
+    return [state for state, _ in travelled]
 
 
 def _plan_task(config, query, method, start_db, shared):
@@ -184,11 +191,13 @@ def answer_batch_with(
     the evaluation tasks, naive replay — is handed ``config.backend``.
 
     ``start_databases`` optionally injects the time-travelled state
-    before each query's first modified statement — the what-if service
-    passes versions reconstructed from a :class:`~repro.store.
-    HistoryStore` checkpoint (nearest checkpoint + bounded replay)
-    instead of replaying the whole prefix here.  ``current_states``
-    optionally hands ``Method.NAIVE`` each query's ``H(D)``.
+    before each query's first modified statement, the one way a state
+    enters the engine from outside — the what-if service passes what
+    :func:`shared_start_databases` found in (or added to) the service's
+    own :class:`~repro.core.engine.VersionCache`, which its stores seed
+    with checkpoints, so the engine's cache is not consulted.
+    ``current_states`` optionally hands ``Method.NAIVE`` each query's
+    ``H(D)``.
 
     ``workers`` (default ``config.batch_workers``) > 1 runs the plan
     stage over the engine's pool and widens the execute stage's (see
@@ -219,7 +228,7 @@ def answer_batch_with(
     if start_databases is not None:
         travelled = [(database, 0.0) for database in start_databases]
     else:
-        travelled = _time_travel(queries, config.backend, engine._versions)
+        travelled, _ = _time_travel(queries, config.backend, engine._versions)
     start_dbs = [database for database, _ in travelled]
     executor, _ = engine._executor(workers, len(queries))
     plans = _plan_stage(config, queries, method, start_dbs, executor)

@@ -58,6 +58,7 @@ __all__ = [
     "MahifConfig",
     "MahifResult",
     "Mahif",
+    "PrefixKey",
     "VersionCache",
     "answer",
     "answer_batch",
@@ -226,8 +227,8 @@ class MahifResult:
     version-cache lookup and every prefix statement it had to replay —
     charged, like routing, to the query whose miss caused the replay, so
     near zero on a version-cache hit and 0 when the caller injected the
-    start version (the service's store did the travelling) or the method
-    is NAIVE (which replays by definition).  ``slice_result`` and
+    start version (the service did the travelling) or the method is
+    NAIVE (which replays by definition).  ``slice_result`` and
     ``data_slicing`` expose what the optimizations did for inspection
     and the ablation benchmarks.
     """
@@ -262,11 +263,45 @@ class MahifResult:
         return self.time_travel_seconds + self.ps_seconds + self.exe_seconds
 
 
-#: Time-travelled versions one engine keeps.  A session asks about a
-#: handful of positions of one or two histories; each state shares every
-#: relation its prefix did not write with its base, so eight cost a few
-#: relations' worth of rows, not eight databases'.
+#: Time-travelled versions one :class:`VersionCache` keeps (an engine
+#: has one; so has a what-if service, for all its histories).  A session
+#: asks about a handful of positions of one or two histories; each state
+#: shares every relation its prefix did not write with its base, so
+#: eight cost a few relations' worth of rows, not eight databases'.
 VERSION_CACHE_CAPACITY = 8
+
+
+class PrefixKey:
+    """A history prefix as :class:`VersionCache` keys it: the prefix
+    statements' share keys and a hash of them computed once — by
+    :func:`repro.core.batch.prefix_key`, from per-statement hashes that
+    are themselves remembered — so the cache's dict probes re-hash no
+    expression tree.  Equal share keys mean equal prefixes; a prefix
+    built again from the same statement objects compares by identity,
+    element for element."""
+
+    __slots__ = ("keys", "_hash")
+
+    def __init__(self, keys: tuple, hashed: int) -> None:
+        self.keys = keys
+        self._hash = hashed
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, PrefixKey)
+            and self._hash == other._hash
+            and self.keys == other.keys
+        )
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def extends(self, other: "PrefixKey") -> bool:
+        """Whether ``other`` is a prefix of this prefix."""
+        return self.keys[: len(other)] == other.keys
 
 
 class VersionCache:
@@ -274,32 +309,32 @@ class VersionCache:
     ``(base database identity, prefix share keys) -> state``.
 
     The time-travel stage's memory (:func:`repro.core.batch.
-    shared_start_databases`), owned by a :class:`Mahif` so the second
-    what-if over a ``(database, history prefix)`` replays nothing and
-    one a few statements deeper replays only those.  Keyed on the
-    *identity* of the base database — comparing 12 000 rows to find out
-    whether two databases are equal costs what the replay does — and
-    on the prefix statements' type-faithful share keys
-    (:func:`repro.core.plan.statement_share_key`), never on the prefix
-    length: two histories over one database may share a length and
-    nothing else.  Every entry pins its base database, so an ``id()``
-    cannot be recycled into a live key; the pin is released with the
-    entry (eviction, or the engine's death).  Safe for concurrent use:
-    one lock around the probes, states are computed outside it, and
-    when two threads race on one version the first stored wins so a
-    version keeps one identity (which is what lets the Φ_D memo of
-    :mod:`repro.symbolic.compress` hit on it).
+    shared_start_databases`), owned by whatever outlives an answer — a
+    :class:`Mahif`, and the what-if service for its stored histories —
+    so the second what-if over a ``(database, history prefix)`` replays
+    nothing and one a few statements deeper replays only those.  Keyed
+    on the *identity* of the base database — comparing 12 000 rows to
+    find out whether two databases are equal costs what the replay does
+    — and on the prefix statements' type-faithful share keys
+    (:class:`PrefixKey`), never on the prefix length: two histories over
+    one database may share a length and nothing else.  Every entry pins
+    its base database, so an ``id()`` cannot be recycled into a live
+    key; the pin is released with the entry (eviction, or the owner's
+    death).  Safe for concurrent use: one lock around the probes, states
+    are computed outside it, and when two threads race on one version
+    the first stored wins so a version keeps one identity (which is what
+    lets the Φ_D memo of :mod:`repro.symbolic.compress` hit on it).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         #: (id(base), prefix key) -> (base, state), oldest first.
         self._entries: OrderedDict[
-            tuple[int, tuple], tuple[Database, Database]
+            tuple[int, PrefixKey], tuple[Database, Database]
         ] = OrderedDict()
 
     def deepest(
-        self, database: Database, prefix_key: tuple
+        self, database: Database, prefix_key: PrefixKey
     ) -> tuple[int, Database]:
         """``(statements covered, state)`` of the longest kept prefix of
         ``prefix_key`` over ``database``; ``(0, database)`` when none."""
@@ -310,8 +345,7 @@ class VersionCache:
                 prefixes = [
                     key
                     for key in self._entries
-                    if key[0] == base_id
-                    and key[1] == prefix_key[: len(key[1])]
+                    if key[0] == base_id and prefix_key.extends(key[1])
                 ]
                 if not prefixes:
                     return 0, database
@@ -320,7 +354,7 @@ class VersionCache:
             return len(best[1]), self._entries[best][1]
 
     def put(
-        self, database: Database, prefix_key: tuple, state: Database
+        self, database: Database, prefix_key: PrefixKey, state: Database
     ) -> Database:
         """Keep ``state`` as the version ``prefix_key`` reaches from
         ``database``; returns the kept state (an earlier one wins)."""
@@ -447,9 +481,9 @@ class Mahif:
         routes each request's count through one engine per backend).
 
         ``start_databases`` optionally injects each query's
-        time-travelled start version (the what-if service supplies
-        checkpoint-reconstructed states from its history store instead
-        of replaying prefixes here).
+        time-travelled start version (the what-if service supplies the
+        versions its own :class:`VersionCache` holds instead of
+        replaying prefixes here).
         """
         from .batch import answer_batch_with
 

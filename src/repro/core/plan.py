@@ -30,6 +30,7 @@ from ..obs import trace
 from ..relational.algebra import Operator, base_relations, inject_selection
 from ..relational.database import Database
 from ..relational.expressions import TRUE
+from ..relational.identity_memo import IdentityMemo
 from ..relational.optimizer import optimize
 from ..relational.schema import Schema
 from ..relational.statements import (
@@ -78,6 +79,27 @@ class ReenactmentPlan:
     build_seconds: float
 
 
+#: ``statement -> (share key, its hash or None)``.  Statements are
+#: immutable and a stored history keeps the same objects for as long as
+#: it is served, so each is walked and hashed once, not once per answer.
+_SHARE_KEYS = IdentityMemo()
+
+
+def share_key_and_hash(stmt) -> tuple[tuple, int | None]:
+    """``(statement_share_key(stmt), its hash)``, both computed once per
+    statement object; the hash is ``None`` when the statement embeds an
+    unhashable constant (such a statement shares nothing)."""
+    entry = _SHARE_KEYS.find(stmt)
+    if entry is None:
+        key = _build_share_key(stmt)
+        try:
+            hashed = hash(key)
+        except TypeError:
+            hashed = None
+        entry = _SHARE_KEYS.remember(stmt, None, (key, hashed))
+    return entry
+
+
 def statement_share_key(stmt) -> tuple:
     """A hashable structural key for one statement, type-faithful.
 
@@ -87,8 +109,13 @@ def statement_share_key(stmt) -> tuple:
     key carries the types of every embedded constant alongside the
     statement structure.  Used to detect queries whose sliced histories
     are interchangeable (the shared-plan cache below), shared time-travel
-    prefixes and the service's result-cache fingerprints.
+    prefixes and the service's result-cache fingerprints.  Remembered on
+    the statement object: asking again builds nothing.
     """
+    return share_key_and_hash(stmt)[0]
+
+
+def _build_share_key(stmt) -> tuple:
     from ..relational.exec.expr_compile import const_fingerprint
     from ..relational.exec.plan_compile import plan_fingerprint
 

@@ -2,20 +2,22 @@
 
 :class:`WhatIfService` owns the named persistent histories (each a
 :class:`~repro.store.HistoryStore` under one root directory), one shared
-:class:`~repro.core.Mahif` engine per backend, and per
-history one :class:`~repro.service.cache.ResultCache`.  It is safe for
+:class:`~repro.core.Mahif` engine per backend, one
+:class:`~repro.core.engine.VersionCache` for the versions its misses
+have time-travelled to, and per history one
+:class:`~repro.service.cache.ResultCache`.  It is safe for
 concurrent use: histories and databases are immutable, a per-history
 lock guards store appends and the cache, and answers are computed
 outside any lock.
 
 :meth:`WhatIfService.answer` is a straight line of stages — resolve the
-request's options, look up the cache and time-travel the misses through
-the store (under the lock), compute and encode (outside it), publish
-(under it again).  Single queries run through
-:meth:`Mahif.answer_batch` as a
+request's options, look up the cache and time-travel the misses (under
+the lock), compute and encode (outside it), publish (under it again).
+Single queries run through :meth:`Mahif.answer_batch` as a
 one-element batch, so both endpoints share the same machinery: shared
-time travel (the store's checkpoint-reconstructed version is injected,
-never a full prefix replay) and, within a batch, shared reenactment
+time travel (a version the service has visited is looked up, a new one
+is reached from the deepest kept version or store checkpoint below it,
+never by a full prefix replay) and, within a batch, shared reenactment
 plans.
 """
 
@@ -32,7 +34,9 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, Sequence
 
 from ..core import HistoricalWhatIfQuery, Mahif, MahifConfig, Method
+from ..core.batch import prefix_key, shared_start_databases
 from ..core.degradation import record_degradation
+from ..core.engine import VersionCache
 from ..core.plan import statement_share_key
 from ..core.planner import AUTO_SHARDS
 from ..obs import trace
@@ -277,6 +281,9 @@ class WhatIfService:
         #: argument of the call, not of the engine.
         self._engines: dict[str, Mahif] = {}
         self._engines_lock = threading.Lock()
+        #: Versions served misses have visited, for every history and
+        #: backend; never invalidated (a prefix's state cannot change).
+        self._versions = VersionCache()
         self.skipped_on_startup: dict[str, str] = {}
         self._reopen_stores()
 
@@ -544,8 +551,10 @@ class WhatIfService:
 
         Cache hits are returned immediately; misses are answered in one
         ``answer_batch`` call (shared time travel + shared plans across
-        the missing queries) with each start version reconstructed from
-        the store's nearest checkpoint.  ``shards`` > 1 answers through
+        the missing queries) with each start version taken from the
+        versions the service keeps — a position asked about before
+        replays nothing, a new one starts from the deepest kept version
+        or store checkpoint below it.  ``shards`` > 1 answers through
         the sharded execution path (DESIGN.md, "Sharded execution");
         ``shards="auto"``/``0`` lets the cost-based planner decide per
         query — each response then records the ``planner`` decision and
@@ -578,7 +587,7 @@ class WhatIfService:
         except SpecError as exc:
             raise ServiceError(str(exc)) from None
         # One critical section, so the log cannot advance between the
-        # history snapshot and the version loads.
+        # history snapshot and the time travel.
         with handle.lock, trace.span("cache", history=name) as cache_span:
             pending = self._lookup(handle, options, modifications, cache_span)
             pending.start_dbs = self._time_travel(
@@ -657,24 +666,43 @@ class WhatIfService:
         )
         return pending
 
-    @staticmethod
     def _time_travel(
-        store: HistoryStore, method: Method, queries
+        self, store: HistoryStore, method: Method, queries
     ) -> list[Database] | None:
         """Stage 3, under the history's lock: each miss's start version
-        from the store — nearest checkpoint + bounded replay,
-        materialized once per *distinct* prefix.  NAIVE replays whole
-        histories itself and ignores injected start versions, so it
-        skips the I/O."""
+        out of the service's version cache — a position asked about
+        before is a lookup, a deeper one replays only the statements
+        past the deepest version kept.  The store adds what only it
+        has: a checkpoint deeper than anything kept is loaded (no
+        replay) and kept first, so a cold miss replays fewer than
+        ``checkpoint_interval`` statements.  Replay runs compiled
+        whatever backend the request names: a state does not depend on
+        what computed it, and its key names no backend.  NAIVE replays
+        whole histories itself and ignores injected start versions, so
+        it skips the stage."""
         if not queries or method is Method.NAIVE:
             return None
-        prefix_lengths = [
-            query.aligned().trim_prefix()[1] for query in queries
-        ]
-        by_length = {
-            length: store.as_of(length) for length in set(prefix_lengths)
-        }
-        return [by_length[length] for length in prefix_lengths]
+        # One lookup bound every query to the same history and version 0.
+        statements = queries[0].history.statements
+        base = queries[0].database
+        lengths = {q.aligned().trim_prefix()[1] for q in queries} - {0}
+        with trace.span("time_travel", prefixes=len(lengths)) as span:
+            loads = 0
+            for length in sorted(lengths):
+                checkpoint = length - store.replay_cost(length)
+                wanted = prefix_key(statements[:length]) if checkpoint else None
+                if (
+                    wanted is not None
+                    and self._versions.deepest(base, wanted)[0] < checkpoint
+                ):
+                    self._versions.put(
+                        base,
+                        prefix_key(statements[:checkpoint]),
+                        store.as_of(checkpoint),
+                    )
+                    loads += 1
+            span.set_attribute("checkpoint_loads", loads)
+            return shared_start_databases(queries, None, self._versions)
 
     def _resolve(
         self, handle: _HistoryHandle, options: _Options, pending: _Pending,

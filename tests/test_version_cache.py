@@ -1,13 +1,15 @@
-"""Warm equals cold: the engine's version cache and the Φ_D memo.
+"""Warm equals cold: the version caches and the Φ_D memo.
 
 A long-lived :class:`~repro.core.Mahif` keeps the database versions it
 has time-travelled to (``core/engine.py`` ``VersionCache``, keyed on the
-base database's *identity* and the prefix statements' share keys), and
-``compress_relation`` remembers Φ_D on the *identity* of the relation it
-scanned (``symbolic/compress.py``).  Both are pure reuse: every answer
-of a warm engine must be the answer of a fresh engine over a fresh copy
-of the same database — the oracle here shares neither objects nor
-engine with the side under test, so neither cache can reach it.
+base database's *identity* and the prefix statements' share keys), a
+:class:`~repro.service.WhatIfService` keeps one more for the misses of
+all its stored histories, and ``compress_relation`` remembers Φ_D on the
+*identity* of the relation it scanned (``symbolic/compress.py``).  All
+are pure reuse: every answer of a warm engine must be the answer of a
+fresh engine over a fresh copy of the same database — the oracle here
+shares neither objects nor engine with the side under test, so no cache
+can reach it.
 
 What is fuzzed, seeded through ``MAHIF_FUZZ_SEED`` / ``MAHIF_FUZZ_SCALE``
 (``tests/fuzz_differential.py``):
@@ -27,17 +29,24 @@ What is fuzzed, seeded through ``MAHIF_FUZZ_SEED`` / ``MAHIF_FUZZ_SCALE``
 (iii) eight threads on one engine, mixed positions: the serial answers;
 (iv)  eviction: more distinct prefixes than the cache holds.
 
-The last section is the deterministic work floor (counts, never wall
-time): the second what-if at a position replays 0 prefix statements and
-scans 0 rows, one five statements deeper replays exactly 5, and a served
-miss with an empty prefix reads no checkpoint.  Every one of those
-assertions fails on the commit before the caches existed.
+The last two sections are the deterministic work floor (counts, never
+wall time).  Library: the second what-if at a position replays 0 prefix
+statements, scans 0 rows, builds 0 share keys and hashes 0 prefix
+statements; one five statements deeper replays exactly 5.  Served path:
+the second miss at a position applies 0 statements and starts from the
+*same* ``Relation`` objects (so Φ_D and the sqlite connection are
+found), also after an append; one three deeper applies 3; a cold miss
+loads the nearest checkpoint and applies what lies past it; an empty
+prefix and a NAIVE request touch neither cache nor checkpoint.  Every
+served delta is checked against ``Method.NAIVE`` on the interpreter
+over a copy of the database.  Every one of those assertions fails on
+the commit before the cache it pins existed.
 
 Mutation checks, each made by hand on the final tree at the default
 seed and reverted; each must fail (i) or (ii):
 
 * key the version cache on the prefix *length* instead of its share
-  keys (``_prefix_key`` returning ``(len(prefix),)``) — fails (i)
+  keys (``prefix_key`` keying on ``(len(prefix),)``) — fails (i)
   ``test_warm_engine_answers_like_a_fresh_one`` (diverging histories)
   and ``test_constant_types_in_the_prefix_keep_versions_apart``;
 * drop the pin (``VersionCache.put`` storing ``(None, state)``) — fails
@@ -46,13 +55,27 @@ seed and reverted; each must fail (i) or (ii):
 * drop ``CompressionConfig`` from the memo's inner key (``key =
   symbolic_tuple``) — fails (i)
   ``test_two_compression_configs_over_one_database``.
+
+And on the served path (``service/core.py`` ``_time_travel``):
+
+* the service cache's ``deepest`` always answering ``(0, database)`` —
+  fails ``test_served_misses_travel_once``;
+* checkpoint seeding skipped (a cold miss replays from version 0) —
+  fails ``test_cold_served_miss_starts_from_the_nearest_checkpoint``;
+* ``put`` keeping the later state — fails
+  ``test_threads_missing_at_one_position_get_one_version``;
+* replay routed through the request's backend instead of compiled —
+  fails ``test_served_time_travel_runs_compiled_whatever_the_backend``
+  (by the count of statements sqlite executed).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -75,7 +98,11 @@ from repro.core import (
 )
 from repro.core import batch as batch_module
 from repro.core import dependency
-from repro.core.engine import VERSION_CACHE_CAPACITY
+from repro.core import plan as plan_module
+from repro.core.batch import prefix_key
+from repro.core.engine import VERSION_CACHE_CAPACITY, VersionCache
+from repro.obs import trace
+from repro.obs.metrics import global_registry
 from repro.relational import Database, History, Relation, Schema
 from repro.relational.expressions import (
     Cmp,
@@ -87,8 +114,13 @@ from repro.relational.expressions import (
     le,
     lit,
 )
+from repro.relational.exec import sql_backend
 from repro.relational.statements import DeleteStatement, UpdateStatement
-from repro.service import WhatIfService
+from repro.service import (
+    WhatIfService,
+    modifications_from_spec,
+    result_payload,
+)
 from repro.symbolic import compress
 from repro.symbolic.compress import CompressionConfig, compress_relation
 from repro.symbolic.vctable import SymbolicTuple
@@ -489,6 +521,80 @@ def test_second_whatif_at_a_position_replays_and_scans_nothing(work):
     assert work["applied"] - before == 19
 
 
+class Tallied(int):
+    """An integer constant that counts how often it is hashed."""
+
+    hashed = 0
+
+    def __hash__(self) -> int:
+        Tallied.hashed += 1
+        return int.__hash__(self)
+
+
+def test_keying_a_prefix_again_builds_and_hashes_nothing(monkeypatch):
+    """A version-cache lookup walks no statement it has keyed before:
+    share keys are remembered per statement object and a prefix key is
+    hashed from remembered hashes, so the second what-if at a position
+    builds no key and hashes no constant of the prefix (``Tallied``,
+    which only prefix statements hold) — on the probe, on ``deepest``
+    and on ``put`` alike."""
+    built = []
+    real_build = plan_module._build_share_key
+
+    def build(statement):
+        built.append(statement)
+        return real_build(statement)
+
+    monkeypatch.setattr(plan_module, "_build_share_key", build)
+    prefix = [
+        UpdateStatement(
+            "R",
+            {"F": col("F") + 1},
+            and_(
+                Cmp(">=", col("P"), Const(Tallied(5 * i))),
+                le(col("P"), 5 * i + 40),
+            ),
+        )
+        for i in range(12)
+    ]
+    history = History.of(*prefix, *windows_history(16).statements[12:])
+    database = rows_database([(i, i, 5) for i in range(60)])
+    engine = Mahif()
+
+    def ask(position, bump):
+        query = HistoricalWhatIfQuery(
+            history, database, replace_at(position, bump)
+        )
+        # the oracle replays the prefix, which hashes it for the
+        # compiled-statement cache: keep it out of the count
+        expected = cold(query, Method.R_PS_DS, engine.config)
+        del built[:]
+        Tallied.hashed = 0
+        assert outcome(engine, query, Method.R_PS_DS) == expected
+        of_the_prefix = {id(statement) for statement in prefix}
+        return sum(id(s) in of_the_prefix for s in built), Tallied.hashed
+
+    assert ask(13, 100)[1] >= 12  # the replay and ``put``, once
+    assert ask(13, 101) == (0, 0)
+    assert ask(14, 102) == (0, 0)  # extends the kept prefix: no more
+    assert ask(13, 103) == (0, 0)
+
+    # the cache itself, keyed twice from the same statement objects
+    versions, state = VersionCache(), rows_database([(0, 0, 0)])
+    versions.put(database, prefix_key(prefix), state)
+    Tallied.hashed = 0
+    assert versions.deepest(database, prefix_key(prefix)) == (12, state)
+    assert versions.deepest(database, prefix_key(prefix + prefix[:1])) == (
+        12, state,
+    )
+    assert versions.deepest(database, prefix_key(prefix[:5])) == (0, database)
+    assert Tallied.hashed == 0 and built == []
+    # equal statements built anew are the same prefix, at full price
+    rebuilt = [dataclasses.replace(statement) for statement in prefix]
+    assert versions.deepest(database, prefix_key(rebuilt)) == (12, state)
+    assert len(built) == 12 and Tallied.hashed >= 12
+
+
 def test_served_miss_with_an_empty_prefix_reads_no_checkpoint(
     tmp_path, checkpoint_loads
 ):
@@ -505,7 +611,10 @@ def test_served_miss_with_an_empty_prefix_reads_no_checkpoint(
         service.register("h", database, history)
         (answer,) = service.answer("h", [spec(7)])
         assert answer["cached"] is False
-        assert loads == []
+        # NAIVE replays the whole history itself, wherever it is asked
+        (naive,) = service.answer("h", [served_spec(4)], method="N")
+        assert naive["delta"] == naive_delta(database, history, served_spec(4))
+        assert loads == [] and len(service._versions) == 0
     finally:
         service.close()
 
@@ -521,3 +630,331 @@ def test_served_miss_with_an_empty_prefix_reads_no_checkpoint(
         assert first["delta"] == answer["delta"]
     finally:
         service.close()
+
+
+# -- the served path: one version cache per service ---------------------------
+
+
+def served_spec(position: int, bump: int = 100) -> dict:
+    """``replace_at(position, bump)`` as a client spells it."""
+    low = 5 * position
+    statement = (
+        f"UPDATE R SET F = F + {bump} WHERE P >= {low} AND P <= {low + 30}"
+    )
+    return {"replace": [[position, statement]]}
+
+
+def naive_delta(database: Database, history: History, spec: dict) -> dict:
+    """The oracle of every served answer: naive replay, on the
+    interpreter, over a copy of the database — no cache, no checkpoint,
+    no pipeline stage in common with the service."""
+    oracle = Mahif(MahifConfig(backend="interpreted"))
+    query = HistoricalWhatIfQuery(
+        history, twin(database), modifications_from_spec(spec)
+    )
+    return result_payload(oracle.answer(query, Method.NAIVE))["delta"]
+
+
+@pytest.fixture
+def service(tmp_path):
+    service = WhatIfService(tmp_path, sync=False)
+    yield service
+    service.close()
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The start database of every query handed to ``answer_batch``."""
+    seen: list[Database] = []
+    real = Mahif.answer_batch
+
+    def answer_batch(self, queries, method, **options):
+        seen.extend(options["start_databases"])
+        return real(self, queries, method, **options)
+
+    monkeypatch.setattr(Mahif, "answer_batch", answer_batch)
+    return seen
+
+
+def miss(service, name, spec, work, **options):
+    """One served miss: ``(answer, prefix statements applied, rows
+    scanned for Φ_D)``."""
+    before = dict(work)
+    (answer,) = service.answer(name, [spec], **options)
+    assert answer["cached"] is False
+    return answer, work["applied"] - before["applied"], (
+        work["rows"] - before["rows"]
+    )
+
+
+def test_served_misses_travel_once(service, work, starts):
+    rows = 300
+    database = rows_database([(i, i % 200, 5) for i in range(rows)])
+    history = windows_history(20)
+    service.register("h", database, history)
+
+    answer, applied, scanned = miss(service, "h", served_spec(12, 100), work)
+    assert (applied, scanned) == (11, rows)
+    assert answer["delta"] == naive_delta(database, history, served_spec(12))
+    # the same position again: the same objects, nothing redone
+    answer, applied, scanned = miss(service, "h", served_spec(12, 101), work)
+    assert (applied, scanned) == (0, 0)
+    assert starts[-1]["R"] is starts[-2]["R"]
+    assert answer["delta"] == naive_delta(
+        database, history, served_spec(12, 101)
+    )
+    # the log grows; the state before statement 12 does not change
+    appended = UpdateStatement("R", {"F": col("F") + 1}, window(0, 50))
+    assert service.append("h", [appended])["cache_dropped"] == 2
+    longer = History(history.statements + (appended,))
+    answer, applied, scanned = miss(service, "h", served_spec(12, 102), work)
+    assert (applied, scanned) == (0, 0)
+    assert starts[-1]["R"] is starts[0]["R"]
+    assert answer["delta"] == naive_delta(
+        database, longer, served_spec(12, 102)
+    )
+    # three statements deeper: those three
+    answer, applied, scanned = miss(service, "h", served_spec(15, 103), work)
+    assert (applied, scanned) == (3, rows)
+    assert answer["delta"] == naive_delta(
+        database, longer, served_spec(15, 103)
+    )
+    # a batch at a shallower, a kept and a deeper position: 4 + 0 + 2
+    before = work["applied"]
+    specs = [served_spec(p, 104) for p in (5, 15, 17)]
+    answers = service.answer("h", specs)
+    assert work["applied"] - before == 4 + 0 + 2
+    for spec, answer in zip(specs, answers):
+        assert answer["delta"] == naive_delta(database, longer, spec)
+
+
+def test_cold_served_miss_starts_from_the_nearest_checkpoint(
+    tmp_path, work, checkpoint_loads
+):
+    loads = checkpoint_loads
+    database = rows_database([(i, i % 200, 5) for i in range(200)])
+    history = windows_history(20)
+    expected = naive_delta(database, history, served_spec(19))
+    service = WhatIfService(tmp_path, sync=False, checkpoint_interval=4)
+    try:
+        service.register("h", database, history)
+        answer, applied, _ = miss(service, "h", served_spec(19), work)
+        assert (loads, applied) == ([16], 2)
+        assert answer["delta"] == expected
+        _, applied, _ = miss(service, "h", served_spec(19, 101), work)
+        assert (loads, applied) == ([16], 0)
+        # version 13 is nearer to checkpoint 12 than to anything kept
+        answer, applied, _ = miss(service, "h", served_spec(14, 102), work)
+        assert (loads, applied) == ([16, 12], 1)
+        assert answer["delta"] == naive_delta(
+            database, history, served_spec(14, 102)
+        )
+        # ... and version 14 nearer to the kept 13 than to a checkpoint
+        _, applied, _ = miss(service, "h", served_spec(15, 103), work)
+        assert (loads, applied) == ([16, 12], 1)
+    finally:
+        service.close()
+
+    # A restart is cold again, and checkpoint 16 has rotted meanwhile:
+    # the store falls back to 12, rewrites 16, and the answer stands.
+    rotten = tmp_path / "h" / "checkpoints" / "ckpt-00000016.json"
+    rotten.write_text("{ not json")
+    service = WhatIfService(tmp_path, sync=False)
+    try:
+        del loads[:]  # open() read the current state, checkpoint 20
+        answer, applied, _ = miss(service, "h", served_spec(19), work)
+        # version 0 (every query is bound to it), then 16, then 12
+        assert (loads, applied) == ([0, 16, 12], 2)
+        assert answer["delta"] == expected
+        assert json.loads(rotten.read_text())
+        _, applied, _ = miss(service, "h", served_spec(19, 101), work)
+        assert (loads, applied) == ([0, 16, 12], 0)
+    finally:
+        service.close()
+
+
+def test_histories_over_equal_databases_share_no_version(service, work, starts):
+    """Three stored histories, one statement list: ``a`` and ``b`` over
+    equal but distinct databases, ``c`` over other rows.  A key that
+    forgot the base would hand ``b`` and ``c`` the version of ``a``."""
+    database = rows_database([(i, i, 5) for i in range(60)])
+    other = rows_database([(i, 2 * i, 7) for i in range(40)])
+    history = windows_history(8)
+    bases = {"a": database, "b": twin(database), "c": other}
+    for name, base in bases.items():
+        service.register(name, base, history)
+    for name, base in bases.items():
+        answer, applied, _ = miss(service, name, served_spec(6), work)
+        assert applied == 5
+        assert answer["delta"] == naive_delta(base, history, served_spec(6))
+    assert len({id(start["R"]) for start in starts}) == 3
+    assert len(service._versions) == 3
+    for (base_id, _), (base, _) in service._versions._entries.items():
+        assert id(base) == base_id
+    assert {id(base) for base, _ in service._versions._entries.values()} == {
+        id(base) for base in bases.values()
+    }
+
+
+def test_more_histories_than_the_service_cache_holds(service, work):
+    history = windows_history(6)
+    names = [f"h{n}" for n in range(VERSION_CACHE_CAPACITY + 2)]
+    bases = {
+        name: rows_database([(i, i, n) for i in range(40)])
+        for n, name in enumerate(names)
+    }
+    for name in names:
+        service.register(name, bases[name], history)
+    for bump, name in enumerate(names + names[:2]):
+        answer, applied, _ = miss(service, name, served_spec(5, bump), work)
+        assert applied == 4  # evicted by the time it is asked again
+        assert answer["delta"] == naive_delta(
+            bases[name], history, served_spec(5, bump)
+        )
+        assert len(service._versions) <= VERSION_CACHE_CAPACITY
+    assert len(service._versions) == VERSION_CACHE_CAPACITY
+
+
+def test_threads_missing_at_one_position_get_one_version(
+    service, starts, monkeypatch
+):
+    """Eight threads, each missing at position 9 of its own stored
+    history — one database object and one statement list under eight
+    names, so eight history locks and one cache key.  (Misses on *one*
+    history queue on its lock and can never race.)  Every thread is held
+    inside its replay until all eight have missed, so all eight ``put``:
+    the first stored must win, and each gets that one state."""
+    database = rows_database([(i, i, 5) for i in range(60)])
+    history = windows_history(12)
+    names = [f"h{n}" for n in range(8)]
+    for name in names:
+        service.register(name, database, history)
+    specs = [served_spec(9, 100 + n) for n in range(8)]
+    serial = [naive_delta(database, history, spec) for spec in specs]
+
+    everyone_missed = threading.Barrier(8)
+    real_resolve = batch_module.resolve_backend
+
+    def resolve(name):
+        backend = real_resolve(name)
+
+        def apply(statement, state):
+            if statement is history.statements[0]:
+                everyone_missed.wait(timeout=60)
+            return backend.apply(statement, state)
+
+        return dataclasses.replace(backend, apply=apply)
+
+    monkeypatch.setattr(batch_module, "resolve_backend", resolve)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        futures = [
+            pool.submit(service.answer, name, [spec])
+            for name, spec in zip(names, specs)
+        ]
+        threaded = [future.result(timeout=120)[0] for future in futures]
+    assert [answer["delta"] for answer in threaded] == serial
+    assert len(starts) == 8
+    assert len({id(start) for start in starts}) == 1
+    assert len(service._versions) == 1
+
+
+def test_served_time_travel_runs_compiled_whatever_the_backend(
+    service, work, monkeypatch
+):
+    """A state does not depend on what computed it and its key names no
+    backend, so the prefix is replayed where replay is cheapest: a
+    sqlite request executes no prefix statement in sqlite, and the
+    version it leaves serves a compiled request."""
+    executed = []
+    real_apply = sql_backend.apply_statement_sqlite
+
+    def apply(statement, database):
+        executed.append(statement)
+        return real_apply(statement, database)
+
+    monkeypatch.setattr(sql_backend, "apply_statement_sqlite", apply)
+    database = rows_database([(i, i, 5) for i in range(60)])
+    history = windows_history(12)
+    service.register("h", database, history)
+    answer, applied, _ = miss(
+        service, "h", served_spec(9), work, backend="sqlite"
+    )
+    assert (applied, executed) == (8, [])
+    assert answer["backend"] == "sqlite"
+    assert answer["delta"] == naive_delta(database, history, served_spec(9))
+    for backend in ("compiled", "vector", "interpreted"):
+        answer, applied, _ = miss(
+            service, "h", served_spec(9), work, backend=backend
+        )
+        assert applied == 0
+        assert answer["delta"] == naive_delta(
+            database, history, served_spec(9)
+        )
+
+
+def test_second_served_miss_finds_phi_d_and_the_sqlite_database(service):
+    """What one identity per version buys downstream, by count: the
+    second miss at a depth finds Φ_D on the relation and the database
+    already loaded into sqlite."""
+    memo = global_registry().counter(
+        "mahif_phi_d_memo_total", "", ("outcome",)
+    )
+    database = rows_database([(i, i, 5) for i in range(60)])
+    service.register("h", database, windows_history(12))
+    service.answer("h", [served_spec(9, 100)], backend="sqlite")
+    memo_hits = memo.value(outcome="hit")
+    loaded = sql_backend.sqlite_cache_info()
+    service.answer("h", [served_spec(9, 101)], backend="sqlite")
+    assert memo.value(outcome="hit") > memo_hits
+    again = sql_backend.sqlite_cache_info()
+    assert again["misses"] == loaded["misses"]
+    assert again["hits"] > loaded["hits"]
+
+
+def test_time_travel_span_and_counter_on_the_served_path(tmp_path):
+    outcomes = global_registry().counter(
+        "mahif_version_cache_total", "", ("outcome",)
+    )
+    database = rows_database([(i, i, 5) for i in range(60)])
+    service = WhatIfService(tmp_path, sync=False, checkpoint_interval=4)
+    lines: list[str] = []
+    trace.configure_tracing(lines.append, sample=1.0)
+    try:
+        service.register("h", database, windows_history(12))
+        seen = []
+        for specs in (
+            [served_spec(11, 100), served_spec(3, 100), served_spec(1, 100)],
+            [served_spec(11, 101)],
+        ):
+            before = outcomes.series()
+            del lines[:]
+            with trace.start_trace("request"):
+                service.answer("h", specs)
+            spans = {
+                span["span_id"]: span for span in map(json.loads, lines)
+            }
+            (travel,) = [
+                span for span in spans.values() if span["name"] == "time_travel"
+            ]
+            assert spans[travel["parent_id"]]["name"] == "cache"
+            moved = {
+                key: value - before.get(key, 0)
+                for key, value in outcomes.series().items()
+                if value != before.get(key, 0)
+            }
+            seen.append((travel["attributes"], moved))
+    finally:
+        trace.configure_tracing(None)
+        service.close()
+    assert seen == [
+        # version 10 from checkpoint 8, version 2 from version 0, and an
+        # empty prefix, which is neither a prefix nor counted
+        (
+            {"prefixes": 2, "checkpoint_loads": 1, "replayed": 4},
+            {("extended",): 1, ("miss",): 1},
+        ),
+        (
+            {"prefixes": 1, "checkpoint_loads": 0, "replayed": 0},
+            {("hit",): 1},
+        ),
+    ]
