@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from ..core.engine import Mahif, MahifConfig, MahifResult, Method
 from ..core.hwq import HistoricalWhatIfQuery
+from ..relational.database import Database
+from ..relational.relation import Relation
 from ..workloads.generator import Workload, WorkloadSpec, build_workload
 
 __all__ = [
@@ -81,11 +83,21 @@ def run_methods(
     methods: Sequence[Method],
     config: MahifConfig | None = None,
 ) -> dict[Method, MethodTiming]:
-    """Run several methods over the same query (deltas cross-checked)."""
+    """Run several methods over the same query (deltas cross-checked).
+
+    Every method gets its own copy of the database — equal rows, new
+    ``Relation`` objects — because Φ_D and the columnar table are
+    remembered on a relation's identity: over shared objects whichever
+    method ran second would be timed on the first one's memo hits.
+    """
     timings: dict[Method, MethodTiming] = {}
     reference_delta = None
     for method in methods:
-        timing = run_method(query, method, config)
+        fresh = Database({
+            name: Relation(relation.schema, relation.tuples)
+            for name, relation in query.database.relations.items()
+        })
+        timing = run_method(replace(query, database=fresh), method, config)
         timings[method] = timing
         if reference_delta is None:
             reference_delta = timing.result.delta

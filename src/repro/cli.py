@@ -141,9 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     whatif.add_argument(
         "--backend", default="compiled",
         choices=BACKENDS,
-        help="execution backend: compiled closures, the tree-walking "
+        help="execution backend: compiled (columnar kernels for "
+        "queries, row closures for statement replay), the tree-walking "
         "reference interpreter, server-side SQL on in-memory sqlite, "
-        "or vectorized columnar kernels",
+        "or vector (the columnar kernels' older name)",
     )
     whatif.add_argument(
         "--shards", type=_shards_flag, default=None, metavar="N",

@@ -46,6 +46,7 @@ from typing import Sequence
 
 from ..obs import trace
 from ..obs.metrics import global_registry
+from ..relational import columnar
 from ..relational.database import Database
 from ..relational.exec.backend import resolve_backend
 from ..relational.statements import Statement
@@ -406,7 +407,8 @@ def _execute_stage(
     mode = "profiled" if explain else (
         f"{executor.kind}-pool" if executor is not None else "serial"
     )
-    with trace.span("execute", mode=mode, relations=len(works)):
+    with trace.span("execute", mode=mode, relations=len(works)) as span:
+        cold = columnar.MEMO_OUTCOMES.value(outcome="miss")
         outcomes = iter(evaluate_shard_works(works, executor, explain))
         for index, entry in enumerate(routed):
             for work in entry.works:
@@ -421,3 +423,8 @@ def _execute_stage(
                 entry.choice = dataclasses.replace(
                     entry.choice, shard_workers=width
                 )
+        # relations this process scanned cold meanwhile (a process pool's
+        # workers count in their own registries)
+        span.set_attribute(
+            "columnarized", columnar.MEMO_OUTCOMES.value(outcome="miss") - cold
+        )

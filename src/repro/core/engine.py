@@ -96,14 +96,16 @@ class MahifConfig:
     statement evaluated while answering — the pipeline hands it to each
     stage explicitly, there is no ambient default to consult:
     ``"compiled"`` (the default, and what ``None`` is normalised to)
-    runs closure-compiled streaming pipelines with hash joins,
+    runs queries columnar — whole-column NumPy kernels over typed
+    columns remembered per relation, closure-compiled per-row fallbacks
+    where a kernel could differ from the interpreter — and replays
+    statements row-wise through closure-compiled row functions,
     ``"interpreted"`` the original tree-walking evaluator (kept as the
     differential-testing oracle), ``"sqlite"`` the middleware path of
     the paper — reenactment queries and statements are translated to
     SQL and executed server-side on an in-memory SQLite database — and
-    ``"vector"`` columnar evaluation with whole-column kernels (NumPy
-    when available, typed Python columns otherwise; see DESIGN.md,
-    "Execution backends" and "Columnar execution").
+    ``"vector"`` the older name of what ``"compiled"`` now runs (see
+    DESIGN.md, "Execution backends" and "Columnar execution").
 
     ``batch_workers`` > 1 fans a call's per-query planning and
     per-(query, relation) delta evaluations out over the engine's worker

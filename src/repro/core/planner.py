@@ -109,36 +109,34 @@ class SelectivityEstimate:
 
 
 # Constants measured at PR 6 on a 40 000-row, 12-update range workload
-# (see git history), compiled backend: evaluating an unfiltered
-# reenactment pair costs ~4.7e-7 s per (row × operator); a data-sliced
-# pair is dominated by the injected selection's scan at ~1.2e-6 s per
-# row; range partitioning (sort + per-shard Relation rebuild) costs
-# ~1.8e-6 s per row — which is exactly why sharding loses on R+PS+DS:
-# partitioning 40k rows (~73ms) costs more than the whole sliced
-# evaluation (~45ms).  Interpreted scales by its measured hot-path
-# ratio (~10x compiled); sqlite pays an extra per-row shard
-# ingest (every shard becomes its own server-side database); vector
-# amortises per-row dispatch into whole-column kernels, so its per-row
-# constants sit below compiled (measured on the same bench workload,
-# join-heavy plans ~1.3-2x compiled throughput at bench scale).
+# (see git history): range partitioning (sort + per-shard Relation
+# rebuild) costs ~1.8e-6 s per row — which is exactly why sharding loses
+# on R+PS+DS: partitioning 40k rows (~73ms) costs more than the whole
+# sliced evaluation.  "compiled" and "vector" run a query on the same
+# columnar evaluator and share its constants: whole-column kernels
+# amortise per-row dispatch (the row pipelines they replaced measured
+# 4.7e-7 s per (row × operator) and 1.2e-6 s per data-sliced row), and
+# every kept shard is a relation never seen before, so a static
+# ``shards=N`` pays one cold columnarization per shard row.
+# Interpreted scales by its measured hot-path ratio (~10x the row
+# pipelines); sqlite pays an extra per-row shard ingest (every shard
+# becomes its own server-side database).
 _DEFAULT_ROW_OP_COST = MappingProxyType({
     "interpreted": 5.0e-6,
-    "compiled": 5.0e-7,
+    "compiled": 4.0e-7,
     "sqlite": 6.0e-7,
     "vector": 4.0e-7,
 })
 _DEFAULT_DS_ROW_COST = MappingProxyType({
     "interpreted": 1.2e-5,
-    "compiled": 1.2e-6,
+    "compiled": 8.0e-7,
     "sqlite": 1.5e-6,
     "vector": 8.0e-7,
 })
 _DEFAULT_SHARD_ROW_COST = MappingProxyType({
     "interpreted": 0.0,
-    "compiled": 0.0,
+    "compiled": 3.0e-7,
     "sqlite": 2.5e-6,
-    # Vector pays a per-shard columnarisation of each (smaller) shard
-    # relation — cheap, but not free like the tuple-streaming backends.
     "vector": 3.0e-7,
 })
 

@@ -161,13 +161,15 @@ def evaluate_query(
 
     ``backend`` names the execution backend (see
     :mod:`repro.relational.exec.backend`): ``"compiled"`` — also what
-    ``None`` means — streams the plan through closure-compiled
-    operators, ``"interpreted"`` walks the tree per tuple
+    ``None`` means — runs whole-column kernels over the relations'
+    cached typed columns, with closure-compiled per-row fallbacks
+    wherever eager array evaluation could differ from the interpreter,
+    ``"interpreted"`` walks the tree per tuple
     (:func:`evaluate_query_interpreted`, the reference), ``"sqlite"``
     translates the tree to SQL and executes it server-side on an
     in-memory SQLite database (the paper's middleware architecture), and
-    ``"vector"`` runs whole-column kernels over typed columns.  All four
-    are differentially tested to agree on every operator and expression
+    ``"vector"`` is the same columnar evaluator under its older name.
+    All four are differentially tested to agree on every operator and expression
     shape; the caveats are error *raising* inside join conditions over
     ill-typed data, where the hash join skips pairs the interpreter
     would have evaluated, and the sqlite backend's typed-domain caveats

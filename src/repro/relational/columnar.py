@@ -1,17 +1,19 @@
 """Columnar storage for relations: typed columns with a cheap tuple view.
 
-The ``"vector"`` execution backend (see
-:mod:`repro.relational.exec.vector_compile`) evaluates operators as
-whole-column kernels instead of streaming Python tuples row-at-a-time.
-This module supplies its data layer:
+The columnar evaluator (:mod:`repro.relational.exec.vector_compile` —
+what the default ``"compiled"`` backend and ``"vector"`` run a *query*
+on; statements replay row-wise) evaluates operators as whole-column
+kernels instead of streaming Python tuples row-at-a-time.  This module
+supplies its data layer:
 
-* :class:`Column` — one attribute's values as a typed array.  With NumPy
-  available, clean columns become ``int64`` / ``float64`` / ``bool_`` /
-  object-of-``str`` arrays plus an optional validity bitmap (``None``
-  values are replaced by a fill and masked out); anything mixed-type,
+* :class:`Column` — one attribute's values as a typed array.  Clean
+  columns become ``int64`` / ``float64`` / ``bool_`` / object-of-``str``
+  arrays plus an optional validity bitmap (``None`` values are replaced
+  by a fill and masked out), and remember the values they were built
+  from as an object array beside the typed one, so a cell that passes
+  through a plan comes back as the stored object; anything mixed-type,
   NaN-bearing, or exotic stays a plain Python list (tag ``"object"``)
-  that kernels refuse and per-row fallbacks consume verbatim.  Without
-  NumPy every column is list-backed but keeps its sniffed type tag.
+  that kernels refuse and per-row fallbacks consume verbatim.
 * :class:`ColumnarTable` — a schema plus one column per attribute and an
   optional multiplicity vector (bag semantics), with ``tuples()`` /
   ``to_relation()`` / ``to_bag()`` views so the interpreter oracle and
@@ -25,7 +27,7 @@ This module supplies its data layer:
   helpers behind the partitioners in
   :mod:`repro.relational.partition`.
 
-Exactness rules (what keeps the vector backend bit-identical to the
+Exactness rules (what keeps the columnar evaluator bit-identical to the
 interpreter, enforced here and rechecked by the kernels):
 
 * ints only become ``int64`` when every ``|v| < 2**63`` (materialization
@@ -41,11 +43,13 @@ interpreter, enforced here and rechecked by the kernels):
 
 from __future__ import annotations
 
-import os
-import threading
 import zlib
-from typing import Any, Iterable, Sequence
+from types import NoneType
+from typing import Any, Collection, Iterable, Sequence
 
+import numpy as _np
+
+from ..obs.metrics import global_registry
 from .bag import BagRelation
 from .identity_memo import IdentityMemo
 from .relation import Relation
@@ -56,56 +60,21 @@ __all__ = [
     "ColumnarTable",
     "column_from_values",
     "column_values",
-    "numpy_active",
-    "set_numpy_enabled",
     "columnar_of_relation",
     "columnar_of_bag",
     "clear_columnar_cache",
     "columnar_cache_info",
+    "MEMO_OUTCOMES",
     "bulk_shard_indices",
     "ordered_indices_by_column",
     "INT64_SAFE_BOUND",
     "FLOAT_EXACT_INT_BOUND",
 ]
 
-try:  # NumPy is optional: the backend degrades to list-backed columns.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via set_numpy_enabled
-    _np = None
-
 #: ints with ``|v| >= 2**63`` cannot live in an int64 array at all.
 INT64_SAFE_BOUND = 2 ** 63
 #: ints with ``|v| >= 2**53`` lose exactness under a float64 cast.
 FLOAT_EXACT_INT_BOUND = 2 ** 53
-
-_STATE_LOCK = threading.Lock()
-#: Runtime switch for the pure-Python column mode (tests and the
-#: ``MAHIF_VECTOR_NUMPY=0`` escape hatch); guarded by ``_STATE_LOCK``.
-_numpy_enabled = os.environ.get(
-    "MAHIF_VECTOR_NUMPY", "1"
-).strip().lower() not in ("0", "off", "false")
-
-
-def numpy_active() -> bool:
-    """Whether columns are being built as NumPy arrays right now."""
-    if _np is None:
-        return False
-    with _STATE_LOCK:
-        return _numpy_enabled
-
-
-def set_numpy_enabled(enabled: bool) -> bool:
-    """Toggle NumPy-backed columns (tests exercise the pure-Python
-    fallback this way); returns the previous setting.  Flipping the
-    switch drops the columnarization caches so array- and list-backed
-    tables never mix for the same stored relation."""
-    global _numpy_enabled
-    with _STATE_LOCK:
-        previous = _numpy_enabled
-        _numpy_enabled = bool(enabled)
-    if previous != bool(enabled):
-        clear_columnar_cache()
-    return previous
 
 
 class Column:
@@ -118,20 +87,26 @@ class Column:
     Python objects verbatim, ``None`` inline, and ``valid`` is always
     ``None``.  ``int_bound`` is a static bound on ``max(|v|)`` for int
     columns (0 for empty), used by the kernels' exactness guards.
+    ``objects`` is the object array of the values an array-backed
+    column was built from (``None`` inline), or ``None`` for a column a
+    kernel computed: it travels through ``take`` / ``concat_columns``
+    and is what :func:`column_values` hands back, so a stored cell that
+    passes through a plan is the stored object, not a fresh copy.
     """
 
-    __slots__ = ("tag", "data", "valid", "int_bound")
+    __slots__ = ("tag", "data", "valid", "int_bound", "objects")
 
     def __init__(self, tag: str, data: Any, valid: Any = None,
-                 int_bound: int = 0) -> None:
+                 int_bound: int = 0, objects: Any = None) -> None:
         self.tag = tag
         self.data = data
         self.valid = valid
         self.int_bound = int_bound
+        self.objects = objects
 
     @property
     def is_array(self) -> bool:
-        return _np is not None and isinstance(self.data, _np.ndarray)
+        return isinstance(self.data, _np.ndarray)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -139,16 +114,36 @@ class Column:
     def take(self, indices: Any) -> "Column":
         """Gather rows (``indices`` is an int array or list)."""
         if self.is_array:
-            valid = None if self.valid is None else self.valid[indices]
-            return Column(self.tag, self.data[indices], valid, self.int_bound)
+            return Column(
+                self.tag,
+                self.data[indices],
+                None if self.valid is None else self.valid[indices],
+                self.int_bound,
+                None if self.objects is None else self.objects[indices],
+            )
         data = self.data
         return Column(
             self.tag, [data[i] for i in indices], None, self.int_bound
         )
 
 
+_DTYPES = {"int": _np.int64, "float": _np.float64, "bool": _np.bool_}
+_FILLS = {"int": 0, "float": 0.0, "bool": False, "str": ""}
+
+
+def _tag_of_type(kind: type) -> str | None:
+    """The scalar tag of a value type (``bool`` is not an ``int`` here)."""
+    for base, tag in ((bool, "bool"), (int, "int"), (float, "float"),
+                      (str, "str")):
+        if issubclass(kind, base):
+            return tag
+    return None
+
+
 def column_from_values(values: Sequence[Any]) -> Column:
-    """Sniff a value sequence into the tightest exact column.
+    """Sniff a value sequence into the tightest exact column, in one
+    column-wise pass: the set of value types decides the tag, NumPy
+    converts the values, and the range rules are checked on the array.
 
     Promotion never crosses type groups: a column is array-typed only
     when every non-NULL value is the same scalar type (bools are *not*
@@ -157,78 +152,44 @@ def column_from_values(values: Sequence[Any]) -> Column:
     ``"object"`` column.
     """
     values = list(values)
-    if not numpy_active() or not values:
-        return Column(_sniff_tag(values), values)
-    tag = _sniff_tag(values)
-    if tag == "object":
+    types = set(map(type, values))
+    has_null = NoneType in types
+    types.discard(NoneType)
+    tags = set(map(_tag_of_type, types))
+    tag = tags.pop() if len(tags) == 1 else None
+    if tag is None:  # empty, all-NULL, mixed or exotic
         return Column("object", values)
-    has_null = any(v is None for v in values)
-    if tag == "int":
-        bound = max(abs(v) for v in values if v is not None)
-        if bound >= INT64_SAFE_BOUND:
-            return Column("object", values)
-        if has_null:
-            valid = _np.array([v is not None for v in values], dtype=bool)
-            data = _np.array(
-                [0 if v is None else v for v in values], dtype=_np.int64
-            )
-            return Column("int", data, valid, bound)
-        return Column("int", _np.array(values, dtype=_np.int64), None, bound)
-    if tag == "float":
-        if has_null:
-            valid = _np.array([v is not None for v in values], dtype=bool)
-            data = _np.array(
-                [0.0 if v is None else v for v in values], dtype=_np.float64
-            )
-            return Column("float", data, valid)
-        return Column("float", _np.array(values, dtype=_np.float64))
-    if tag == "bool":
-        if has_null:
-            valid = _np.array([v is not None for v in values], dtype=bool)
-            data = _np.array(
-                [bool(v) for v in values], dtype=_np.bool_
-            )
-            return Column("bool", data, valid)
-        return Column("bool", _np.array(values, dtype=_np.bool_))
-    # str: object array so values stay Python strings end to end.
+    objects = _np.array(values, dtype=object)
+    valid = None
+    filled = objects
     if has_null:
-        valid = _np.array([v is not None for v in values], dtype=bool)
-        data = _np.array(
-            ["" if v is None else v for v in values], dtype=object
-        )
-        return Column("str", data, valid)
-    return Column("str", _np.array(values, dtype=object))
-
-
-def _sniff_tag(values: Sequence[Any]) -> str:
-    """The uniform scalar tag of a value sequence, or ``"object"``."""
-    tag = None
-    for v in values:
-        if v is None:
-            continue
-        if isinstance(v, bool):
-            t = "bool"
-        elif isinstance(v, int):
-            t = "int"
-        elif isinstance(v, float):
-            if v != v:  # NaN: identity-bearing, never array-typed
-                return "object"
-            t = "float"
-        elif isinstance(v, str):
-            t = "str"
-        else:
-            return "object"
-        if tag is None:
-            tag = t
-        elif tag != t:
-            return "object"
-    return tag if tag is not None else "object"
+        valid = objects != None  # noqa: E711 - elementwise on the array
+        filled = objects.copy()
+        filled[~valid] = _FILLS[tag]
+    if tag == "str":  # object array: values stay Python strings
+        return Column("str", filled, valid, 0, objects)
+    try:
+        data = filled.astype(_DTYPES[tag])
+    except OverflowError:  # an int beyond int64
+        return Column("object", values)
+    bound = 0
+    if tag == "int":
+        low, high = int(data.min()), int(data.max())
+        bound = max(-low, high)
+        if bound >= INT64_SAFE_BOUND:  # -2**63 fits int64, |v| does not
+            return Column("object", values)
+    elif tag == "float" and _np.isnan(data).any():
+        return Column("object", values)  # NaN: identity-bearing
+    return Column(tag, data, valid, bound, objects)
 
 
 def column_values(col: Column) -> list:
-    """The column as a list of Python values (``None`` at invalid slots)."""
+    """The column as a list of Python values (``None`` at invalid slots):
+    the values it was built from when it remembers them."""
     if not col.is_array:
         return list(col.data)
+    if col.objects is not None:
+        return col.objects.tolist()
     data = col.data.tolist()
     if col.valid is None:
         return data
@@ -251,7 +212,12 @@ def concat_columns(a: Column, b: Column) -> Column:
                 b.valid if b.valid is not None
                 else _np.ones(len(b.data), dtype=bool),
             ])
-        return Column(a.tag, data, valid, max(a.int_bound, b.int_bound))
+        objects = None
+        if a.objects is not None and b.objects is not None:
+            objects = _np.concatenate([a.objects, b.objects])
+        return Column(
+            a.tag, data, valid, max(a.int_bound, b.int_bound), objects
+        )
     return column_from_values(column_values(a) + column_values(b))
 
 
@@ -276,13 +242,13 @@ class ColumnarTable:
     def from_rows(
         cls,
         schema: Schema,
-        rows: Sequence[tuple],
+        rows: Collection[tuple],
         mult: Iterable[int] | None = None,
     ) -> "ColumnarTable":
-        columns = [
-            column_from_values([row[i] for row in rows])
-            for i in range(schema.arity)
-        ]
+        if rows:  # one transpose, then one pass per column
+            columns = [column_from_values(values) for values in zip(*rows)]
+        else:
+            columns = [Column("object", []) for _ in range(schema.arity)]
         return cls(
             schema, columns, len(rows),
             None if mult is None else list(mult),
@@ -290,14 +256,12 @@ class ColumnarTable:
 
     @classmethod
     def from_relation(cls, relation: Relation) -> "ColumnarTable":
-        return cls.from_rows(relation.schema, list(relation.tuples))
+        return cls.from_rows(relation.schema, relation.tuples)
 
     @classmethod
     def from_bag(cls, bag: BagRelation) -> "ColumnarTable":
-        rows = list(bag.multiplicities.keys())
-        return cls.from_rows(
-            bag.schema, rows, list(bag.multiplicities.values())
-        )
+        counts = bag.multiplicities
+        return cls.from_rows(bag.schema, counts.keys(), counts.values())
 
     def tuples(self) -> list[tuple]:
         """Materialize the rows as Python tuples, in table order."""
@@ -310,8 +274,8 @@ class ColumnarTable:
         idx_list = None
         if self.mult is not None or not self.columns:
             idx_list = (
-                indices.tolist() if _np is not None
-                and isinstance(indices, _np.ndarray) else list(indices)
+                indices.tolist() if isinstance(indices, _np.ndarray)
+                else list(indices)
             )
         mult = (
             None if self.mult is None
@@ -342,11 +306,24 @@ _RELATIONS = IdentityMemo()
 _BAGS = IdentityMemo()
 
 
+#: hit / miss counts of the two memos above (``/metrics`` and the
+#: engine's ``execute`` span read them).
+MEMO_OUTCOMES = global_registry().counter(
+    "mahif_columnar_memo_total",
+    "Columnar views asked of a stored relation or bag by outcome: hit "
+    "(the table is remembered on the object) or miss (the object was "
+    "columnarized).",
+    ("outcome",),
+)
+
+
 def _cached_table(memo: IdentityMemo, obj: Any, build) -> ColumnarTable:
     table = memo.find(obj)
-    if table is None:
-        table = memo.remember(obj, None, build(obj))
-    return table
+    if table is not None:
+        MEMO_OUTCOMES.inc(outcome="hit")
+        return table
+    MEMO_OUTCOMES.inc(outcome="miss")
+    return memo.remember(obj, None, build(obj))
 
 
 def columnar_of_relation(relation: Relation) -> ColumnarTable:
@@ -398,7 +375,7 @@ def ordered_indices_by_column(
     stable argsort reproduces ``sorted(key=_sort_key)`` exactly.  Bools
     and NULLs rank differently from ints in the mixed-type order, so
     those columns fall back to the Python sort."""
-    if not rows or not numpy_active():
+    if not rows:
         return None
     col = column_from_values([row[key_index] for row in rows])
     if not col.is_array or col.tag not in ("int", "float"):

@@ -1,20 +1,24 @@
-"""Compiled execution backend (see DESIGN.md, "Execution backends").
+"""Execution backends (see DESIGN.md, "Execution backends").
 
 This subpackage lowers the interpreted algebra to compiled form:
 
 * :mod:`.expr_compile` — expression trees become generated Python
   functions over positional row tuples (no per-row dict bindings),
-* :mod:`.plan_compile` / :mod:`.bag_compile` — operator trees become
-  streaming generator pipelines with a hash-join fast path and
-  deduplication only at pipeline breakers, under set and bag semantics,
-* :mod:`.sqlite_sql` / :mod:`.sql_backend` — the ``"sqlite"`` middleware
-  backend: trees and statements are translated to SQL and executed
-  server-side on an in-memory :mod:`sqlite3` database,
-* :mod:`.vector_compile` — the ``"vector"`` columnar backend: typed
+* :mod:`.vector_compile` — the columnar evaluator, what the default
+  ``"compiled"`` backend (and ``"vector"``) runs a query on: typed
   column arrays (see :mod:`repro.relational.columnar`) evaluated with
   whole-column kernels, bitmap selections and bloom-prefiltered coded
   hash joins, falling back to the compiled per-row closures wherever
   eager vectorized evaluation could diverge from interpreter semantics,
+* :mod:`.plan_compile` / :mod:`.bag_compile` — row-wise execution: the
+  compiled backend's statement replay (one closure per row), and
+  operator trees as streaming generator pipelines with a hash-join fast
+  path and deduplication only at pipeline breakers — what
+  ``INSERT … SELECT`` inside a replayed statement and compiled bag
+  evaluation run on,
+* :mod:`.sqlite_sql` / :mod:`.sql_backend` — the ``"sqlite"`` middleware
+  backend: trees and statements are translated to SQL and executed
+  server-side on an in-memory :mod:`sqlite3` database,
 * :mod:`.backend` — the seam: one immutable :class:`Backend` per name,
   looked up by :func:`resolve_backend`, through which
   :func:`repro.relational.algebra.evaluate_query`, ``Statement.apply``
@@ -65,7 +69,7 @@ _LAZY = {
     "execute_plan_bag": "bag_compile",
     "clear_bag_plan_cache": "bag_compile",
     "bag_plan_cache_info": "bag_compile",
-    # vector columnar backend
+    # columnar evaluator
     "execute_plan_vector": "vector_compile",
     "execute_plan_vector_bag": "vector_compile",
     "vectorize_condition": "vector_compile",
@@ -96,7 +100,7 @@ __all__ = [
 
 def clear_caches() -> None:
     """Drop every compilation cache, the sqlite connection cache, and
-    the vector backend's columnarization cache."""
+    the columnarization cache."""
     from .. import columnar
     from . import bag_compile, expr_compile, plan_compile, sql_backend
 

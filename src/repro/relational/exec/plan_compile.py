@@ -1,4 +1,4 @@
-"""Streaming plan compilation for the set-semantics evaluator.
+"""Streaming plan compilation: the row-wise set-semantics evaluator.
 
 :func:`compile_plan` lowers an :class:`~repro.relational.algebra.Operator`
 tree into a pipeline of composed generator/iterator factories over
@@ -23,8 +23,10 @@ join key contains ``None`` are skipped on both the build and probe sides
 — exactly what the interpreter's per-pair ``Cmp`` evaluation produces.
 
 Compiled plans are cached on ``(operator tree, relevant base schemas)``,
-so the engine's per-relation query pairs compile once and run many times
-across repeated trials (see the plan-cache note in DESIGN.md).
+so an ``INSERT … SELECT`` replayed many times compiles its query once.
+Since the backend seam evaluates queries columnar
+(:mod:`.vector_compile`), that statement is this pipeline's one
+production caller; the differential suites keep it honest.
 """
 
 from __future__ import annotations
@@ -373,7 +375,9 @@ def compile_plan(
 
 
 def execute_plan(op: Operator, db: Any) -> Relation:
-    """Compile and run: the compiled backend's ``evaluate``."""
+    """Compile and run the row pipeline: how a replayed
+    ``INSERT … SELECT`` evaluates its query (a query asked through the
+    backend seam runs columnar, see :mod:`.vector_compile`)."""
     names = base_relations(op)
     schemas: dict[str, Schema] = {}
     for name in names:
@@ -389,8 +393,8 @@ def compiled_update_row(
     """One compiled ``row -> row`` closure for a whole UPDATE statement:
     ``if theta then Set(t) else t`` evaluated positionally.
 
-    Shared by the set- and bag-semantics apply paths (and the vector
-    backend's row-wise fallback) so they cannot drift apart.
+    Shared by the set- and bag-semantics apply paths so they cannot
+    drift apart.
     """
     predicate = compile_predicate(stmt.condition, schema)
     set_row = compile_row(

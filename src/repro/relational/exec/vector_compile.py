@@ -1,4 +1,5 @@
-"""The ``"vector"`` execution backend: whole-column kernels over
+"""The columnar evaluator — ``evaluate`` of the default ``"compiled"``
+backend and both evaluators of ``"vector"``: whole-column kernels over
 :class:`~repro.relational.columnar.ColumnarTable`.
 
 Operators evaluate bottom-up into columnar tables: selections compute a
@@ -6,11 +7,12 @@ bitmap filter, projections evaluate output expressions as column
 kernels, equi-joins match key *codes* with a bloom-bitmap prefilter and
 a stable sort/searchsorted probe, and bag semantics carries an explicit
 multiplicity column with eager duplicate aggregation at the same
-pipeline breakers where the compiled backend deduplicates.
+pipeline breakers where the row pipelines of :mod:`.plan_compile` /
+:mod:`.bag_compile` deduplicate.
 
-Exactness contract: the backend is differentially fuzzed to be
-bit-identical to the interpreter (and therefore to the compiled and
-sqlite backends).  Two mechanisms make that hold:
+Exactness contract: the evaluator is differentially fuzzed to be
+bit-identical to the interpreter (and therefore to the row pipelines
+and the sqlite backend).  Two mechanisms make that hold:
 
 * **Kernels only run where eager, array-typed evaluation provably equals
   the interpreter's lazy per-row evaluation.**  A sub-expression
@@ -25,9 +27,9 @@ sqlite backends).  Two mechanisms make that hold:
   symbolic :class:`Var` reads, ``"object"`` columns — falls back to the
   compiled per-row closures of :mod:`.expr_compile`.
 * **Row order is preserved through every operator** (probe-side outer,
-  build-insertion inner for joins — the compiled pipelines' order), so
-  per-row fallbacks hit rows in the same sequence as the compiled
-  backend and raise the same first error.
+  build-insertion inner for joins — the row pipelines' order), so
+  per-row fallbacks hit rows in the same sequence as the row pipelines
+  and raise the same first error.
 
 Join keys follow :func:`.plan_compile.split_equijoin_condition` and the
 same NULL/NaN build-side exclusion as the compiled hash join; the coded
@@ -39,8 +41,9 @@ through a lossy ``float64`` cast).
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from ..algebra import (
     Difference,
@@ -53,7 +56,6 @@ from ..algebra import (
     Union,
     base_relations,
 )
-from ..bag import BagRelation, apply_insert_bag
 from ..columnar import (
     Column,
     ColumnarTable,
@@ -79,30 +81,12 @@ from ..expressions import (
 )
 from ..relation import Relation
 from ..schema import Schema, SchemaError, check_union_compatible
-from ..statements import (
-    DeleteStatement,
-    Statement,
-    UpdateStatement,
-    apply_insert,
-)
-from .bag_compile import apply_statement_compiled_bag
 from .expr_compile import compile_predicate, compile_row
-from .plan_compile import (
-    _null_free,
-    apply_statement_compiled,
-    split_equijoin_condition,
-)
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - kernels disabled, fallbacks run
-    np = None
+from .plan_compile import _null_free, split_equijoin_condition
 
 __all__ = [
     "execute_plan_vector",
     "execute_plan_vector_bag",
-    "apply_statement_vector",
-    "apply_statement_vector_bag",
     "vectorize_condition",
 ]
 
@@ -175,8 +159,6 @@ def _float_exact(col: Column) -> bool:
 def _vec_expr(expr: Expr, table: ColumnarTable) -> Column | None:
     """Evaluate ``expr`` as a whole-column kernel, or ``None`` when only
     the per-row fallback can reproduce interpreter semantics."""
-    if np is None:
-        return None
     n = table.nrows
     if isinstance(expr, Const):
         value = expr.value
@@ -342,11 +324,8 @@ def _take_pairs(
     if left.mult is not None or right.mult is not None:
         lm = left.mult if left.mult is not None else [1] * left.nrows
         rm = right.mult if right.mult is not None else [1] * right.nrows
-        li_list = li.tolist() if np is not None and isinstance(
-            li, np.ndarray) else list(li)
-        ri_list = ri.tolist() if np is not None and isinstance(
-            ri, np.ndarray) else list(ri)
-        mult = [lm[i] * rm[j] for i, j in zip(li_list, ri_list)]
+        pairs = zip(np.asarray(li).tolist(), np.asarray(ri).tolist())
+        mult = [lm[i] * rm[j] for i, j in pairs]
     return ColumnarTable(schema, columns, len(li), mult)
 
 
@@ -389,9 +368,7 @@ def _column_codes(col: Column, n: int):
     """Integer codes equating slots exactly when Python ``==`` would, or
     ``None`` when codes cannot be exact (object columns, NaN, huge
     ints).  Code 0 is reserved for NULL (None == None)."""
-    if np is None or not col.is_array:
-        return None
-    if col.tag == "object":
+    if not col.is_array or col.tag == "object":
         return None
     if col.tag == "float":
         data = col.data
@@ -415,7 +392,7 @@ def _column_codes(col: Column, n: int):
 def _row_codes(table: ColumnarTable):
     """One int64 code per row, equal iff the row tuples compare equal;
     ``None`` when any column resists exact coding."""
-    if np is None or not table.columns:
+    if not table.columns:
         return None
     total = np.zeros(table.nrows, dtype=np.int64)
     radix = 1
@@ -608,8 +585,6 @@ def _equi_match(
     rcols = _key_columns(right, right_keys)
     lcols = _key_columns(left, left_keys)
     nl, nr = left.nrows, right.nrows
-    if np is None:
-        return _dict_match(lcols, rcols, nl, nr)
     for lc, rc in zip(lcols, rcols):
         groups = {
             "num" if t in _NUMERIC_TAGS else t
@@ -685,26 +660,10 @@ def _nested_loop_join(
     residual_expr: Expr | None,
 ) -> ColumnarTable:
     """Joins with no equi-keys: chunked cross-product index arrays with
-    the residual applied per chunk (bounds peak memory), or a plain
-    Python double loop without NumPy."""
+    the residual applied per chunk (bounds peak memory)."""
     nl, nr = left.nrows, right.nrows
     if nl == 0 or nr == 0:
         return _take_pairs(left, right, schema, [], [])
-    if np is None:
-        predicate = (
-            compile_predicate(residual_expr, schema)
-            if residual_expr is not None else None
-        )
-        lrows = left.tuples()
-        rrows = right.tuples()
-        li: list[int] = []
-        ri: list[int] = []
-        for i, lrow in enumerate(lrows):
-            for j, rrow in enumerate(rrows):
-                if predicate is None or predicate(lrow + rrow):
-                    li.append(i)
-                    ri.append(j)
-        return _take_pairs(left, right, schema, li, ri)
     chunk = max(1, _NESTED_CHUNK_PAIRS // nr)
     li_parts = []
     ri_parts = []
@@ -813,74 +772,3 @@ def execute_plan_vector_bag(op: Operator, db: Any):
     """Evaluate an operator tree columnar under bag semantics."""
     _check_base_relations(op, db)
     return _eval(op, db, bag=True).to_bag()
-
-
-# -- statement application ---------------------------------------------------
-
-def _update_kernel(stmt: Any, table: ColumnarTable):
-    """``(updated rows, original rows, condition flags)`` of an UPDATE
-    over ``table``, or ``None`` when a kernel refuses (the caller falls
-    back to the compiled backend)."""
-    mask = vectorize_condition(stmt.condition, table)
-    if mask is None:
-        return None
-    columns = []
-    for attribute in table.schema:
-        col = _vec_expr(stmt.set_expression_for(attribute), table)
-        if col is None:
-            return None
-        columns.append(col)
-    updated = ColumnarTable(table.schema, columns, table.nrows).tuples()
-    return updated, table.tuples(), mask.tolist()
-
-
-def apply_statement_vector(stmt: Statement, db: Any) -> Any:
-    """The vector backend's ``apply``: condition bitmap + Set kernels
-    over the cached columnar view; the compiled backend's row closures
-    when a kernel refuses."""
-    relation = db[stmt.relation]
-    if isinstance(stmt, UpdateStatement):
-        stmt.check_set_attributes(relation.schema)
-        kernel = _update_kernel(stmt, columnar_of_relation(relation))
-        if kernel is None:
-            return apply_statement_compiled(stmt, db)
-        rows = frozenset(
-            new if flag else old for new, old, flag in zip(*kernel)
-        )
-    elif isinstance(stmt, DeleteStatement):
-        table = columnar_of_relation(relation)
-        mask = vectorize_condition(stmt.condition, table)
-        if mask is None:
-            return apply_statement_compiled(stmt, db)
-        rows = frozenset(table.take(np.nonzero(~mask)[0]).tuples())
-    else:
-        return apply_insert(stmt, db, execute_plan_vector)
-    return db.with_relation(stmt.relation, Relation(relation.schema, rows))
-
-
-def apply_statement_vector_bag(stmt: Statement, db: Any) -> Any:
-    """The vector backend's ``apply_bag``: the same kernels over the
-    distinct rows, multiplicities carried along."""
-    relation = db[stmt.relation]
-    if isinstance(stmt, UpdateStatement):
-        table = columnar_of_bag(relation)
-        kernel = _update_kernel(stmt, table)
-        if kernel is None:
-            return apply_statement_compiled_bag(stmt, db)
-        mult = table.mult if table.mult is not None else [1] * table.nrows
-        counts: Counter = Counter()
-        for new, old, flag, count in zip(*kernel, mult):
-            counts[new if flag else old] += count
-    elif isinstance(stmt, DeleteStatement):
-        table = columnar_of_bag(relation)
-        mask = vectorize_condition(stmt.condition, table)
-        if mask is None:
-            return apply_statement_compiled_bag(stmt, db)
-        kept = table.take(np.nonzero(~mask)[0])
-        mult = kept.mult if kept.mult is not None else [1] * kept.nrows
-        counts = dict(zip(kept.tuples(), mult))
-    else:
-        return apply_insert_bag(stmt, db, execute_plan_vector_bag)
-    return db.with_relation(
-        stmt.relation, BagRelation(relation.schema, counts)
-    )

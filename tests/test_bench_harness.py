@@ -33,6 +33,35 @@ class TestRunners:
         timings = run_methods(small_query, [Method.NAIVE, Method.R_PS_DS])
         assert set(timings) == {Method.NAIVE, Method.R_PS_DS}
 
+    def test_every_method_starts_cold(self, small_query, monkeypatch):
+        """Φ_D and the columnar table are remembered on a relation's
+        identity, so each method gets its own copy of the database:
+        whichever runs second scans as much as the one that ran first
+        (over shared objects it would find both memos filled)."""
+        from repro.bench import harness
+        from repro.obs.metrics import global_registry
+
+        registry = global_registry()
+        counters = [
+            registry.counter(name, "", ("outcome",))
+            for name in ("mahif_phi_d_memo_total", "mahif_columnar_memo_total")
+        ]
+        misses = []
+        real = harness.run_method
+
+        def counted(query, method, config=None):
+            before = [c.value(outcome="miss") for c in counters]
+            timing = real(query, method, config)
+            misses.append(
+                [c.value(outcome="miss") - b for c, b in zip(counters, before)]
+            )
+            return timing
+
+        monkeypatch.setattr(harness, "run_method", counted)
+        harness.run_methods(small_query, [Method.R_PS, Method.R_PS_DS])
+        first, second = misses
+        assert first == second and all(count > 0 for count in first)
+
     def test_run_methods_raises_on_divergence(self, small_query, monkeypatch):
         """A method returning a different delta must be flagged."""
         from repro.bench import harness

@@ -574,3 +574,35 @@ def test_version_cache_and_phi_d_memo_counters_for_three_answers():
     rendered = registry.render()
     assert 'mahif_version_cache_total{outcome="extended"} ' in rendered
     assert 'mahif_phi_d_memo_total{outcome="hit"} ' in rendered
+
+
+def test_columnar_memo_counter_and_the_execute_span(orders_db, paper_history):
+    """``mahif_columnar_memo_total{outcome}`` and ``columnarized`` on the
+    engine's ``execute`` span: the first answer scans the relation cold,
+    once for both sides of the pair; the second finds the table."""
+    memo = global_registry().counter(
+        "mahif_columnar_memo_total", "", ("outcome",)
+    )
+    query = _paper_query(orders_db, paper_history)
+    engine = Mahif()
+    lines: list[str] = []
+    trace.configure_tracing(lines.append, sample=1.0)  # reset by autouse
+    seen = []
+    for _ in range(2):
+        before = memo.series()
+        del lines[:]
+        with trace.start_trace("request"):
+            engine.answer(query, Method.R_PS_DS)
+        (execute,) = [
+            span for span in map(json.loads, lines)
+            if span["name"] == "execute"
+        ]
+        moved = series_moved(memo, before)
+        seen.append(
+            (execute["attributes"]["columnarized"], moved.get(("miss",), 0))
+        )
+        assert moved[("hit",)] >= 1
+    assert seen == [(1, 1), (0, 0)]
+    assert 'mahif_columnar_memo_total{outcome="miss"} ' in (
+        global_registry().render()
+    )

@@ -1,16 +1,33 @@
-"""Unit tests for the columnar data layer and the ``vector`` backend.
+"""Unit tests for the columnar data layer and the columnar evaluator
+(``evaluate`` of the default ``compiled`` backend and of ``vector``).
 
 The four-way differential suite (``test_sql_backend_differential.py``)
 is the correctness workhorse; this file pins the columnar
 representation itself (type sniffing, NULL bitmaps, caching, the tuple
-view), the exactness-preserving kernel fallbacks, statements, and the
-pure-Python mode that runs when NumPy is unavailable or disabled via
-``MAHIF_VECTOR_NUMPY=0``.
+view), the exactness-preserving kernel fallbacks, statements, and two
+properties of the default path:
+
+* **pass-through identity** — a result cell of an attribute the plan
+  only references is the stored relation's own object;
+* **the column-wise sniffing pass equals the value-by-value one** it
+  replaced (``reference_column`` below keeps the old loop), fuzzed with
+  hypothesis under ``MAHIF_FUZZ_SEED`` / ``MAHIF_FUZZ_SCALE``.
+
+Mutation checks, each made by hand on the final tree and reverted; each
+must fail the named test: ``column_values`` ignoring the remembered
+objects, and ``Column.take`` dropping them —
+``test_unwritten_cells_are_the_stored_objects``; the column-wise pass
+folding ``bool`` into ``int``, admitting a NaN column, or admitting
+``2**63`` — ``test_column_wise_pass_equals_the_value_wise_reference``.
 """
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from fuzz_differential import FUZZ_SEED, scaled
 
 from repro.relational import (
     BagDatabase,
@@ -33,15 +50,14 @@ from repro.relational.algebra import (
     Union,
 )
 from repro.relational.columnar import (
+    INT64_SAFE_BOUND,
     ColumnarTable,
     bulk_shard_indices,
     column_from_values,
     column_values,
     columnar_cache_info,
     columnar_of_relation,
-    numpy_active,
     ordered_indices_by_column,
-    set_numpy_enabled,
 )
 from repro.relational.expressions import (
     Arith,
@@ -59,25 +75,9 @@ from repro.relational.expressions import (
     lit,
     lt,
 )
+from repro.relational.exec.backend import resolve_backend
 from repro.relational.partition import stable_shard_of
 from repro.relational.statements import DeleteStatement, UpdateStatement
-
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the CI image bundles numpy
-    HAVE_NUMPY = False
-
-
-@pytest.fixture
-def no_numpy():
-    """Force the pure-Python column fallback for one test."""
-    previous = set_numpy_enabled(False)
-    try:
-        yield
-    finally:
-        set_numpy_enabled(previous)
-
 
 def _db():
     return Database(
@@ -171,8 +171,7 @@ class TestPartitionKernels:
     def test_ordered_indices_match_python_sort(self):
         rows = [(5,), (1,), (3,), (1,), (2,)]
         indices = ordered_indices_by_column(rows, 0)
-        if indices is not None:  # numpy path
-            assert [rows[i] for i in indices] == sorted(rows)
+        assert [rows[i] for i in indices] == sorted(rows)
 
     def test_ordered_indices_refuse_mixed_columns(self):
         assert ordered_indices_by_column([(1,), (True,)], 0) is None
@@ -346,40 +345,6 @@ class TestVectorStatements:
 
 
 # ---------------------------------------------------------------------------
-# pure-Python mode (NumPy gated off)
-# ---------------------------------------------------------------------------
-
-class TestPurePythonMode:
-    def test_columns_fall_back_to_lists(self, no_numpy):
-        assert not numpy_active()
-        colx = column_from_values([1, 2, 3])
-        assert not colx.is_array
-
-    def test_plans_still_match_interpreter(self, no_numpy):
-        db = _db()
-        plans = [
-            Select(RelScan("R"), gt(col("a"), 1)),
-            Join(RelScan("R"), RelScan("T"), eq(col("a"), col("e"))),
-            Union(RelScan("R"), RelScan("R")),
-            Difference(RelScan("R"), Select(RelScan("R"), gt(col("a"), 1))),
-        ]
-        for plan in plans:
-            assert evaluate_query(plan, db, backend="vector") == (
-                evaluate_query_interpreted(plan, db)
-            )
-
-    def test_bag_still_matches_interpreter(self, no_numpy):
-        bag_db = BagDatabase.from_set_database(_db())
-        plan = Union(RelScan("R"), RelScan("R"))
-        assert evaluate_query_bag(plan, bag_db, backend="vector") == (
-            evaluate_query_bag_interpreted(plan, bag_db)
-        )
-
-    def test_ordered_indices_disabled(self, no_numpy):
-        assert ordered_indices_by_column([(1,), (2,)], 0) is None
-
-
-# ---------------------------------------------------------------------------
 # NaN identity through the vector pipeline
 # ---------------------------------------------------------------------------
 
@@ -402,3 +367,225 @@ class TestNanIdentity:
             map(repr, expected.tuples)
         )
         assert any(math.isnan(row[0]) for row in result.tuples)
+
+
+# ---------------------------------------------------------------------------
+# pass-through identity on the default path
+# ---------------------------------------------------------------------------
+
+class TestPassThroughIdentity:
+    def stored(self):
+        # floats, big ints and built strings: nothing interned, so an
+        # equal value that is not the stored object is a copy
+        return Database({"R": Relation.from_rows(
+            Schema.of("k", "a", "b", "c", "s", "t"),
+            [
+                (1000 + i, float(i) + 0.5, None if i % 7 == 0 else i / 3.0,
+                 10 ** 12 + i, f"name-{i}", None if i % 5 == 0 else f"n{i}")
+                for i in range(200)
+            ],
+        )})
+
+    @pytest.mark.parametrize("backend", [None, "vector"])
+    def test_unwritten_cells_are_the_stored_objects(self, backend):
+        """``Π[If(θ, e, A), B, C…](σ(R))``, the shape of a reenactment
+        query: every cell of an attribute the plan does not write is
+        the object the stored relation holds, and a NULL stays
+        ``None``."""
+        db = self.stored()
+        by_key = {row[0]: row for row in db["R"].tuples}
+        written = If(gt(col("a"), 50.0), Arith("+", col("a"), lit(1.0)),
+                     col("a"))
+        plan = Project(
+            Select(RelScan("R"), ge(col("k"), 1020)),
+            ((col("k"), "k"), (written, "a"))
+            + tuple((col(name), name) for name in "bcst"),
+        )
+        result = resolve_backend(backend).evaluate(plan, db)
+        assert result == evaluate_query_interpreted(plan, db)
+        assert len(result) == 180
+        for row in result.tuples:
+            source = by_key[row[0]]
+            for index in (0, 2, 3, 4, 5):
+                assert row[index] is source[index]
+
+    def test_union_of_stored_columns_keeps_identity(self):
+        db = self.stored()
+        plan = Union(
+            Select(RelScan("R"), lt(col("k"), 1050)),
+            Select(RelScan("R"), IsNull(col("t"))),
+        )
+        result = resolve_backend(None).evaluate(plan, db)
+        assert result == evaluate_query_interpreted(plan, db)
+        cells = {id(cell) for row in db["R"].tuples for cell in row}
+        assert all(id(cell) in cells for row in result.tuples for cell in row)
+
+
+# ---------------------------------------------------------------------------
+# the column-wise sniffing pass against the value-by-value one it replaced
+# ---------------------------------------------------------------------------
+
+def reference_tag(values):
+    """The uniform scalar tag of a value sequence, or ``"object"``:
+    the per-value loop ``column_from_values`` ran before it classified
+    a column by the set of its value types."""
+    tag = None
+    for v in values:
+        if v is None:
+            continue
+        if isinstance(v, bool):
+            t = "bool"
+        elif isinstance(v, int):
+            t = "int"
+        elif isinstance(v, float):
+            if v != v:  # NaN: identity-bearing, never array-typed
+                return "object"
+            t = "float"
+        elif isinstance(v, str):
+            t = "str"
+        else:
+            return "object"
+        if tag is None:
+            tag = t
+        elif tag != t:
+            return "object"
+    return tag if tag is not None else "object"
+
+
+def reference_column(values):
+    """``(tag, data, valid, int_bound)`` as the value-wise path built
+    them: data and valid as lists, ``None`` for all-valid."""
+    values = list(values)
+    tag = reference_tag(values)
+    bound = 0
+    if tag == "int":
+        bound = max(abs(v) for v in values if v is not None)
+    if tag == "object" or bound >= INT64_SAFE_BOUND:
+        return "object", values, None, 0
+    fill = {"int": 0, "float": 0.0, "bool": False, "str": ""}[tag]
+    valid = (
+        [v is not None for v in values] if None in values else None
+    )
+    return tag, [fill if v is None else v for v in values], valid, bound
+
+
+#: The values the exactness rules turn on, by type group.
+EDGES = {
+    "int": [0, 1, -1, 2 ** 53, -(2 ** 53), 2 ** 53 + 1, 2 ** 63 - 1,
+            -(2 ** 63) + 1, 2 ** 63, -(2 ** 63), 2 ** 70],
+    "float": [0.0, -0.0, 1.5, float(2 ** 53), float("inf"), float("nan")],
+    "bool": [True, False],
+    "str": ["", "a", "nan"],
+}
+COLUMNS = st.one_of(
+    # one type group, with or without NULLs: the array-typed cases and
+    # the edge that sends each of them to a list
+    *[
+        st.lists(st.one_of(st.none(), st.sampled_from(edges), wide))
+        for edges, wide in (
+            (EDGES["int"], st.integers(-1000, 1000)),
+            (EDGES["float"], st.floats(allow_nan=False)),
+            (EDGES["bool"], st.booleans()),
+            (EDGES["str"], st.text(max_size=3)),
+        )
+    ],
+    # and anything with anything
+    st.lists(st.sampled_from([None, (1, 2), *sum(EDGES.values(), [])])),
+)
+
+
+@seed(FUZZ_SEED)
+@settings(max_examples=scaled(400), deadline=None, database=None)
+@given(COLUMNS)
+def test_column_wise_pass_equals_the_value_wise_reference(values):
+    column = column_from_values(values)
+    tag, data, valid, bound = reference_column(values)
+    assert column.tag == tag
+    assert column.int_bound == bound
+    assert column.is_array == (tag != "object")
+    actual = column.data.tolist() if column.is_array else column.data
+    assert len(actual) == len(data)
+    for got, want in zip(actual, data):
+        # exact: same type (True is not 1), same sign of zero, and in
+        # an object column the same object (a NaN keeps its identity)
+        if tag == "object":
+            assert got is want
+        else:
+            assert type(got) is type(want) and repr(got) == repr(want)
+    assert (
+        column.valid is None if valid is None
+        else column.valid.tolist() == valid
+    )
+    if column.is_array:
+        assert column.data.dtype == {
+            "int": np.int64, "float": np.float64, "bool": np.bool_,
+            "str": object,
+        }[tag]
+        # what the column remembers is what it was given
+        assert all(
+            got is want for got, want in zip(column_values(column), values)
+        )
+
+
+# ---------------------------------------------------------------------------
+# "object" columns on the default path: per-row fallbacks, first error
+# ---------------------------------------------------------------------------
+
+class TestObjectColumnsOnTheDefaultPath:
+    def db(self):
+        return Database(
+            {
+                "M": Relation.from_rows(
+                    Schema.of("k", "v"),
+                    # int / float / bool mixed, a NaN, an int past int64
+                    [(1, 1), (2, 2.5), (3, True), (4, None),
+                     (5, float("nan")), (6, 2 ** 63)],
+                )
+            }
+        )
+
+    def test_plans_over_an_object_column_equal_the_interpreter(self):
+        db = self.db()
+        assert columnar_of_relation(db["M"]).columns[1].tag == "object"
+        plans = [
+            Select(RelScan("M"), gt(col("v"), 1)),
+            Project(
+                RelScan("M"),
+                ((col("k"), "k"), (Arith("*", col("v"), lit(2)), "w")),
+            ),
+            Project(
+                Select(RelScan("M"), IsNull(col("v"))), ((col("v"), "v"),)
+            ),
+            Difference(RelScan("M"), Select(RelScan("M"), lt(col("v"), 2))),
+            Join(
+                RelScan("M"),
+                Project(RelScan("M"), ((col("v"), "w"),)),
+                eq(col("v"), col("w")),
+            ),
+        ]
+        for plan in plans:
+            expected = evaluate_query_interpreted(plan, db)
+            actual = resolve_backend(None).evaluate(plan, db)
+            # repr tells 1 from True and 1.0; NaN rows compare by repr
+            assert sorted(map(repr, actual.tuples)) == sorted(
+                map(repr, expected.tuples)
+            )
+
+    def test_first_error_is_the_interpreters(self):
+        db = Database(
+            {
+                "E": Relation.from_rows(
+                    Schema.of("k", "v"),
+                    [(i, f"bad-{i}" if i % 3 == 0 else i) for i in range(30)],
+                )
+            }
+        )
+        # ten rows raise, each with its own message: the first one hit
+        # in row order is the one reported
+        plan = Select(RelScan("E"), gt(col("v"), 0))
+        with pytest.raises(EvaluationError) as interpreted:
+            evaluate_query_interpreted(plan, db)
+        with pytest.raises(EvaluationError) as default:
+            resolve_backend(None).evaluate(plan, db)
+        assert "bad-" in str(interpreted.value)
+        assert str(default.value) == str(interpreted.value)

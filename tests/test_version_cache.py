@@ -67,6 +67,21 @@ And on the served path (``service/core.py`` ``_time_travel``):
 * replay routed through the request's backend instead of compiled —
   fails ``test_served_time_travel_runs_compiled_whatever_the_backend``
   (by the count of statements sqlite executed).
+
+The last section pins the rule the default backend follows — queries run
+columnar over a table remembered on the relation, statements replay
+row-wise — by count (a spy on ``ColumnarTable.from_relation`` and
+``mahif_columnar_memo_total``): a version is columnarized once, by the
+first what-if or served miss that reads it, and ``stmt.apply``,
+``History.execute``, ``HistoryStore.as_of`` and the service's append
+validation columnarize nothing.  Mutations, made and reverted the same
+way:
+
+* ``columnar._cached_table`` never remembering — fails
+  ``test_second_whatif_at_a_position_columnarizes_nothing`` and
+  ``test_served_misses_columnarize_a_version_once``;
+* ``apply_statement_compiled`` evaluating ``INSERT … SELECT`` through
+  the columnar evaluator — fails ``test_replay_columnarizes_nothing``.
 """
 
 from __future__ import annotations
@@ -103,7 +118,15 @@ from repro.core.batch import prefix_key
 from repro.core.engine import VERSION_CACHE_CAPACITY, VersionCache
 from repro.obs import trace
 from repro.obs.metrics import global_registry
-from repro.relational import Database, History, Relation, Schema
+from repro.relational import (
+    Database,
+    History,
+    Relation,
+    Schema,
+    evaluate_query,
+)
+from repro.relational.algebra import Project, RelScan, Select
+from repro.relational.columnar import ColumnarTable
 from repro.relational.expressions import (
     Cmp,
     Const,
@@ -115,7 +138,13 @@ from repro.relational.expressions import (
     lit,
 )
 from repro.relational.exec import sql_backend
-from repro.relational.statements import DeleteStatement, UpdateStatement
+from repro.relational.statements import (
+    DeleteStatement,
+    InsertQuery,
+    InsertTuple,
+    UpdateStatement,
+)
+from repro.store import HistoryStore
 from repro.service import (
     WhatIfService,
     modifications_from_spec,
@@ -958,3 +987,135 @@ def test_time_travel_span_and_counter_on_the_served_path(tmp_path):
             {("hit",): 1},
         ),
     ]
+
+
+# -- queries run columnar, statements replay row-wise -------------------------
+#
+# ``compiled`` evaluates a query over the columnar view remembered on
+# each relation it scans, and replays statements through row closures.
+# By count: a version is columnarized once, whoever asks and however
+# often; replay — ``stmt.apply``, ``History.execute``, the store's
+# ``as_of``, the service's append validation — columnarizes nothing.
+
+
+@pytest.fixture
+def columnarized(monkeypatch):
+    """Every relation ``ColumnarTable.from_relation`` scans: a spy on
+    the one function that builds a columnar view of a relation."""
+    scanned: list[Relation] = []
+    real = ColumnarTable.from_relation.__func__
+
+    def from_relation(cls, relation):
+        scanned.append(relation)
+        return real(cls, relation)
+
+    monkeypatch.setattr(
+        ColumnarTable, "from_relation", classmethod(from_relation)
+    )
+    return scanned
+
+
+def columnar_outcomes() -> dict:
+    counter = global_registry().counter(
+        "mahif_columnar_memo_total", "", ("outcome",)
+    )
+    return {
+        outcome: counter.value(outcome=outcome) for outcome in ("hit", "miss")
+    }
+
+
+def test_second_whatif_at_a_position_columnarizes_nothing(columnarized):
+    database = rows_database([(i, i % 200, 5) for i in range(500)])
+    history = windows_history(40)
+    engine = Mahif()
+    oracle = Mahif(MahifConfig(backend="interpreted"))
+
+    def ask(position, bump):
+        """(relations scanned cold, memo misses, whether the memo hit)."""
+        modifications = replace_at(position, bump)
+        expected = oracle.answer(
+            HistoricalWhatIfQuery(history, twin(database), modifications),
+            Method.NAIVE,
+        )
+        before, scanned = columnar_outcomes(), len(columnarized)
+        answer = engine.answer(
+            HistoricalWhatIfQuery(history, database, modifications),
+            Method.R_PS_DS,
+        )
+        assert answer.delta == expected.delta
+        after = columnar_outcomes()
+        return (
+            len(columnarized) - scanned,
+            after["miss"] - before["miss"],
+            after["hit"] > before["hit"],
+        )
+
+    # version 29 of R, once: both sides of the pair read the one table
+    assert ask(30, 100) == (1, 1, True)
+    assert ask(30, 101) == (0, 0, True)
+    assert ask(35, 102) == (1, 1, True)
+    assert ask(30, 103) == (0, 0, True)
+
+
+def test_served_misses_columnarize_a_version_once(service, columnarized):
+    database = rows_database([(i, i % 200, 5) for i in range(300)])
+    history = windows_history(20)
+    service.register("h", database, history)
+
+    def served(spec, over):
+        scanned = len(columnarized)
+        (answer,) = service.answer("h", [spec])
+        assert answer["cached"] is False
+        assert answer["delta"] == naive_delta(database, over, spec)
+        return len(columnarized) - scanned
+
+    assert served(served_spec(12, 100), history) == 1
+    assert served(served_spec(12, 101), history) == 0
+    # the append is validated by replaying it: row-wise
+    appended = UpdateStatement("R", {"F": col("F") + 1}, window(0, 50))
+    scanned = len(columnarized)
+    assert service.append("h", [appended])["cache_dropped"] == 2
+    assert len(columnarized) == scanned
+    longer = History(history.statements + (appended,))
+    assert served(served_spec(12, 102), longer) == 0
+
+
+def test_replay_columnarizes_nothing(tmp_path, columnarized):
+    """Every statement kind through ``stmt.apply(db)``,
+    ``History.execute`` and ``HistoryStore.as_of`` — ``INSERT … SELECT``
+    included, whose query runs on the row pipeline."""
+    database = rows_database([(i, i, 5) for i in range(80)])
+    statements = (
+        UpdateStatement("R", {"F": col("F") + 1}, window(0, 40)),
+        DeleteStatement("R", gt(col("P"), 70)),
+        InsertTuple("R", (500, 500, 5)),
+        InsertQuery(
+            "R",
+            Project(
+                Select(RelScan("R"), le(col("P"), 3)),
+                ((col("k") + 1000, "k"), (col("P"), "P"), (col("F"), "F")),
+            ),
+        ),
+        UpdateStatement("R", {"F": col("F") * 2}, ge(col("P"), 0)),
+    )
+    history = History(statements)
+    oracle = history.execute(twin(database), backend="interpreted")
+
+    state = database
+    for statement in statements:
+        state = statement.apply(state)
+    assert state.same_contents(oracle)
+    assert history.execute(database).same_contents(oracle)
+    with HistoryStore.create(
+        tmp_path / "s", database, checkpoint_interval=2
+    ) as store:
+        store.append_history(history)
+        for version in range(len(statements) + 1):
+            expected = History(statements[:version]).execute(
+                twin(database), backend="interpreted"
+            )
+            assert store.as_of(version).same_contents(expected)
+    assert columnarized == []
+    # ... and the spy does see a query
+    evaluate_query(RelScan("R"), database)
+    assert columnarized == [database["R"]]
