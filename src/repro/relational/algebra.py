@@ -99,7 +99,10 @@ class Select(Operator):
 
 @dataclass(frozen=True)
 class Union(Operator):
-    """Set union ``Q1 ∪ Q2`` (arity-compatible; left schema wins)."""
+    """Set union ``Q1 ∪ Q2``.  Both sides must produce the *same
+    attribute names* in the same order — ``schema.check_union_compatible``
+    raises on any mismatch — so a condition over the union reads the
+    same over either side (what the optimizer's pushdown relies on)."""
 
     left: Operator
     right: Operator

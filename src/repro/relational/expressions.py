@@ -448,25 +448,64 @@ def substitute(expr: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
     return visit(expr)
 
 
+def substitute_named(
+    expr: Expr,
+    kind: type[Attr] | type[Var],
+    mapping: Mapping[str, Expr],
+    rule: Callable[[Expr], Expr | None] | None = None,
+) -> Expr:
+    """Replace the ``kind`` leaves named in ``mapping``, simultaneously.
+
+    The one walk under :func:`substitute_attributes`,
+    :func:`substitute_variables` and the optimizer's composition: leaves
+    are matched *by name* (a dictionary probe per leaf; nothing is
+    hashed structurally), replacements are not rewritten further, and a
+    subtree without a match comes back as the same object.
+
+    ``rule``, when given, is applied to each node that had to be rebuilt
+    — children first, ``None`` keeps the node — and to no other.  With
+    ``rule=_simplify_node``, a simplified ``expr`` and simplified
+    replacements, the result equals ``simplify(substitute(...))``: the
+    untouched subtrees are fixpoints already, and every replacement the
+    local rules return is a constant or a descendant that this walk has
+    processed, so one bottom-up pass leaves nothing for a second.
+    """
+    if not mapping:
+        return expr
+
+    def visit(node: Expr) -> Expr:
+        if isinstance(node, kind):
+            return mapping.get(node.name, node)
+        children = children_of(node)
+        if not children:
+            return node
+        replaced = tuple(map(visit, children))
+        if not any(map(operator.is_not, replaced, children)):
+            return node
+        node = _rebuild(node, replaced)
+        if rule is not None:
+            simpler = rule(node)
+            if simpler is not None:
+                return simpler
+        return node
+
+    return visit(expr)
+
+
 def substitute_attributes(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace attribute references by name: ``e[A_i <- e_i]`` for all i.
 
     This is the substitution used by data-slicing pushdown (Section 6) and
     symbolic execution: all replacements happen simultaneously over the
-    *original* expression.
+    *original* expression.  A :class:`Var` of the same name is left alone.
     """
-    if not mapping:
-        return expr
-    return substitute(
-        expr, {Attr(name): repl for name, repl in mapping.items()}
-    )
+    return substitute_named(expr, Attr, mapping)
 
 
 def substitute_variables(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace :class:`Var` references by name (simultaneous)."""
-    if not mapping:
-        return expr
-    return substitute(expr, {Var(name): repl for name, repl in mapping.items()})
+    """Replace :class:`Var` references by name (simultaneous); an
+    :class:`Attr` of the same name is left alone."""
+    return substitute_named(expr, Var, mapping)
 
 
 def rename_attributes(expr: Expr, mapping: Mapping[str, str]) -> Expr:

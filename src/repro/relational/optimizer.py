@@ -12,6 +12,10 @@ the stack; this module plays that role for the in-memory engine:
 * **selection fusion** — ``σ_a(σ_b(Q)) = σ_{a∧b}(Q)``,
 * **selection pushdown through projections** — ``σ_θ(Π_e(Q)) =
   Π_e(σ_{θ[A←e]}(Q))`` (brings data-slicing filters next to the scan),
+* **selection pushdown through unions** — ``σ_θ(Q1 ∪ Q2) = σ_θ(Q1) ∪
+  σ_θ(Q2)``, which reads ``θ`` over either side's attributes and is
+  sound only because a union's sides carry the *same attribute names*
+  (``schema.check_union_compatible`` raises on any mismatch),
 * **expression simplification** of every condition/output,
 * **pruning** of no-op operators (``σ_true``, identity projections,
   unions with provably-empty sides).
@@ -28,14 +32,44 @@ our tree evaluator cannot).  Merging is therefore *growth-aware*: a merge
 is kept only when the combined expression is not materially larger than
 the two it replaces (``growth_factor``), with ``max_expression_size`` as
 a hard cap.  Identity and non-self-referencing outputs merge for free;
-self-referencing chains stay stacked.  The ablation benchmark measures
-the settings.
+self-referencing chains stay stacked.
+
+What a rewrite costs.  The optimizer runs on every answer's plans, so
+its own work is kept linear in the expression nodes it is handed:
+
+* **One memo per call.**  ``optimize`` creates a :class:`_Rewriter`,
+  whose memo is keyed on object *identity* (hashing an expression tree
+  costs a walk of it) and dies when the call returns — nothing is shared
+  between calls, threads or engines.  Every expression is simplified
+  once and sized once (``size = 1 + Σ children``, carried upward, never
+  re-walked), and every ``(outer outputs, inner outputs)`` merge and
+  ``(condition, inner outputs)`` pushdown is composed once.
+* **Composition, not substitute-then-simplify.**  For a simplified ``e``
+  and simplified replacements, ``e[A ← f_A]`` is rebuilt bottom-up with
+  the local rule applied only at the nodes that were actually rebuilt
+  (:func:`_compose`; a bare ``Attr`` output is one dictionary probe),
+  and the result is recorded as simplified.  *Invariant:* one bottom-up
+  pass of ``_simplify_node`` over a tree whose untouched subtrees are
+  already fixpoints is itself a ``simplify`` fixpoint — every
+  replacement the rule returns is a constant or a descendant the pass
+  has already processed — so composition ``==``
+  ``simplify(substitute_attributes(e, f))``.
+* **A rewrite that fires nothing returns the object it was given.**
+  *Invariant:* ``rewrite(op) is op`` exactly when no rule changed the
+  subtree.  The fixpoint loop therefore ends on ``is``, and its
+  confirming pass is memo hits.  The loop stays: rule applications
+  enable each other across passes (a pushdown exposes a fusion, a
+  pruned union side a merge), and a handful of ad-hoc stacks do change
+  on pass 2 (``tests/test_optimizer_differential.py`` pins them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
+from typing import Mapping
 
+from ..obs import trace
 from .algebra import (
     Difference,
     Join,
@@ -43,21 +77,27 @@ from .algebra import (
     Project,
     RelScan,
     Select,
-    Singleton,
     Union,
+    operator_count,
 )
 from .expressions import (
     Attr,
     Expr,
     FALSE,
     TRUE,
+    _rebuild,
+    _simplify_node,
     and_,
-    expr_size,
-    simplify,
-    substitute_attributes,
+    children_of,
+    substitute_named,
 )
 
 __all__ = ["OptimizerConfig", "optimize"]
+
+_Outputs = tuple[tuple[Expr, str], ...]
+
+#: Passes after which ``optimize`` stops even if rules still fire.
+_MAX_PASSES = 32
 
 
 @dataclass(frozen=True)
@@ -74,45 +114,62 @@ class OptimizerConfig:
 
 
 def optimize(op: Operator, config: OptimizerConfig | None = None) -> Operator:
-    """Rewrite an operator tree to a fixpoint of the rules."""
-    config = config or OptimizerConfig()
-    previous = None
-    current = op
-    # Each pass is bottom-up; iterate until stable (rule applications can
-    # enable each other, e.g. pushdown then fusion).
-    for _ in range(32):
-        if current == previous:
-            break
-        previous = current
-        current = _rewrite(current, config)
+    """Rewrite an operator tree to a fixpoint of the rules.
+
+    Each pass is bottom-up; passes repeat until one fires nothing (rule
+    applications can enable each other, e.g. pushdown then fusion).  A
+    tree no rule applies to is returned as the same object.
+    """
+    rewriter = _Rewriter(config or OptimizerConfig())
+    span = trace.span("optimize")
+    with span:
+        current = op
+        for passes in range(1, _MAX_PASSES + 1):
+            rewritten = rewriter.rewrite(current)
+            if rewritten is current or rewritten == current:
+                break
+            current = rewritten
+        if isinstance(span, trace.Span):
+            # only a traced answer pays for the two operator walks
+            span.set_attributes(
+                {
+                    "passes": passes,
+                    "merges_tried": rewriter.merges_tried,
+                    "merges_kept": rewriter.merges_kept,
+                    "simplified": rewriter.simplified,
+                    "operators_in": operator_count(op),
+                    "operators_out": operator_count(current),
+                }
+            )
     return current
 
 
-def _rewrite(op: Operator, config: OptimizerConfig) -> Operator:
-    # Rewrite children first.
-    if isinstance(op, Project):
-        op = Project(_rewrite(op.input, config), op.outputs)
-    elif isinstance(op, Select):
-        op = Select(_rewrite(op.input, config), op.condition)
-    elif isinstance(op, Union):
-        op = Union(_rewrite(op.left, config), _rewrite(op.right, config))
-    elif isinstance(op, Difference):
-        op = Difference(_rewrite(op.left, config), _rewrite(op.right, config))
-    elif isinstance(op, Join):
-        op = Join(
-            _rewrite(op.left, config), _rewrite(op.right, config), op.condition
-        )
-    return _rewrite_node(op, config)
+def _compose(expr: Expr, substitution: Mapping[str, Expr]) -> Expr:
+    """``simplify(e[A ← f_A])`` for a simplified ``e`` and simplified
+    ``f_A`` (the module docstring's composition invariant): the shared
+    by-name walk, with the local rule at the nodes it rebuilds."""
+    return substitute_named(expr, Attr, substitution, _simplify_node)
 
 
-def _rewrite_node(op: Operator, config: OptimizerConfig) -> Operator:
-    if isinstance(op, Select):
-        return _rewrite_select(op, config)
-    if isinstance(op, Project):
-        return _rewrite_project(op, config)
-    if isinstance(op, Union):
-        return _rewrite_union(op)
-    return op
+def _substitution(inner_outputs: _Outputs) -> dict[str, Expr]:
+    """What the attributes above ``Π_inner`` stand for.  ``Attr`` →
+    same-name ``Attr`` outputs (nine in ten on a reenactment stack)
+    substitute nothing and are left out, so an expression that reads
+    only those is kept as the object it is."""
+    return {
+        name: expr
+        for expr, name in inner_outputs
+        if not (isinstance(expr, Attr) and expr.name == name)
+    }
+
+
+def _is_identity(outputs: _Outputs, inner_outputs: _Outputs) -> bool:
+    """``Π_{A1->A1,...,An->An}`` over a projection producing exactly
+    those attributes (only checkable when the input is a projection)."""
+    return len(outputs) == len(inner_outputs) and all(
+        isinstance(expr, Attr) and expr.name == name == inner_name
+        for (expr, name), (_, inner_name) in zip(outputs, inner_outputs)
+    )
 
 
 def _is_empty(op: Operator) -> bool:
@@ -128,89 +185,206 @@ def _is_empty(op: Operator) -> bool:
     return False
 
 
-def _rewrite_select(op: Select, config: OptimizerConfig) -> Operator:
-    condition = simplify(op.condition)
-    if condition == TRUE:
-        return op.input
-    if condition == FALSE and isinstance(op.input, RelScan):
-        # keep a recognizable empty selection over the scan
-        return Select(op.input, FALSE)
-    # selection fusion
-    if isinstance(op.input, Select):
-        return _rewrite_select(
-            Select(op.input.input, and_(op.input.condition, condition)),
-            config,
-        )
-    # pushdown through projection
-    if isinstance(op.input, Project):
-        inner = op.input
-        substitution = {name: expr for expr, name in inner.outputs}
-        pushed = simplify(substitute_attributes(condition, substitution))
-        if expr_size(pushed) <= config.max_expression_size:
-            return Project(
-                _rewrite_select(Select(inner.input, pushed), config),
-                inner.outputs,
-            )
-    # pushdown through union
-    if isinstance(op.input, Union):
-        return _rewrite_union(
-            Union(
-                _rewrite_select(Select(op.input.left, condition), config),
-                _rewrite_select(Select(op.input.right, condition), config),
-            )
-        )
-    return Select(op.input, condition)
-
-
-def _identity_projection(op: Project, input_schema: tuple[str, ...] | None) -> bool:
-    """``Π_{A1->A1,...,An->An}`` over an input producing exactly those
-    attributes (only checkable when the input is another projection)."""
-    if input_schema is None:
-        return False
-    names = tuple(name for _, name in op.outputs)
-    if names != input_schema:
-        return False
-    return all(
-        isinstance(expr, Attr) and expr.name == name
-        for expr, name in op.outputs
-    )
-
-
-def _rewrite_project(op: Project, config: OptimizerConfig) -> Operator:
-    outputs = tuple(
-        (simplify(expr), name) for expr, name in op.outputs
-    )
-    inner = op.input
-    if isinstance(inner, Project):
-        if _identity_projection(
-            Project(inner, outputs),
-            tuple(name for _, name in inner.outputs),
-        ):
-            return inner
-        substitution = {name: expr for expr, name in inner.outputs}
-        merged = []
-        total = 0
-        for expr, name in outputs:
-            combined = simplify(substitute_attributes(expr, substitution))
-            total += expr_size(combined)
-            merged.append((combined, name))
-        parts_size = sum(expr_size(e) for e, _ in outputs) + sum(
-            expr_size(e) for e, _ in inner.outputs
-        )
-        budget = min(
-            config.max_expression_size,
-            int(config.growth_factor * parts_size) + 8,
-        )
-        if total <= budget:
-            return _rewrite_project(
-                Project(inner.input, tuple(merged)), config
-            )
-    return Project(inner, outputs)
-
-
-def _rewrite_union(op: Union) -> Operator:
+def _prune_union(op: Union) -> Operator:
     if _is_empty(op.left):
         return op.right
     if _is_empty(op.right):
         return op.left
     return op
+
+
+class _Rewriter:
+    """The state of one ``optimize`` call: its config, its identity memo
+    and the counts its span reports.  Never shared, never kept."""
+
+    def __init__(self, config: OptimizerConfig) -> None:
+        self.config = config
+        self.merges_tried = 0
+        self.merges_kept = 0
+        #: distinct expressions simplified (memo misses of ``_simplify``)
+        self.simplified = 0
+        #: every object a memo below is keyed on: while it is pinned here
+        #: its ``id`` cannot be recycled for another object
+        self._pinned: list[object] = []
+        self._simple: dict[int, Expr] = {}
+        self._sizes: dict[int, int] = {}
+        self._simple_outputs: dict[int, _Outputs] = {}
+        self._merges: dict[tuple[int, int], _Outputs | None] = {}
+        self._pushed: dict[tuple[int, int], Expr] = {}
+
+    # -- expressions --------------------------------------------------
+
+    def _record_simple(self, expr: Expr, simple: Expr) -> Expr:
+        self._simple[id(expr)] = self._simple[id(simple)] = simple
+        self._pinned += (expr, simple)
+        return simple
+
+    def _compose(self, expr: Expr, substitution: Mapping[str, Expr]) -> Expr:
+        """:func:`_compose`, its result recorded as simplified."""
+        composed = _compose(expr, substitution)
+        return self._record_simple(composed, composed)
+
+    def _simplify(self, expr: Expr) -> Expr:
+        """``simplify(expr)``, once per object: children first, then the
+        local rule once (one pass is a fixpoint, see the module
+        docstring)."""
+        children = children_of(expr)
+        if not children:
+            return expr
+        simple = self._simple.get(id(expr))
+        if simple is None:
+            self.simplified += 1
+            simple_children = tuple(map(self._simplify, children))
+            node = expr
+            if any(map(operator.is_not, simple_children, children)):
+                node = _rebuild(expr, simple_children)
+            simpler = _simplify_node(node)
+            simple = self._record_simple(
+                expr, node if simpler is None else simpler
+            )
+        return simple
+
+    def _size(self, expr: Expr) -> int:
+        children = children_of(expr)
+        if not children:
+            return 1
+        size = self._sizes.get(id(expr))
+        if size is None:
+            size = 1 + sum(self._size(c) for c in children)
+            self._sizes[id(expr)] = size
+            self._pinned.append(expr)
+        return size
+
+    def _simplify_outputs(self, outputs: _Outputs) -> _Outputs:
+        """The outputs with every expression simplified — the same tuple
+        when they all were."""
+        simple = self._simple_outputs.get(id(outputs))
+        if simple is None:
+            simple = outputs
+            simplified = tuple(
+                (self._simplify(expr), name) for expr, name in outputs
+            )
+            if any(
+                new is not old
+                for (new, _), (old, _) in zip(simplified, outputs)
+            ):
+                simple = simplified
+            self._record_simple_outputs(outputs, simple)
+        return simple
+
+    def _record_simple_outputs(
+        self, outputs: _Outputs, simple: _Outputs
+    ) -> None:
+        self._simple_outputs[id(outputs)] = simple
+        self._simple_outputs[id(simple)] = simple
+        self._pinned += (outputs, simple)
+
+    def _merge(
+        self, outputs: _Outputs, inner_outputs: _Outputs
+    ) -> _Outputs | None:
+        """``Π_outputs ∘ Π_inner`` as one list of (simplified) outputs,
+        or ``None`` when the growth budget keeps the two stacked.  Both
+        arguments are simplified; a pair of tuples is attempted once."""
+        key = (id(outputs), id(inner_outputs))
+        if key in self._merges:
+            return self._merges[key]
+        self.merges_tried += 1
+        substitution = _substitution(inner_outputs)
+        merged = tuple(
+            (self._compose(expr, substitution), name)
+            for expr, name in outputs
+        )
+        parts_size = sum(self._size(e) for e, _ in outputs) + sum(
+            self._size(e) for e, _ in inner_outputs
+        )
+        budget = min(
+            self.config.max_expression_size,
+            int(self.config.growth_factor * parts_size) + 8,
+        )
+        kept = None
+        if sum(self._size(e) for e, _ in merged) <= budget:
+            self.merges_kept += 1
+            self._record_simple_outputs(merged, merged)
+            kept = merged
+        self._merges[key] = kept
+        self._pinned += (outputs, inner_outputs)
+        return kept
+
+    def _push(self, condition: Expr, inner_outputs: _Outputs) -> Expr:
+        """``θ[A ← f_A]``, the (simplified) condition below ``Π_inner``;
+        composed once per pair, also when the size cap then refuses it
+        and the confirming pass asks again."""
+        key = (id(condition), id(inner_outputs))
+        pushed = self._pushed.get(key)
+        if pushed is None:
+            pushed = self._pushed[key] = self._compose(
+                condition, _substitution(inner_outputs)
+            )
+            self._pinned += (condition, inner_outputs)
+        return pushed
+
+    # -- operators ----------------------------------------------------
+
+    def rewrite(self, op: Operator) -> Operator:
+        """One bottom-up pass; ``op`` itself when no rule fired."""
+        if isinstance(op, (Project, Select)):
+            source = self.rewrite(op.input)
+            if source is not op.input:
+                op = replace(op, input=source)
+            if isinstance(op, Project):
+                return self._rewrite_project(op)
+            return self._rewrite_select(op)
+        if isinstance(op, (Union, Difference, Join)):
+            left, right = self.rewrite(op.left), self.rewrite(op.right)
+            if left is not op.left or right is not op.right:
+                op = replace(op, left=left, right=right)
+            return _prune_union(op) if isinstance(op, Union) else op
+        return op
+
+    def _rewrite_select(self, op: Select) -> Operator:
+        condition = self._simplify(op.condition)
+        source = op.input
+        if condition == TRUE:
+            return source
+        if condition == FALSE and isinstance(source, RelScan):
+            # keep a recognizable empty selection over the scan
+            condition = FALSE
+        elif isinstance(source, Select):
+            # selection fusion
+            return self._rewrite_select(
+                Select(source.input, and_(source.condition, condition))
+            )
+        elif isinstance(source, Project):
+            # pushdown through projection
+            pushed = self._push(condition, source.outputs)
+            if self._size(pushed) <= self.config.max_expression_size:
+                return Project(
+                    self._rewrite_select(Select(source.input, pushed)),
+                    source.outputs,
+                )
+        elif isinstance(source, Union):
+            # pushdown through union (the sides share attribute names)
+            return _prune_union(
+                Union(
+                    self._rewrite_select(Select(source.left, condition)),
+                    self._rewrite_select(Select(source.right, condition)),
+                )
+            )
+        if condition is op.condition:
+            return op
+        return Select(source, condition)
+
+    def _rewrite_project(self, op: Project) -> Operator:
+        outputs = self._simplify_outputs(op.outputs)
+        source = op.input
+        while isinstance(source, Project):
+            if _is_identity(outputs, source.outputs):
+                return source
+            merged = self._merge(outputs, source.outputs)
+            if merged is None:
+                break
+            # the merged projection may merge again with what is below
+            outputs, source = merged, source.input
+        if outputs is op.outputs and source is op.input:
+            return op
+        return Project(source, outputs)

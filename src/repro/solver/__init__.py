@@ -18,7 +18,6 @@ from .compiler import (
     FormulaCompiler,
     StringEncoder,
     UnsupportedExpression,
-    compile_formula,
 )
 from .milp import LinearConstraint, MILPModel, ModelError, Variable
 from .sat import check_satisfiable
@@ -27,7 +26,7 @@ from .session import SatResult, SolverConfig, SolverSession
 __all__ = [
     "MILPModel", "Variable", "LinearConstraint", "ModelError",
     "FormulaCompiler", "AffineForm", "StringEncoder",
-    "UnsupportedExpression", "compile_formula",
+    "UnsupportedExpression",
     "Feasibility", "SolveResult", "solve", "is_feasible",
     "SatResult", "SolverConfig", "SolverSession", "check_satisfiable",
     "enumerate_satisfying", "is_satisfiable_bruteforce",

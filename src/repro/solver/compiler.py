@@ -47,16 +47,17 @@ __all__ = [
     "AffineForm",
     "FormulaCompiler",
     "StringEncoder",
-    "compile_formula",
 ]
 
-#: Default big-M constant; must dominate every attribute-value difference.
+#: The big-M constant; must dominate every attribute-value difference.
 #: Kept moderate so LP feasibility tolerances (absolute, ~1e-9 after our
 #: tightened HiGHS options) stay far below the strictness margin.
-DEFAULT_BIG_M = 1e6
+BIG_M = 1e6
 #: Strictness margin for < and > (values in workloads are integral or
 #: low-precision decimals, so 1e-3 separates distinct values safely).
-DEFAULT_EPSILON = 1e-3
+EPSILON = 1e-3
+#: Range of the continuous variable a conditional's value is bound to.
+_VALUE_BOUND = BIG_M / 4.0
 
 
 class UnsupportedExpression(Exception):
@@ -134,18 +135,10 @@ class FormulaCompiler:
         result = solve(compiler.model)          # branch & bound
     """
 
-    def __init__(
-        self,
-        big_m: float = DEFAULT_BIG_M,
-        epsilon: float = DEFAULT_EPSILON,
-        encoder: StringEncoder | None = None,
-    ) -> None:
+    def __init__(self) -> None:
         self.model = MILPModel()
-        self.big_m = big_m
-        self.epsilon = epsilon
-        self.encoder = encoder or StringEncoder()
+        self.encoder = StringEncoder()
         self._bool_cache: dict[Expr, str] = {}
-        self._value_bound = big_m / 4.0
 
     # -- public API --------------------------------------------------------
     def assert_condition(self, condition: Expr) -> None:
@@ -220,7 +213,7 @@ class FormulaCompiler:
         prefix = "attr" if isinstance(expr, Attr) else "sym"
         name = f"{prefix}::{expr.name}"
         self.model.add_variable(
-            name, "continuous", -self._value_bound, self._value_bound
+            name, "continuous", -_VALUE_BOUND, _VALUE_BOUND
         )
         return name
 
@@ -234,33 +227,30 @@ class FormulaCompiler:
         b = self.compile_boolean(expr.cond)
         then_form = self.compile_numeric(expr.then)
         else_form = self.compile_numeric(expr.orelse)
-        v = self.model.add_continuous(
-            "vif", -self._value_bound, self._value_bound
-        )
-        big_m = self.big_m
+        v = self.model.add_continuous("vif", -_VALUE_BOUND, _VALUE_BOUND)
         # v - then <= M(1-b)        v - then >= -M(1-b)
         self._add_affine_constraint(
             AffineForm.variable(v.name).minus(then_form),
-            {b: big_m},
+            {b: BIG_M},
             "<=",
-            big_m,
+            BIG_M,
         )
         self._add_affine_constraint(
             AffineForm.variable(v.name).minus(then_form),
-            {b: -big_m},
+            {b: -BIG_M},
             ">=",
-            -big_m,
+            -BIG_M,
         )
         # v - else <= M*b           v - else >= -M*b
         self._add_affine_constraint(
             AffineForm.variable(v.name).minus(else_form),
-            {b: -big_m},
+            {b: -BIG_M},
             "<=",
             0.0,
         )
         self._add_affine_constraint(
             AffineForm.variable(v.name).minus(else_form),
-            {b: big_m},
+            {b: BIG_M},
             ">=",
             0.0,
         )
@@ -374,10 +364,10 @@ class FormulaCompiler:
         b = self.model.add_binary("blt")
         diff = left.minus(right)  # v1 - v2
         # v1 - v2 + b*M >= 0  (b=0 -> v1 >= v2)
-        self._add_affine_constraint(diff, {b.name: self.big_m}, ">=", 0.0)
+        self._add_affine_constraint(diff, {b.name: BIG_M}, ">=", 0.0)
         # v2 - v1 + (1-b)*M >= eps  (b=1 -> v2 - v1 >= eps)
         self._add_affine_constraint(
-            diff.scaled(-1.0), {b.name: -self.big_m}, ">=", self.epsilon - self.big_m
+            diff.scaled(-1.0), {b.name: -BIG_M}, ">=", EPSILON - BIG_M
         )
         return b.name
 
@@ -386,25 +376,12 @@ class FormulaCompiler:
         b = self.model.add_binary("ble")
         diff = left.minus(right)
         # v1 - v2 + b*M >= eps  (b=0 -> v1 - v2 >= eps, i.e. v1 > v2)
-        self._add_affine_constraint(
-            diff, {b.name: self.big_m}, ">=", self.epsilon
-        )
+        self._add_affine_constraint(diff, {b.name: BIG_M}, ">=", EPSILON)
         # v2 - v1 + (1-b)*M >= 0  (b=1 -> v2 >= v1)
         self._add_affine_constraint(
-            diff.scaled(-1.0), {b.name: -self.big_m}, ">=", -self.big_m
+            diff.scaled(-1.0), {b.name: -BIG_M}, ">=", -BIG_M
         )
         return b.name
-
-
-def compile_formula(
-    formula: Expr,
-    big_m: float = DEFAULT_BIG_M,
-    epsilon: float = DEFAULT_EPSILON,
-) -> FormulaCompiler:
-    """Compile a single formula, asserting it must hold."""
-    compiler = FormulaCompiler(big_m=big_m, epsilon=epsilon)
-    compiler.assert_condition(formula)
-    return compiler
 
 
 def formula_uses_strings(formula: Expr) -> bool:

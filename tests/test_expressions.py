@@ -2,6 +2,13 @@
 
 import pytest
 
+from fuzz_differential import (
+    fresh_rng,
+    random_set_expression,
+    random_typed_condition,
+    random_typed_database,
+    scaled,
+)
 from repro.relational.expressions import (
     Arith,
     Attr,
@@ -35,6 +42,7 @@ from repro.relational.expressions import (
     simplify,
     substitute,
     substitute_attributes,
+    substitute_variables,
     to_string,
     variables_of,
     is_condition,
@@ -163,6 +171,52 @@ class TestStructure:
         )
         assert evaluate(replaced, {"P": 60, "Fee": 99}) is False
         assert evaluate(replaced, {"P": 10, "Fee": 12}) is True
+
+    def test_substitution_is_by_name_and_by_kind(self):
+        expr = Arith("+", Attr("A"), Var("A"))
+        assert substitute_attributes(expr, {"A": Const(1)}) == Arith(
+            "+", Const(1), Var("A")
+        )
+        assert substitute_variables(expr, {"A": Const(1)}) == Arith(
+            "+", Attr("A"), Const(1)
+        )
+
+    def test_substitution_keeps_what_it_does_not_touch(self):
+        """An empty mapping, and a mapping that names nothing in the
+        expression, return the same object; a subtree without a match
+        is shared with the input."""
+        expr = and_(ge(col("a"), 1), le(col("b"), 2))
+        for substitute_by_name in (substitute_attributes, substitute_variables):
+            assert substitute_by_name(expr, {}) is expr
+            assert substitute_by_name(expr, {"z": Const(0)}) is expr
+        replaced = substitute_attributes(expr, {"a": col("c")})
+        assert replaced.right is expr.right and replaced != expr
+        # a replacement is not rewritten further
+        assert substitute_attributes(col("a"), {"a": col("b"), "b": col("c")}) == col("b")
+
+    def test_by_name_substitution_equals_structural(self):
+        """The by-name walk against ``substitute`` with ``Attr`` /
+        ``Var`` keys, over the differential fuzz's typed conditions and
+        set expressions (NULL constants included)."""
+        rng = fresh_rng(offset=84)
+        for trial in range(scaled(300)):
+            db, types_by_name = random_typed_database(rng, rows=1)
+            schema, types = db.schema_of("R"), types_by_name["R"]
+            expr = random_typed_condition(rng, schema, types, depth=3)
+            mapping = {
+                attribute: random_set_expression(rng, schema, types, attribute)
+                for attribute in schema.attributes
+                if rng.random() < 0.6
+            }
+            assert substitute_attributes(expr, mapping) == substitute(
+                expr, {Attr(n): r for n, r in mapping.items()}
+            ), trial
+            as_variables = substitute_attributes(
+                expr, {a: Var(a) for a in schema.attributes}
+            )
+            assert substitute_variables(as_variables, mapping) == substitute(
+                as_variables, {Var(n): r for n, r in mapping.items()}
+            ), trial
 
     def test_rename_attributes(self):
         expr = eq(col("a"), col("b"))

@@ -467,6 +467,29 @@ class TestEngineExplain:
         assert "execute" in names
         assert "relation" in names
 
+    def test_optimize_span_per_tree_under_plan(self, query):
+        """One ``optimize`` span per tree the plan stage optimizes, a
+        child of ``plan``, carrying the rewrite's counts."""
+        lines: list[str] = []
+        trace.configure_tracing(lines.append, sample=1.0)
+        with trace.start_trace("request"):
+            Mahif(MahifConfig()).answer(query, Method.R_PS_DS)
+        spans = [json.loads(line) for line in lines]
+        (plan,) = [span for span in spans if span["name"] == "plan"]
+        optimized = [span for span in spans if span["name"] == "optimize"]
+        # both sides of every relation the database holds
+        assert len(optimized) == 2 * len(query.database.relations)
+        for span in optimized:
+            assert span["parent_id"] == plan["span_id"]
+            attributes = span["attributes"]
+            assert set(attributes) == {
+                "passes", "merges_tried", "merges_kept", "simplified",
+                "operators_in", "operators_out",
+            }
+            assert attributes["passes"] >= 1
+            assert attributes["merges_kept"] <= attributes["merges_tried"]
+            assert 1 <= attributes["operators_out"] <= attributes["operators_in"]
+
 
 # -- solver outcome counters -----------------------------------------------
 
