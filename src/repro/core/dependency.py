@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
+from ..obs import trace
 from ..relational.database import Database
 from ..relational.expressions import (
     Expr,
@@ -96,107 +97,128 @@ def dependency_slice(
     solver_seconds = 0.0
 
     for relation in sorted(affected_relations):
-        schema = schemas[relation]
-        input_tuple = SymbolicTuple.fresh(schema, prefix=f"dep_{relation}")
-        phi_d = compress_relation(
-            database[relation], input_tuple, config.compression
-        )
-        run_h = run_history_single_tuple(
-            aligned.original, relation, schema, input_tuple,
-            prefix=f"dh_{relation}",
-        )
-        run_m = run_history_single_tuple(
-            aligned.modified, relation, schema, input_tuple,
-            prefix=f"dm_{relation}",
-        )
-        defs = list(run_h.global_conjuncts) + list(run_m.global_conjuncts)
-
-        # "affected by some modification": the tuple's trajectories can
-        # diverge between H and H[M].  For update-style pairs this is the
-        # Eq.-7 disjunction theta_u OR theta_u' over the tuple version just
-        # before the modified statement, in either history.  For
-        # delete/delete pairs we use the Section-6 survivor refinement: an
-        # H-side tuple matters when it survives u but u' would have deleted
-        # it (and symmetrically), which the post-statement local condition
-        # plus the *other* statement's condition expresses.
-        mod_affected: list[Expr] = []
-        for position in sorted(modified_positions):
-            u = aligned.original[position]
-            u_prime = aligned.modified[position]
-            if u.relation != relation and u_prime.relation != relation:
-                continue
-            both_deletes = isinstance(u, DeleteStatement) and isinstance(
-                u_prime, DeleteStatement
+        span = trace.span("dependency_slice")
+        with span:
+            calls_before = solver_calls
+            schema = schemas[relation]
+            input_tuple = SymbolicTuple.fresh(schema, prefix=f"dep_{relation}")
+            phi_d = compress_relation(
+                database[relation], input_tuple, config.compression
             )
-            if both_deletes:
-                tuple_h_before, _ = run_h.steps[position - 1]
-                tuple_m_before, _ = run_m.steps[position - 1]
-                _, local_h_after = run_h.steps[position]
-                _, local_m_after = run_m.steps[position]
-                mod_affected.append(
-                    and_(
-                        local_h_after,
-                        _condition_over(u_prime, tuple_h_before),
-                    )
+            run_h = run_history_single_tuple(
+                aligned.original, relation, schema, input_tuple,
+                prefix=f"dh_{relation}",
+            )
+            run_m = run_history_single_tuple(
+                aligned.modified, relation, schema, input_tuple,
+                prefix=f"dm_{relation}",
+            )
+            defs = list(run_h.global_conjuncts) + list(run_m.global_conjuncts)
+
+            # "affected by some modification": the tuple's trajectories can
+            # diverge between H and H[M].  For update-style pairs this is the
+            # Eq.-7 disjunction theta_u OR theta_u' over the tuple version just
+            # before the modified statement, in either history.  For
+            # delete/delete pairs we use the Section-6 survivor refinement: an
+            # H-side tuple matters when it survives u but u' would have deleted
+            # it (and symmetrically), which the post-statement local condition
+            # plus the *other* statement's condition expresses.
+            mod_affected: list[Expr] = []
+            for position in sorted(modified_positions):
+                u = aligned.original[position]
+                u_prime = aligned.modified[position]
+                if u.relation != relation and u_prime.relation != relation:
+                    continue
+                both_deletes = isinstance(u, DeleteStatement) and isinstance(
+                    u_prime, DeleteStatement
                 )
-                mod_affected.append(
-                    and_(
-                        local_m_after,
-                        _condition_over(u, tuple_m_before),
+                if both_deletes:
+                    tuple_h_before, _ = run_h.steps[position - 1]
+                    tuple_m_before, _ = run_m.steps[position - 1]
+                    _, local_h_after = run_h.steps[position]
+                    _, local_m_after = run_m.steps[position]
+                    mod_affected.append(
+                        and_(
+                            local_h_after,
+                            _condition_over(u_prime, tuple_h_before),
+                        )
                     )
-                )
-            else:
+                    mod_affected.append(
+                        and_(
+                            local_m_after,
+                            _condition_over(u, tuple_m_before),
+                        )
+                    )
+                else:
+                    tuple_h, local_h = run_h.steps[position - 1]
+                    tuple_m, local_m = run_m.steps[position - 1]
+                    mod_affected.append(
+                        and_(
+                            local_h,
+                            or_(
+                                _condition_over(u, tuple_h),
+                                _condition_over(u_prime, tuple_h),
+                            ),
+                        )
+                    )
+                    mod_affected.append(
+                        and_(
+                            local_m,
+                            or_(
+                                _condition_over(u, tuple_m),
+                                _condition_over(u_prime, tuple_m),
+                            ),
+                        )
+                    )
+            affected_any = or_(*mod_affected) if mod_affected else FALSE
+
+            # Φ_D and "affected by some modification" are the same in every
+            # check below: prepare them once.
+            shared = and_(phi_d, affected_any)
+            start = time.perf_counter()
+            session = SolverSession(shared, config.solver)
+            solver_seconds += time.perf_counter() - start
+            shared_variables = variables_of(shared)
+
+            for position in range(1, n + 1):
+                if position in modified_positions:
+                    continue
+                stmt = aligned.original[position]
+                if stmt.relation != relation:
+                    continue
                 tuple_h, local_h = run_h.steps[position - 1]
                 tuple_m, local_m = run_m.steps[position - 1]
-                mod_affected.append(
-                    and_(
-                        local_h,
-                        or_(
-                            _condition_over(u, tuple_h),
-                            _condition_over(u_prime, tuple_h),
-                        ),
-                    )
+                touches_h = and_(local_h, _condition_over(stmt, tuple_h))
+                touches_m = and_(local_m, _condition_over(stmt, tuple_m))
+                core = or_(touches_h, touches_m)
+                relevant = prune_defining_conjuncts(
+                    defs, variables_of(core) | shared_variables
                 )
-                mod_affected.append(
-                    and_(
-                        local_m,
-                        or_(
-                            _condition_over(u, tuple_m),
-                            _condition_over(u_prime, tuple_m),
-                        ),
-                    )
+
+                start = time.perf_counter()
+                result = session.check(core, relevant)
+                solver_seconds += time.perf_counter() - start
+                solver_calls += 1
+                if not result.is_unsat:
+                    kept.add(position)
+
+            if isinstance(span, trace.Span):
+                # only a traced answer pays for the counting walk
+                positions = [
+                    position for position in range(1, n + 1)
+                    if aligned.original[position].relation == relation
+                ]
+                boxes = session.intervals
+                span.set_attributes(
+                    {
+                        "statements": len(positions),
+                        "solver_calls": solver_calls - calls_before,
+                        "kept": len(kept.intersection(positions)),
+                        "prefix_boxes": boxes.prefix_boxes if boxes else 0,
+                        "rest_boxes": boxes.rest_boxes if boxes else 0,
+                        "meets": boxes.meets if boxes else 0,
+                    }
                 )
-        affected_any = or_(*mod_affected) if mod_affected else FALSE
-
-        # Φ_D and "affected by some modification" are the same in every
-        # check below: prepare them once.
-        shared = and_(phi_d, affected_any)
-        start = time.perf_counter()
-        session = SolverSession(shared, config.solver)
-        solver_seconds += time.perf_counter() - start
-        shared_variables = variables_of(shared)
-
-        for position in range(1, n + 1):
-            if position in modified_positions:
-                continue
-            stmt = aligned.original[position]
-            if stmt.relation != relation:
-                continue
-            tuple_h, local_h = run_h.steps[position - 1]
-            tuple_m, local_m = run_m.steps[position - 1]
-            touches_h = and_(local_h, _condition_over(stmt, tuple_h))
-            touches_m = and_(local_m, _condition_over(stmt, tuple_m))
-            core = or_(touches_h, touches_m)
-            relevant = prune_defining_conjuncts(
-                defs, variables_of(core) | shared_variables
-            )
-
-            start = time.perf_counter()
-            result = session.check(core, relevant)
-            solver_seconds += time.perf_counter() - start
-            solver_calls += 1
-            if not result.is_unsat:
-                kept.add(position)
 
     return SliceResult(
         kept_positions=tuple(sorted(kept)),

@@ -416,11 +416,13 @@ def _rebuild(expr: Expr, children: tuple[Expr, ...]) -> Expr:
 
 def transform(expr: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
     """Bottom-up rewrite: apply ``fn`` to each node after rewriting its
-    children; ``fn`` returns a replacement node or ``None`` to keep it."""
+    children; ``fn`` returns a replacement node or ``None`` to keep it.
+    A node whose children all come back as the same objects is kept as
+    the same object."""
     children = children_of(expr)
     if children:
-        new_children = tuple(transform(c, fn) for c in children)
-        if new_children != children:
+        new_children = tuple([transform(c, fn) for c in children])
+        if any(map(operator.is_not, new_children, children)):
             expr = _rebuild(expr, new_children)
     replacement = fn(expr)
     return expr if replacement is None else replacement
@@ -466,9 +468,8 @@ def substitute_named(
     — children first, ``None`` keeps the node — and to no other.  With
     ``rule=_simplify_node``, a simplified ``expr`` and simplified
     replacements, the result equals ``simplify(substitute(...))``: the
-    untouched subtrees are fixpoints already, and every replacement the
-    local rules return is a constant or a descendant that this walk has
-    processed, so one bottom-up pass leaves nothing for a second.
+    untouched subtrees are fixpoints already, and the rebuilt nodes get
+    the one bottom-up pass :func:`simplify`'s invariant says is enough.
     """
     if not mapping:
         return expr
@@ -609,15 +610,17 @@ def _simplify_node(expr: Expr) -> Expr | None:
 
 
 def simplify(expr: Expr) -> Expr:
-    """Simplify an expression to a fixpoint of the local rules."""
-    previous: Expr | None = None
-    current = expr
-    # transform returns the same object when no rule fired, so identity
-    # settles the common case without comparing the trees
-    while current is not previous and current != previous:
-        previous = current
-        current = transform(current, _simplify_node)
-    return current
+    """Simplify an expression to a fixpoint of the local rules.
+
+    One bottom-up pass is the fixpoint.  *Invariant:* every replacement
+    :func:`_simplify_node` returns is a :class:`Const` or a node the pass
+    has already returned — a child, or the operand of a ``Not`` child.
+    By induction every node the pass returns is one a second pass keeps:
+    a leaf, a node whose children it keeps and on which no rule fires,
+    or such a replacement.  So ``simplify(simplify(e)) is simplify(e)``,
+    and an expression no rule applies to comes back as the same object.
+    """
+    return transform(expr, _simplify_node)
 
 
 def is_condition(expr: Expr) -> bool:

@@ -48,12 +48,11 @@ its own work is kept linear in the expression nodes it is handed:
   and simplified replacements, ``e[A ← f_A]`` is rebuilt bottom-up with
   the local rule applied only at the nodes that were actually rebuilt
   (:func:`_compose`; a bare ``Attr`` output is one dictionary probe),
-  and the result is recorded as simplified.  *Invariant:* one bottom-up
-  pass of ``_simplify_node`` over a tree whose untouched subtrees are
-  already fixpoints is itself a ``simplify`` fixpoint — every
-  replacement the rule returns is a constant or a descendant the pass
-  has already processed — so composition ``==``
-  ``simplify(substitute_attributes(e, f))``.
+  and the result is recorded as simplified.  Composition ``==``
+  ``simplify(substitute_attributes(e, f))`` by the one-pass invariant
+  stated on :func:`repro.relational.expressions.simplify`: the
+  untouched subtrees are fixpoints already, the rebuilt nodes get the
+  one pass.
 * **A rewrite that fires nothing returns the object it was given.**
   *Invariant:* ``rewrite(op) is op`` exactly when no rule changed the
   subtree.  The fixpoint loop therefore ends on ``is``, and its
@@ -226,8 +225,8 @@ class _Rewriter:
 
     def _simplify(self, expr: Expr) -> Expr:
         """``simplify(expr)``, once per object: children first, then the
-        local rule once (one pass is a fixpoint, see the module
-        docstring)."""
+        local rule once (one pass is a fixpoint, see
+        :func:`repro.relational.expressions.simplify`)."""
         children = children_of(expr)
         if not children:
             return expr

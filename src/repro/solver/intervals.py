@@ -19,11 +19,14 @@ proven UNSAT by the box alone.
 
 The n dependency checks of one what-if are ``Φ_D ∧ rest_i`` with the
 same ``Φ_D``, so the work is split at that seam: :class:`IntervalPrefix`
-folds the shared prefix into its boxes once, and ``decide(rest)`` copies
-each prefix box and applies only the atoms of ``rest`` to the copy.  A
-box's final state does not depend on the order its atoms arrive in, so
-this is the decision procedure above, not an approximation of it;
-:func:`interval_presolve` is the same code with an empty prefix.
+folds the shared prefix into its boxes once, and ``decide(rest)`` folds
+each disjunct of ``rest`` once and meets it with each prefix box
+(:func:`_meet`, read-only: nothing is copied, no atom is folded twice).
+A box's final state does not depend on the order its atoms arrive in,
+and ``impossible`` never un-sets, so meeting two folded boxes ends where
+folding all their atoms into one box ends: this is the decision
+procedure above, not an approximation of it.  :func:`interval_presolve`
+is the same code with an empty prefix.
 
 Nothing here simplifies: callers hand in simplified formulas
 (:class:`repro.solver.session.SolverSession` is the one place that calls
@@ -78,18 +81,11 @@ class _Box:
     def empty(cls) -> "_Box":
         return cls({}, {}, {}, {}, {}, {}, {})
 
-    def copy(self) -> "_Box":
-        return _Box(
-            dict(self.lower),
-            dict(self.lower_strict),
-            dict(self.upper),
-            dict(self.upper_strict),
-            dict(self.string_eq),
-            {name: set(v) for name, v in self.string_neq.items()},
-            {name: set(v) for name, v in self.numeric_neq.items()},
-            self.impossible,
-            self.residual,
-        )
+    def numeric_names(self) -> set[str]:
+        return self.lower.keys() | self.upper.keys() | self.numeric_neq.keys()
+
+    def string_names(self) -> set[str]:
+        return self.string_eq.keys() | self.string_neq.keys()
 
     def finalize(self) -> None:
         """Checks that need the complete fact set: point intervals hitting
@@ -99,11 +95,7 @@ class _Box:
             high = self.upper.get(name, math.inf)
             if low == high and low in excluded:
                 self.impossible = True
-        numeric_names = set(self.lower) | set(self.upper) | set(
-            self.numeric_neq
-        )
-        string_names = set(self.string_eq) | set(self.string_neq)
-        if numeric_names & string_names:
+        if self.numeric_names() & self.string_names():
             self.residual = True  # mixed-type facts: let the MILP decide
 
     def add_lower(self, name: str, bound: float, strict: bool) -> None:
@@ -266,14 +258,81 @@ def _fold(box: _Box, atoms: list[Expr]) -> None:
             return
 
 
+def _folded(atoms: list[Expr]) -> _Box:
+    """One disjunct's atoms folded into a fresh box."""
+    box = _Box.empty()
+    _fold(box, atoms)
+    return box
+
+
+def _meet(a: _Box, b: _Box) -> tuple[bool, bool]:
+    """``(impossible, residual)`` of the box holding both boxes' facts,
+    decided without building it.
+
+    ``a`` is finalized and ``b`` folded, neither impossible, so ``a``'s
+    own facts are settled and only what ``b`` adds needs a look: per
+    variable ``b`` constrains, the larger lower and the smaller upper
+    bound (strictness OR'd on a tie, as ``add_lower`` / ``add_upper``
+    keep it), then the checks :meth:`_Box._check`, ``add_string_eq`` /
+    ``add_string_neq`` and :meth:`_Box.finalize` would have made.
+    """
+    inf = math.inf
+    for name in b.numeric_names():
+        low = a.lower.get(name, -inf)
+        low_strict = a.lower_strict.get(name, False)
+        other = b.lower.get(name, -inf)
+        if other > low:
+            low, low_strict = other, b.lower_strict[name]
+        elif other == low and b.lower_strict.get(name, False):
+            low_strict = True
+        high = a.upper.get(name, inf)
+        high_strict = a.upper_strict.get(name, False)
+        other = b.upper.get(name, inf)
+        if other < high:
+            high, high_strict = other, b.upper_strict[name]
+        elif other == high and b.upper_strict.get(name, False):
+            high_strict = True
+        if low > high:
+            return True, False
+        if low == high and (
+            low_strict
+            or high_strict
+            or (name in a.numeric_neq and low in a.numeric_neq[name])
+            or (name in b.numeric_neq and low in b.numeric_neq[name])
+        ):
+            return True, False
+    for name, value in b.string_eq.items():
+        existing = a.string_eq.get(name)
+        if existing is not None and existing != value:
+            return True, False
+        if name in a.string_neq and value in a.string_neq[name]:
+            return True, False
+    for name, excluded in b.string_neq.items():
+        if a.string_eq.get(name) in excluded:
+            return True, False
+    if a.residual or b.residual:
+        return False, True
+    # mixed-type facts over the union of names: let the MILP decide
+    if not (a.string_eq or a.string_neq or b.string_eq or b.string_neq):
+        return False, False
+    strings = a.string_names() | b.string_names()
+    return False, not strings.isdisjoint(a.numeric_names() | b.numeric_names())
+
+
 class IntervalPrefix:
     """The boxes of a conjunction's shared prefix, folded once.
 
     ``prefix`` is a simplified formula.  One box is kept per DNF disjunct
-    of the prefix that is not already empty; ``decide(rest)`` answers for
-    ``prefix ∧ rest``.  The blow-up cut-off counts what the one-shot
-    expansion of the whole conjunction would have counted — prefix
-    disjuncts (empty ones included) times the disjuncts of ``rest``.
+    of the prefix that is not already empty, finalized here so that facts
+    only the prefix holds are settled before any check; ``decide(rest)``
+    answers for ``prefix ∧ rest``.  The blow-up cut-off counts what the
+    one-shot expansion of the whole conjunction would have counted —
+    prefix disjuncts (empty ones included) times the disjuncts of
+    ``rest``.
+
+    ``rest_boxes`` and ``meets`` count the work of every ``decide`` so
+    far: the non-empty boxes of ``rest`` folded, and the (prefix box,
+    rest box) pairs met.
     """
 
     def __init__(self, prefix: Expr = TRUE) -> None:
@@ -281,10 +340,17 @@ class IntervalPrefix:
         self._width = None if disjuncts is None else len(disjuncts)
         self._boxes: list[_Box] = []
         for atoms in disjuncts or ():
-            box = _Box.empty()
-            _fold(box, atoms)
+            box = _folded(atoms)
+            if not box.impossible:
+                box.finalize()
             if not box.impossible:
                 self._boxes.append(box)
+        self.rest_boxes = 0
+        self.meets = 0
+
+    @property
+    def prefix_boxes(self) -> int:
+        return len(self._boxes)
 
     def decide(self, rest: Expr) -> IntervalOutcome:
         """Try to decide ``prefix ∧ rest`` by interval reasoning alone."""
@@ -294,19 +360,18 @@ class IntervalPrefix:
         if disjuncts is None or self._width * len(disjuncts) > _DNF_LIMIT:
             return IntervalOutcome.UNKNOWN
 
+        boxes = [box for box in map(_folded, disjuncts) if not box.impossible]
+        self.rest_boxes += len(boxes)
         any_unknown = False
         for prefix_box in self._boxes:
-            for atoms in disjuncts:
-                box = prefix_box.copy()
-                _fold(box, atoms)
-                if not box.impossible:
-                    box.finalize()
-                if box.impossible:
+            for box in boxes:
+                self.meets += 1
+                impossible, residual = _meet(prefix_box, box)
+                if impossible:
                     continue
-                if box.residual:
-                    any_unknown = True
-                    continue
-                return IntervalOutcome.SAT
+                if not residual:
+                    return IntervalOutcome.SAT
+                any_unknown = True
         return IntervalOutcome.UNKNOWN if any_unknown else IntervalOutcome.UNSAT
 
 

@@ -9,8 +9,9 @@ the defining conjuncts it drags in, and decides in three steps:
 
 1. *trivial* — some piece simplified to ``FALSE``, or every piece to
    ``TRUE`` (histories frequently produce constant-foldable conditions);
-2. *intervals* — :class:`repro.solver.intervals.IntervalPrefix` extends a
-   copy of each prefix box by the check's own atoms;
+2. *intervals* — :class:`repro.solver.intervals.IntervalPrefix` folds
+   each disjunct of the check's own part once and meets it with each
+   prefix box;
 3. *milp* — whatever the boxes cannot decide is compiled (Figure 13) and
    handed to branch and bound, with the already-simplified pieces
    conjoined as they are.
@@ -116,6 +117,12 @@ class SolverSession:
         #: hands every check the same conjunct objects; holding the
         #: original keeps its id from being reused.
         self._defining: dict[int, tuple[Expr, Expr]] = {}
+
+    @property
+    def intervals(self) -> IntervalPrefix | None:
+        """The prepared prefix boxes (``None`` with the presolver off);
+        their counts are what a ``dependency_slice`` span reports."""
+        return self._intervals
 
     def _simplified_defining(self, conjunct: Expr) -> Expr:
         entry = self._defining.get(id(conjunct))

@@ -44,9 +44,11 @@ from repro.relational.expressions import (
     substitute_attributes,
     substitute_variables,
     to_string,
+    transform,
     variables_of,
     is_condition,
     col,
+    _simplify_node,
 )
 
 
@@ -285,6 +287,32 @@ class TestSimplify:
         # x != x / x < x stay foldable: false for NULL operands too.
         assert simplify(neq(col("a"), col("a"))) == FALSE
         assert simplify(lt(col("a"), col("a"))) == FALSE
+
+    def test_one_pass_is_the_fixpoint(self):
+        """``simplify``'s invariant, over the differential fuzz's typed
+        conditions and set expressions (NULL constants included): a
+        second pass — whole, or one more ``transform`` — returns the very
+        object the first one did."""
+        rng = fresh_rng(offset=85)
+        for trial in range(scaled(300)):
+            db, types_by_name = random_typed_database(rng, rows=1)
+            schema, types = db.schema_of("R"), types_by_name["R"]
+            for expr in (
+                random_typed_condition(rng, schema, types, depth=4),
+                random_set_expression(
+                    rng, schema, types, rng.choice(schema.attributes)
+                ),
+            ):
+                simple = simplify(expr)
+                assert simplify(simple) is simple, trial
+                assert transform(simple, _simplify_node) is simple, trial
+
+    def test_transform_keeps_what_no_rule_touches(self):
+        expr = and_(gt(col("a"), 1), or_(col("b") + col("c"), not_(col("d"))))
+        assert transform(expr, lambda node: None) is expr
+        assert simplify(expr) is expr
+        # a rule that fires hands back the processed child itself
+        assert simplify(and_(expr, TRUE)) is expr
 
     def test_simplify_preserves_semantics(self):
         expr = and_(

@@ -1,10 +1,41 @@
-"""Interval presolver tests, including agreement with the MILP path."""
+"""Interval presolver tests, including agreement with the MILP path.
+
+The meet (``IntervalPrefix.decide`` deciding a prefix box and a rest box
+without building the box that holds both) is checked against the one
+thing it claims to equal — every atom of both sides folded into one box
+and finalized — over random atoms, and ``decide`` on a split formula
+against ``interval_presolve`` on the whole one.  Seeded through
+``MAHIF_FUZZ_SEED`` / ``MAHIF_FUZZ_SCALE`` like the other fuzz suites.
+"""
+
+import copy
+import random
+from collections import Counter
 
 import pytest
+from fuzz_differential import FUZZ_SEED, fresh_rng, scaled
 
+from repro.relational.expressions import (
+    Cmp,
+    Const,
+    Expr,
+    FALSE,
+    Logic,
+    Not,
+    TRUE,
+    Var,
+    and_,
+)
 from repro.relational.parser import parse_expression
 from repro.solver import SolverConfig, check_satisfiable
-from repro.solver.intervals import IntervalOutcome, interval_presolve
+from repro.solver.intervals import (
+    IntervalOutcome,
+    IntervalPrefix,
+    _Box,
+    _fold,
+    _meet,
+    interval_presolve,
+)
 
 
 class TestPresolve:
@@ -94,3 +125,148 @@ class TestAgreementWithMILP:
         result = check_satisfiable(formula)
         assert result.is_unsat
         assert result.model_stats is None  # never reached the compiler
+
+
+# -- the meet against one folded box ---------------------------------------
+
+NAMES = ("x", "y")
+#: Few, adjacent constants, so strict and closed bounds touch at one
+#: value and points meet exclusions often.
+NUMBERS = (0, 1, 2)
+STRINGS = ("a", "b")
+ORDER_OPS = ("<", "<=", ">", ">=", "=", "!=")
+
+
+def random_atom(rng: random.Random) -> Expr:
+    """Numeric bounds (mirrored too), numeric and string ``=`` / ``!=``
+    on the *same* variables (mixed-type facts), constants, and
+    variable-to-variable atoms the boxes cannot read."""
+    reference = Var(rng.choice(NAMES))
+    roll = rng.random()
+    if roll < 0.05:
+        return FALSE
+    if roll < 0.08:
+        return TRUE
+    if roll < 0.14:
+        return Cmp(rng.choice(ORDER_OPS), reference, Var(rng.choice(NAMES)))
+    if roll < 0.34:
+        return Cmp(rng.choice(("=", "!=")), reference, Const(rng.choice(STRINGS)))
+    op, constant = rng.choice(ORDER_OPS), Const(rng.choice(NUMBERS))
+    if rng.random() < 0.2:
+        return Cmp(op, constant, reference)
+    return Cmp(op, reference, constant)
+
+
+def folded(atoms: list[Expr], finalize: bool) -> _Box:
+    box = _Box.empty()
+    _fold(box, atoms)
+    if finalize and not box.impossible:
+        box.finalize()
+    return box
+
+
+def verdict(impossible: bool, residual: bool) -> str:
+    return "empty" if impossible else "residual" if residual else "witness"
+
+
+def test_meet_is_folding_both_sides_into_one_box():
+    """``_meet(fold(A) finalized, fold(B))`` is the verdict of ``A + B``
+    folded into one box and finalized, and reads its arguments only."""
+    rng = fresh_rng(offset=250)
+    seen: Counter = Counter()
+    for trial in range(scaled(6000)):
+        left = [random_atom(rng) for _ in range(rng.randint(0, 4))]
+        right = [random_atom(rng) for _ in range(rng.randint(0, 4))]
+        whole = folded(left + right, finalize=True)
+        expected = verdict(whole.impossible, whole.residual)
+        prefix, rest = folded(left, finalize=True), folded(right, finalize=False)
+        context = f"seed={FUZZ_SEED} trial={trial}: {left} | {right}"
+        if prefix.impossible or rest.impossible:
+            # decide never meets an empty box; the whole must be empty too
+            assert expected == "empty", context
+            continue
+        before = copy.deepcopy((prefix, rest))
+        got = verdict(*_meet(prefix, rest))
+        assert got == expected, context
+        assert (prefix, rest) == before, context
+        seen[got] += 1
+    assert min(seen[v] for v in ("empty", "residual", "witness")) > 0, seen
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        (["x <= 2"], ["x > 2"]),           # touching, strict on the rest side
+        (["x < 2"], ["x >= 2"]),           # touching, strict on the prefix side
+        (["x <= 2"], ["x >= 2"]),          # touching, closed: the point 2
+        (["x >= 2", "x <= 2"], ["x > 2"]),  # a tie at the lower bound
+        (["x > 2"], ["x >= 2", "x <= 2"]),  # the same tie, sides swapped
+        (["x >= 2", "x <= 2"], ["x < 2"]),  # a tie at the upper bound
+        (["x != 2"], ["x = 2"]),           # exclusion in the prefix
+        (["x = 2"], ["x != 2"]),           # exclusion in the rest
+        (["c = 'a'"], ["c != 'a'"]),
+        (["c != 'a'"], ["c = 'a'"]),
+        (["c = 'a'"], ["c = 'b'"]),
+        (["c = 'a'"], ["c >= 1"]),         # mixed types across the seam
+        (["x = y"], ["x >= 1"]),           # residual on the prefix side
+        (["x >= 1"], ["false"]),
+    ],
+)
+def test_meet_seam_cases(left, right):
+    left_atoms = [parse_expression(a) for a in left]
+    right_atoms = [parse_expression(a) for a in right]
+    whole = folded(left_atoms + right_atoms, finalize=True)
+    prefix, rest = folded(left_atoms, True), folded(right_atoms, False)
+    if prefix.impossible or rest.impossible:
+        assert whole.impossible
+    else:
+        assert _meet(prefix, rest) == (
+            whole.impossible, whole.residual and not whole.impossible
+        )
+
+
+def random_formula(rng: random.Random, depth: int) -> Expr:
+    """Nested and / or / not over :func:`random_atom`."""
+    if depth == 0 or rng.random() < 0.3:
+        return random_atom(rng)
+    roll = rng.random()
+    if roll < 0.15:
+        return Not(random_formula(rng, depth - 1))
+    return Logic(
+        "and" if roll < 0.6 else "or",
+        random_formula(rng, depth - 1),
+        random_formula(rng, depth - 1),
+    )
+
+
+def test_split_decide_is_whole_formula_presolve():
+    """``IntervalPrefix(p).decide(r)`` is ``interval_presolve(p ∧ r)``,
+    and a prefix answers the same after any number of checks."""
+    rng = fresh_rng(offset=251)
+    seen: Counter = Counter()
+    for trial in range(scaled(1500)):
+        prefix = random_formula(rng, rng.randint(0, 4))
+        session = IntervalPrefix(prefix)
+        for _ in range(3):
+            rest = random_formula(rng, rng.randint(0, 4))
+            expected = interval_presolve(and_(prefix, rest))
+            assert session.decide(rest) is expected, (
+                f"seed={FUZZ_SEED} trial={trial}: {prefix} | {rest}"
+            )
+            seen[expected] += 1
+    assert all(seen[outcome] > 0 for outcome in IntervalOutcome), seen
+
+
+def test_decide_counts_its_boxes_and_meets():
+    prefix = IntervalPrefix(parse_expression("x <= 1 OR x >= 5 OR x = 3"))
+    assert prefix.prefix_boxes == 3
+    assert prefix.decide(parse_expression("x > 9 OR x < 0")) is (
+        IntervalOutcome.SAT
+    )
+    # both rest boxes are folded once; x <= 1 meets x > 9, then x < 0
+    assert (prefix.rest_boxes, prefix.meets) == (2, 2)
+    assert prefix.decide(parse_expression("x = 4 OR (x > 1 AND x < 1)")) is (
+        IntervalOutcome.UNSAT
+    )
+    # the empty second disjunct is dropped before any meet
+    assert (prefix.rest_boxes, prefix.meets) == (3, 5)

@@ -490,6 +490,29 @@ class TestEngineExplain:
             assert attributes["merges_kept"] <= attributes["merges_tried"]
             assert 1 <= attributes["operators_out"] <= attributes["operators_in"]
 
+    def test_dependency_slice_span_per_affected_relation(self, query):
+        """One ``dependency_slice`` span per relation a modification
+        targets, a child of ``plan``, carrying the slicer's counts."""
+        lines: list[str] = []
+        trace.configure_tracing(lines.append, sample=1.0)
+        with trace.start_trace("request"):
+            result = Mahif(MahifConfig()).answer(query, Method.R_PS_DS)
+        spans = [json.loads(line) for line in lines]
+        (plan,) = [span for span in spans if span["name"] == "plan"]
+        (sliced,) = [s for s in spans if s["name"] == "dependency_slice"]
+        assert sliced["parent_id"] == plan["span_id"]
+        attributes = sliced["attributes"]
+        assert set(attributes) == {
+            "statements", "solver_calls", "kept",
+            "prefix_boxes", "rest_boxes", "meets",
+        }
+        assert attributes["statements"] == len(query.history)
+        assert attributes["solver_calls"] == result.slice_result.solver_calls
+        assert attributes["kept"] == len(result.slice_result.kept_positions)
+        assert 0 < attributes["meets"] <= (
+            attributes["prefix_boxes"] * attributes["rest_boxes"]
+        )
+
 
 # -- solver outcome counters -----------------------------------------------
 

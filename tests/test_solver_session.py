@@ -25,8 +25,9 @@ guard that path, none of which shares code with it:
   slicer is wrong today (strict xfail below, ROADMAP item 4(a)).
 * **a deterministic work floor.**  Counted ``_apply_atom`` calls and
   ``transform`` node visits across ``dependency_slice``: Φ_D is simplified
-  and boxed once per relation whatever the history length, and a check
-  costs its own core, not the prefix.  Counts, never wall time.
+  (one pass) and boxed once per relation whatever the history length,
+  and a check folds its own core once, not once per prefix box.  Counts,
+  never wall time.
 
 Seeded through ``MAHIF_FUZZ_SEED`` / ``MAHIF_FUZZ_SCALE`` like the other
 fuzz suites.
@@ -34,14 +35,19 @@ fuzz suites.
 Mutation checks (each applied to ``solver/intervals.py`` by hand, default
 seed; the named tests fail, the rest of the module stays green):
 
-* ``_Box.copy`` drops ``lower_strict``/``upper_strict`` — strictness at a
-  bound where prefix and core touch is lost: ``test_seam_cases`` and
-  ``test_split_matches_whole_formula_and_bruteforce`` fail.
-* ``_Box.copy`` drops ``numeric_neq`` — a prefix exclusion no longer
-  empties a core's point interval: the same two tests fail.
-* ``_Box.copy`` resets ``residual`` — a prefix atom the boxes cannot read
-  is treated as decided: the same two tests fail (SAT claimed where the
-  MILP and brute force say UNSAT).
+* ``_meet`` drops the tie-strictness OR (at either bound) — a bound both
+  sides set to one value keeps the prefix's strictness only:
+  ``test_seam_cases``'s same-bound case for that bound fails, and so do
+  ``tests/test_intervals.py``'s meet oracle, its seam case and its
+  split-vs-whole fuzz (at the upper bound,
+  ``test_split_matches_whole_formula_and_bruteforce`` too).
+* ``_meet`` skips the prefix side's ``numeric_neq`` — a prefix exclusion
+  no longer empties a core's point interval: ``test_seam_cases``,
+  ``test_split_matches_whole_formula_and_bruteforce`` and the three
+  ``tests/test_intervals.py`` meet tests fail.
+* ``_meet`` drops ``a.residual`` — a prefix atom the boxes cannot read is
+  treated as decided: the same five fail (SAT claimed where the MILP
+  and brute force say UNSAT).
 
 What this does not do: make the MILP arm exact.  With the presolver off
 every check is a MILP solve, and the fuzz found HiGHS presolve reporting
@@ -202,6 +208,8 @@ SEAM_CASES = [
     ("x <= 2", "x > 2", False),           # touching bound, strict in core
     ("x < 2", "x >= 2", False),           # touching bound, strict in prefix
     ("x <= 2", "x >= 2", True),           # touching bound, closed: point 2
+    ("x >= 2 AND x <= 2", "x > 2", False),  # same lower bound, strict in core
+    ("x >= 2 AND x <= 2", "x < 2", False),  # same upper bound, strict in core
     ("x != 2", "x = 2", False),           # exclusion in prefix, point in core
     ("x >= 2 AND x <= 2", "x != 2", False),  # point in prefix, exclusion in core
     ("x != 2", "x >= 2 AND x <= 3", True),
@@ -506,17 +514,17 @@ def test_phi_d_is_prepared_once_and_checks_cost_their_core(monkeypatch):
     long = counted_slice(monkeypatch, 40)
     extra_checks = 20
 
-    # Φ_D is normalised once per relation — the passes of one simplify to
-    # its fixpoint — however long the history is...
-    assert short["phi_d_visits"] == long["phi_d_visits"] <= 2
+    # Φ_D is normalised once per relation — one simplify pass is its
+    # fixpoint — however long the history is...
+    assert short["phi_d_visits"] == long["phi_d_visits"] == 1
     # ...and folded into boxes once
     assert short["phi_d_atoms"] == long["phi_d_atoms"] > 0
 
-    # a further check applies c · atoms(core) · boxes(Φ_D) atoms, c = 1
+    # a further check folds its core's atoms once, whatever the number of
+    # boxes Φ_D has: the boxes are met, not copied and re-folded
     per_check_atoms = (long["atoms"] - short["atoms"]) / extra_checks
-    assert per_check_atoms <= WINDOW_CORE_ATOMS * GROUPS
+    assert per_check_atoms <= WINDOW_CORE_ATOMS
 
-    # and simplifies its own core (two passes: TRUE local conditions fold
-    # away, then the fixpoint), not the prefix
+    # and simplifies its own core, not the prefix
     per_check_visits = (long["visits"] - short["visits"]) / extra_checks
     assert per_check_visits < long["phi_d_size"]
