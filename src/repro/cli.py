@@ -93,10 +93,10 @@ def _fail(message: str) -> "SystemExit":
 
 
 def _shards_flag(text: str) -> "int | str":
-    """``--shards`` value: a positive count, ``0``, or ``auto``.
+    """``--shards`` value (deprecated): a count, ``0``, or ``auto``.
 
-    ``auto`` (and ``0``) select the cost-based planner; the engine and
-    service validate ranges, this only parses the shape.
+    The engine and service validate and count it; this only parses the
+    shape.
     """
     if text.strip().lower() == "auto":
         return "auto"
@@ -148,12 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     whatif.add_argument(
         "--shards", type=_shards_flag, default=None, metavar="N",
-        help="shard-parallel reenactment: partition each relation into "
-        "N shards, skip shards the modification provably cannot touch, "
-        "and merge the per-shard deltas; 'auto' (or 0) lets the "
-        "cost-based planner decide per query (default: unsharded "
-        "locally, the server's default over --url; an explicit value "
-        "always wins, including --shards 1)",
+        help="deprecated, changes no answer (every answer runs "
+        "unsharded); still accepts a count from 1 to 64, 0 or 'auto'",
     )
     whatif.add_argument(
         "--explain", action="store_true",
@@ -238,11 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="default worker pool for batched answers",
     )
     serve.add_argument(
-        "--shards", type=_shards_flag, default="auto", metavar="N",
-        help="default shard count for answers; 'auto' (the default) "
-        "lets the cost-based planner pick per query, so sharding only "
-        "happens where it wins (requests can override with a \"shards\" "
-        "body field — including \"auto\")",
+        "--shards", type=_shards_flag, default=None, metavar="N",
+        help="deprecated, changes no answer (every answer runs "
+        "unsharded); still accepts a count from 1 to 64, 0 or 'auto'",
     )
     serve.add_argument(
         "--name", help="preload: register this history name on startup"
@@ -558,7 +552,7 @@ def _engine_config(
             slicing_algorithm=args.slicing,
             backend=args.backend,
             batch_workers=batch_workers,
-            shards=args.shards if args.shards is not None else 1,
+            shards=args.shards,
         )
     except ValueError as exc:
         raise _fail(str(exc)) from None

@@ -34,14 +34,6 @@ from .hwq import (
 )
 from .insert_split import InsertSplit, can_split, split_inserts
 from .naive import NaiveResult, naive_what_if
-from .planner import (
-    AUTO_SHARDS,
-    CostModel,
-    ExecutionChoice,
-    SelectivityEstimate,
-    estimate_relation,
-    plan_execution,
-)
 from .program_slicing import (
     ProgramSlicingConfig,
     SliceResult,
@@ -79,8 +71,6 @@ __all__ = [
     "InsertSplit", "split_inserts", "can_split",
     "Mahif", "MahifConfig", "MahifResult", "Method", "answer",
     "answer_batch",
-    "AUTO_SHARDS", "CostModel", "ExecutionChoice", "SelectivityEstimate",
-    "estimate_relation", "plan_execution",
     "SourceTuple", "evaluate_with_provenance", "explain_delta",
     "DependencyAnalysis", "build_dependency_graph",
     "EquivalenceVerdict", "EquivalenceResult", "check_history_equivalence",

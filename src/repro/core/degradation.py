@@ -1,9 +1,8 @@
 """Process-global graceful-degradation counters.
 
 When a layer survives a fault by degrading — the batch pool watchdog
-rebuilding a broken process pool or dropping to serial execution, a
-sharded evaluation falling back to one unsharded call, the service
-re-answering a failed sqlite request on the compiled backend — the event
+rebuilding a broken process pool or dropping to serial execution, the
+service re-answering a failed sqlite request on the compiled backend — the event
 must be *visible*, or silent degradation rots into permanent slow paths
 nobody notices.  Each fallback records itself here; the what-if
 service's ``/health`` endpoint exposes the snapshot, and the resilience
@@ -15,7 +14,7 @@ The counters live in the process-global metrics registry
 shared by ``/health`` (this module's snapshot) and ``/metrics`` (the
 Prometheus scrape).  They are process-global rather than per-engine
 because degradation happens in layers that do not know which service
-owns them — a shard fallback deep inside ``core/shard.py`` runs three
+owns them — a pool rebuild deep inside ``core/pool.py`` runs several
 frames below the request handler.  Counts are monotonic;
 :func:`reset_degradation` exists for tests.
 """
@@ -35,13 +34,12 @@ __all__ = [
 #:
 #: * ``pool_rebuild``   — a broken process pool was rebuilt once
 #: * ``pool_serial``    — the rebuilt pool broke too; execution went serial
-#: * ``shard_fallback`` — a per-shard failure re-ran one relation unsharded
 #: * ``sqlite_fallback``— a sqlite-backend error re-answered on compiled
 
 _COUNTER = global_registry().counter(
     "mahif_degradation_total",
     "Graceful-degradation events by kind (pool_rebuild, pool_serial, "
-    "shard_fallback, sqlite_fallback).",
+    "sqlite_fallback).",
     ("kind",),
 )
 

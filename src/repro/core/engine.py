@@ -20,10 +20,9 @@ following the paper's WLOG normalizations:
    (Sections 8–9), build per-relation reenactment queries for both
    sliced histories (Definition 3) and inject the data-slicing
    conditions (Section 6),
-3. *route* and *execute* (:mod:`repro.core.shard`): evaluate both
-   queries per affected relation — whole or per shard — union the
-   inserted-tuple side back in, and compute the delta (Section 4's
-   delta query),
+3. *execute* (:func:`repro.core.batch.pair_task`): evaluate both
+   queries per affected relation, union the inserted-tuple side back
+   in, and compute the delta (Section 4's delta query),
 4. *assemble* the per-relation deltas into a :class:`MahifResult`.
 
 This module holds the vocabulary (:class:`Method`, :class:`MahifConfig`,
@@ -39,8 +38,9 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
+from ..obs.metrics import global_registry
 from ..relational.algebra import Operator
 from ..relational.database import Database
 from ..relational.exec.backend import resolve_backend
@@ -49,7 +49,6 @@ from .data_slicing import DataSlicingConditions
 from .delta import DatabaseDelta
 from .hwq import HistoricalWhatIfQuery
 from .naive import NaiveResult
-from .planner import AUTO_SHARDS, ExecutionChoice
 from .pool import ResilientExecutor, make_executor
 from .program_slicing import ProgramSlicingConfig, SliceResult
 
@@ -58,10 +57,12 @@ __all__ = [
     "MahifConfig",
     "MahifResult",
     "Mahif",
+    "MAX_SHARDS",
     "PrefixKey",
     "VersionCache",
     "answer",
     "answer_batch",
+    "deprecated_shards",
 ]
 
 
@@ -81,6 +82,58 @@ class Method(enum.Enum):
     @property
     def uses_data_slicing(self) -> bool:
         return self in (Method.R_DS, Method.R_PS_DS)
+
+
+#: The largest ``shards`` value still accepted: the cap requests had
+#: when the count partitioned relations, kept so no input that was
+#: valid starts failing.
+MAX_SHARDS = 64
+
+#: Inputs accepted only for compatibility, by input.
+_DEPRECATED_INPUTS = global_registry().counter(
+    "mahif_deprecated_input_total",
+    "Deprecated inputs accepted and ignored, by input.",
+    ("input",),
+)
+
+
+def deprecated_shards(value: Any, what: str = "shards") -> None:
+    """Validate and count one ``shards`` input; it changes no answer.
+
+    Sharded execution was removed (DESIGN.md, "Sharding (removed)"):
+    every answer runs unsharded.  For one release ``shards`` is still
+    accepted wherever it was — :class:`MahifConfig`, the what-if
+    service's ``default_shards`` and request bodies, ``ServiceClient``
+    and both CLI ``--shards`` flags — and all of them validate here: a
+    count from 1 to :data:`MAX_SHARDS`, ``0``, or ``"auto"`` in any case;
+    integer strings and integral floats pass too.  Anything else raises
+    ``ValueError`` with the message the service has always answered it
+    with (``what`` names the input in the range message).  Every
+    accepted value bumps ``mahif_deprecated_input_total{input="shards"}``
+    once.
+    """
+    if isinstance(value, str) and value.strip().lower() == "auto":
+        _DEPRECATED_INPUTS.inc(input="shards")
+        return
+    message = 'shards must be a positive integer, 0, or "auto"; got {!r}'
+    if isinstance(value, str):
+        try:
+            value = int(value.strip())
+        except ValueError:
+            raise ValueError(message.format(value)) from None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(message.format(value))
+    try:
+        number = int(value)
+    except (ValueError, OverflowError):
+        raise ValueError(message.format(value)) from None
+    if number != value or number < 0:
+        raise ValueError(message.format(value))
+    if number > MAX_SHARDS:
+        raise ValueError(
+            f'{what} must be between 1 and {MAX_SHARDS}, 0, or "auto"'
+        )
+    _DEPRECATED_INPUTS.inc(input="shards")
 
 
 @dataclass(frozen=True)
@@ -113,16 +166,6 @@ class MahifConfig:
     in-process backends, threads for sqlite (whose connection cache is
     per-thread and whose queries release the GIL).
 
-    ``shards`` > 1 turns on sharded execution (see DESIGN.md, "Sharded
-    execution"): each affected relation is horizontally partitioned
-    (``shard_scheme``: ``"range"`` clusters by the leading/key column so
-    data-slicing routing can skip whole shards, ``"hash"`` balances
-    arbitrary distributions), the reenactment pair is evaluated per
-    shard, and the per-shard deltas merge back exactly.
-    ``shard_workers`` > 1 fans the shard evaluations over the same pool
-    as ``batch_workers`` — the wider of the two sizes it (0 evaluates
-    shards serially, which still benefits from skip routing).
-
     ``verify_plans`` runs the static soundness layer (see DESIGN.md,
     "Static analysis") over every reenactment plan the engine builds:
     :func:`~repro.static_analysis.verify_plan` checks attribute
@@ -137,14 +180,10 @@ class MahifConfig:
     at plan-build time only — shared-plan cache hits reuse the already
     certified trees.
 
-    ``shards="auto"`` (stored as the ``AUTO_SHARDS`` = 0 sentinel; the
-    literal ``0`` is accepted too) hands the decision to the cost-based
-    planner (see DESIGN.md, "Adaptive planning"): each reenactment plan
-    is priced from relation cardinalities, sampled routing selectivity
-    and shardability, and executes sharded only when the model predicts
-    a real win — ``shard_workers`` is then chosen by the planner as
-    well.  The naive method ignores ``shards`` entirely (it replays
-    statements, there is nothing to partition).
+    ``shards`` is deprecated and changes nothing: every answer runs
+    unsharded.  A value is still validated and counted
+    (:func:`deprecated_shards`) for one release, so configurations that
+    name it keep constructing.
     """
 
     slicing_algorithm: str = "dependency"
@@ -155,14 +194,10 @@ class MahifConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     backend: str = "compiled"
     batch_workers: int = 0
-    shards: int | str = 1
-    shard_workers: int = 0
-    shard_scheme: str = "range"
+    shards: int | str | None = None
     verify_plans: bool | None = None
 
     def __post_init__(self) -> None:
-        from ..relational.partition import PARTITION_SCHEMES
-
         if self.verify_plans is None:
             env = os.environ.get("MAHIF_VERIFY_PLANS", "").strip().lower()
             object.__setattr__(
@@ -174,39 +209,12 @@ class MahifConfig:
             )
         if self.batch_workers < 0:
             raise ValueError("batch_workers must be >= 0")
-        if isinstance(self.shards, str):
-            if self.shards.strip().lower() != "auto":
-                raise ValueError(
-                    f"shards must be >= 1, 'auto', or {AUTO_SHARDS} "
-                    f"(auto sentinel); got {self.shards!r}"
-                )
-            object.__setattr__(self, "shards", AUTO_SHARDS)
-        elif self.shards < AUTO_SHARDS:
-            raise ValueError(
-                "shards must be >= 1, or 'auto'/0 for planner-chosen"
-            )
-        if self.shard_workers < 0:
-            raise ValueError("shard_workers must be >= 0")
-        if self.shard_scheme not in PARTITION_SCHEMES:
-            raise ValueError(
-                f"unknown shard scheme {self.shard_scheme!r}; expected one "
-                f"of {PARTITION_SCHEMES}"
-            )
+        if self.shards is not None:
+            deprecated_shards(self.shards)
         # Raises ValueError when unknown; None becomes "compiled".
         object.__setattr__(
             self, "backend", resolve_backend(self.backend).name
         )
-
-    @property
-    def shards_auto(self) -> bool:
-        """True when the adaptive planner chooses the shard count."""
-        return self.shards == AUTO_SHARDS
-
-    @property
-    def may_shard(self) -> bool:
-        """True when execution might shard (statically or via planner),
-        i.e. routing conditions must be computed at planning time."""
-        return self.shards == AUTO_SHARDS or self.shards > 1
 
 
 @dataclass(frozen=True)
@@ -217,9 +225,8 @@ class MahifResult:
     ``exe_seconds`` everything else the query caused (the "Exe" column),
     defined once for every path through the pipeline: building its
     reenactment queries (tree construction, data-slicing conditions,
-    optimization, verification — near zero on a shared-plan hit) +
-    routing them (planner, partitioning, keep-mask scans) + the summed
-    time of its evaluation tasks + merging shard results.  Task time is
+    optimization, verification — near zero on a shared-plan hit) + the
+    summed time of its evaluation tasks.  Task time is
     measured where the task runs, so on a pool it is CPU cost rather
     than wall clock; in-process, ``total_seconds`` accounts for the
     call's wall time up to the insert split.  For
@@ -227,7 +234,7 @@ class MahifResult:
     total.  ``time_travel_seconds`` is what reaching the version before
     the first modified statement cost *this* query: aligning, the
     version-cache lookup and every prefix statement it had to replay —
-    charged, like routing, to the query whose miss caused the replay, so
+    charged to the query whose miss caused the replay, so
     near zero on a version-cache hit and 0 when the caller injected the
     start version (the service did the travelling) or the method is
     NAIVE (which replays by definition).  ``slice_result`` and
@@ -248,10 +255,6 @@ class MahifResult:
     #: The (time-travelled) database the reenactment queries ran over;
     #: needed to re-evaluate them, e.g. for provenance explanations.
     base_database: Database | None = None
-    #: The adaptive planner's decision (``shards="auto"`` only): the
-    #: shard/worker counts this answer actually executed with, plus the
-    #: estimates it was based on.  ``None`` under static configuration.
-    planner_choice: ExecutionChoice | None = None
     #: EXPLAIN ANALYZE output (``explain=True``):
     #: per affected relation, ``{"original": OperatorProfile,
     #: "modified": OperatorProfile}`` — per-operator wall time and row
@@ -439,7 +442,7 @@ class Mahif:
 
         ``explain=True`` runs EXPLAIN ANALYZE: the answer carries a
         per-operator time/row-count :attr:`MahifResult.profile` and
-        executes unsharded, in-process.  NAIVE has no operator trees to
+        executes in-process.  NAIVE has no operator trees to
         profile and returns ``profile=None``.
         """
         from .batch import answer_batch_with
@@ -455,7 +458,6 @@ class Mahif:
         method: Method = Method.R_PS_DS,
         *,
         workers: int | None = None,
-        shards: int | str | None = None,
         start_databases: Sequence[Database] | None = None,
         explain: bool = False,
     ) -> list[MahifResult]:
@@ -478,9 +480,9 @@ class Mahif:
           ``workers``/``config.batch_workers`` > 1 — a process pool for
           the in-process backends, a thread pool for sqlite.
 
-        ``shards`` overrides ``config.shards`` for this call, as
-        ``workers`` does ``config.batch_workers`` (the what-if service
-        routes each request's count through one engine per backend).
+        ``workers`` overrides ``config.batch_workers`` for this call
+        (the what-if service routes each request's pool width through one
+        engine per backend).
 
         ``start_databases`` optionally injects each query's
         time-travelled start version (the what-if service supplies the
@@ -491,7 +493,7 @@ class Mahif:
 
         return answer_batch_with(
             self, list(queries), method, workers, start_databases,
-            explain=explain, shards=shards,
+            explain=explain,
         )
 
 

@@ -10,9 +10,8 @@ short list of stage functions over one ``MahifConfig``:
    greedy Theorem-4 search),
 4. build per-relation reenactment queries for both sliced histories
    (Definition 3),
-5. data slicing: compute per-relation filter conditions (Section 6),
-   inject them for the DS methods and keep them as shard-routing
-   conditions when execution may shard,
+5. data slicing: compute per-relation filter conditions (Section 6)
+   and inject them for the DS methods,
 6. optimize and statically verify the trees.
 
 :func:`plan_reenactment` runs them and returns a
@@ -58,8 +57,8 @@ class ReenactmentPlan:
 
     ``build_seconds`` is the reenactment-query construction cost (tree
     building + data slicing + optimization) — near zero on a shared-plan
-    cache hit; routing and evaluation add their own time on top to form
-    the reported ``exe_seconds``.
+    cache hit; evaluation adds its own time on top to form the reported
+    ``exe_seconds``.
     """
 
     method: "Method"
@@ -71,10 +70,6 @@ class ReenactmentPlan:
     inserted_modified: Database | None
     slice_result: SliceResult | None
     data_slicing: DataSlicingConditions | None
-    #: Skip-routing conditions for sharded execution: equals
-    #: ``data_slicing`` for DS methods, and is computed (but never
-    #: injected into the queries) for the others when ``shards`` > 1.
-    routing: DataSlicingConditions | None
     ps_seconds: float
     build_seconds: float
 
@@ -212,10 +207,9 @@ def _slicing_conditions(
     ``compute_data_slicing`` derives for insert modifications (see
     ``data_slicing._affected_condition_map``) is lost.  Filtering such a
     relation could then drop a base tuple that one side's replayed
-    insert re-adds — and shard routing could likewise skip a shard
-    holding such a tuple; the caller names those relations in
-    ``unfiltered`` and they are neither filtered nor skipped (their
-    insert-side delta is tiny anyway).
+    insert re-adds; the caller names those relations in ``unfiltered``
+    and they are not filtered (their insert-side delta is tiny
+    anyway).
     """
     conditions = compute_data_slicing(pair, schemas)
     if not unfiltered:
@@ -261,32 +255,24 @@ def _optimize_and_verify(config, schemas, queries_h, queries_m):
 
 def _build_queries(config, method, pair, schemas, unfiltered):
     """Reenactment trees for both sides of ``pair``, data-sliced for the
-    DS methods: ``(queries_h, queries_m, data_slicing, routing)``."""
+    DS methods: ``(queries_h, queries_m, data_slicing)``."""
     queries_h = reenactment_queries(pair.original, schemas)
     queries_m = reenactment_queries(pair.modified, schemas)
-    data_slicing = routing = None
-    # Sharded execution needs the slicing conditions for skip routing
-    # even when the method does not inject them into the queries —
-    # including ``shards="auto"``, where the planner also samples them
-    # for selectivity before any shard exists.
-    if method.uses_data_slicing or config.may_shard:
-        conditions = _slicing_conditions(pair, schemas, unfiltered)
-        if config.may_shard:
-            routing = conditions
-        if method.uses_data_slicing:
-            data_slicing = conditions
-            queries_h = {
-                name: inject_selection(op, dict(conditions.for_original))
-                for name, op in queries_h.items()
-            }
-            queries_m = {
-                name: inject_selection(op, dict(conditions.for_modified))
-                for name, op in queries_m.items()
-            }
+    data_slicing = None
+    if method.uses_data_slicing:
+        data_slicing = _slicing_conditions(pair, schemas, unfiltered)
+        queries_h = {
+            name: inject_selection(op, dict(data_slicing.for_original))
+            for name, op in queries_h.items()
+        }
+        queries_m = {
+            name: inject_selection(op, dict(data_slicing.for_modified))
+            for name, op in queries_m.items()
+        }
     queries_h, queries_m = _optimize_and_verify(
         config, schemas, queries_h, queries_m
     )
-    return queries_h, queries_m, data_slicing, routing
+    return queries_h, queries_m, data_slicing
 
 
 def _share_key(method, pair, schemas, insert_modified, split) -> tuple | None:
@@ -322,7 +308,7 @@ def plan_reenactment(
     compiled-plan cache in :mod:`repro.relational.exec.plan_compile` —
     mapping the sliced statement pair (plus schemas, method and
     insert-split context) to finished ``(queries_h, queries_m,
-    data_slicing, routing)`` tuples.
+    data_slicing)`` triples.
     """
     trimmed, _ = query.aligned().trim_prefix()
     schemas = {name: start_db.schema_of(name) for name in start_db.relations}
@@ -344,7 +330,7 @@ def plan_reenactment(
     t0 = time.perf_counter()
     insert_modified = (
         _insert_modified_relations(trimmed)
-        if method.uses_data_slicing or config.may_shard
+        if method.uses_data_slicing
         else frozenset()
     )
     split = inserted_original is not None
@@ -359,7 +345,7 @@ def plan_reenactment(
         )
         if key is not None:
             shared[key] = built
-    queries_h, queries_m, data_slicing, routing = built
+    queries_h, queries_m, data_slicing = built
     return ReenactmentPlan(
         method=method,
         start_db=start_db,
@@ -370,7 +356,6 @@ def plan_reenactment(
         inserted_modified=inserted_modified,
         slice_result=slice_result,
         data_slicing=data_slicing,
-        routing=routing,
         ps_seconds=ps_seconds,
         build_seconds=time.perf_counter() - t0,
     )

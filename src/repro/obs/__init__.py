@@ -8,10 +8,10 @@ idiom: contracts provable in tests without sleeps):
   gauges, bucketed-latency histograms) rendered in Prometheus text
   exposition format by the ``/metrics`` endpoint on
   :class:`~repro.service.server.WhatIfServer`.  The process-global
-  registry is the single source of truth for the degradation and
-  planner counters that previously lived in ad-hoc module state.
-* :mod:`repro.obs.trace` — structured per-request span trees (plan →
-  verify → partition → route → execute → merge → cache), propagated
+  registry is the single source of truth for the degradation counters
+  that previously lived in ad-hoc module state.
+* :mod:`repro.obs.trace` — structured per-request span trees (cache →
+  time_travel → plan → verify → execute → relation), propagated
   across the wire via the ``X-Mahif-Trace`` header and emitted as JSON
   lines to a configurable sink.  Sampled off by default; the dormant
   instrumentation costs one thread-local read per span site.

@@ -46,7 +46,7 @@ __all__ = [
 
 #: Default latency buckets (seconds): sub-millisecond to ten seconds,
 #: roughly logarithmic — what-if requests span ~100us (cache hit) to
-#: seconds (cold sharded reenactment).
+#: seconds (cold reenactment over the largest relations).
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
@@ -466,7 +466,7 @@ _GLOBAL = MetricsRegistry()
 def global_registry() -> MetricsRegistry:
     """The process-global registry: home of counters recorded by layers
     that do not know which service owns them (degradation events three
-    frames below the handler, planner decisions, sqlite cache state)."""
+    frames below the handler, deprecated inputs, sqlite cache state)."""
     return _GLOBAL
 
 

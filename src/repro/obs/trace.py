@@ -1,9 +1,9 @@
 """Structured request tracing: per-request span trees, JSONL sink.
 
 One logical request gets one *trace*: a tree of timed spans named after
-the pipeline stages it passed through (``request`` → ``plan`` →
-``verify`` → ``partition`` → ``route`` → ``execute`` → ``merge`` →
-``cache``; see DESIGN.md "Observability" for the full taxonomy).  Trace
+the pipeline stages it passed through (``request`` → ``cache`` →
+``time_travel`` → ``plan`` → ``verify`` → ``execute`` → ``relation``;
+see DESIGN.md "Observability" for the full taxonomy).  Trace
 ids are client-propagatable via the ``X-Mahif-Trace`` header and echoed
 in response payloads, so a retried request keeps one id across
 attempts and a saturated server's logs can be joined to the client's.
@@ -253,8 +253,8 @@ def span(name: str, **attributes: Any):
 
 
 def record_span(name: str, seconds: float, **attributes: Any) -> None:
-    """Attach an already-completed child span (e.g. a per-shard timing
-    returned from a worker) to the active span."""
+    """Attach an already-completed child span (e.g. a per-relation
+    timing returned from a worker) to the active span."""
     stack = getattr(_STATE, "stack", None)
     if not stack:
         return

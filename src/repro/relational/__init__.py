@@ -72,22 +72,6 @@ from .csvio import (
 )
 from .history import History
 from .optimizer import OptimizerConfig, optimize
-from .partition import (
-    PARTITION_SCHEMES,
-    ShardDelta,
-    hash_partition,
-    hash_partition_bag,
-    merge_bag_deltas,
-    merge_shard_bags,
-    merge_shard_deltas,
-    merge_shard_relations,
-    partition_bag,
-    partition_relation,
-    range_partition,
-    range_partition_bag,
-    shard_delta,
-    stable_shard_of,
-)
 from .parser import parse_expression, parse_history, parse_statement
 from .relation import Relation
 from .schema import Schema
@@ -131,10 +115,4 @@ __all__ = [
     "BagRelation", "BagDatabase", "apply_statement_bag",
     "execute_history_bag", "evaluate_query_bag",
     "evaluate_query_bag_interpreted", "bag_delta",
-    # partitioning (sharded execution)
-    "PARTITION_SCHEMES", "ShardDelta", "stable_shard_of",
-    "hash_partition", "range_partition", "hash_partition_bag",
-    "range_partition_bag", "partition_relation", "partition_bag",
-    "merge_shard_relations", "merge_shard_bags", "shard_delta",
-    "merge_shard_deltas", "merge_bag_deltas",
 ]

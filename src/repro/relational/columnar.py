@@ -23,9 +23,6 @@ supplies its data layer:
   (:class:`~repro.relational.identity_memo.IdentityMemo`:
   :class:`~repro.relational.bag.BagRelation` is unhashable, so entries
   are keyed by ``id`` and evicted by weak finalizers).
-* :func:`bulk_shard_indices` / :func:`ordered_indices_by_column` — bulk
-  helpers behind the partitioners in
-  :mod:`repro.relational.partition`.
 
 Exactness rules (what keeps the columnar evaluator bit-identical to the
 interpreter, enforced here and rechecked by the kernels):
@@ -43,7 +40,6 @@ interpreter, enforced here and rechecked by the kernels):
 
 from __future__ import annotations
 
-import zlib
 from types import NoneType
 from typing import Any, Collection, Iterable, Sequence
 
@@ -65,8 +61,6 @@ __all__ = [
     "clear_columnar_cache",
     "columnar_cache_info",
     "MEMO_OUTCOMES",
-    "bulk_shard_indices",
-    "ordered_indices_by_column",
     "INT64_SAFE_BOUND",
     "FLOAT_EXACT_INT_BOUND",
 ]
@@ -343,43 +337,3 @@ def clear_columnar_cache() -> None:
 
 def columnar_cache_info() -> dict[str, int]:
     return {"relations": len(_RELATIONS), "bags": len(_BAGS)}
-
-
-# -- partition helpers -------------------------------------------------------
-
-def bulk_shard_indices(rows: Sequence[tuple], shards: int) -> list[int]:
-    """Shard index of every row in one pass.
-
-    Must agree with :func:`repro.relational.partition.stable_shard_of`
-    bit-for-bit — shard assignment is part of the cross-process
-    contract — so the hash stays CRC32-of-repr; the win over the per-row
-    helper is one tight loop with bound locals instead of a function
-    call per row."""
-    crc32 = zlib.crc32
-    return [
-        crc32(repr(row).encode("utf-8", "surrogatepass")) % shards
-        for row in rows
-    ]
-
-
-def ordered_indices_by_column(
-    rows: Sequence[tuple], key_index: int
-) -> list[int] | None:
-    """Stable ascending order of ``rows`` under the mixed-type sort key
-    on one column, via an ``argsort`` kernel — or ``None`` when the
-    column is not uniformly clean numeric.
-
-    Only uniform non-NULL int or float columns qualify: there the
-    mixed-type key reduces to the numeric value itself (one type rank,
-    no NaN — NaN-bearing columns are list-backed by construction), so a
-    stable argsort reproduces ``sorted(key=_sort_key)`` exactly.  Bools
-    and NULLs rank differently from ints in the mixed-type order, so
-    those columns fall back to the Python sort."""
-    if not rows:
-        return None
-    col = column_from_values([row[key_index] for row in rows])
-    if not col.is_array or col.tag not in ("int", "float"):
-        return None
-    if col.valid is not None:
-        return None
-    return _np.argsort(col.data, kind="stable").tolist()

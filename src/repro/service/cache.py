@@ -11,8 +11,6 @@ import json
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from ..core.planner import AUTO_SHARDS
-
 __all__ = ["CachedAnswer", "ResultCache"]
 
 
@@ -58,42 +56,27 @@ class ResultCache:
       as it was (DESIGN.md, "The what-if service", has the proof
       sketch).
 
-    An entry is keyed by the query fingerprint and the *effective* shard
-    count the answer executed with — an answer reports the configuration
-    it was computed under, so a request never sees an answer computed at
-    another count.  A request for :data:`~repro.core.planner.AUTO_SHARDS`
-    resolves through the count the planner last chose for that
-    fingerprint; the choice is recorded by the auto ``put`` and dies
-    with the entry it points at, so an auto answer shares its entry with
-    explicit requests at the chosen count and nothing outlives the
-    entries.
+    An entry is keyed by the query fingerprint alone (method, backend
+    and the modifications' statement share keys).
 
     Not thread-safe: every call is made under the owning history's lock.
     """
 
     def __init__(self, length: int) -> None:
         self._length = length
-        self._entries: dict[tuple[int, Hashable], _Entry] = {}
-        self._chosen: dict[Hashable, int] = {}
+        self._entries: dict[Hashable, _Entry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, fingerprint: Hashable, shards: int) -> CachedAnswer | None:
-        """The answer cached for ``fingerprint`` at ``shards``, if any."""
-        if shards == AUTO_SHARDS:
-            # No choice on record is a miss: the planner has to run.
-            if fingerprint not in self._chosen:
-                return None
-            shards = self._chosen[fingerprint]
-        entry = self._entries.get((shards, fingerprint))
+    def get(self, fingerprint: Hashable) -> CachedAnswer | None:
+        """The answer cached for ``fingerprint``, if any."""
+        entry = self._entries.get(fingerprint)
         return None if entry is None else entry.answer
 
     def put(
         self,
         fingerprint: Hashable,
-        effective_shards: int,
-        auto: bool,
         answer: CachedAnswer,
         delta_relations: Iterable[str],
         computed_at_length: int,
@@ -102,11 +85,7 @@ class ResultCache:
         history length and is therefore refused."""
         if computed_at_length != self._length:
             return False
-        self._entries[(effective_shards, fingerprint)] = _Entry(
-            answer, frozenset(delta_relations)
-        )
-        if auto:
-            self._chosen[fingerprint] = effective_shards
+        self._entries[fingerprint] = _Entry(answer, frozenset(delta_relations))
         return True
 
     def advance(
@@ -123,7 +102,4 @@ class ResultCache:
         ]
         for key in stale:
             del self._entries[key]
-            shards, fingerprint = key
-            if self._chosen.get(fingerprint) == shards:
-                del self._chosen[fingerprint]
         return len(stale), len(self._entries)

@@ -349,10 +349,8 @@ class ServiceClient:
         shards: int | str | None = None,
         explain: bool = False,
     ) -> dict:
-        """One what-if answer.  ``shards`` accepts a positive count, or
-        ``"auto"``/``0`` for the server-side cost-based planner (the
-        response then carries the ``planner`` decision and its
-        ``shards`` field reports the chosen count).  ``explain`` asks
+        """One what-if answer.  ``shards`` is deprecated: the server
+        validates and counts it, and answers unsharded.  ``explain`` asks
         for EXPLAIN ANALYZE: the result gains a per-operator
         ``"profile"`` tree and bypasses the server's result cache."""
         body: dict[str, Any] = {"modifications": modifications}

@@ -36,9 +36,8 @@ from typing import Any, Hashable, Sequence
 from ..core import HistoricalWhatIfQuery, Mahif, MahifConfig, Method
 from ..core.batch import prefix_key, shared_start_databases
 from ..core.degradation import record_degradation
-from ..core.engine import VersionCache
+from ..core.engine import VersionCache, deprecated_shards
 from ..core.plan import statement_share_key
-from ..core.planner import AUTO_SHARDS
 from ..obs import trace
 from ..obs.logging import log_event
 from ..obs.metrics import MetricsRegistry
@@ -59,7 +58,6 @@ from .wire import (
     METHODS,
     SpecError,
     modifications_from_spec,
-    normalize_shards,
     result_payload,
 )
 
@@ -67,29 +65,18 @@ __all__ = ["WhatIfService"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 
-#: Upper bound on per-request shard counts: every shard costs a
-#: partition and a task per affected relation, so a client-chosen count
-#: must not be unbounded; beyond ~CPU-count shards there is no win anyway.
-MAX_SHARDS = 64
-
 #: The method a request that names none is answered with.
 DEFAULT_METHOD = Method.R_PS_DS
 
 
-def _shards_option(value: Any, default: int | None, what: str) -> int:
-    """A shards spec as the count to run with (``AUTO_SHARDS`` =
-    planner-chosen); ``None`` means ``default``."""
-    try:
-        shards = normalize_shards(value)
-    except SpecError as exc:
-        raise ServiceError(str(exc)) from None
-    if shards is None:
-        shards = default
-    if shards is None or shards > MAX_SHARDS:
-        raise ServiceError(
-            f'{what} must be between 1 and {MAX_SHARDS}, 0, or "auto"'
-        )
-    return shards
+def _deprecated_shards(value: Any, what: str) -> None:
+    """Validate and count a ``shards`` input the client gave (``None``:
+    none); every answer runs unsharded."""
+    if value is not None:
+        try:
+            deprecated_shards(value, what)
+        except ValueError as exc:
+            raise ServiceError(str(exc)) from None
 
 
 def _applied(stmt: Statement, state: Database, what: str) -> Database:
@@ -102,11 +89,11 @@ def _applied(stmt: Statement, state: Database, what: str) -> Database:
 
 
 def _fingerprint(options: "_Options", modifications) -> Hashable | None:
-    """What identifies an answer besides the history and the shard count
-    it ran with: method, backend and the structural share-key of every
-    modification's statement (two SQL spellings of one statement share
-    an entry).  ``None`` bypasses the cache, neither looked up nor
-    published: an explain request, or an unhashable constant.
+    """What identifies an answer besides the history: method, backend
+    and the structural share-key of every modification's statement (two
+    SQL spellings of one statement share an entry).  ``None`` bypasses
+    the cache, neither looked up nor published: an explain request, or
+    an unhashable constant.
     """
     if options.explain:
         return None
@@ -135,8 +122,6 @@ class _Options:
     method: Method
     backend: str
     workers: int
-    #: The requested count; ``AUTO_SHARDS`` lets the planner choose.
-    shards: int
     explain: bool
 
 
@@ -214,7 +199,7 @@ class WhatIfService:
         default_backend: str = "compiled",
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         batch_workers: int = 0,
-        default_shards: int | str = 1,
+        default_shards: int | str | None = None,
         sync: bool = True,
     ) -> None:
         if default_backend not in BACKENDS:
@@ -228,14 +213,13 @@ class WhatIfService:
         self.default_backend = default_backend
         self.checkpoint_interval = checkpoint_interval
         self.batch_workers = batch_workers
-        self.default_shards = _shards_option(
-            default_shards, None, "default_shards"
-        )
+        # Deprecated: validated and counted, changes no answer.
+        _deprecated_shards(default_shards, "default_shards")
         #: Power-loss durability for the stores this service owns: fsync
         #: the log on append, the directory on checkpoint rename.
         self.sync = sync
         #: Per-service metrics: result-cache traffic plus the service's
-        #: own degradation counters (process-wide pool/shard counters
+        #: own degradation counters (process-wide pool counters
         #: live in ``repro.core.degradation``'s global registry, merged
         #: into the ``/metrics`` scrape by the server).
         self.metrics = MetricsRegistry()
@@ -277,7 +261,7 @@ class WhatIfService:
         )
         self._handles: dict[str, _HistoryHandle | None] = {}
         self._handles_lock = threading.Lock()
-        #: One shared engine per backend; a request's shard count is an
+        #: One shared engine per backend; a request's pool width is an
         #: argument of the call, not of the engine.
         self._engines: dict[str, Mahif] = {}
         self._engines_lock = threading.Lock()
@@ -554,12 +538,10 @@ class WhatIfService:
         the missing queries) with each start version taken from the
         versions the service keeps — a position asked about before
         replays nothing, a new one starts from the deepest kept version
-        or store checkpoint below it.  ``shards`` > 1 answers through
-        the sharded execution path (DESIGN.md, "Sharded execution");
-        ``shards="auto"``/``0`` lets the cost-based planner decide per
-        query — each response then records the ``planner`` decision and
-        its ``shards`` field reports the *chosen* count, under which the
-        answer is also cached.
+        or store checkpoint below it.  ``shards`` is deprecated: a value
+        is validated and counted
+        (:func:`~repro.core.engine.deprecated_shards`), and the answer
+        is the unsharded one it always equalled.
 
         ``deadline`` bounds the miss computation server-side: on expiry
         the call raises :class:`~repro.service.resilience.
@@ -574,8 +556,8 @@ class WhatIfService:
         ``profile`` to every answer.  Explain requests are diagnostic:
         they bypass the result cache entirely (never read, never
         stored — a cached payload has no profile, and a profiled
-        payload must not be served to plain requests) and execute the
-        serial unsharded reenactment path.
+        payload must not be served to plain requests) and evaluate
+        in-process.
 
         ``route`` labels this call in ``mahif_wire_encodes_total``: the
         HTTP route it serves, ``"direct"`` for an in-process caller.
@@ -626,8 +608,8 @@ class WhatIfService:
         # and outlive them: one request must not be able to park more
         # workers on the server than it has cores to run them on.
         workers = min(workers, os.cpu_count() or 1)
-        shards = _shards_option(shards, self.default_shards, "shards")
-        return _Options(method, backend, workers, shards, bool(explain))
+        _deprecated_shards(shards, "shards")
+        return _Options(method, backend, workers, bool(explain))
 
     def _lookup(
         self, handle: _HistoryHandle, options: _Options, modifications, span
@@ -648,7 +630,7 @@ class WhatIfService:
             hit = (
                 None
                 if fingerprint is None
-                else handle.cache.get(fingerprint, options.shards)
+                else handle.cache.get(fingerprint)
             )
             if hit is not None:
                 self._cache_hits.inc(history=handle.name)
@@ -740,7 +722,6 @@ class WhatIfService:
                     queries,
                     options.method,
                     workers=options.workers,
-                    shards=options.shards,
                     start_databases=start_dbs,
                     explain=options.explain,
                 )
@@ -762,18 +743,11 @@ class WhatIfService:
         """Stage 5, outside any lock: everything about one answer that
         no later response to it will change, as a dict and — once, here
         — as the bytes every one of those responses is made of."""
-        choice = result.planner_choice
         payload = {
             **result_payload(result),
             "method": options.method.value,
             "backend": used_backend,
-            # The *effective* count the answer executed with — the
-            # planner's choice under auto, the request's otherwise — and
-            # the count it is cached under.
-            "shards": choice.shards if choice is not None else options.shards,
         }
-        if choice is not None:
-            payload["planner"] = choice.payload()
         if used_backend != options.backend:
             payload["degraded_from"] = options.backend
         self.wire_encodes.inc(route=route)
@@ -790,8 +764,6 @@ class WhatIfService:
             if fingerprint is not None:
                 handle.cache.put(
                     fingerprint,
-                    answer.payload["shards"],
-                    options.shards == AUTO_SHARDS,
                     answer,
                     # The wire delta lists exactly the relations whose
                     # delta is non-empty (wire.delta_payload).

@@ -21,6 +21,8 @@ API (request/response bodies are JSON unless noted)::
                                        shards?}
     POST /histories/<name>/batch      {queries: [spec...], method?,
                                        backend?, workers?, shards?}
+
+``shards`` is deprecated: validated and counted, it changes no answer.
 """
 
 from __future__ import annotations
@@ -263,7 +265,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _metrics(self):
         """Prometheus text scrape: the service's registry (request
         latencies, cache traffic, shed/timeout counters) merged with the
-        process-global one (degradation, planner, sqlite cache).  The
+        process-global one (degradation, deprecated inputs, sqlite
+        cache).  The
         body is rendered to one string and written in a single response,
         so concurrent scrapes never observe torn lines."""
         if not self.app.metrics_enabled:

@@ -21,7 +21,6 @@ from typing import Any, Mapping
 
 from ..core import DeleteStatementMod, Method, Replace
 from ..core.hwq import InsertStatementMod, Modification
-from ..core.planner import AUTO_SHARDS
 from ..relational.parser import ParseError, parse_statement
 from ..relational.relation import sort_rows
 
@@ -29,7 +28,6 @@ __all__ = [
     "SpecError",
     "METHODS",
     "modifications_from_spec",
-    "normalize_shards",
     "delta_payload",
     "result_payload",
 ]
@@ -39,42 +37,6 @@ METHODS = {m.value: m for m in Method}
 
 class SpecError(ValueError):
     """A malformed modification-spec payload."""
-
-
-def normalize_shards(value: Any) -> int | None:
-    """Normalize a shards spec shared by server, client and CLI.
-
-    ``None`` stays ``None`` (use the receiver's default); ``"auto"``
-    (any case) and ``0`` mean planner-chosen and normalize to
-    :data:`~repro.core.planner.AUTO_SHARDS`; positive integers (or
-    integer strings, for CLI flags) pass through.  Anything else raises
-    :class:`SpecError` with a one-line description.
-    """
-    if value is None:
-        return None
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text == "auto":
-            return AUTO_SHARDS
-        try:
-            value = int(text)
-        except ValueError:
-            raise SpecError(
-                f'shards must be a positive integer, 0, or "auto"; '
-                f"got {value!r}"
-            ) from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(
-            f'shards must be a positive integer, 0, or "auto"; '
-            f"got {value!r}"
-        )
-    number = int(value)
-    if number != value or number < AUTO_SHARDS:
-        raise SpecError(
-            f'shards must be a positive integer, 0, or "auto"; '
-            f"got {value!r}"
-        )
-    return number
 
 
 def modifications_from_spec(spec: Any) -> tuple[Modification, ...]:

@@ -80,8 +80,8 @@ class SatResult:
 
 
 #: Checks by the step that decided them (process-global, like the
-#: planner's: slicing runs deep inside engines that do not know which
-#: service owns them).
+#: degradation counters: slicing runs deep inside engines that do not
+#: know which service owns them).
 _CHECKS = global_registry().counter(
     "mahif_solver_checks_total",
     "Satisfiability checks by deciding step (trivial, intervals, milp) "

@@ -56,13 +56,6 @@ from repro.relational.statements import (
 FUZZ_SEED = int(os.environ.get("MAHIF_FUZZ_SEED", "20260725"))
 _SCALE = float(os.environ.get("MAHIF_FUZZ_SCALE", "1"))
 
-#: The shard-count axis of the shard-invariance differential suite
-#: (``tests/test_shard_differential.py``): unsharded, the smallest real
-#: split, and more shards than most generated relations have rows (so
-#: empty shards and skip routing both get exercised).
-SHARD_COUNTS = (1, 2, 8)
-
-
 def scaled(trials: int) -> int:
     """Trial count honouring the CI smoke-run scale knob."""
     return max(1, int(trials * _SCALE))

@@ -24,7 +24,7 @@ from repro.core import (
     Method,
     Replace,
 )
-from repro.core import shard as shard_module
+from repro.core import batch as batch_module
 from repro.core.batch import ResilientExecutor
 from repro.core.degradation import (
     degradation_snapshot,
@@ -169,9 +169,9 @@ def test_shutdown_executor_falls_back_to_serial():
 
 def test_degradation_counters_accumulate_and_reset():
     record_degradation("pool_rebuild")
-    record_degradation("shard_fallback", 2)
+    record_degradation("sqlite_fallback", 2)
     assert degradation_snapshot() == {
-        "pool_rebuild": 1, "shard_fallback": 2
+        "pool_rebuild": 1, "sqlite_fallback": 2
     }
     reset_degradation()
     assert degradation_snapshot() == {}
@@ -180,7 +180,7 @@ def test_degradation_counters_accumulate_and_reset():
 # -- the SIGKILL regression -----------------------------------------------
 
 _KILL_FLAG: str | None = None  # set per-test; forked workers inherit it
-_REAL_TASK = shard_module.shard_pair_task
+_REAL_TASK = batch_module.pair_task
 
 
 def _suicidal_pair_task(*call):
@@ -253,9 +253,7 @@ def test_killed_worker_mid_batch_still_matches_serial_oracle(
         oracle_engine.answer(q, Method.R_PS_DS).delta for q in queries
     ]
 
-    monkeypatch.setattr(
-        shard_module, "shard_pair_task", _suicidal_pair_task
-    )
+    monkeypatch.setattr(batch_module, "pair_task", _suicidal_pair_task)
     monkeypatch.setattr(
         sys.modules[__name__], "_KILL_FLAG", str(tmp_path / "killed-once")
     )

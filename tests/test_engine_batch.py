@@ -269,23 +269,13 @@ class TestSharedWork:
 
 
 class TestExeSecondsAccounting:
-    """One definition of ``exe_seconds`` (see ``MahifResult``): routing
-    (planner, partitioning, keep-mask scans) and the merge are charged
-    to the query that caused them on both entry points.  Asserted
-    structurally — each stage is slowed by a known amount and must show
-    up in the accounting — because a wall-clock ratio cannot hold on a
-    loaded runner."""
+    """One definition of ``exe_seconds`` (see ``MahifResult``): every
+    evaluation task is charged to the query that caused it on both entry
+    points.  Asserted structurally — the task is slowed by a known
+    amount and must show up in the accounting — because a wall-clock
+    ratio cannot hold on a loaded runner."""
 
     DELAY = 0.05
-
-    def _slowed(self, monkeypatch, module, name):
-        real = getattr(module, name)
-
-        def slow(*args, **kwargs):
-            time.sleep(self.DELAY)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, slow)
 
     @pytest.fixture
     def query(self):
@@ -295,33 +285,25 @@ class TestExeSecondsAccounting:
             WorkloadSpec(dataset="taxi", rows=400, updates=10, seed=7)
         ).query
 
-    def test_partition_keep_mask_and_merge_are_charged(
-        self, query, monkeypatch
-    ):
-        from repro.core import shard as shard_module
+    def test_evaluation_is_charged(self, query, monkeypatch):
+        from repro.core import batch as batch_module
 
-        for name in (
-            "partition_relation", "shard_keep_mask", "merge_shard_deltas",
-        ):
-            self._slowed(monkeypatch, shard_module, name)
-        engine = Mahif(MahifConfig(shards=4))
+        real = batch_module.evaluate_query
+
+        def slow(*args, **kwargs):
+            time.sleep(self.DELAY)
+            return real(*args, **kwargs)
+
+        # Both sides of every (query, relation) pair evaluate through it.
+        monkeypatch.setattr(batch_module, "evaluate_query", slow)
+        engine = Mahif(MahifConfig())
         single = engine.answer(query, Method.R_DS)
         (batch,) = engine.answer_batch([query], Method.R_DS)
         assert single.delta == batch.delta
         relations = len(single.queries_original)
         assert relations >= 1
         for result in (single, batch):
-            assert result.exe_seconds >= 3 * self.DELAY * relations
-
-    def test_planner_is_charged(self, query, monkeypatch):
-        from repro.core import batch as batch_module
-
-        self._slowed(monkeypatch, batch_module, "plan_execution")
-        engine = Mahif(MahifConfig(shards="auto"))
-        single = engine.answer(query, Method.R_DS)
-        (batch,) = engine.answer_batch([query], Method.R_DS)
-        for result in (single, batch):
-            assert result.exe_seconds >= self.DELAY
+            assert result.exe_seconds >= 2 * self.DELAY * relations
 
 
 class TestSqliteConnectionReuse:

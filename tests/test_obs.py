@@ -279,7 +279,7 @@ class TestTracing:
             lines.append if unsampled_sink else None, sample=0.0
         )
         with trace.start_trace("request"):
-            Mahif(MahifConfig(shards=2)).answer(
+            Mahif(MahifConfig()).answer(
                 _paper_query(orders_db, paper_history), Method.R_PS_DS
             )
         assert built == [] and lines == []
@@ -324,11 +324,11 @@ class TestTracing:
         lines: list[str] = []
         trace.configure_tracing(lines.append, sample=1.0)
         with trace.start_trace("request"):
-            trace.record_span("shard", 0.125, shard=3)
+            trace.record_span("relation", 0.125, relation="R")
         spans = [json.loads(line) for line in lines]
-        shard = next(s for s in spans if s["name"] == "shard")
-        assert shard["duration"] == pytest.approx(0.125)
-        assert shard["attributes"] == {"shard": 3}
+        child = next(s for s in spans if s["name"] == "relation")
+        assert child["duration"] == pytest.approx(0.125)
+        assert child["attributes"] == {"relation": "R"}
 
     def test_broken_sink_never_raises(self):
         def sink(line: str) -> None:
@@ -437,15 +437,15 @@ class TestEngineExplain:
         assert result.delta is not None
 
     def test_explain_forces_serial_evaluation(self, query):
-        # Sharded config + explain: the profiled path bypasses the
-        # shard fan-out, and the answer still matches.
-        sharded = MahifConfig(shards=4)
-        plain = Mahif(sharded).answer(query, Method.R_PS_DS)
-        explained = Mahif(sharded).answer(
-            query, Method.R_PS_DS, explain=True
+        # Pooled config + explain: the profiled path bypasses the pool,
+        # and the answers still match.
+        pooled = Mahif(MahifConfig(batch_workers=2))
+        plain = pooled.answer_batch([query, query], Method.R_PS_DS)
+        explained = pooled.answer_batch(
+            [query, query], Method.R_PS_DS, explain=True
         )
-        assert explained.delta.relations == plain.delta.relations
-        assert explained.profile is not None
+        assert [r.delta for r in explained] == [r.delta for r in plain]
+        assert all(r.profile is not None for r in explained)
 
     def test_batch_explain(self, orders_db, paper_history, query):
         engine = Mahif(MahifConfig())

@@ -64,7 +64,7 @@ class TestMetricsEndpoint:
         # ...the service's cache counters...
         assert samples['mahif_result_cache_misses_total{history="orders"}'] == 1
         # ...and process-global families merged into the same scrape.
-        assert "mahif_planner_choice_total" in client.metrics()
+        assert "mahif_deprecated_input_total" in client.metrics()
         assert any(
             series.startswith("mahif_sqlite_") for series in samples
         )

@@ -30,7 +30,6 @@ import types
 
 import pytest
 
-from repro.core.planner import AUTO_SHARDS
 from repro.service.cache import CachedAnswer, ResultCache
 
 _SCALE = float(os.environ.get("MAHIF_FUZZ_SCALE", "1.0"))
@@ -38,7 +37,6 @@ _SEED = int(os.environ.get("MAHIF_FUZZ_SEED", "20260927"))
 
 FINGERPRINTS = ("q0", "q1", "q2", "q3", "q4")
 RELATIONS = ("R", "S", "T", "U")
-SHARD_COUNTS = (1, 2, 4)
 
 
 class Model:
@@ -46,16 +44,14 @@ class Model:
 
     def __init__(self, length: int) -> None:
         self.length = length
-        #: (fingerprint, effective shards, auto, payload, relations, length)
+        #: (fingerprint, payload, relations, length)
         self.puts: list[tuple] = []
         #: (length after the append, relations it accessed)
         self.appends: list[tuple[int, frozenset]] = []
 
-    def put(self, fingerprint, shards, auto, payload, relations, at) -> None:
+    def put(self, fingerprint, payload, relations, at) -> None:
         if at == self.length:  # anything else was computed on another history
-            self.puts.append(
-                (fingerprint, shards, auto, payload, frozenset(relations), at)
-            )
+            self.puts.append((fingerprint, payload, frozenset(relations), at))
 
     def advance(self, new_length: int, accessed) -> None:
         self.length = new_length
@@ -68,18 +64,14 @@ class Model:
             for length, accessed in self.appends
         )
 
-    def get(self, fingerprint, shards):
-        alive = [p for p in self.puts if p[0] == fingerprint and self._alive(p)]
-        if shards == AUTO_SHARDS:
-            chosen = [p[1] for p in alive if p[2]]
-            if not chosen:
-                return None
-            shards = chosen[-1]
-        payloads = [p[3] for p in alive if p[1] == shards]
+    def get(self, fingerprint):
+        payloads = [
+            p[1] for p in self.puts if p[0] == fingerprint and self._alive(p)
+        ]
         return payloads[-1] if payloads else None
 
     def entries(self) -> set:
-        return {(p[0], p[1]) for p in self.puts if self._alive(p)}
+        return {p[0] for p in self.puts if self._alive(p)}
 
 
 STEPS = 200
@@ -123,26 +115,19 @@ def run(seed: int) -> dict:
         action = rng.random()
         if action < 0.45:
             fingerprint = rng.choice(FINGERPRINTS)
-            shards = rng.choice(SHARD_COUNTS)
-            auto = rng.random() < 0.4
             # One put in five lost a race with an append.
             at = length if rng.random() < 0.8 else length - rng.randrange(1, 3)
             answer = CachedAnswer.encode({"answer": step})
-            taken = cache.put(
-                fingerprint, shards, auto, answer, footprint[fingerprint], at
-            )
+            taken = cache.put(fingerprint, answer, footprint[fingerprint], at)
             assert taken == (at == length)
             seen["stale"] += not taken
             if taken:
-                accepted[fingerprint, shards] = answer
-            model.put(
-                fingerprint, shards, auto, answer, footprint[fingerprint], at
-            )
+                accepted[fingerprint] = answer
+            model.put(fingerprint, answer, footprint[fingerprint], at)
         elif action < 0.8:
             fingerprint = rng.choice(FINGERPRINTS)
-            shards = rng.choice((*SHARD_COUNTS, AUTO_SHARDS))
-            got = cache.get(fingerprint, shards)
-            assert got is model.get(fingerprint, shards), (seed, step)
+            got = cache.get(fingerprint)
+            assert got is model.get(fingerprint), (seed, step)
             seen["hits"] += got is not None
             if got is not None:
                 assert json.loads(got.body) == got.payload
@@ -166,7 +151,7 @@ def run(seed: int) -> dict:
                 assert id(accepted.pop(key).body) not in held, (seed, step)
             for key in after:
                 assert id(accepted[key].body) in held, (seed, step)
-                assert cache.get(*key) is accepted[key], (seed, step)
+                assert cache.get(key) is accepted[key], (seed, step)
     return seen
 
 
@@ -183,59 +168,53 @@ def answer_of(value) -> CachedAnswer:
 
 
 class TestContract:
-    def test_explicit_and_auto_share_the_entry_at_the_chosen_count(self):
-        cache = ResultCache(3)
-        payload = answer_of(1)
-        assert cache.put("q", 2, True, payload, {"R"}, 3)
-        assert cache.get("q", AUTO_SHARDS) is payload
-        assert cache.get("q", 2) is payload
-        assert len(cache) == 1
-
-    def test_two_explicit_counts_never_share(self):
-        cache = ResultCache(3)
-        cache.put("q", 2, False, answer_of(1), {"R"}, 3)
-        assert cache.get("q", 1) is None
-        assert cache.get("q", 4) is None
-        # ...and an explicit answer alone gives auto nothing to resolve
-        # through: the planner has to run.
-        assert cache.get("q", AUTO_SHARDS) is None
-
     def test_advance_drops_overlapping_entries_and_only_those(self):
         cache = ResultCache(3)
         kept, gone = answer_of("kept"), answer_of("gone")
-        cache.put("kept", 1, False, kept, {"R"}, 3)
-        cache.put("gone", 1, False, gone, {"R", "S"}, 3)
-        cache.put("empty-delta", 1, False, answer_of(None), (), 3)
+        cache.put("kept", kept, {"R"}, 3)
+        cache.put("gone", gone, {"R", "S"}, 3)
+        cache.put("empty-delta", answer_of(None), (), 3)
         assert cache.advance(4, {"S", "T"}) == (1, 2)
-        assert cache.get("kept", 1) is kept
-        assert cache.get("gone", 1) is None
+        assert cache.get("kept") is kept
+        assert cache.get("gone") is None
         # Retained entries answer for the *new* length.
-        assert cache.put("late", 1, False, answer_of(None), (), 3) is False
-        assert cache.put("fresh", 1, False, answer_of(None), (), 4) is True
+        assert cache.put("late", answer_of(None), (), 3) is False
+        assert cache.put("fresh", answer_of(None), (), 4) is True
 
-    def test_a_dropped_entry_takes_its_auto_choice_with_it(self):
-        """The memo leak: nothing keyed by the fingerprint remains."""
+    def test_a_dropped_entry_leaves_nothing_behind(self):
+        """Nothing keyed by the fingerprint outlives its entry: a later
+        answer at the new length is the only one the key finds."""
         cache = ResultCache(0)
-        cache.put("q", 2, True, answer_of(1), {"R"}, 0)
+        cache.put("q", answer_of(1), {"R"}, 0)
         assert cache.advance(1, {"R"}) == (1, 0)
-        assert cache.get("q", AUTO_SHARDS) is None
-        # A dangling choice would resolve auto to this new entry; a
-        # removed one leaves auto a miss until the planner chooses again.
-        cache.put("q", 2, False, answer_of(2), {"R"}, 1)
-        assert cache.get("q", AUTO_SHARDS) is None
-        assert cache._chosen == {}
-
-    def test_a_refused_put_records_no_choice(self):
-        cache = ResultCache(5)
-        assert cache.put("q", 2, True, answer_of(1), {"R"}, 4) is False
+        assert cache.get("q") is None
         assert len(cache) == 0
-        cache.put("q", 2, False, answer_of(2), {"R"}, 5)
-        assert cache.get("q", AUTO_SHARDS) is None
-        assert cache._chosen == {}
+        fresh = answer_of(2)
+        assert cache.put("q", fresh, {"R"}, 1)
+        assert cache.get("q") is fresh
 
-    def test_a_retained_entry_keeps_its_auto_choice(self):
+    def test_a_refused_put_stores_nothing(self):
+        cache = ResultCache(5)
+        assert cache.put("q", answer_of(1), {"R"}, 4) is False
+        assert cache.put("q", answer_of(1), {"R"}, 6) is False
+        assert len(cache) == 0
+        assert cache.get("q") is None
+
+    def test_a_retained_entry_keeps_answering(self):
         cache = ResultCache(0)
         payload = answer_of(1)
-        cache.put("q", 4, True, payload, {"R"}, 0)
+        cache.put("q", payload, {"R"}, 0)
         assert cache.advance(1, {"S"}) == (0, 1)
-        assert cache.get("q", AUTO_SHARDS) is payload
+        assert cache.advance(2, ()) == (0, 1)
+        assert cache.get("q") is payload
+
+    def test_a_later_put_replaces_the_entry(self):
+        cache = ResultCache(2)
+        first, second = answer_of(1), answer_of(2)
+        cache.put("q", first, {"R"}, 2)
+        cache.put("q", second, {"S"}, 2)
+        assert len(cache) == 1
+        assert cache.get("q") is second
+        # The footprint is the replacing answer's, not the union.
+        assert cache.advance(3, {"R"}) == (0, 1)
+        assert cache.advance(4, {"S"}) == (1, 0)

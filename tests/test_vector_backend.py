@@ -52,12 +52,10 @@ from repro.relational.algebra import (
 from repro.relational.columnar import (
     INT64_SAFE_BOUND,
     ColumnarTable,
-    bulk_shard_indices,
     column_from_values,
     column_values,
     columnar_cache_info,
     columnar_of_relation,
-    ordered_indices_by_column,
 )
 from repro.relational.expressions import (
     Arith,
@@ -76,7 +74,6 @@ from repro.relational.expressions import (
     lt,
 )
 from repro.relational.exec.backend import resolve_backend
-from repro.relational.partition import stable_shard_of
 from repro.relational.statements import DeleteStatement, UpdateStatement
 
 def _db():
@@ -154,29 +151,6 @@ class TestColumnarCache:
         assert columnar_of_relation(relation) is first
         info = columnar_cache_info()
         assert info["relations"] >= 1
-
-
-# ---------------------------------------------------------------------------
-# bulk partition kernels
-# ---------------------------------------------------------------------------
-
-class TestPartitionKernels:
-    def test_bulk_shard_indices_matches_per_row(self):
-        rows = [(i, f"s{i}", i * 0.5, None) for i in range(50)]
-        for shards in (1, 2, 7):
-            assert bulk_shard_indices(rows, shards) == [
-                stable_shard_of(row, shards) for row in rows
-            ]
-
-    def test_ordered_indices_match_python_sort(self):
-        rows = [(5,), (1,), (3,), (1,), (2,)]
-        indices = ordered_indices_by_column(rows, 0)
-        assert [rows[i] for i in indices] == sorted(rows)
-
-    def test_ordered_indices_refuse_mixed_columns(self):
-        assert ordered_indices_by_column([(1,), (True,)], 0) is None
-        assert ordered_indices_by_column([(1,), (None,)], 0) is None
-        assert ordered_indices_by_column([(float("nan"),), (1.0,)], 0) is None
 
 
 # ---------------------------------------------------------------------------

@@ -94,12 +94,13 @@ def _poison_sqlite(service) -> None:
 
 
 #: name -> (route, request body, the key only this shape carries)
+#: (``"auto shards"``: the keys it must *not* carry)
 SHAPES = {
     "whatif": ("whatif", {"modifications": SPEC}, None),
     "batch": ("batch", {"queries": [SPEC, OTHER]}, None),
     "explain": ("whatif", {"modifications": SPEC, "explain": True}, "profile"),
     "auto shards": (
-        "whatif", {"modifications": SPEC, "shards": "auto"}, "planner"
+        "whatif", {"modifications": SPEC, "shards": "auto"}, None
     ),
     "sqlite degraded": (
         "whatif", {"modifications": SPEC, "backend": "sqlite"},
@@ -130,9 +131,22 @@ def test_sent_bytes_decode_to_the_answer_dict(served, shape):
         assert {"delta", "history_length", "cached", "method"} <= set(first)
         if marker is not None:
             assert marker in first
+        if shape == "auto shards":
+            # Deprecated and ignored: it leaves no trace in the answer.
+            assert not {"planner", "shards"} & set(first)
         # Explain bypasses the cache; everything else hits on the repeat.
         cached = attempt == "hit" and shape != "explain"
         assert [a["cached"] for a in answers] == [cached] * len(answers)
+    if shape == "auto shards":
+        # The delta is the plain shape's, computed afresh (explain
+        # bypasses the cache) ...
+        plain = served.service.answer("h", [SPEC], explain=True)[0]
+        assert first["delta"] == plain["delta"]
+        # ... and a plain request is served the same cache entry.
+        _, _, raw = served.send(
+            "POST", "/histories/h/whatif", {"modifications": SPEC}
+        )
+        assert json.loads(raw)["cached"]
 
 
 def test_a_batch_mixes_hits_and_misses(served):
