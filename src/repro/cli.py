@@ -389,13 +389,13 @@ def _parse_batch_spec(path: str):
     return batches
 
 
-def _delta_json(result) -> dict:
+def _delta_json(result, index: int) -> str:
     """One JSON-lines record for a batched answer — the shared wire
-    rendering, keeping every empty relation delta for backward
+    encoder, keeping every empty relation delta for backward
     compatibility (the service omits them)."""
-    from .service.wire import result_payload
+    from .service.wire import answer_json
 
-    return result_payload(result, include_empty=True)
+    return answer_json(result, {"query": index}, include_empty=True)
 
 
 def _print_profile(profile, *, file=None) -> None:
@@ -536,8 +536,7 @@ def _cmd_whatif_batch(args: argparse.Namespace) -> int:
         queries, _METHODS[args.method], explain=args.explain
     )
     lines = [
-        json.dumps({"query": index, **_delta_json(result)})
-        for index, result in enumerate(results)
+        _delta_json(result, index) for index, result in enumerate(results)
     ]
     _emit_json_lines(lines, args)
     return 0

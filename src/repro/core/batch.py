@@ -42,7 +42,7 @@ from typing import Sequence
 from ..obs import trace
 from ..obs.metrics import global_registry
 from ..relational import columnar
-from ..relational.algebra import Operator, base_relations, evaluate_query
+from ..relational.algebra import Operator, base_relations
 from ..relational.database import Database
 from ..relational.exec.backend import resolve_backend
 from ..relational.relation import Relation
@@ -319,8 +319,11 @@ def pair_task(
     relation) runs through it, in-process or in a pool worker
     (module-level so process pools pick it up by reference; the operator
     trees and databases it receives all pickle, and workers compile into
-    their own plan caches).  ``extra_original`` / ``extra_modified`` are
-    the Section-10 inserted tuples, unioned into each side's result.
+    their own plan caches).  The pair runs through the backend's
+    ``evaluate_pair`` and :meth:`RelationDelta.of_results` — on the
+    columnar evaluator one sort of the two result tables, no row
+    materialized.  ``extra_original`` / ``extra_modified`` are the
+    Section-10 inserted tuples, unioned into each side's result.
     ``profiled`` is EXPLAIN ANALYZE: the same evaluation through
     :func:`repro.obs.profile.profile_query`, which materializes
     bottom-up through the same backends, so the delta equals the plain
@@ -336,13 +339,12 @@ def pair_task(
         result_m, profile_m = profile_query(query_m, db, backend=backend)
         profiles = {"original": profile_h, "modified": profile_m}
     else:
-        result_h = evaluate_query(query_h, db, backend=backend)
-        result_m = evaluate_query(query_m, db, backend=backend)
-    if extra_original is not None:
-        result_h = result_h.union(extra_original)
-    if extra_modified is not None:
-        result_m = result_m.union(extra_modified)
-    delta = RelationDelta.between(result_h, result_m)
+        result_h, result_m = resolve_backend(backend).evaluate_pair(
+            query_h, query_m, db
+        )
+    delta = RelationDelta.of_results(
+        result_h, result_m, extra_original, extra_modified
+    )
     return delta, time.perf_counter() - t0, profiles
 
 

@@ -12,8 +12,9 @@ can be inspected/rendered).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+import threading
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Mapping
 
 from ..relational.algebra import (
     Difference,
@@ -21,26 +22,79 @@ from ..relational.algebra import (
     Project,
     Union,
 )
+from ..relational.columnar import ColumnarTable, column_values, sorted_delta
 from ..relational.database import Database
 from ..relational.expressions import Attr, Const
 from ..relational.relation import Relation, sort_rows
-from ..relational.schema import Schema
+from ..relational.schema import Schema, SchemaError
 
 __all__ = ["RelationDelta", "DatabaseDelta", "delta_query"]
 
 
-@dataclass(frozen=True, eq=False)
+#: Guards the first read of a columnar delta's ``added`` / ``removed``:
+#: threads reading it together get one and the same frozenset.
+_MATERIALIZE = threading.Lock()
+
+
 class RelationDelta:
     """Delta of one relation: tuples added / removed by the modification.
 
     Equality compares attribute names and tuple sets; schema *type tags*
     are ignored because derived queries (reenactment projections) produce
     untyped schemas for the same data.
+
+    A delta is held in one of two forms.  One computed by
+    :meth:`of_results` from the columnar evaluator's result tables holds
+    the removed and the added rows as two :class:`ColumnarTable` s in
+    ``sort_rows`` order (:meth:`tables`); ``added`` / ``removed`` become
+    frozensets when something first reads them, and ``len``,
+    ``is_empty``, :meth:`sorted_rows` and the wire encoder never need
+    them.  Any other delta holds the frozensets it was built with, and
+    its tables are built from their sorted rows when the wire encoder
+    asks for them.
     """
 
-    schema: Schema
-    added: frozenset[tuple[Any, ...]]
-    removed: frozenset[tuple[Any, ...]]
+    __slots__ = ("schema", "_added", "_removed", "_tables")
+
+    def __init__(
+        self,
+        schema: Schema,
+        added: frozenset[tuple[Any, ...]],
+        removed: frozenset[tuple[Any, ...]],
+    ) -> None:
+        self.schema = schema
+        self._added = added
+        self._removed = removed
+        self._tables: tuple[ColumnarTable, ColumnarTable] | None = None
+
+    @classmethod
+    def _of_tables(
+        cls, schema: Schema, removed: ColumnarTable, added: ColumnarTable
+    ) -> "RelationDelta":
+        delta = cls.__new__(cls)
+        delta.schema = schema
+        delta._added = delta._removed = None
+        delta._tables = (removed, added)
+        return delta
+
+    @property
+    def added(self) -> frozenset[tuple[Any, ...]]:
+        if self._added is None:
+            self._materialize()
+        return self._added  # type: ignore[return-value]
+
+    @property
+    def removed(self) -> frozenset[tuple[Any, ...]]:
+        if self._removed is None:
+            self._materialize()
+        return self._removed  # type: ignore[return-value]
+
+    def _materialize(self) -> None:
+        with _MATERIALIZE:
+            if self._added is None:
+                removed, added = self._tables  # type: ignore[misc]
+                self._removed = frozenset(removed.tuples())
+                self._added = frozenset(added.tuples())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RelationDelta):
@@ -54,6 +108,17 @@ class RelationDelta:
     def __hash__(self) -> int:
         return hash((self.schema.attributes, self.added, self.removed))
 
+    def __repr__(self) -> str:
+        return (
+            f"RelationDelta(schema={self.schema!r}, added={self.added!r}, "
+            f"removed={self.removed!r})"
+        )
+
+    def __reduce__(self):
+        # What crosses a process pool: the frozensets, not the tables
+        # (whose columns reach the whole stored relation's cells).
+        return (RelationDelta, (self.schema, self.added, self.removed))
+
     @classmethod
     def between(cls, current: Relation, modified: Relation) -> "RelationDelta":
         """``Δ(current, modified)`` with +/- annotations."""
@@ -63,17 +128,91 @@ class RelationDelta:
             removed=frozenset(current.tuples - modified.tuples),
         )
 
+    @classmethod
+    def of_results(
+        cls,
+        current: Relation | ColumnarTable,
+        modified: Relation | ColumnarTable,
+        extra_current: Relation | None = None,
+        extra_modified: Relation | None = None,
+    ) -> "RelationDelta":
+        """``Δ`` of a reenactment query pair's two results, as an
+        execution backend's ``evaluate_pair`` returns them, each unioned
+        with its side's Section-10 inserted tuples (``extra_*``).
+
+        Two columnar tables are compared in one sort
+        (:func:`~repro.relational.columnar.sorted_delta`) into a
+        columnar delta; when some attribute has no exact sort key, and
+        for relations, this is :meth:`between` of the two unions."""
+        if isinstance(current, ColumnarTable):
+            sides = []
+            for table, extra in (
+                (current, extra_current), (modified, extra_modified)
+            ):
+                if extra is not None:
+                    if extra.schema.arity != table.schema.arity:
+                        raise SchemaError(
+                            f"arity mismatch: {table.schema.arity} vs "
+                            f"{extra.schema.arity}"
+                        )
+                    table = table.concat(ColumnarTable.from_relation(extra))
+                sides.append(table)
+            ordered = sorted_delta(sides[0], sides[1])
+            if ordered is not None:
+                return cls._of_tables(current.schema, *ordered)
+            current, modified = sides[0].to_relation(), sides[1].to_relation()
+        else:
+            if extra_current is not None:
+                current = current.union(extra_current)
+            if extra_modified is not None:
+                modified = modified.union(extra_modified)
+        return cls.between(current, modified)  # type: ignore[arg-type]
+
     def is_empty(self) -> bool:
-        return not self.added and not self.removed
+        return len(self) == 0
 
     def __len__(self) -> int:
-        return len(self.added) + len(self.removed)
+        if self._tables is not None:
+            removed, added = self._tables
+            return removed.nrows + added.nrows
+        return len(self._added) + len(self._removed)  # type: ignore[arg-type]
+
+    def tables(self) -> tuple[ColumnarTable, ColumnarTable]:
+        """The removed and the added rows as columnar tables, each in
+        ``sort_rows`` order: the wire encoder's input."""
+        if self._tables is None:
+            self._tables = (
+                ColumnarTable.from_rows(
+                    self.schema, sort_rows(self._removed)  # type: ignore[arg-type]
+                ),
+                ColumnarTable.from_rows(
+                    self.schema, sort_rows(self._added)  # type: ignore[arg-type]
+                ),
+            )
+        return self._tables
+
+    def sorted_rows(self, row: Callable[[Any], Any] = tuple) -> tuple[list, list]:
+        """The removed and the added rows, each in ``sort_rows`` order,
+        each row made by ``row`` from its cells (``list``: the wire
+        payload's rows) — from the tables where the delta holds them,
+        by ``sort_rows`` of the frozensets otherwise."""
+        if self._tables is None:
+            return tuple(  # type: ignore[return-value]
+                list(map(row, sort_rows(rows)))
+                for rows in (self._removed, self._added)
+            )
+        return tuple(  # type: ignore[return-value]
+            [row(()) for _ in range(table.nrows)] if not table.columns
+            else list(map(row, zip(*map(column_values, table.columns))))
+            for table in self._tables
+        )
 
     def annotated_rows(self) -> Iterator[tuple[str, tuple[Any, ...]]]:
         """Iterate ``('+', t)`` / ``('-', t)`` pairs, deterministic order."""
-        for row in sort_rows(self.removed):
+        removed, added = self.sorted_rows()
+        for row in removed:
             yield ("-", row)
-        for row in sort_rows(self.added):
+        for row in added:
             yield ("+", row)
 
     def pretty(self) -> str:

@@ -31,6 +31,7 @@ prefixed ``mahif_``, counters end in ``_total``, durations are seconds
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from typing import Callable, Iterable, Mapping
@@ -473,3 +474,70 @@ def global_registry() -> MetricsRegistry:
 def reset_global_registry() -> None:
     """Zero the process-global series (tests)."""
     _GLOBAL.reset()
+
+
+# -- garbage-collector pauses ------------------------------------------------
+
+class _GcHook:
+    """The process's one ``gc.callbacks`` hook: collections and pause
+    seconds per generation, tallied in fixed-size lists.  It takes no
+    lock — a collection can start while any lock is held, this hook's
+    readers' included — and needs none: collections never overlap, so
+    only one hook call runs at a time."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.pauses = [0.0, 0.0, 0.0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Mapping[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.collections[generation] += 1
+        self.pauses[generation] += time.perf_counter() - self._started
+
+
+class _GcTally(_Metric):
+    """A counter family read from a :class:`_GcHook` tally, one series
+    per generation."""
+
+    kind = "counter"
+
+    def __init__(self, name: str, help: str, tally: list) -> None:
+        super().__init__(name, help, ("generation",))
+        self._tally = tally
+
+    def value(self, **labels: str) -> float:
+        return self._tally[int(labels["generation"])]
+
+    def reset(self) -> None:
+        self._tally[:] = [type(v)() for v in self._tally]
+
+    def render(self) -> list[str]:
+        lines = self._header()
+        for generation, value in enumerate(list(self._tally)):
+            labels = _render_labels(self.labelnames, (str(generation),))
+            lines.append(f"{self.name}{labels} {_format_value(value)}")
+        return lines
+
+
+def _install_gc_hook(registry: MetricsRegistry) -> None:
+    hook = _GcHook()
+    gc.callbacks.append(hook)
+    registry.register(_GcTally(
+        "mahif_gc_collections_total",
+        "Garbage collections of this process by generation.",
+        hook.collections,
+    ))
+    registry.register(_GcTally(
+        "mahif_gc_pause_seconds_total",
+        "Seconds this process spent paused in garbage collections, by "
+        "generation.",
+        hook.pauses,
+    ))
+
+
+# Once per process: this module is imported once.
+_install_gc_hook(_GLOBAL)

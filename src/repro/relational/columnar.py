@@ -10,14 +10,18 @@ supplies its data layer:
   columns become ``int64`` / ``float64`` / ``bool_`` / object-of-``str``
   arrays plus an optional validity bitmap (``None`` values are replaced
   by a fill and masked out), and remember the values they were built
-  from as an object array beside the typed one, so a cell that passes
-  through a plan comes back as the stored object; anything mixed-type,
-  NaN-bearing, or exotic stays a plain Python list (tag ``"object"``)
-  that kernels refuse and per-row fallbacks consume verbatim.
+  from (:class:`StoredCells`, with the cells' JSON text and order codes
+  once asked for) beside the typed one, so a cell that passes through a
+  plan comes back as the stored object and is spelled with the stored
+  text; anything mixed-type, NaN-bearing, or exotic stays a plain
+  Python list (tag ``"object"``) that kernels refuse and per-row
+  fallbacks consume verbatim.
 * :class:`ColumnarTable` — a schema plus one column per attribute and an
   optional multiplicity vector (bag semantics), with ``tuples()`` /
   ``to_relation()`` / ``to_bag()`` views so the interpreter oracle and
   the store codec keep consuming row tuples unchanged.
+* :func:`sorted_delta` — the delta of two set-semantics results in one
+  sort, in ``sort_rows`` order, without materializing a row.
 * :func:`columnar_of_relation` / :func:`columnar_of_bag` — per-object
   columnarization caches on object identity
   (:class:`~repro.relational.identity_memo.IdentityMemo`:
@@ -40,6 +44,8 @@ interpreter, enforced here and rechecked by the kernels):
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii
 from types import NoneType
 from typing import Any, Collection, Iterable, Sequence
 
@@ -54,12 +60,14 @@ from .schema import Schema
 __all__ = [
     "Column",
     "ColumnarTable",
+    "StoredCells",
     "column_from_values",
     "column_values",
     "columnar_of_relation",
     "columnar_of_bag",
     "clear_columnar_cache",
     "columnar_cache_info",
+    "sorted_delta",
     "MEMO_OUTCOMES",
     "INT64_SAFE_BOUND",
     "FLOAT_EXACT_INT_BOUND",
@@ -69,6 +77,64 @@ __all__ = [
 INT64_SAFE_BOUND = 2 ** 63
 #: ints with ``|v| >= 2**53`` lose exactness under a float64 cast.
 FLOAT_EXACT_INT_BOUND = 2 ** 53
+_INF = float("inf")
+
+
+class StoredCells:
+    """The cells of a column built from Python values, and what is
+    derived from them once and then remembered for as long as the column
+    lives: their JSON text and order-preserving codes.
+
+    A stored column (one :func:`column_from_values` built) owns one; a
+    column gathered from it by ``take`` shares it and carries the row
+    indices it reads (``Column.rows``), so a cell that passes through a
+    plan is the stored object and is spelled with the stored text.  A
+    concatenation of two columns with different cells owns cells made of
+    theirs (``parts``): its objects and text are theirs, joined on first
+    use.
+    """
+
+    __slots__ = ("tag", "data", "valid", "_objects", "_text", "_codes",
+                 "_parts")
+
+    def __init__(self, tag: str, data: Any, valid: Any, objects: Any = None,
+                 parts: tuple["Column", ...] = ()) -> None:
+        self.tag = tag
+        self.data = data
+        self.valid = valid
+        self._objects = objects
+        self._parts = parts
+        self._text = None
+        self._codes = None
+
+    # The lazy fills below may race: two threads compute equal arrays and
+    # one assignment wins, which no reader can tell apart.
+
+    def objects(self) -> Any:
+        """The values, as an object array (``None`` inline)."""
+        if self._objects is None:
+            self._objects = _np.concatenate([p.objects() for p in self._parts])
+        return self._objects
+
+    def text(self) -> Any:
+        """Every cell's JSON text, as an object array of ``str``."""
+        if self._text is None:
+            if self._parts:
+                self._text = _np.concatenate(
+                    [p.json_text() for p in self._parts]
+                )
+            else:
+                self._text = _typed_json(self.tag, self.data, self.valid)
+        return self._text
+
+    def codes(self) -> Any:
+        """int64 codes that order and equate the cells as Python does,
+        from one ``np.unique`` (a string column's sort key; NULL slots
+        hold the fill's code)."""
+        if self._codes is None:
+            _, inverse = _np.unique(self.data, return_inverse=True)
+            self._codes = inverse.reshape(-1).astype(_np.int64)
+        return self._codes
 
 
 class Column:
@@ -81,22 +147,25 @@ class Column:
     Python objects verbatim, ``None`` inline, and ``valid`` is always
     ``None``.  ``int_bound`` is a static bound on ``max(|v|)`` for int
     columns (0 for empty), used by the kernels' exactness guards.
-    ``objects`` is the object array of the values an array-backed
-    column was built from (``None`` inline), or ``None`` for a column a
-    kernel computed: it travels through ``take`` / ``concat_columns``
-    and is what :func:`column_values` hands back, so a stored cell that
-    passes through a plan is the stored object, not a fresh copy.
+    ``stored`` is the :class:`StoredCells` an array-backed column's
+    cells come from, or ``None`` for a column a kernel computed, and
+    ``rows`` the indices of its cells there (``None``: all of them, in
+    order): both travel through ``take`` / ``concat_columns``, so
+    :func:`column_values` hands back the stored objects and
+    :meth:`json_text` the stored text.
     """
 
-    __slots__ = ("tag", "data", "valid", "int_bound", "objects")
+    __slots__ = ("tag", "data", "valid", "int_bound", "stored", "rows")
 
     def __init__(self, tag: str, data: Any, valid: Any = None,
-                 int_bound: int = 0, objects: Any = None) -> None:
+                 int_bound: int = 0, stored: StoredCells | None = None,
+                 rows: Any = None) -> None:
         self.tag = tag
         self.data = data
         self.valid = valid
         self.int_bound = int_bound
-        self.objects = objects
+        self.stored = stored
+        self.rows = rows
 
     @property
     def is_array(self) -> bool:
@@ -105,20 +174,108 @@ class Column:
     def __len__(self) -> int:
         return len(self.data)
 
+    def _stored_view(self, cells: Any) -> Any:
+        """A per-stored-cell array read at this column's rows."""
+        return cells if self.rows is None else cells[self.rows]
+
+    def _stored_rows(self) -> Any:
+        if self.rows is None:
+            return _np.arange(len(self.data), dtype=_np.intp)
+        return self.rows
+
+    def objects(self) -> Any:
+        """The stored values as an object array, or ``None`` for a
+        computed column."""
+        if self.stored is None:
+            return None
+        return self._stored_view(self.stored.objects())
+
+    def json_text(self) -> Any:
+        """Every cell's JSON text, as ``json.dumps`` would spell it, as
+        an object array of ``str``: the stored text where the cells are
+        stored ones, formatted now for a computed column."""
+        if self.stored is not None:
+            return self._stored_view(self.stored.text())
+        if self.is_array:
+            return _typed_json(self.tag, self.data, self.valid)
+        return _object_array(list(map(_cell_json, self.data)))
+
     def take(self, indices: Any) -> "Column":
         """Gather rows (``indices`` is an int array or list)."""
         if self.is_array:
+            rows = None
+            if self.stored is not None:
+                rows = (
+                    _np.asarray(indices, dtype=_np.intp)
+                    if self.rows is None else self.rows[indices]
+                )
             return Column(
                 self.tag,
                 self.data[indices],
                 None if self.valid is None else self.valid[indices],
                 self.int_bound,
-                None if self.objects is None else self.objects[indices],
+                self.stored,
+                rows,
             )
         data = self.data
         return Column(
             self.tag, [data[i] for i in indices], None, self.int_bound
         )
+
+
+# -- JSON text of cells: the json encoder's own rules ------------------------
+
+_BOOL_JSON = ("false", "true")
+
+
+def _float_json(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _cell_json(value: Any) -> str:
+    """One cell of a list-backed column, in the order of checks the
+    ``json`` encoder makes."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return _BOOL_JSON[value]
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_json(value)
+    return json.dumps(value)
+
+
+def _object_array(values: list) -> Any:
+    array = _np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
+def _typed_json(tag: str, data: Any, valid: Any) -> Any:
+    """JSON text of an array-backed column, one typed ``map``."""
+    values = data.tolist()
+    if tag == "int":
+        cells = map(int.__repr__, values)
+    elif tag == "float":
+        finite = _np.isfinite(data).all()
+        cells = map(float.__repr__ if finite else _float_json, values)
+    elif tag == "bool":
+        cells = map(_BOOL_JSON.__getitem__, values)
+    else:
+        cells = map(encode_basestring_ascii, values)
+    text = _object_array(list(cells))
+    if valid is not None:
+        text[~valid] = "null"
+    return text
 
 
 _DTYPES = {"int": _np.int64, "float": _np.float64, "bool": _np.bool_}
@@ -161,7 +318,9 @@ def column_from_values(values: Sequence[Any]) -> Column:
         filled = objects.copy()
         filled[~valid] = _FILLS[tag]
     if tag == "str":  # object array: values stay Python strings
-        return Column("str", filled, valid, 0, objects)
+        return Column(
+            "str", filled, valid, 0, StoredCells("str", filled, valid, objects)
+        )
     try:
         data = filled.astype(_DTYPES[tag])
     except OverflowError:  # an int beyond int64
@@ -174,7 +333,9 @@ def column_from_values(values: Sequence[Any]) -> Column:
             return Column("object", values)
     elif tag == "float" and _np.isnan(data).any():
         return Column("object", values)  # NaN: identity-bearing
-    return Column(tag, data, valid, bound, objects)
+    return Column(
+        tag, data, valid, bound, StoredCells(tag, data, valid, objects)
+    )
 
 
 def column_values(col: Column) -> list:
@@ -182,8 +343,8 @@ def column_values(col: Column) -> list:
     the values it was built from when it remembers them."""
     if not col.is_array:
         return list(col.data)
-    if col.objects is not None:
-        return col.objects.tolist()
+    if col.stored is not None:
+        return col.objects().tolist()
     data = col.data.tolist()
     if col.valid is None:
         return data
@@ -194,7 +355,12 @@ def column_values(col: Column) -> list:
 
 def concat_columns(a: Column, b: Column) -> Column:
     """Stack two columns (union); mismatched tags re-sniff to preserve
-    value types exactly rather than promoting through a NumPy cast."""
+    value types exactly rather than promoting through a NumPy cast.  An
+    empty side contributes nothing, its tag included."""
+    if not len(b):
+        return a
+    if not len(a):
+        return b
     if a.is_array and b.is_array and a.tag == b.tag:
         data = _np.concatenate([a.data, b.data])
         if a.valid is None and b.valid is None:
@@ -206,11 +372,14 @@ def concat_columns(a: Column, b: Column) -> Column:
                 b.valid if b.valid is not None
                 else _np.ones(len(b.data), dtype=bool),
             ])
-        objects = None
-        if a.objects is not None and b.objects is not None:
-            objects = _np.concatenate([a.objects, b.objects])
+        stored = rows = None
+        if a.stored is not None and a.stored is b.stored:
+            stored = a.stored
+            rows = _np.concatenate([a._stored_rows(), b._stored_rows()])
+        elif a.stored is not None and b.stored is not None:
+            stored = StoredCells(a.tag, data, valid, parts=(a, b))
         return Column(
-            a.tag, data, valid, max(a.int_bound, b.int_bound), objects
+            a.tag, data, valid, max(a.int_bound, b.int_bound), stored, rows
         )
     return column_from_values(column_values(a) + column_values(b))
 
@@ -283,6 +452,23 @@ class ColumnarTable:
             mult,
         )
 
+    def concat(self, other: "ColumnarTable") -> "ColumnarTable":
+        """The rows of ``self`` followed by those of ``other`` (whose
+        schema must have the same arity), duplicates kept."""
+        mult = None
+        if self.mult is not None or other.mult is not None:
+            mult = (
+                (self.mult if self.mult is not None else [1] * self.nrows)
+                + (other.mult if other.mult is not None
+                   else [1] * other.nrows)
+            )
+        return ColumnarTable(
+            self.schema,
+            [concat_columns(a, b) for a, b in zip(self.columns, other.columns)],
+            self.nrows + other.nrows,
+            mult,
+        )
+
     def to_relation(self) -> Relation:
         return Relation(self.schema, frozenset(self.tuples()))
 
@@ -292,6 +478,104 @@ class ColumnarTable:
         for row, count in zip(self.tuples(), mult):
             counts[row] = counts.get(row, 0) + count
         return BagRelation(self.schema, counts)
+
+
+# -- the delta of two tables, in one sort -----------------------------------
+
+def _sort_keys(a: Column, b: Column) -> list | None:
+    """Sort keys for one attribute over ``a`` then ``b`` whose order and
+    equality are ``sort_rows``'s and ``==``'s: a validity key (NULL
+    first) where a side has NULLs, then the values — numbers and bools
+    as they are, strings as their stored order codes (coded now when
+    the two sides' cells differ).  ``None``
+    when no exact key exists: a list-backed column, the two sides'
+    tags differ, or a NaN.  An empty side's column does not count."""
+    parts = [column for column in (a, b) if len(column)]
+    if not parts:
+        return []
+    tags = {column.tag for column in parts}
+    if len(tags) > 1 or not all(column.is_array for column in parts):
+        return None
+    tag = tags.pop()
+    if tag == "object":
+        return None
+    if tag == "str" and parts[0].stored is not None and all(
+        column.stored is parts[0].stored for column in parts
+    ):
+        values = _np.concatenate(
+            [column._stored_view(column.stored.codes()) for column in parts]
+        )
+    elif tag == "str":
+        _, values = _np.unique(
+            _np.concatenate([column.data for column in parts]),
+            return_inverse=True,
+        )
+        values = values.reshape(-1)
+    else:  # sorting and == both take -0.0 for 0.0
+        values = _np.concatenate([column.data for column in parts])
+    if all(column.valid is None for column in parts):
+        valid = None
+    else:
+        valid = _np.concatenate([
+            column.valid if column.valid is not None
+            else _np.ones(len(column), dtype=bool)
+            for column in parts
+        ])
+        values = _np.where(valid, values, 0)
+    if tag == "float" and _np.isnan(values).any():
+        return None
+    return [values] if valid is None else [valid, values]
+
+
+def sorted_delta(
+    current: ColumnarTable, modified: ColumnarTable
+) -> tuple[ColumnarTable, ColumnarTable] | None:
+    """``Δ`` of two set-semantics results in one sort: the rows of
+    ``current`` that ``modified`` lacks and the rows of ``modified``
+    that ``current`` lacks, each in ``sort_rows`` order — or ``None``
+    when some attribute has no exact sort key (see :func:`_sort_keys`)
+    and the caller must take the frozenset route.
+
+    ``np.lexsort`` orders the two tables' rows together; a run of equal
+    adjacent rows is one distinct row, common to both sides when the run
+    holds rows of both, a delta row otherwise.  The sort is stable and
+    ``current`` comes first, so a run's first row is its first
+    occurrence in table order — the one a ``frozenset`` of the rows
+    keeps, which matters where equal cells differ in text (``0.0`` /
+    ``-0.0``)."""
+    if (
+        current.mult is not None
+        or modified.mult is not None
+        or len(current.columns) != len(modified.columns)
+        or not current.columns
+    ):
+        return None
+    if current is modified:  # one table (a relation both sides scan)
+        none = _np.zeros(0, dtype=_np.intp)
+        return current.take(none), modified.take(none)
+    keys: list = []
+    for a, b in zip(current.columns, modified.columns):
+        column_keys = _sort_keys(a, b)
+        if column_keys is None:
+            return None
+        keys += column_keys
+    total = current.nrows + modified.nrows
+    if not total:
+        return current, modified
+    order = _np.lexsort(keys[::-1])  # lexsort's primary key is its last
+    starts = _np.zeros(total, dtype=bool)
+    starts[0] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    first = _np.flatnonzero(starts)
+    from_current = _np.add.reduceat(
+        (order < current.nrows).astype(_np.int64), first
+    )
+    length = _np.diff(first, append=total)
+    removed = order[first[from_current == length]]
+    added = order[first[from_current == 0]] - current.nrows
+    return current.take(removed), modified.take(added)
 
 
 # -- columnarization caches --------------------------------------------------

@@ -72,6 +72,12 @@ class Backend:
     ``evaluate(op, db)`` / ``evaluate_bag(op, bag_db)`` run an operator
     tree to a ``Relation`` / ``BagRelation``; ``apply(stmt, db)`` /
     ``apply_bag(stmt, bag_db)`` run one statement to the next database.
+    ``evaluate_pair(query_h, query_m, db)`` runs a reenactment query
+    pair to its two results, in the form the executor produces them:
+    two :class:`~repro.relational.columnar.ColumnarTable` s from the
+    columnar evaluator — rows unmaterialized, duplicates kept, for
+    :meth:`repro.core.delta.RelationDelta.of_results` to compare in one
+    sort — and two ``Relation`` s (``evaluate`` twice) from the others.
     ``pool_kind`` is what a worker pool for this backend is made of:
     ``"process"`` for the in-process executors (pure Python does not
     parallelize under the GIL), ``"thread"`` for sqlite (the C engine
@@ -84,20 +90,30 @@ class Backend:
     evaluate_bag: Callable[[Any, Any], Any]
     apply: Callable[[Any, Any], Any]
     apply_bag: Callable[[Any, Any], Any]
+    evaluate_pair: Callable[[Any, Any, Any], tuple[Any, Any]]
 
 
 _RELATIONAL = __name__.rsplit(".", 2)[0]
 
 
-def _late(module: str, function: str) -> Callable[[Any, Any], Any]:
+def _late(module: str, function: str) -> Callable[..., Any]:
     """``repro.relational.<module>.<function>``, imported when called:
     the executors import the algebra, which imports this module."""
     path = f"{_RELATIONAL}.{module}"
 
-    def entry_point(subject: Any, db: Any) -> Any:
-        return getattr(import_module(path), function)(subject, db)
+    def entry_point(*args: Any) -> Any:
+        return getattr(import_module(path), function)(*args)
 
     return entry_point
+
+
+def _twice(evaluate: Callable[[Any, Any], Any]):
+    """``evaluate_pair`` of an executor whose results are relations."""
+
+    def evaluate_pair(query_h: Any, query_m: Any, db: Any):
+        return evaluate(query_h, db), evaluate(query_m, db)
+
+    return evaluate_pair
 
 
 _BACKENDS: Mapping[str, Backend] = MappingProxyType(
@@ -111,6 +127,7 @@ _BACKENDS: Mapping[str, Backend] = MappingProxyType(
                 _late("exec.bag_compile", "execute_plan_bag"),
                 _late("exec.plan_compile", "apply_statement_compiled"),
                 _late("exec.bag_compile", "apply_statement_compiled_bag"),
+                _late("exec.vector_compile", "execute_pair_vector"),
             ),
             Backend(
                 BACKEND_INTERPRETED,
@@ -119,6 +136,7 @@ _BACKENDS: Mapping[str, Backend] = MappingProxyType(
                 _late("bag", "evaluate_query_bag_interpreted"),
                 _late("statements", "apply_statement_interpreted"),
                 _late("bag", "apply_statement_bag_interpreted"),
+                _twice(_late("algebra", "evaluate_query_interpreted")),
             ),
             Backend(
                 BACKEND_SQLITE,
@@ -127,6 +145,7 @@ _BACKENDS: Mapping[str, Backend] = MappingProxyType(
                 _late("exec.sql_backend", "execute_query_sqlite_bag"),
                 _late("exec.sql_backend", "apply_statement_sqlite"),
                 _late("exec.sql_backend", "apply_statement_sqlite_bag"),
+                _twice(_late("exec.sql_backend", "execute_query_sqlite")),
             ),
             Backend(
                 BACKEND_VECTOR,
@@ -135,6 +154,7 @@ _BACKENDS: Mapping[str, Backend] = MappingProxyType(
                 _late("exec.vector_compile", "execute_plan_vector_bag"),
                 _late("exec.plan_compile", "apply_statement_compiled"),
                 _late("exec.bag_compile", "apply_statement_compiled_bag"),
+                _late("exec.vector_compile", "execute_pair_vector"),
             ),
         )
     }

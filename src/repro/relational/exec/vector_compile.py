@@ -65,7 +65,6 @@ from ..columnar import (
     column_values,
     columnar_of_bag,
     columnar_of_relation,
-    concat_columns,
 )
 from ..expressions import (
     Arith,
@@ -85,6 +84,7 @@ from .expr_compile import compile_predicate, compile_row
 from .plan_compile import _null_free, split_equijoin_condition
 
 __all__ = [
+    "execute_pair_vector",
     "execute_plan_vector",
     "execute_plan_vector_bag",
     "vectorize_condition",
@@ -463,16 +463,7 @@ def _difference_set(
     if left.columns:
         # Joint coding over the concatenation guarantees both sides
         # share codes; recover the per-side slices afterwards.
-        joint = _row_codes(
-            ColumnarTable(
-                left.schema,
-                [
-                    concat_columns(lc, rc)
-                    for lc, rc in zip(left.columns, right.columns)
-                ],
-                left.nrows + right.nrows,
-            )
-        )
+        joint = _row_codes(left.concat(right))
     if joint is not None:
         lpart = joint[: left.nrows]
         rpart = joint[left.nrows:]
@@ -715,18 +706,7 @@ def _eval(op: Operator, db: Any, bag: bool) -> ColumnarTable:
         check_union_compatible(
             left.schema, right.schema, "bag union" if bag else "union"
         )
-        columns = [
-            concat_columns(lc, rc)
-            for lc, rc in zip(left.columns, right.columns)
-        ]
-        mult = None
-        if bag:
-            lm = left.mult if left.mult is not None else [1] * left.nrows
-            rm = right.mult if right.mult is not None else [1] * right.nrows
-            mult = lm + rm
-        combined = ColumnarTable(
-            left.schema, columns, left.nrows + right.nrows, mult
-        )
+        combined = left.concat(right)
         return _aggregate(combined) if bag else _dedup(combined)
     if isinstance(op, Difference):
         left = _eval(op.left, db, bag)
@@ -766,6 +746,20 @@ def execute_plan_vector(op: Operator, db: Any) -> Relation:
     """Evaluate an operator tree columnar under set semantics."""
     _check_base_relations(op, db)
     return _eval(op, db, bag=False).to_relation()
+
+
+def execute_pair_vector(
+    query_h: Operator, query_m: Operator, db: Any
+) -> tuple[ColumnarTable, ColumnarTable]:
+    """Evaluate a reenactment query pair columnar under set semantics,
+    to the two result tables: duplicates are not removed and no row is
+    materialized — :func:`repro.relational.columnar.sorted_delta`
+    compares the tables as they are."""
+    results = []
+    for query in (query_h, query_m):
+        _check_base_relations(query, db)
+        results.append(_eval(query, db, bag=False))
+    return results[0], results[1]
 
 
 def execute_plan_vector_bag(op: Operator, db: Any):

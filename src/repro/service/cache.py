@@ -7,9 +7,10 @@ publishes them and reports appends, nothing more.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Any, Hashable, Iterable, Mapping
+
+from .wire import answer_json, result_payload
 
 __all__ = ["CachedAnswer", "ResultCache"]
 
@@ -27,8 +28,13 @@ class CachedAnswer:
     body: bytes
 
     @classmethod
-    def encode(cls, payload: dict) -> "CachedAnswer":
-        return cls(payload, json.dumps(payload).encode("utf-8"))
+    def encode(cls, result, fields: Mapping[str, Any]) -> "CachedAnswer":
+        """``result``'s :func:`~repro.service.wire.result_payload`
+        followed by ``fields``, as a dict and as bytes, both from the
+        delta's sorted tables (the bytes first: a delta of frozensets
+        builds its tables then, and is sorted once)."""
+        body = answer_json(result, tail=fields).encode("utf-8")
+        return cls({**result_payload(result), **fields}, body)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,6 @@ from .wire import (
     METHODS,
     SpecError,
     modifications_from_spec,
-    result_payload,
 )
 
 __all__ = ["WhatIfService"]
@@ -743,15 +742,11 @@ class WhatIfService:
         """Stage 5, outside any lock: everything about one answer that
         no later response to it will change, as a dict and — once, here
         — as the bytes every one of those responses is made of."""
-        payload = {
-            **result_payload(result),
-            "method": options.method.value,
-            "backend": used_backend,
-        }
+        fields = {"method": options.method.value, "backend": used_backend}
         if used_backend != options.backend:
-            payload["degraded_from"] = options.backend
+            fields["degraded_from"] = options.backend
         self.wire_encodes.inc(route=route)
-        return CachedAnswer.encode(payload)
+        return CachedAnswer.encode(result, fields)
 
     def _publish(
         self, handle: _HistoryHandle, options: _Options, pending: _Pending,

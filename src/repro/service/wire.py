@@ -13,21 +13,35 @@ Two payload families:
   stable under the cache-retention rule — see DESIGN.md, "Service
   architecture"); the CLI's local ``--batch`` path keeps them for
   backward compatibility.
+
+Both renderings of a delta take its rows in ``sort_rows`` order from
+the delta: the dict (:func:`result_payload`) as row lists
+(:meth:`~repro.core.delta.RelationDelta.sorted_rows`), the text
+(:func:`answer_json`, the one encoder: service answers and the CLI's
+local ``--batch`` lines) from the two sorted tables
+:meth:`~repro.core.delta.RelationDelta.tables` returns, as each
+column's :meth:`~repro.relational.columnar.Column.json_text` — which a
+cell the plan passed through reads from the stored relation's
+remembered text.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Mapping
+
+import numpy as np
 
 from ..core import DeleteStatementMod, Method, Replace
 from ..core.hwq import InsertStatementMod, Modification
+from ..relational.columnar import ColumnarTable
 from ..relational.parser import ParseError, parse_statement
-from ..relational.relation import sort_rows
 
 __all__ = [
     "SpecError",
     "METHODS",
     "modifications_from_spec",
+    "answer_json",
     "delta_payload",
     "result_payload",
 ]
@@ -74,17 +88,94 @@ def modifications_from_spec(spec: Any) -> tuple[Modification, ...]:
     return tuple(modifications)
 
 
+def _nonempty(result, include_empty: bool):
+    """``(relation, delta)`` per relation of the answer, by name."""
+    for relation, delta in sorted(result.delta.relations.items()):
+        if include_empty or not delta.is_empty():
+            yield relation, delta
+
+
 def delta_payload(result, *, include_empty: bool = False) -> dict:
     """The per-relation ``+``/``-`` tuples of one answer as JSON."""
-    return {
-        relation: {
+    payload = {}
+    for relation, delta in _nonempty(result, include_empty):
+        removed, added = delta.sorted_rows(list)
+        payload[relation] = {
             "attributes": list(delta.schema.attributes),
-            "added": [list(row) for row in sort_rows(delta.added)],
-            "removed": [list(row) for row in sort_rows(delta.removed)],
+            "added": added,
+            "removed": removed,
         }
-        for relation, delta in sorted(result.delta.relations.items())
-        if include_empty or delta.added or delta.removed
+    return payload
+
+
+def _rows_json(table: ColumnarTable, pieces: list[str]) -> None:
+    """Append the pieces of ``table``'s rows as a JSON list of lists:
+    each column's cell text interleaved with the separators in one
+    object grid, so no row is ever built."""
+    rows, width = table.nrows, len(table.columns)
+    if not rows or not width:
+        pieces.append(json.dumps([[]] * rows))
+        return
+    grid = np.empty((rows, 2 * width), dtype=object)
+    for index, column in enumerate(table.columns):
+        grid[:, 2 * index] = column.json_text()
+    grid[:, 1:-1:2] = ", "
+    grid[:, -1] = "], ["
+    grid[-1, -1] = "]]"
+    pieces.append("[[")
+    pieces += grid.ravel().tolist()
+
+
+def answer_json(
+    result,
+    head: Mapping[str, Any] | None = None,
+    tail: Mapping[str, Any] | None = None,
+    *,
+    include_empty: bool = False,
+) -> str:
+    """``json.dumps({**head, **result_payload(result), **tail})``, byte
+    for byte, without building the payload's rows: the delta's text is
+    spelled column by column from the sorted tables and the whole is
+    assembled with one ``"".join``; the small fields around it go
+    through ``json.dumps``."""
+    rest = {**_answer_fields(result), **(tail or {})}
+    pieces = ["{"]
+    if head:
+        pieces += [json.dumps(dict(head))[1:-1], ", "]
+    pieces.append('"delta": {')
+    for index, (relation, delta) in enumerate(
+        _nonempty(result, include_empty)
+    ):
+        removed, added = delta.tables()
+        if index:
+            pieces.append(", ")
+        pieces += [
+            json.dumps(relation), ': {"attributes": ',
+            json.dumps(list(delta.schema.attributes)), ', "added": ',
+        ]
+        _rows_json(added, pieces)
+        pieces.append(', "removed": ')
+        _rows_json(removed, pieces)
+        pieces.append("}")
+    pieces += ["}, ", json.dumps(rest)[1:]]
+    return "".join(pieces)
+
+
+def _answer_fields(result) -> dict:
+    """Everything of :func:`result_payload` after its ``"delta"``."""
+    fields = {
+        "ps_seconds": result.ps_seconds,
+        "exe_seconds": result.exe_seconds,
     }
+    profile = getattr(result, "profile", None)
+    if profile is not None:
+        fields["profile"] = {
+            relation: {
+                side: prof.payload() for side, prof in sides.items()
+            }
+            for relation, sides in sorted(profile.items())
+        }
+    return fields
 
 
 def result_payload(result, *, include_empty: bool = False) -> dict:
@@ -95,17 +186,7 @@ def result_payload(result, *, include_empty: bool = False) -> dict:
     reenactment queries (see :class:`repro.obs.profile.OperatorProfile`,
     ``payload()`` shape).
     """
-    payload = {
+    return {
         "delta": delta_payload(result, include_empty=include_empty),
-        "ps_seconds": result.ps_seconds,
-        "exe_seconds": result.exe_seconds,
+        **_answer_fields(result),
     }
-    profile = getattr(result, "profile", None)
-    if profile is not None:
-        payload["profile"] = {
-            relation: {
-                side: prof.payload() for side, prof in sides.items()
-            }
-            for relation, sides in sorted(profile.items())
-        }
-    return payload

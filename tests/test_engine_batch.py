@@ -13,6 +13,7 @@ seeded-random counterpart (including the set/bag batched-replay sweep)
 lives in ``tests/test_sql_backend_differential.py``.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -288,14 +289,19 @@ class TestExeSecondsAccounting:
     def test_evaluation_is_charged(self, query, monkeypatch):
         from repro.core import batch as batch_module
 
-        real = batch_module.evaluate_query
+        real = batch_module.resolve_backend
 
-        def slow(*args, **kwargs):
-            time.sleep(self.DELAY)
-            return real(*args, **kwargs)
+        def slowed(name=None):
+            backend = real(name)
 
-        # Both sides of every (query, relation) pair evaluate through it.
-        monkeypatch.setattr(batch_module, "evaluate_query", slow)
+            def evaluate_pair(*args):
+                time.sleep(2 * self.DELAY)  # one delay per side
+                return backend.evaluate_pair(*args)
+
+            return dataclasses.replace(backend, evaluate_pair=evaluate_pair)
+
+        # Every (query, relation) pair evaluates through it.
+        monkeypatch.setattr(batch_module, "resolve_backend", slowed)
         engine = Mahif(MahifConfig())
         single = engine.answer(query, Method.R_DS)
         (batch,) = engine.answer_batch([query], Method.R_DS)

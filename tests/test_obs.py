@@ -652,3 +652,33 @@ def test_columnar_memo_counter_and_the_execute_span(orders_db, paper_history):
     assert 'mahif_columnar_memo_total{outcome="miss"} ' in (
         global_registry().render()
     )
+
+
+def test_gc_hook_counts_one_collection_per_collect():
+    """``mahif_gc_collections_total{generation}`` /
+    ``mahif_gc_pause_seconds_total{generation}`` come from the process's
+    one ``gc.callbacks`` hook: ``gc.collect(2)`` moves generation ``"2"``
+    by exactly one, and a registry built later adds no second hook."""
+    import gc
+
+    from repro.obs import metrics
+
+    registry = global_registry()
+    collections = registry._metrics["mahif_gc_collections_total"]
+    pauses = registry._metrics["mahif_gc_pause_seconds_total"]
+    before = collections.value(generation="2")
+    paused = pauses.value(generation="2")
+    gc.collect(2)
+    assert collections.value(generation="2") == before + 1
+    assert pauses.value(generation="2") > paused
+
+    def hooks():
+        return [c for c in gc.callbacks if isinstance(c, metrics._GcHook)]
+
+    assert len(hooks()) == 1
+    metrics.MetricsRegistry()
+    metrics.MetricsRegistry()
+    assert len(hooks()) == 1
+    rendered = registry.render()
+    assert 'mahif_gc_collections_total{generation="2"} ' in rendered
+    assert 'mahif_gc_pause_seconds_total{generation="0"} ' in rendered

@@ -117,7 +117,7 @@ def run(seed: int) -> dict:
             fingerprint = rng.choice(FINGERPRINTS)
             # One put in five lost a race with an append.
             at = length if rng.random() < 0.8 else length - rng.randrange(1, 3)
-            answer = CachedAnswer.encode({"answer": step})
+            answer = answer_of(step)
             taken = cache.put(fingerprint, answer, footprint[fingerprint], at)
             assert taken == (at == length)
             seen["stale"] += not taken
@@ -164,7 +164,8 @@ def test_cache_agrees_with_the_model(trial):
 
 
 def answer_of(value) -> CachedAnswer:
-    return CachedAnswer.encode({"answer": value})
+    payload = {"answer": value}
+    return CachedAnswer(payload, json.dumps(payload).encode("utf-8"))
 
 
 class TestContract:
