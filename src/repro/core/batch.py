@@ -13,14 +13,13 @@ N over a shared history (``Mahif.answer_batch``):
 2. **Plan** — :func:`repro.core.plan.plan_reenactment` per query.
    Queries whose (sliced) statement pairs are structurally identical
    share finished operator trees, data-slicing conditions and optimized
-   plans through a per-call keyed cache one level above the
-   compiled-plan cache; fresh plans are statically verified once
-   (``MahifConfig(verify_plans=True)``), cache hits skip the check.
+   plans through a per-call keyed cache; fresh plans are statically
+   verified once (``MahifConfig(verify_plans=True)``), cache hits skip
+   the check.
 3. **Execute** — one call of one task function, :func:`pair_task`,
    per (query, affected relation), in-process or over the engine's
    pool (:mod:`repro.core.pool`: processes for the in-process backends
-   — operator trees, databases and deltas all pickle, and workers
-   compile trees into their own per-process plan caches — threads for
+   — operator trees, databases and deltas all pickle — threads for
    sqlite).
 4. **Assemble** — one :class:`~repro.core.engine.MahifResult` per query.
 
@@ -274,8 +273,7 @@ def _plan_stage(
 ) -> list[ReenactmentPlan]:
     """Plan every query, over the pool when there is one.  Only
     in-process and thread-pool planning can mutate the call's shared
-    plan cache in place; process workers rely on their per-process
-    compiled-plan caches instead."""
+    plan cache in place; process workers plan each query afresh."""
     shared: dict | None = {}
     if executor is not None and executor.kind == "process":
         shared = None
@@ -318,8 +316,7 @@ def pair_task(
     The execute stage's one task function: every (query, affected
     relation) runs through it, in-process or in a pool worker
     (module-level so process pools pick it up by reference; the operator
-    trees and databases it receives all pickle, and workers compile into
-    their own plan caches).  The pair runs through the backend's
+    trees and databases it receives all pickle).  The pair runs through the backend's
     ``evaluate_pair`` and :meth:`RelationDelta.of_results` — on the
     columnar evaluator one sort of the two result tables, no row
     materialized.  ``extra_original`` / ``extra_modified`` are the

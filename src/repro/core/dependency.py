@@ -18,7 +18,17 @@ symbolic runs.  The formula size is linear in the history length and
 independent of the database size — the property that makes PS cost flat in
 relation size (Figure 16).
 
-All n checks of a relation share ``Φ_D`` and the "affected by some
+Theorem 5 covers statements *after* a modification: the paper's history
+is trimmed to start at its one modified statement.  With several
+modifications, or an untrimmed pair, a statement before a later modified
+position can decide which tuples reach that modification — a ``DELETE``
+that hides them, an ``UPDATE`` that moves them out of its condition — so
+"affected by both" being unsatisfiable does not make it droppable.  Every
+statement on an affected relation before the last modified position is
+therefore kept without a solver check; only the statements after it are
+checked.
+
+All checks of a relation share ``Φ_D`` and the "affected by some
 modification" disjunction over ``m``; only ``θ_{u_i}`` differs.  The
 shared part is therefore prepared once per relation in a
 :class:`repro.solver.session.SolverSession` and each statement checks its
@@ -82,14 +92,17 @@ def dependency_slice(
 ) -> SliceResult:
     """Compute a slice via the dependency condition of Definition 7.
 
-    Modified statements are always kept; every other statement targeting
-    an affected relation is kept iff the dependency formula is satisfiable
-    (or the solver cannot decide — conservative).  Statements on relations
-    without modifications are excluded, as in :func:`greedy_slice`.
+    Modified statements are always kept, and so is every statement on an
+    affected relation before the last modified position (see the module
+    docstring); every later statement targeting an affected relation is
+    kept iff the dependency formula is satisfiable (or the solver cannot
+    decide — conservative).  Statements on relations without
+    modifications are excluded, as in :func:`greedy_slice`.
     """
     config = config or ProgramSlicingConfig()
     n = len(aligned)
     modified_positions = set(aligned.modified_positions)
+    last_modified = max(modified_positions, default=0)
     affected_relations = aligned.target_relations_of_modifications()
 
     kept: set[int] = set(modified_positions)
@@ -185,6 +198,9 @@ def dependency_slice(
                     continue
                 stmt = aligned.original[position]
                 if stmt.relation != relation:
+                    continue
+                if position < last_modified:
+                    kept.add(position)
                     continue
                 tuple_h, local_h = run_h.steps[position - 1]
                 tuple_m, local_m = run_m.steps[position - 1]

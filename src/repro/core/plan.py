@@ -99,10 +99,11 @@ def statement_share_key(stmt) -> tuple:
     """A hashable structural key for one statement, type-faithful.
 
     Dataclass equality compares ``Const(1) == Const(True)``, yet the two
-    produce differently-typed rows — so, exactly like the plan cache's
-    :func:`~repro.relational.exec.plan_compile.plan_fingerprint`, the
-    key carries the types of every embedded constant alongside the
-    statement structure.  Used to detect queries whose sliced histories
+    produce differently-typed rows — so the key carries the types of
+    every embedded constant alongside the statement structure
+    (:func:`~repro.relational.exec.expr_compile.const_fingerprint`, and
+    :func:`~repro.relational.exec.expr_compile.plan_fingerprint` for the
+    query of an ``INSERT … SELECT``).  Used to detect queries whose sliced histories
     are interchangeable (the shared-plan cache below), shared time-travel
     prefixes and the service's result-cache fingerprints.  Remembered on
     the statement object: asking again builds nothing.
@@ -111,8 +112,10 @@ def statement_share_key(stmt) -> tuple:
 
 
 def _build_share_key(stmt) -> tuple:
-    from ..relational.exec.expr_compile import const_fingerprint
-    from ..relational.exec.plan_compile import plan_fingerprint
+    from ..relational.exec.expr_compile import (
+        const_fingerprint,
+        plan_fingerprint,
+    )
 
     if isinstance(stmt, UpdateStatement):
         sets = tuple(sorted(stmt.set_clauses.items()))
@@ -304,11 +307,9 @@ def plan_reenactment(
 
     ``start_db`` is the time-travelled version before the query's first
     modified statement (the pipeline's previous stage); ``shared`` is
-    the call's keyed plan cache — one level above the per-process
-    compiled-plan cache in :mod:`repro.relational.exec.plan_compile` —
-    mapping the sliced statement pair (plus schemas, method and
-    insert-split context) to finished ``(queries_h, queries_m,
-    data_slicing)`` triples.
+    the call's keyed plan cache, mapping the sliced statement pair (plus
+    schemas, method and insert-split context) to finished ``(queries_h,
+    queries_m, data_slicing)`` triples.
     """
     trimmed, _ = query.aligned().trim_prefix()
     schemas = {name: start_db.schema_of(name) for name in start_db.relations}

@@ -28,6 +28,14 @@ import re
 from functools import lru_cache
 from typing import Any, Callable, Sequence
 
+from ..algebra import (
+    Join,
+    Operator,
+    Project,
+    Select,
+    Singleton,
+    walk_operators,
+)
 from ..expressions import (
     Arith,
     Attr,
@@ -49,6 +57,7 @@ __all__ = [
     "compile_predicate",
     "compile_row",
     "const_fingerprint",
+    "plan_fingerprint",
     "clear_expr_cache",
     "expr_cache_info",
 ]
@@ -69,6 +78,23 @@ def const_fingerprint(expr: Expr) -> tuple[str, ...]:
         for node in walk(expr)
         if isinstance(node, Const)
     )
+
+
+def plan_fingerprint(op: Operator) -> tuple[str, ...]:
+    """:func:`const_fingerprint` of a whole operator tree: the types of
+    every constant it embeds, ``Singleton`` rows included, in walk
+    order — ``(1,) == (True,)``, so a key on the tree must carry them."""
+    parts: list[str] = []
+    for node in walk_operators(op):
+        if isinstance(node, Singleton):
+            parts.extend(type(value).__name__ for value in node.row)
+        elif isinstance(node, (Select, Join)):
+            parts.extend(const_fingerprint(node.condition))
+        elif isinstance(node, Project):
+            for expr, _ in node.outputs:
+                parts.extend(const_fingerprint(expr))
+    return tuple(parts)
+
 
 #: Operator spellings in generated code.
 _ARITH_SOURCE = {"+": "+", "-": "-", "*": "*", "/": "/"}

@@ -1,18 +1,20 @@
-"""The columnar evaluator — ``evaluate`` of the default ``"compiled"``
-backend and both evaluators of ``"vector"``: whole-column kernels over
+"""The columnar evaluator — the one query compiler of the in-process
+``"compiled"`` backend (``"vector"`` is the same backend under its older
+name): every operator tree the backend evaluates, under set and bag
+semantics, a reenactment query or the query of an ``INSERT … SELECT``
+inside a replayed statement, runs here as whole-column kernels over
 :class:`~repro.relational.columnar.ColumnarTable`.
 
 Operators evaluate bottom-up into columnar tables: selections compute a
 bitmap filter, projections evaluate output expressions as column
 kernels, equi-joins match key *codes* with a bloom-bitmap prefilter and
 a stable sort/searchsorted probe, and bag semantics carries an explicit
-multiplicity column with eager duplicate aggregation at the same
-pipeline breakers where the row pipelines of :mod:`.plan_compile` /
-:mod:`.bag_compile` deduplicate.
+multiplicity column with eager duplicate aggregation at the pipeline
+breakers (projection, union, difference, join).
 
 Exactness contract: the evaluator is differentially fuzzed to be
-bit-identical to the interpreter (and therefore to the row pipelines
-and the sqlite backend).  Two mechanisms make that hold:
+bit-identical to the interpreter (and to the sqlite backend).  Two
+mechanisms make that hold:
 
 * **Kernels only run where eager, array-typed evaluation provably equals
   the interpreter's lazy per-row evaluation.**  A sub-expression
@@ -27,15 +29,14 @@ and the sqlite backend).  Two mechanisms make that hold:
   symbolic :class:`Var` reads, ``"object"`` columns — falls back to the
   compiled per-row closures of :mod:`.expr_compile`.
 * **Row order is preserved through every operator** (probe-side outer,
-  build-insertion inner for joins — the row pipelines' order), so
-  per-row fallbacks hit rows in the same sequence as the row pipelines
-  and raise the same first error.
+  build-insertion inner for joins), so per-row fallbacks hit rows in one
+  fixed sequence and raise the same first error on every run.
 
-Join keys follow :func:`.plan_compile.split_equijoin_condition` and the
-same NULL/NaN build-side exclusion as the compiled hash join; the coded
-fast path additionally normalizes ``-0.0`` to ``+0.0`` and routes
-``|int| >= 2**53`` keys to a Python dict join (NumPy would compare them
-through a lossy ``float64`` cast).
+Join keys come from :func:`split_equijoin_condition`; rows whose key
+holds NULL or NaN never match (:func:`_null_free`); the coded fast path
+additionally normalizes ``-0.0`` to ``+0.0`` and routes ``|int| >=
+2**53`` keys to a Python dict join (NumPy would compare them through a
+lossy ``float64`` cast).
 """
 
 from __future__ import annotations
@@ -77,16 +78,20 @@ from ..expressions import (
     Logic,
     Not,
     TRUE,
+    and_,
+    attributes_of,
+    conjuncts_of,
+    variables_of,
 )
 from ..relation import Relation
 from ..schema import Schema, SchemaError, check_union_compatible
 from .expr_compile import compile_predicate, compile_row
-from .plan_compile import _null_free, split_equijoin_condition
 
 __all__ = [
     "execute_pair_vector",
     "execute_plan_vector",
     "execute_plan_vector_bag",
+    "split_equijoin_condition",
     "vectorize_condition",
 ]
 
@@ -345,7 +350,7 @@ def _project_table(
     table: ColumnarTable, outputs: Sequence[tuple[Expr, str]]
 ) -> ColumnarTable:
     """π: all output expressions as kernels, or one compiled row closure
-    (all-or-nothing keeps error timing identical to the compiled map)."""
+    (all-or-nothing keeps the per-row error timing of a row-wise map)."""
     out_schema = Schema(tuple(name for _, name in outputs))
     exprs = tuple(expr for expr, _ in outputs)
     columns: list[Column] = []
@@ -457,8 +462,8 @@ def _aggregate(table: ColumnarTable) -> ColumnarTable:
 def _difference_set(
     left: ColumnarTable, right: ColumnarTable
 ) -> ColumnarTable:
-    """Set difference: coded anti-join when exact, Python set otherwise
-    (the Python path is byte-for-byte the compiled breaker)."""
+    """Set difference: coded anti-join when exact, Python set of the
+    right side's rows otherwise."""
     joint = None
     if left.columns:
         # Joint coding over the concatenation guarantees both sides
@@ -475,8 +480,8 @@ def _difference_set(
 
 
 def _monus(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
-    """Bag difference over aggregated sides (mirrors the compiled
-    monus breaker: Counter subtract, floored at zero)."""
+    """Bag difference over aggregated sides: counts subtracted, floored
+    at zero."""
     left = _aggregate(left)
     right = _aggregate(right)
     lmult = left.mult if left.mult is not None else [1] * left.nrows
@@ -499,6 +504,61 @@ def _monus(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
 
 
 # -- equi-join matching ------------------------------------------------------
+
+def split_equijoin_condition(
+    condition: Expr, left: Schema, right: Schema
+) -> tuple[tuple[Expr, ...], tuple[Expr, ...], Expr | None]:
+    """Split a join condition into hash keys and a residual.
+
+    Returns ``(left_keys, right_keys, residual)`` where the i-th left and
+    right key expressions must compare equal for a pair to join.  A
+    conjunct qualifies as a key pair when it is an equality whose sides
+    read only attributes of one input each (constants qualify for either
+    side).  Everything else — including conjuncts with free symbolic
+    variables, which must keep the interpreter's raise-on-read timing —
+    lands in the residual.  ``residual`` is ``None`` when nothing
+    remains.
+    """
+    left_attrs = set(left.attributes)
+    right_attrs = set(right.attributes)
+    left_keys: list[Expr] = []
+    right_keys: list[Expr] = []
+    residual: list[Expr] = []
+    for conjunct in conjuncts_of(condition):
+        if (
+            isinstance(conjunct, Cmp)
+            and conjunct.op == "="
+            and not variables_of(conjunct)
+        ):
+            a_attrs = attributes_of(conjunct.left)
+            b_attrs = attributes_of(conjunct.right)
+            if a_attrs <= left_attrs and b_attrs <= right_attrs:
+                left_keys.append(conjunct.left)
+                right_keys.append(conjunct.right)
+                continue
+            if a_attrs <= right_attrs and b_attrs <= left_attrs:
+                left_keys.append(conjunct.right)
+                right_keys.append(conjunct.left)
+                continue
+        residual.append(conjunct)
+    if residual:
+        return tuple(left_keys), tuple(right_keys), and_(*residual)
+    return tuple(left_keys), tuple(right_keys), None
+
+
+def _null_free(key: tuple) -> bool:
+    """Whether a join key can match at all under ``=`` semantics.
+
+    NULL keys never match (2VL), and neither do NaN keys: the
+    interpreter evaluates ``nan == nan`` to False, while a dict probe
+    would match the same NaN *object* via the identity fast path — so
+    both are excluded from the build table.
+    """
+    for value in key:
+        if value is None or value != value:
+            return False
+    return True
+
 
 def _key_columns(
     table: ColumnarTable, keys: Sequence[Expr]
@@ -536,8 +596,8 @@ def _key_valid_mask(columns: list[Column], n: int):
 def _dict_match(
     lcols: list[Column], rcols: list[Column], nl: int, nr: int
 ):
-    """Hash-join on Python key tuples — the compiled join verbatim:
-    build right (NULL/NaN-free keys only), probe left in row order."""
+    """Hash-join on Python key tuples: build right (NULL/NaN-free keys
+    only), probe left in row order."""
     rkeys = list(zip(*[column_values(c) for c in rcols]))
     lkeys = list(zip(*[column_values(c) for c in lcols]))
     table: dict[tuple, list[int]] = {}
@@ -566,13 +626,13 @@ def _equi_match(
 ):
     """Row-index pairs (li, ri) of key-equal rows, probe (left) outer.
 
-    Build side first (error order matches the compiled hash join), then
+    Build side first (its key errors surface before the probe's), then
     coded vectorized matching: per key pair a shared integer coding over
     build+probe values, folded into one radix code per row, a one-hash
     bloom bitmap prefilter on the probe codes, then stable
     argsort/searchsorted expansion.  Anything the coding cannot capture
     exactly routes to the dict join."""
-    # Build (right) before probe (left): compiled consumes right first.
+    # Build (right) before probe (left).
     rcols = _key_columns(right, right_keys)
     lcols = _key_columns(left, left_keys)
     nl, nr = left.nrows, right.nrows

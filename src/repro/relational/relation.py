@@ -10,6 +10,7 @@ their inputs, which is what makes cheap snapshot-based time travel possible
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -208,8 +209,10 @@ def _ordered_as_keyed(column: tuple[Any, ...]) -> bool:
     types = set(map(type, column))
     if types == {str}:
         return True
+    # NaN is the one value unequal to itself; the scan runs in C (no
+    # ``math.isnan``: it raises OverflowError on ints past float range).
     return types <= {int, float} and not (
-        float in types and any(v != v for v in column)
+        float in types and not all(map(operator.eq, column, column))
     )
 
 

@@ -1,8 +1,8 @@
 """Only the configured backend runs.
 
 ``MahifConfig(backend=...)`` reaches every stage of the answer pipeline
-as an explicit argument.  These tests pin that: with the other three
-backends' entry points replaced by ones that raise, an engine still
+as an explicit argument.  These tests pin that: with the other
+executors' entry points replaced by ones that raise, an engine still
 answers — through time travel, the insert split, both slicers, naive
 replay, the worker pool and EXPLAIN — and two engines with different
 backends answering at once never see each other's.
@@ -45,7 +45,10 @@ def _wrapped(name, wrap):
 
 
 def _only(monkeypatch, configured):
-    """Trap every backend but ``configured``; count its own calls."""
+    """Trap every backend but the executor ``configured`` names (under
+    any of its names: ``"vector"`` is ``"compiled"``); count its own
+    calls."""
+    executor = seam.resolve_backend(configured)
     calls = []
 
     def trap(name, entry_point):
@@ -67,7 +70,10 @@ def _only(monkeypatch, configured):
         seam,
         "_BACKENDS",
         {
-            name: _wrapped(name, count if name == configured else trap)
+            name: _wrapped(
+                name,
+                count if seam.resolve_backend(name) is executor else trap,
+            )
             for name in BACKENDS
         },
     )
@@ -157,7 +163,7 @@ class TestOnlyTheConfiguredBackendRuns:
         finally:
             if engine._pool is not None:
                 engine._pool.shutdown()
-        assert set(calls) == {backend}
+        assert set(calls) == {seam.resolve_backend(backend).name}
 
 
 def test_concurrent_engines_see_only_their_own_backend(monkeypatch):

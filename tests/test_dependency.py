@@ -3,10 +3,12 @@
 import pytest
 
 from repro import Database, History, Relation, Schema
+from repro.core import HistoricalWhatIfQuery, Mahif, MahifConfig, Method
 from repro.core.dependency import dependency_slice
 from repro.core.hwq import Replace, align
 from repro.core.program_slicing import greedy_slice
 from repro.relational.expressions import and_, col, ge, le, lit
+from repro.relational.parser import parse_history, parse_statement
 from repro.relational.statements import DeleteStatement, UpdateStatement
 
 SCHEMA = Schema.of("k", "P", "F")
@@ -151,3 +153,87 @@ class TestDependencySlice:
         aligned = align(History.of(u1, *others), [Replace(1, u1p)])
         result = dependency_slice(aligned, db_with(), schemas())
         assert result.solver_calls == 4
+
+
+class TestStatementBeforeALaterModification:
+    """A statement before a later modified one decides which tuples reach
+    it, so it is kept — unchecked — even where "affected by both" is
+    unsatisfiable."""
+
+    SCHEMA = Schema.of("k", "A", "B")
+
+    def database(self):
+        return Database(
+            {
+                "R": Relation.from_rows(
+                    self.SCHEMA, [(k, k, 0) for k in range(6)]
+                )
+            }
+        )
+
+    def query(self):
+        history = History(
+            tuple(
+                parse_history(
+                    "UPDATE R SET B = 2 WHERE A >= 3; "
+                    "DELETE FROM R WHERE A <= 1; "
+                    "UPDATE R SET A = A + 2 WHERE A >= 1"
+                )
+            )
+        )
+        return HistoricalWhatIfQuery(
+            history,
+            self.database(),
+            (
+                Replace(1, parse_statement(
+                    "UPDATE R SET A = A + 2 WHERE A >= 3"
+                )),
+                Replace(3, parse_statement(
+                    "UPDATE R SET B = 1 WHERE A <= 3"
+                )),
+            ),
+        )
+
+    @pytest.mark.parametrize("algorithm", ["dependency", "greedy"])
+    def test_every_method_matches_naive(self, algorithm):
+        """The delete at 2 hides tuples from the modification at 3:
+        dropping it grew the sliced methods' delta from 8 rows to 12."""
+        engine = Mahif(MahifConfig(slicing_algorithm=algorithm))
+        query = self.query()
+        expected = engine.answer(query, Method.NAIVE).delta
+        assert sum(
+            len(delta.added) + len(delta.removed)
+            for delta in expected.relations.values()
+        ) == 8
+        for method in Method:
+            result = engine.answer(query, method)
+            assert result.delta == expected, method.value
+            if result.slice_result is not None:
+                assert result.slice_result.kept_positions == (1, 2, 3)
+
+    def test_kept_without_a_solver_call(self):
+        aligned = self.query().aligned()
+        result = dependency_slice(
+            aligned, self.database(), {"R": self.SCHEMA}
+        )
+        assert result.kept_positions == (1, 2, 3)
+        assert result.solver_calls == 0
+
+    def test_untrimmed_pair_keeps_the_prefix(self):
+        """Called on a pair not trimmed to its first modification, the
+        statements in front of it are kept too: the delete at 1 hides
+        the tuples the modified update at 2 disagrees on."""
+        high = ge(col("P"), 80)
+        aligned = align(
+            History.of(
+                DeleteStatement("R", high),
+                UpdateStatement("R", {"F": lit(1)}, high),
+                UpdateStatement("R", {"F": col("F") + 1}, window(10, 20)),
+            ),
+            [Replace(2, UpdateStatement("R", {"F": lit(2)}, high))],
+        )
+        db = db_with()
+        result = dependency_slice(aligned, db, schemas())
+        assert result.kept_positions == (1, 2)
+        assert result.solver_calls == 1
+        verify_slice(db, aligned, result.kept_positions)

@@ -2,14 +2,20 @@
 
 The compiled backend (``repro.relational.exec``) must agree with the
 tree-walking interpreter on every expression and operator shape.  These
-tests drive both backends over seeded-random expression trees, operator
-trees, and whole historical what-if pipelines (all five ``Method``
-variants), including NULL-heavy data — the interpreter is the oracle.
+tests drive both backends through the backend seam (``evaluate_query``,
+``evaluate_query_bag``, ``Statement.apply``) over seeded-random
+expression trees, operator trees, and whole historical what-if
+pipelines (all five ``Method`` variants), including NULL-heavy data —
+the interpreter is the oracle.  The random operator trees draw their
+seeds from ``fuzz_differential.FUZZ_SEED`` (``MAHIF_FUZZ_SEED``), so a
+fresh seed fuzzes the one query compiler anew.
 """
 
 import random
 
 import pytest
+
+from fuzz_differential import fresh_rng, scaled
 
 from repro.core import (
     HistoricalWhatIfQuery,
@@ -42,7 +48,6 @@ from repro.relational.algebra import (
 )
 from repro.relational.exec import (
     compile_expr,
-    compile_plan,
     compile_predicate,
     compile_row,
     resolve_backend,
@@ -344,8 +349,8 @@ def random_plan(rng, depth=3):
 
 class TestCompiledPlans:
     def test_random_plans_match_interpreter_set_semantics(self):
-        rng = random.Random(4321)
-        for trial in range(120):
+        rng = fresh_rng(4321)
+        for trial in range(scaled(120)):
             db = random_database(rng)
             plan = random_plan(rng)
             try:
@@ -364,8 +369,8 @@ class TestCompiledPlans:
                 assert actual.tuples == expected.tuples, trial
 
     def test_random_plans_match_interpreter_bag_semantics(self):
-        rng = random.Random(8765)
-        for trial in range(120):
+        rng = fresh_rng(8765)
+        for trial in range(scaled(120)):
             db = BagDatabase.from_set_database(random_database(rng, rows=8))
             plan = random_plan(rng)
             try:
@@ -402,10 +407,22 @@ class TestCompiledPlans:
 
 
 # ---------------------------------------------------------------------------
-# hash join fast path
+# join semantics, through the seam (set and bag)
 # ---------------------------------------------------------------------------
 
-class TestHashJoin:
+def assert_joins_like_interpreter(plan, db):
+    """``compiled`` == ``interpreted`` on ``plan`` under set and bag
+    semantics; returns the compiled set result."""
+    compiled = evaluate_query(plan, db, backend="compiled")
+    assert compiled.tuples == evaluate_query_interpreted(plan, db).tuples
+    bag_db = BagDatabase.from_set_database(db)
+    assert dict(
+        evaluate_query_bag(plan, bag_db, backend="compiled").multiplicities
+    ) == dict(evaluate_query_bag_interpreted(plan, bag_db).multiplicities)
+    return compiled
+
+
+class TestJoinSemantics:
     def make_db(self):
         return Database(
             {
@@ -420,22 +437,15 @@ class TestHashJoin:
             }
         )
 
-    def schemas(self, db):
-        return {name: db.schema_of(name) for name in db.relations}
-
-    def test_equijoin_uses_hash_path(self):
+    def test_equijoin_matches_interpreter(self):
         db = self.make_db()
         plan = Join(RelScan("L"), RelScan("R2"), eq(col("a"), col("c")))
-        compiled = compile_plan(plan, self.schemas(db))
-        assert compiled.uses_hash_join
-        assert compiled.execute(db).tuples == evaluate_query_interpreted(
-            plan, db
-        ).tuples
+        assert assert_joins_like_interpreter(plan, db).tuples
 
     def test_null_keys_never_match(self):
         db = self.make_db()
         plan = Join(RelScan("L"), RelScan("R2"), eq(col("a"), col("c")))
-        rows = evaluate_query(plan, db, backend="compiled").tuples
+        rows = assert_joins_like_interpreter(plan, db).tuples
         assert all(row[0] is not None and row[2] is not None for row in rows)
 
     def test_nan_keys_never_match(self):
@@ -450,17 +460,14 @@ class TestHashJoin:
             }
         )
         plan = Join(RelScan("L"), RelScan("R2"), eq(col("a"), col("c")))
-        compiled = evaluate_query(plan, db, backend="compiled").tuples
-        interpreted = evaluate_query_interpreted(plan, db).tuples
-        assert compiled == interpreted == frozenset({(2.0, 2, 2.0, 20)})
+        compiled = assert_joins_like_interpreter(plan, db).tuples
+        assert compiled == frozenset({(2.0, 2, 2.0, 20)})
 
     def test_bool_int_float_key_coercion_matches_interpreter(self):
         # SQL-ish equality: True == 1 == 1.0; dict hashing agrees.
         db = self.make_db()
         plan = Join(RelScan("L"), RelScan("R2"), eq(col("a"), col("c")))
-        compiled = evaluate_query(plan, db, backend="compiled").tuples
-        interpreted = evaluate_query_interpreted(plan, db).tuples
-        assert compiled == interpreted
+        compiled = assert_joins_like_interpreter(plan, db).tuples
         assert (True, 40, 1, "x") in compiled  # bool joins int
 
     def test_residual_condition_applies(self):
@@ -470,39 +477,37 @@ class TestHashJoin:
             RelScan("R2"),
             and_(eq(col("a"), col("c")), gt(col("b"), 15)),
         )
-        compiled = compile_plan(plan, self.schemas(db))
-        assert compiled.uses_hash_join
-        assert compiled.execute(db).tuples == evaluate_query_interpreted(
-            plan, db
-        ).tuples
+        compiled = assert_joins_like_interpreter(plan, db).tuples
+        assert compiled and all(row[1] > 15 for row in compiled)
 
-    def test_non_equi_join_falls_back_to_nested_loop(self):
-        db = self.make_db()
+    def test_non_equi_join_matches(self):
+        db = Database(
+            {
+                "L": Relation.from_rows(
+                    Schema.of("a", "b"), [(1, 10), (2, 20), (None, 30)]
+                ),
+                "R2": Relation.from_rows(
+                    Schema.of("c", "d"), [(1, "x"), (2.5, "y"), (None, "z")]
+                ),
+            }
+        )
         plan = Join(RelScan("L"), RelScan("R2"), lt(col("a"), col("c")))
-        compiled = compile_plan(plan, self.schemas(db))
-        assert not compiled.uses_hash_join
-        assert compiled.execute(db).tuples == evaluate_query_interpreted(
-            plan, db
-        ).tuples
+        compiled = assert_joins_like_interpreter(plan, db).tuples
+        assert compiled == frozenset(
+            {(1, 10, 2.5, "y"), (2, 20, 2.5, "y")}
+        )
 
     def test_cross_join_matches(self):
         db = self.make_db()
         plan = Join(RelScan("L"), RelScan("R2"), TRUE)
-        assert (
-            evaluate_query(plan, db, backend="compiled").tuples
-            == evaluate_query_interpreted(plan, db).tuples
-        )
+        assert len(assert_joins_like_interpreter(plan, db).tuples) == 20
 
     def test_computed_key_expressions(self):
         db = self.make_db()
         plan = Join(
             RelScan("L"), RelScan("R2"), eq(col("a") + 1, col("c") + 1)
         )
-        compiled = compile_plan(plan, self.schemas(db))
-        assert compiled.uses_hash_join
-        assert compiled.execute(db).tuples == evaluate_query_interpreted(
-            plan, db
-        ).tuples
+        assert assert_joins_like_interpreter(plan, db).tuples
 
     def test_split_equijoin_condition(self):
         left, right = Schema.of("a", "b"), Schema.of("c", "d")
@@ -540,6 +545,11 @@ class TestHashJoin:
             evaluate_query_interpreted(plan, db)
         compiled = evaluate_query(plan, db, backend="compiled")
         assert compiled.tuples == frozenset({(2, 2)})
+        bag_db = BagDatabase.from_set_database(db)
+        with pytest.raises(EvaluationError):
+            evaluate_query_bag_interpreted(plan, bag_db)
+        bag = evaluate_query_bag(plan, bag_db, backend="compiled")
+        assert dict(bag.multiplicities) == {(2, 2): 1}
 
     def test_free_variables_stay_in_residual(self):
         left, right = Schema.of("a"), Schema.of("c")
@@ -549,41 +559,41 @@ class TestHashJoin:
         assert lk == ()
         assert residual == eq(col("a"), Var("v"))
 
-
-# ---------------------------------------------------------------------------
-# plan cache
-# ---------------------------------------------------------------------------
-
-class TestPlanCache:
-    def test_same_plan_and_schema_hits_cache(self):
-        db = Database(
-            {"R": Relation.from_rows(Schema.of("a", "b"), [(1, 2)])}
+    def test_free_variable_in_residual_raises_like_interpreter(self):
+        """A symbolic variable cannot be read by either backend: both
+        raise, on set and bag semantics alike."""
+        db = self.make_db()
+        plan = Join(
+            RelScan("L"),
+            RelScan("R2"),
+            and_(eq(col("a"), col("c")), gt(Var("v"), 0)),
         )
-        schemas = {"R": db.schema_of("R")}
-        plan = Select(RelScan("R"), gt(col("a"), 0))
-        assert compile_plan(plan, schemas) is compile_plan(plan, schemas)
+        bag_db = BagDatabase.from_set_database(db)
+        for run in (
+            lambda: evaluate_query_interpreted(plan, db),
+            lambda: evaluate_query(plan, db, backend="compiled"),
+            lambda: evaluate_query_bag_interpreted(plan, bag_db),
+            lambda: evaluate_query_bag(plan, bag_db, backend="compiled"),
+        ):
+            with pytest.raises(EvaluationError):
+                run()
 
-    def test_schema_change_misses_cache(self):
+    def test_same_plan_over_two_layouts(self):
+        """One tree over two schemas with the attribute at another
+        position: the compiled predicate must follow the position."""
         plan = Select(RelScan("R"), gt(col("a"), 0))
-        first = compile_plan(plan, {"R": Schema.of("a", "b")})
-        second = compile_plan(plan, {"R": Schema.of("x", "a")})
-        assert first is not second
-        # attribute position changed: the compiled predicate must follow
-        assert first.execute(
-            Database({"R": Relation.from_rows(Schema.of("a", "b"), [(1, -5)])})
-        ).tuples == frozenset({(1, -5)})
-        assert second.execute(
-            Database({"R": Relation.from_rows(Schema.of("x", "a"), [(1, -5)])})
-        ).tuples == frozenset()
-
-    def test_compiled_plan_reusable_across_databases(self):
-        schema = Schema.of("a", "b")
-        plan = Select(RelScan("R"), gt(col("a"), 0))
-        compiled = compile_plan(plan, {"R": schema})
-        db1 = Database({"R": Relation.from_rows(schema, [(1, 2), (-1, 3)])})
-        db2 = Database({"R": Relation.from_rows(schema, [(5, 0)])})
-        assert compiled.execute(db1).tuples == frozenset({(1, 2)})
-        assert compiled.execute(db2).tuples == frozenset({(5, 0)})
+        first = Database(
+            {"R": Relation.from_rows(Schema.of("a", "b"), [(1, -5)])}
+        )
+        second = Database(
+            {"R": Relation.from_rows(Schema.of("x", "a"), [(1, -5)])}
+        )
+        assert assert_joins_like_interpreter(plan, first).tuples == (
+            frozenset({(1, -5)})
+        )
+        assert assert_joins_like_interpreter(plan, second).tuples == (
+            frozenset()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +734,138 @@ class TestCompiledStatements:
         interpreted = stmt.apply(db, backend="interpreted")
         assert compiled["R"].tuples == interpreted["R"].tuples
         assert compiled["R"].tuples == frozenset({(0, 1), (3, 2)})
+
+
+# ---------------------------------------------------------------------------
+# INSERT ... SELECT replay: the query runs columnar (set and bag)
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+def typed_counts(rows, counts=None):
+    """Rows as a multiset of type-tagged cells: ``1``, ``1.0`` and
+    ``True`` stay apart, every NaN object reads as one ``"nan"``."""
+    from collections import Counter
+
+    def cell(value):
+        return (type(value).__name__, "nan" if value != value else value)
+
+    tally = Counter()
+    for row in rows:
+        tally[tuple(map(cell, row))] += 1 if counts is None else counts[row]
+    return tally
+
+
+class TestInsertSelectReplay:
+    def make_db(self):
+        return Database(
+            {
+                "R": Relation.from_rows(
+                    Schema.of("a", "b"), [(1, None), (NAN, 2.5), (True, 3)]
+                ),
+                "S": Relation.from_rows(
+                    Schema.of("x", "y"),
+                    [(1, None), (None, 4), (NAN, 2.5), (1.0, 0),
+                     (False, 7), (2, True)],
+                ),
+                "T": Relation.from_rows(
+                    Schema.of("e", "f"),
+                    [(1, "one"), (0, "zero"), (None, "null"), (NAN, "nan")],
+                ),
+                "W": Relation.from_rows(Schema.of("p", "q", "r"), [(1, 2, 3)]),
+            }
+        )
+
+    QUERIES = {
+        "nulls, nan, bool beside int": RelScan("S"),
+        "selection over nulls": Select(RelScan("S"), ge(col("y"), 1)),
+        "computed columns": Project(
+            RelScan("S"), ((col("x") + 1, "a"), (col("y") * 2, "b"))
+        ),
+        # True/1/1.0 and False/0 keys match; the projection keeps the
+        # result rows pairwise unequal, so which of two ``==``-equal
+        # rows a set keeps (hash order) cannot decide the cell types.
+        "join": Project(
+            Join(RelScan("S"), RelScan("T"), eq(col("x"), col("e"))),
+            ((col("f"), "a"), (col("y"), "b")),
+        ),
+        "join with residual": Project(
+            Join(
+                RelScan("S"),
+                RelScan("T"),
+                and_(eq(col("x"), col("e")), gt(col("y"), 0)),
+            ),
+            ((col("e"), "a"), (col("y"), "b")),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", QUERIES)
+    def test_set_replay_matches_interpreter(self, name):
+        db = self.make_db()
+        stmt = InsertQuery("R", self.QUERIES[name])
+        compiled = stmt.apply(db, backend="compiled")["R"].tuples
+        interpreted = stmt.apply(db, backend="interpreted")["R"].tuples
+        assert typed_counts(compiled) == typed_counts(interpreted)
+        assert len(compiled) > len(db["R"].tuples)
+
+    @pytest.mark.parametrize("name", QUERIES)
+    def test_bag_replay_matches_interpreter(self, name):
+        from repro.relational import apply_statement_bag
+
+        bag_db = BagDatabase.from_set_database(self.make_db())
+        stmt = InsertQuery("R", self.QUERIES[name])
+        results = [
+            apply_statement_bag(stmt, bag_db, backend=backend)["R"]
+            for backend in ("compiled", "interpreted")
+        ]
+        compiled, interpreted = (
+            typed_counts(bag.multiplicities, bag.multiplicities)
+            for bag in results
+        )
+        assert compiled == interpreted
+
+    def test_history_with_insert_select_replays_alike(self):
+        """Statements before and after the insert read and write what
+        the columnar query produced."""
+        from repro.relational import execute_history_bag
+
+        db = self.make_db()
+        history = History.of(
+            UpdateStatement("S", {"y": col("y") + 1}, ge(col("y"), 1)),
+            InsertQuery("R", self.QUERIES["join"]),
+            InsertQuery("R", RelScan("S")),
+            DeleteStatement("R", IsNull(col("b"))),
+        )
+        bag_db = BagDatabase.from_set_database(db)
+        sets, bags = {}, {}
+        for backend in ("compiled", "interpreted"):
+            sets[backend] = history.execute(db, backend=backend)["R"]
+            bags[backend] = execute_history_bag(
+                history, bag_db, backend=backend
+            )["R"]
+        assert typed_counts(sets["compiled"].tuples) == typed_counts(
+            sets["interpreted"].tuples
+        )
+        assert typed_counts(
+            bags["compiled"].multiplicities, bags["compiled"].multiplicities
+        ) == typed_counts(
+            bags["interpreted"].multiplicities,
+            bags["interpreted"].multiplicities,
+        )
+
+    @pytest.mark.parametrize("backend", ["compiled", "interpreted"])
+    def test_arity_mismatch_raises(self, backend):
+        from repro.relational import apply_statement_bag
+
+        db = self.make_db()
+        stmt = InsertQuery("R", RelScan("W"))  # arity 3 into arity 2
+        with pytest.raises(SchemaError, match="arity 3 does not match"):
+            stmt.apply(db, backend=backend)
+        with pytest.raises(SchemaError, match="arity 3 does not match"):
+            apply_statement_bag(
+                stmt, BagDatabase.from_set_database(db), backend=backend
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -891,15 +1033,14 @@ class TestSlicingSelectivity:
 
 
 # ---------------------------------------------------------------------------
-# plan picklability (the batched process-pool path ships plans to workers)
+# operator trees cross a process boundary (the process-pool path)
 # ---------------------------------------------------------------------------
 
 class TestPlanPickling:
-    def test_compiled_plan_roundtrips_by_recompiling(self):
+    def test_pickled_trees_evaluate_alike(self):
+        """The process pool ships operator trees and databases; a
+        round-tripped pair evaluates to the same set and bag results."""
         import pickle
-
-        from repro.relational.exec.plan_compile import compile_plan
-        from repro.relational.algebra import Join
 
         db = Database(
             {
@@ -911,35 +1052,18 @@ class TestPlanPickling:
                 ),
             }
         )
-        schemas = {name: db.schema_of(name) for name in db.relations}
-        plan = compile_plan(
+        plan = Select(
             Join(RelScan("R"), RelScan("S"), eq(col("a"), col("c"))),
-            schemas,
+            ge(col("d"), 5),
         )
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.schema == plan.schema
-        assert clone.uses_hash_join == plan.uses_hash_join
-        assert clone.execute(db).tuples == plan.execute(db).tuples
-
-    def test_compiled_bag_plan_roundtrips(self):
-        import pickle
-
-        from repro.relational import BagDatabase
-        from repro.relational.exec.bag_compile import compile_plan_bag
-
-        db = Database(
-            {
-                "R": Relation.from_rows(
-                    Schema.of("a", "b"), [(1, 10), (2, 20)]
-                )
-            }
+        plan_clone, db_clone = pickle.loads(pickle.dumps((plan, db)))
+        assert plan_clone == plan
+        assert (
+            evaluate_query(plan_clone, db_clone, backend="compiled").tuples
+            == evaluate_query(plan, db, backend="compiled").tuples
         )
         bag_db = BagDatabase.from_set_database(db)
-        plan = compile_plan_bag(
-            Select(RelScan("R"), ge(col("a"), 1)),
-            {"R": db.schema_of("R")},
-        )
-        clone = pickle.loads(pickle.dumps(plan))
-        assert dict(clone.execute(bag_db).multiplicities) == dict(
-            plan.execute(bag_db).multiplicities
-        )
+        bag_clone = pickle.loads(pickle.dumps(bag_db))
+        assert dict(
+            evaluate_query_bag(plan_clone, bag_clone).multiplicities
+        ) == dict(evaluate_query_bag(plan, bag_db).multiplicities)

@@ -107,6 +107,10 @@ def test_codec_rows_sort_as_defined():
 HAND_CASES = {
     "none": [(None,), (3,), (1,)],
     "nan": [(2.5,), (NAN,), (-1.0,), (7,)],
+    "float column with NaN": [(0.5,), (NAN,), (-2.25,), (3.0,)],
+    "int past float range beside floats": [
+        (2**1024,), (1.5,), (-(2**1100),), (0.25,), (3,),
+    ],
     "true beside 1": [(True, "a"), (1, "b"), (0, "c"), (False, "d")],
     "1 beside 1.0": [(1, "b"), (1.0, "a"), (0.5, "c")],
     "mixed int/float column": [(10,), (2.5,), (2,), (-3.0,), (10**20,)],
@@ -137,6 +141,20 @@ def test_clean_columns_never_build_a_key(key_calls):
     assert key_calls == []
     sort_rows(rows | {(None, 0.0, "")})
     assert len(key_calls) > 5000
+
+
+def test_nan_scan_picks_the_arm(key_calls):
+    """A float column holding NaN needs the key; an int past float range
+    beside floats does not (and must not raise while it is scanned, as
+    ``math.isnan`` would with OverflowError)."""
+    assert sort_rows([(1.5,), (NAN,), (-0.5,)])[:2] == [(-0.5,), (1.5,)]
+    assert key_calls
+    key_calls.clear()
+    huge = 2**1024
+    assert sort_rows([(huge,), (1.5,), (-huge,)]) == [
+        (-huge,), (1.5,), (huge,),
+    ]
+    assert key_calls == []
 
 
 def test_every_renderer_shows_the_one_order():

@@ -374,9 +374,10 @@ def interpreted_delta(database, pair):
 
 
 def test_excluded_statements_do_not_matter():
-    """Theorem 5 on what it covers: statements *after* the last modified
-    position.  (A statement that sits before a later modification is the
-    known hole pinned by the xfail below.)"""
+    """Every statement ``dependency_slice`` excludes can be dropped
+    without changing the delta — alone or all at once.  (Statements
+    before the last modified position are kept unchecked, so what it
+    excludes lies after it: Theorem 5's ground.)"""
     rng = random.Random(FUZZ_SEED + 1)
     checked = 0
     for trial in range(scaled(120)):
@@ -384,11 +385,11 @@ def test_excluded_statements_do_not_matter():
         config = ProgramSlicingConfig(compression=compression)
         result = dependency_slice(aligned, database, {"R": SCHEMA}, config)
         everything = set(range(1, len(aligned) + 1))
-        droppable = {
-            position
-            for position in everything - set(result.kept_positions)
-            if position > max(aligned.modified_positions, default=0)
-        }
+        droppable = everything - set(result.kept_positions)
+        assert all(
+            position > max(aligned.modified_positions)
+            for position in droppable
+        )
         checked += len(droppable)
         context = (
             f"seed={FUZZ_SEED} trial={trial} kept={result.kept_positions} "
@@ -405,17 +406,11 @@ def test_excluded_statements_do_not_matter():
     assert checked  # the slicer must be excluding something
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="dependency_slice (multi-modification generalisation of "
-    "Definition 7) excludes a statement that hides tuples from a LATER "
-    "modification; found by the fuzz above, present before the session "
-    "existed — ROADMAP item 4(a)",
-)
 def test_statement_before_a_later_modification_is_kept():
     """u2 deletes exactly the tuples u3/u3' disagree on.  With u2 in place
-    they never reach u3, so 'affected by both' is unsatisfiable and u2 is
-    excluded — but without u2 they survive and the delta grows."""
+    they never reach u3, so 'affected by both' is unsatisfiable — but
+    without u2 they survive and the delta grows, so u2 must be kept (and
+    is, unchecked: it sits before the last modified position)."""
     schema = Schema.of("k", "A", "B")
     database = Database(
         {"R": Relation.from_rows(schema, [(k, k, 0) for k in range(10)])}
@@ -434,6 +429,8 @@ def test_statement_before_a_later_modification_is_kept():
         ],
     )
     result = dependency_slice(aligned, database, {"R": schema})
+    assert result.kept_positions == (1, 2, 3)
+    assert result.solver_calls == 0
     full = interpreted_delta(database, aligned)
     kept_only = aligned.subset(result.kept_positions)
     assert interpreted_delta(database, kept_only) == full

@@ -80,10 +80,19 @@ class TestRegistry:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_resolves_each_name_to_its_backend(self, name):
         backend = resolve_backend(name)
-        assert backend.name == name
+        assert backend.name == (
+            BACKEND_COMPILED if name == BACKEND_VECTOR else name
+        )
         assert backend.pool_kind == (
             "thread" if name == "sqlite" else "process"
         )
+
+    def test_vector_is_compiled(self):
+        """One query compiler: ``"vector"`` is an accepted name for the
+        very executor ``"compiled"`` names, and an engine configured
+        with it runs (and reports) ``"compiled"``."""
+        assert resolve_backend("vector") is resolve_backend("compiled")
+        assert MahifConfig(backend="vector").backend == "compiled"
 
     def test_none_is_compiled(self):
         assert resolve_backend(None) is resolve_backend("compiled")
