@@ -10,10 +10,12 @@ supplies its data layer:
   columns become ``int64`` / ``float64`` / ``bool_`` / object-of-``str``
   arrays plus an optional validity bitmap (``None`` values are replaced
   by a fill and masked out), and remember the values they were built
-  from (:class:`StoredCells`, with the cells' JSON text and order codes
-  once asked for) beside the typed one, so a cell that passes through a
-  plan comes back as the stored object and is spelled with the stored
-  text; anything mixed-type, NaN-bearing, or exotic stays a plain
+  from (:class:`StoredCells`, with the cells' order codes once asked
+  for) beside the typed one, and the :class:`StoredTable` that spells
+  their rows, so a cell that passes through a plan comes back as the
+  stored object and is spelled with the stored text — one text per row
+  for a run of adjacent pass-through columns; anything mixed-type,
+  NaN-bearing, or exotic stays a plain
   Python list (tag ``"object"``) that kernels refuse and per-row
   fallbacks consume verbatim.
 * :class:`ColumnarTable` — a schema plus one column per attribute and an
@@ -61,8 +63,10 @@ __all__ = [
     "Column",
     "ColumnarTable",
     "StoredCells",
+    "StoredTable",
     "column_from_values",
     "column_values",
+    "take_columns",
     "columnar_of_relation",
     "columnar_of_bag",
     "clear_columnar_cache",
@@ -80,10 +84,56 @@ FLOAT_EXACT_INT_BOUND = 2 ** 53
 _INF = float("inf")
 
 
+class StoredTable:
+    """The stored columns of one table, as the wire spells them: per run
+    ``(lo, hi)`` of adjacent columns that something has asked for, one
+    JSON text per stored row — the run's cells as ``json.dumps`` spells
+    them, joined by ``", "`` — remembered for as long as the table lives.
+    A column's own cell text is the run of one.
+
+    :meth:`ColumnarTable.from_rows` makes one for its stored columns; a
+    column built alone, or joined from two by a concatenation, is a
+    table of one.  It holds what spelling needs (each column's tag, data,
+    validity and parts), not the :class:`StoredCells` that point to it,
+    so the two make no reference cycle and go with their last column.
+    """
+
+    __slots__ = ("_columns", "_runs")
+
+    def __init__(self, columns: Sequence[tuple | None]) -> None:
+        #: Per column: ``(tag, data, valid, parts)``, or ``None`` for a
+        #: column that is not stored (list-backed).
+        self._columns = columns
+        self._runs: dict[tuple[int, int], Any] = {}
+
+    # The lazy fill may race: two threads compute equal arrays and one
+    # assignment wins, which no reader can tell apart.
+
+    def text(self, lo: int, hi: int) -> Any:
+        """Every stored row's text of columns ``lo`` to ``hi - 1``, as
+        an object array of ``str``."""
+        text = self._runs.get((lo, hi))
+        if text is None:
+            if hi - lo == 1:
+                text = self._cells(lo)
+            else:
+                cells = [self._cells(i).tolist() for i in range(lo, hi)]
+                text = _object_array(list(map(", ".join, zip(*cells))))
+            self._runs[lo, hi] = text
+        return text
+
+    def _cells(self, index: int) -> Any:
+        tag, data, valid, parts = self._columns[index]
+        if parts:
+            return _np.concatenate([part.json_text() for part in parts])
+        return _typed_json(tag, data, valid)
+
+
 class StoredCells:
     """The cells of a column built from Python values, and what is
     derived from them once and then remembered for as long as the column
-    lives: their JSON text and order-preserving codes.
+    lives: their order-preserving codes here, their JSON text in the
+    :class:`StoredTable` they are column ``index`` of.
 
     A stored column (one :func:`column_from_values` built) owns one; a
     column gathered from it by ``take`` shares it and carries the row
@@ -94,8 +144,8 @@ class StoredCells:
     use.
     """
 
-    __slots__ = ("tag", "data", "valid", "_objects", "_text", "_codes",
-                 "_parts")
+    __slots__ = ("tag", "data", "valid", "table", "index", "_objects",
+                 "_codes", "_parts")
 
     def __init__(self, tag: str, data: Any, valid: Any, objects: Any = None,
                  parts: tuple["Column", ...] = ()) -> None:
@@ -104,8 +154,11 @@ class StoredCells:
         self.valid = valid
         self._objects = objects
         self._parts = parts
-        self._text = None
         self._codes = None
+        #: A table of their own until ``ColumnarTable.from_rows`` makes
+        #: them a column of its table.
+        self.table = StoredTable([(tag, data, valid, parts)])
+        self.index = 0
 
     # The lazy fills below may race: two threads compute equal arrays and
     # one assignment wins, which no reader can tell apart.
@@ -115,17 +168,6 @@ class StoredCells:
         if self._objects is None:
             self._objects = _np.concatenate([p.objects() for p in self._parts])
         return self._objects
-
-    def text(self) -> Any:
-        """Every cell's JSON text, as an object array of ``str``."""
-        if self._text is None:
-            if self._parts:
-                self._text = _np.concatenate(
-                    [p.json_text() for p in self._parts]
-                )
-            else:
-                self._text = _typed_json(self.tag, self.data, self.valid)
-        return self._text
 
     def codes(self) -> Any:
         """int64 codes that order and equate the cells as Python does,
@@ -190,25 +232,47 @@ class Column:
             return None
         return self._stored_view(self.stored.objects())
 
-    def json_text(self) -> Any:
-        """Every cell's JSON text, as ``json.dumps`` would spell it, as
-        an object array of ``str``: the stored text where the cells are
+    def json_text(self, width: int = 1) -> Any:
+        """Every row's JSON text, as ``json.dumps`` would spell it, as an
+        object array of ``str``: of this column's cell — or, with
+        ``width > 1``, of the run this column starts, its cells and those
+        of the ``width - 1`` columns after it that :meth:`followed_by`
+        chains, joined by ``", "``.  The stored text where the cells are
         stored ones, formatted now for a computed column."""
         if self.stored is not None:
-            return self._stored_view(self.stored.text())
+            lo = self.stored.index
+            return self._stored_view(self.stored.table.text(lo, lo + width))
         if self.is_array:
             return _typed_json(self.tag, self.data, self.valid)
         return _object_array(list(map(_cell_json, self.data)))
 
-    def take(self, indices: Any) -> "Column":
-        """Gather rows (``indices`` is an int array or list)."""
+    def followed_by(self, other: "Column") -> bool:
+        """Whether ``other`` reads the next column of this one's stored
+        table at the very same rows (one ``rows`` array, as ``take``
+        shares it), so their cells spell as one run."""
+        mine, theirs = self.stored, other.stored
+        return (
+            mine is not None
+            and theirs is not None
+            and theirs.table is mine.table
+            and theirs.index == mine.index + 1
+            and other.rows is self.rows
+        )
+
+    def take(self, indices: Any, shared: dict) -> "Column":
+        """Gather rows (``indices`` is an int array or list).  ``shared``,
+        one dict per gather of a whole table (:func:`take_columns`),
+        hands the columns that read one ``rows`` array one gathered
+        array."""
         if self.is_array:
             rows = None
             if self.stored is not None:
-                rows = (
-                    _np.asarray(indices, dtype=_np.intp)
-                    if self.rows is None else self.rows[indices]
-                )
+                rows = shared.get(id(self.rows))
+                if rows is None:
+                    rows = shared[id(self.rows)] = (
+                        _np.asarray(indices, dtype=_np.intp)
+                        if self.rows is None else self.rows[indices]
+                    )
             return Column(
                 self.tag,
                 self.data[indices],
@@ -221,6 +285,14 @@ class Column:
         return Column(
             self.tag, [data[i] for i in indices], None, self.int_bound
         )
+
+
+def take_columns(columns: Sequence[Column], indices: Any) -> list[Column]:
+    """Gather ``indices`` of every column of one table; columns that read
+    one ``rows`` array keep reading one, which is how the wire encoder
+    tells a run (:meth:`Column.followed_by`)."""
+    shared: dict[int, Any] = {}
+    return [column.take(indices, shared) for column in columns]
 
 
 # -- JSON text of cells: the json encoder's own rules ------------------------
@@ -410,6 +482,15 @@ class ColumnarTable:
     ) -> "ColumnarTable":
         if rows:  # one transpose, then one pass per column
             columns = [column_from_values(values) for values in zip(*rows)]
+            table = StoredTable([
+                None if column.stored is None else (
+                    column.tag, column.data, column.valid, ()
+                )
+                for column in columns
+            ])
+            for index, column in enumerate(columns):
+                if column.stored is not None:
+                    column.stored.table, column.stored.index = table, index
         else:
             columns = [Column("object", []) for _ in range(schema.arity)]
         return cls(
@@ -447,7 +528,7 @@ class ColumnarTable:
         nrows = len(idx_list) if idx_list is not None else len(indices)
         return ColumnarTable(
             self.schema,
-            [c.take(indices) for c in self.columns],
+            take_columns(self.columns, indices),
             nrows,
             mult,
         )

@@ -66,6 +66,7 @@ from ..columnar import (
     column_values,
     columnar_of_bag,
     columnar_of_relation,
+    take_columns,
 )
 from ..expressions import (
     Arith,
@@ -323,8 +324,8 @@ def _take_pairs(
     ri: Any,
 ) -> ColumnarTable:
     """Gather the concatenated join rows for index pairs (li[k], ri[k])."""
-    columns = [c.take(li) for c in left.columns]
-    columns += [c.take(ri) for c in right.columns]
+    columns = take_columns(left.columns, li)
+    columns += take_columns(right.columns, ri)
     mult = None
     if left.mult is not None or right.mult is not None:
         lm = left.mult if left.mult is not None else [1] * left.nrows

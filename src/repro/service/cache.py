@@ -8,33 +8,56 @@ publishes them and reports appends, nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Mapping
+from types import SimpleNamespace
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .wire import answer_json, result_payload
 
 __all__ = ["CachedAnswer", "ResultCache"]
 
 
-@dataclass(frozen=True)
 class CachedAnswer:
     """The part of an answer that is the same in every response to it,
     in both renderings; the fields that vary per response —
     ``history_length``, ``cached``, ``trace_id`` — are in neither."""
 
-    #: What in-process callers read.
-    payload: dict
-    #: ``payload`` as UTF-8 JSON, encoded once when the answer was
-    #: computed: what every HTTP response to it is spliced around.
-    body: bytes
+    __slots__ = ("body", "_build", "_payload")
+
+    def __init__(self, body: bytes, build: Callable[[], dict]) -> None:
+        #: :attr:`payload` as UTF-8 JSON, encoded once when the answer
+        #: was computed: what every HTTP response to it is spliced around.
+        self.body = body
+        self._build = build
+        self._payload: dict | None = None
 
     @classmethod
     def encode(cls, result, fields: Mapping[str, Any]) -> "CachedAnswer":
         """``result``'s :func:`~repro.service.wire.result_payload`
-        followed by ``fields``, as a dict and as bytes, both from the
-        delta's sorted tables (the bytes first: a delta of frozensets
-        builds its tables then, and is sorted once)."""
-        body = answer_json(result, tail=fields).encode("utf-8")
-        return cls({**result_payload(result), **fields}, body)
+        followed by ``fields``, as bytes now — spelled from the delta's
+        sorted tables — and as a dict when it is first read.  The dict is
+        built from what ``result_payload`` reads of the result, not from
+        the time-travelled database and plans a
+        :class:`~repro.core.engine.MahifResult` also holds."""
+        read = SimpleNamespace(
+            delta=result.delta,
+            ps_seconds=result.ps_seconds,
+            exe_seconds=result.exe_seconds,
+            profile=getattr(result, "profile", None),
+        )
+        return cls(
+            answer_json(result, tail=fields).encode("utf-8"),
+            lambda: {**result_payload(read), **fields},
+        )
+
+    @property
+    def payload(self) -> dict:
+        """What in-process callers read, built on the first read: an
+        answer that only ever goes out over HTTP builds no row lists.
+        (Two first readers may race; each builds an equal dict and one
+        is kept.)"""
+        if self._payload is None:
+            self._payload = self._build()
+        return self._payload
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ import re
 import shutil
 import sqlite3
 import threading
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Sequence
 
@@ -42,6 +43,7 @@ from ..obs import trace
 from ..obs.logging import log_event
 from ..obs.metrics import MetricsRegistry
 from ..relational import BACKENDS
+from ..relational.exec.backend import resolve_backend
 from ..relational.database import Database
 from ..relational.history import History
 from ..relational.statements import Statement
@@ -124,23 +126,46 @@ class _Options:
     explain: bool
 
 
-class Answer(dict):
-    """One answer as :meth:`WhatIfService.answer` returns it: to an
-    in-process caller a plain dict — the cached payload plus
-    ``history_length`` and ``cached`` — that also carries, for the HTTP
-    edge, the bytes the cached payload was encoded to when it was
-    computed.  The server splices the per-response fields around
-    :attr:`body` instead of serialising the dict."""
+class Answer(Mapping):
+    """One answer as :meth:`WhatIfService.answer` returns it.  To an
+    in-process caller it reads as the dict it equals — the cached
+    payload plus ``history_length`` and ``cached`` — built on the first
+    read.  The HTTP edge reads none of it: it splices the two
+    per-response fields, kept here as attributes, around :attr:`body`,
+    the bytes the cached payload was encoded to when it was computed,
+    so an answer that only goes out over HTTP never builds its rows."""
 
-    __slots__ = ("body",)
+    __slots__ = ("body", "history_length", "cached", "_answer", "_dict")
 
     def __init__(
         self, answer: CachedAnswer, history_length: int, cached: bool
     ) -> None:
-        super().__init__(
-            answer.payload, history_length=history_length, cached=cached
-        )
         self.body = answer.body
+        self.history_length = history_length
+        self.cached = cached
+        self._answer = answer
+        self._dict: dict | None = None
+
+    def _read(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(
+                self._answer.payload,
+                history_length=self.history_length,
+                cached=self.cached,
+            )
+        return self._dict
+
+    def __getitem__(self, key: str) -> Any:
+        return self._read()[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._read())
+
+    def __len__(self) -> int:
+        return len(self._read())
+
+    def __repr__(self) -> str:
+        return f"Answer({self._read()!r})"
 
 
 @dataclass
@@ -217,6 +242,21 @@ class WhatIfService:
         #: Power-loss durability for the stores this service owns: fsync
         #: the log on append, the directory on checkpoint rename.
         self.sync = sync
+        self._instruments()
+        self._handles: dict[str, _HistoryHandle | None] = {}
+        self._handles_lock = threading.Lock()
+        #: One shared engine per executor; a request's pool width is an
+        #: argument of the call, not of the engine.
+        self._engines: dict[str, Mahif] = {}
+        self._engines_lock = threading.Lock()
+        #: Versions served misses have visited, for every history and
+        #: backend; never invalidated (a prefix's state cannot change).
+        self._versions = VersionCache()
+        self.skipped_on_startup: dict[str, str] = {}
+        self._reopen_stores()
+
+    def _instruments(self) -> None:
+        """The service's metric instruments, in its own registry."""
         #: Per-service metrics: result-cache traffic plus the service's
         #: own degradation counters (process-wide pool counters
         #: live in ``repro.core.degradation``'s global registry, merged
@@ -258,17 +298,15 @@ class WhatIfService:
             "JSON response bodies serialised, by route.",
             ("route",),
         )
-        self._handles: dict[str, _HistoryHandle | None] = {}
-        self._handles_lock = threading.Lock()
-        #: One shared engine per backend; a request's pool width is an
-        #: argument of the call, not of the engine.
-        self._engines: dict[str, Mahif] = {}
-        self._engines_lock = threading.Lock()
-        #: Versions served misses have visited, for every history and
-        #: backend; never invalidated (a prefix's state cannot change).
-        self._versions = VersionCache()
-        self.skipped_on_startup: dict[str, str] = {}
-        self._reopen_stores()
+        #: Where a request's misses spend their time outside the locks:
+        #: ``compute`` (their one ``answer_batch`` call) and ``encode``
+        #: (their bytes); one observation each per request that missed.
+        self._stage_seconds = self.metrics.histogram(
+            "mahif_stage_seconds",
+            "Seconds a request's cache misses spend in each unlocked "
+            "stage: compute or encode.",
+            ("stage",),
+        )
 
     def _reopen_stores(self) -> None:
         for entry in sorted(self.root.iterdir()):
@@ -510,11 +548,15 @@ class WhatIfService:
 
     # -- answering ------------------------------------------------------------
     def _engine(self, backend: str) -> Mahif:
+        """The shared engine of the executor ``backend`` names: two names
+        of one executor (``"vector"``, ``"compiled"``) share one engine,
+        its version cache and its pool."""
+        executor = resolve_backend(backend).name
         with self._engines_lock:
-            engine = self._engines.get(backend)
+            engine = self._engines.get(executor)
             if engine is None:
-                engine = Mahif(MahifConfig(backend=backend))
-                self._engines[backend] = engine
+                engine = Mahif(MahifConfig(backend=executor))
+                self._engines[executor] = engine
             return engine
 
     def answer(
@@ -693,15 +735,17 @@ class WhatIfService:
         lock — ordering and serialising a 1 MB delta is tens of
         milliseconds no append should wait for — publish under it."""
         with trace.use_span(parent_span):
-            results, used_backend = self._compute(
-                options, pending.queries, pending.start_dbs
-            )
-            answers = [
-                self._encode(options, result, used_backend, route)
-                for result in results
-            ]
+            with self._stage_seconds.time(stage="compute"):
+                results, used_backend = self._compute(
+                    options, pending.queries, pending.start_dbs
+                )
+            with self._stage_seconds.time(stage="encode"):
+                answers = [
+                    self._encode(options, result, used_backend, route)
+                    for result in results
+                ]
             with handle.lock:
-                self._publish(handle, options, pending, answers)
+                self._publish(handle, pending, results, answers)
 
     def _compute(self, options: _Options, queries, start_dbs):
         """Stage 4: one ``answer_batch`` call; returns ``(results,
@@ -740,8 +784,9 @@ class WhatIfService:
         self, options: _Options, result, used_backend: str, route: str
     ) -> CachedAnswer:
         """Stage 5, outside any lock: everything about one answer that
-        no later response to it will change, as a dict and — once, here
-        — as the bytes every one of those responses is made of."""
+        no later response to it will change, as the bytes — once, here —
+        every one of those responses is made of (the dict an in-process
+        caller reads is built on that read)."""
         fields = {"method": options.method.value, "backend": used_backend}
         if used_backend != options.backend:
             fields["degraded_from"] = options.backend
@@ -749,20 +794,25 @@ class WhatIfService:
         return CachedAnswer.encode(result, fields)
 
     def _publish(
-        self, handle: _HistoryHandle, options: _Options, pending: _Pending,
+        self, handle: _HistoryHandle, pending: _Pending, results,
         answers: list[CachedAnswer],
     ) -> None:
         """Stage 6, under the history's lock: fill the misses' slots and
-        offer each answer to the cache."""
-        for (slot, fingerprint, _), answer in zip(pending.misses, answers):
+        offer each answer to the cache, under the relations whose delta
+        is non-empty — exactly those the wire delta lists."""
+        for (slot, fingerprint, _), result, answer in zip(
+            pending.misses, results, answers
+        ):
             pending.outcomes[slot] = Answer(answer, pending.length, False)
             if fingerprint is not None:
                 handle.cache.put(
                     fingerprint,
                     answer,
-                    # The wire delta lists exactly the relations whose
-                    # delta is non-empty (wire.delta_payload).
-                    answer.payload["delta"].keys(),
+                    [
+                        relation
+                        for relation, delta in result.delta.relations.items()
+                        if not delta.is_empty()
+                    ],
                     pending.length,
                 )
         self._cache_entries.set(len(handle.cache), history=handle.name)

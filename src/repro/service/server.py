@@ -395,7 +395,7 @@ def _answer_json(answer: Answer) -> bytes:
     return _with_fields(
         answer.body,
         b'"history_length": %d, "cached": %s'
-        % (answer["history_length"], b"true" if answer["cached"] else b"false"),
+        % (answer.history_length, b"true" if answer.cached else b"false"),
     )
 
 

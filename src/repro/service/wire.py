@@ -19,10 +19,10 @@ the delta: the dict (:func:`result_payload`) as row lists
 (:meth:`~repro.core.delta.RelationDelta.sorted_rows`), the text
 (:func:`answer_json`, the one encoder: service answers and the CLI's
 local ``--batch`` lines) from the two sorted tables
-:meth:`~repro.core.delta.RelationDelta.tables` returns, as each
-column's :meth:`~repro.relational.columnar.Column.json_text` — which a
-cell the plan passed through reads from the stored relation's
-remembered text.
+:meth:`~repro.core.delta.RelationDelta.tables` returns, one piece per
+row for each run of columns
+(:meth:`~repro.relational.columnar.Column.json_text`) — which cells the
+plan passed through read from the stored relation's remembered text.
 """
 
 from __future__ import annotations
@@ -108,17 +108,35 @@ def delta_payload(result, *, include_empty: bool = False) -> dict:
     return payload
 
 
+def _run_texts(table: ColumnarTable) -> list[Any]:
+    """Each row's text per maximal run of ``table``'s columns: adjacent
+    columns that read consecutive columns of one stored table at the
+    same rows (:meth:`~repro.relational.columnar.Column.followed_by`)
+    are one piece, the stored table's remembered text of the run; any
+    other column is a run of its own."""
+    columns = table.columns
+    texts, start = [], 0
+    for end in range(1, len(columns) + 1):
+        if end == len(columns) or not columns[end - 1].followed_by(
+            columns[end]
+        ):
+            texts.append(columns[start].json_text(end - start))
+            start = end
+    return texts
+
+
 def _rows_json(table: ColumnarTable, pieces: list[str]) -> None:
     """Append the pieces of ``table``'s rows as a JSON list of lists:
-    each column's cell text interleaved with the separators in one
-    object grid, so no row is ever built."""
+    each run's text interleaved with the separators in one object grid,
+    so no row is ever built."""
     rows, width = table.nrows, len(table.columns)
     if not rows or not width:
         pieces.append(json.dumps([[]] * rows))
         return
-    grid = np.empty((rows, 2 * width), dtype=object)
-    for index, column in enumerate(table.columns):
-        grid[:, 2 * index] = column.json_text()
+    texts = _run_texts(table)
+    grid = np.empty((rows, 2 * len(texts)), dtype=object)
+    for index, text in enumerate(texts):
+        grid[:, 2 * index] = text
     grid[:, 1:-1:2] = ", "
     grid[:, -1] = "], ["
     grid[-1, -1] = "]]"

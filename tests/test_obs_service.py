@@ -94,6 +94,20 @@ class TestMetricsEndpoint:
         assert samples['mahif_result_cache_entries{history="orders"}'] == 0
         assert client.info("orders")["cache"]["entries"] == 0
 
+    def test_stage_seconds_observe_each_miss_once(self, server, client):
+        """``mahif_stage_seconds{stage}``: one ``compute`` and one
+        ``encode`` observation per request that missed, none for a hit
+        (a count, not a clock)."""
+        client.whatif("orders", SPEC)
+        client.whatif("orders", SPEC)
+        client.whatif_batch("orders", [SPEC, {"delete_stmt": [1]}])
+        samples = parse_exposition(client.metrics())
+        for stage in ("compute", "encode"):
+            assert samples[
+                f'mahif_stage_seconds_count{{stage="{stage}"}}'
+            ] == 2
+            assert samples[f'mahif_stage_seconds_sum{{stage="{stage}"}}'] > 0
+
     def test_metrics_scrape_counts_itself(self, client):
         first = parse_exposition(client.metrics())
         assert first['mahif_requests_total{route="metrics",code="200"}'] == 1

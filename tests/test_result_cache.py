@@ -165,7 +165,7 @@ def test_cache_agrees_with_the_model(trial):
 
 def answer_of(value) -> CachedAnswer:
     payload = {"answer": value}
-    return CachedAnswer(payload, json.dumps(payload).encode("utf-8"))
+    return CachedAnswer(json.dumps(payload).encode("utf-8"), lambda: payload)
 
 
 class TestContract:

@@ -197,3 +197,19 @@ class TestResolutionPrecedence:
         assert by_argument["backend"] == "sqlite"
         assert sqlite_cache_info()["misses"] > before
         assert by_argument["delta"] == by_default["delta"]
+
+    def test_two_names_of_one_executor_share_one_engine(self, tmp_path):
+        """``vector`` and ``compiled`` run one executor, so the service
+        keeps one engine (one version cache, one pool) for both; the
+        answers still report, and are cached under, the name asked."""
+        service = WhatIfService(tmp_path / "stores")
+        service.register("h", make_db(), History.of(bump(1)))
+        spec = {"replace": [[1, "UPDATE R SET a = a + 2 WHERE a > 0"]]}
+        (compiled,) = service.answer("h", [spec], backend="compiled")
+        (vector,) = service.answer("h", [spec], backend="vector")
+        assert list(service._engines) == ["compiled"]
+        assert (compiled["backend"], vector["backend"]) == (
+            "compiled", "vector"
+        )
+        assert not vector["cached"]
+        assert vector["delta"] == compiled["delta"]

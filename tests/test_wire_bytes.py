@@ -1,11 +1,15 @@
 """Bytes once: what the server sends is the answer the service computed.
 
 An answer is encoded when it is computed and every response to it is
-spliced around those bytes, so three things need pinning: the spliced
+spliced around those bytes, so four things need pinning: the spliced
 bytes decode to exactly the dict an in-process caller gets, for every
-shape an answer takes; a hit never serialises (counted, not timed); and
-a reply is one write, so a reused connection never waits out Nagle's
-algorithm between headers and body.
+shape an answer takes; a hit never serialises (counted, not timed); a
+miss sent over HTTP builds no payload rows — the dict is built on its
+first in-process read (counted; mutation check, made by hand on a copy
+of the tree: ``CachedAnswer.encode`` building the dict at once fails
+``test_an_http_miss_builds_no_payload_rows``); and a reply is one
+write, so a reused connection never waits out Nagle's algorithm between
+headers and body.
 """
 
 from __future__ import annotations
@@ -236,6 +240,36 @@ def test_a_hit_never_serialises(served):
     health = _counter(served, "mahif_wire_encodes_total", "health")
     served.send("GET", "/health")
     assert _counter(served, "mahif_wire_encodes_total", "health") == health + 1
+
+
+def test_an_http_miss_builds_no_payload_rows(served, monkeypatch):
+    """The floor under the encode stage, as a count: a miss sent over
+    HTTP is encoded to bytes once and never rendered as row lists; the
+    dict is built on its first in-process read, once."""
+    from repro.service import cache as cache_module
+
+    built = []
+    real_result_payload = cache_module.result_payload
+
+    def counting_result_payload(*args, **kwargs):
+        built.append(1)
+        return real_result_payload(*args, **kwargs)
+
+    monkeypatch.setattr(
+        cache_module, "result_payload", counting_result_payload
+    )
+    before = _counter(served, "mahif_wire_encodes_total", "whatif")
+    for attempt in ("miss", "hit"):
+        _, _, raw = served.send(
+            "POST", "/histories/h/whatif", {"modifications": SPEC}
+        )
+        assert json.loads(raw)["cached"] is (attempt == "hit")
+    assert built == []
+    assert _counter(served, "mahif_wire_encodes_total", "whatif") == before + 1
+    miss, hit = (answers[0] for answers in served.answers[-2:])
+    assert miss["delta"] == json.loads(raw)["delta"]
+    assert dict(hit) == {**dict(miss), "cached": True}
+    assert built == [1]
 
 
 def test_every_reply_is_one_write(served, monkeypatch):

@@ -1,34 +1,51 @@
 """The wire encoder spells what ``json.dumps`` would, byte for byte.
 
 A served answer's bytes are not ``json.dumps`` of its payload: the
-delta's rows are spelled column by column from the sorted tables, with
-the JSON text a stored cell has remembered since it was first encoded
-and computed columns formatted per answer.  Every path that could spell
-a cell differently is pinned here against ``json.dumps`` of the
-reference payload — the rows of the *materialized* delta in
-``sort_rows`` order, as the wire was built before it was columnar:
+delta's rows are spelled run by run from the sorted tables — adjacent
+columns that pass through from one stored table at the same rows are
+one piece per row, the text that table has remembered for the run since
+it was first encoded — and computed columns are formatted per answer.
+Every path that could spell a cell differently is pinned here against
+``json.dumps`` of the reference payload — the rows of the
+*materialized* delta in ``sort_rows`` order, as the wire was built
+before it was columnar:
 
 * what-ifs over all four benchmark workload shapes, small, over three
   seeds (one drawn from ``MAHIF_FUZZ_SEED``), through the library, the
   service's cached answer and twice in a row (the second spelling reads
-  the remembered text);
+  the remembered text); and over two of them through every other route
+  a delta takes: the sqlite and interpreted backends, naive replay and
+  EXPLAIN ANALYZE;
 * hand-built relations with NaN, ±Inf, ``-0.0`` beside ``0.0``, ``1`` /
   ``1.0`` / ``True`` in separate rows, NULL in every typed column,
   strings with quotes, backslashes, control characters, non-ASCII and
   U+2028, ints at or beyond 2**53 and 2**63, and a mixed int/float
   column — passed through a plan and computed by one;
+* runs: a computed column between pass-through ones, a self-join whose
+  adjacent stored columns read different rows, a Section-10
+  concatenation (``parts``), the frozenset route's one run over every
+  column, two threads spelling one version's fresh runs at once, and
+  the count floor — an ``exec_bound``-shaped delta is two pieces per
+  row, its run's text built once over two answers;
 * the CLI's local ``--batch`` lines.
 
 Mutation checks, each made by hand on a copy of the tree; each must
 fail the named test: ``float.__repr__`` without the non-finite
 spellings — ``test_hand_built_cells``; ``str`` cells through
 ``repr`` — ``test_hand_built_cells``; the grid's row separator
-dropped — ``test_workload_answers``.
+dropped — ``test_workload_answers``; a run's cells joined by ``","``
+— ``test_workload_answers``; ``Column.followed_by`` not comparing
+``rows`` — ``test_a_self_join_breaks_a_run_where_rows_differ``;
+``take_columns`` not sharing the gathered ``rows``, and
+``StoredTable.text`` not remembering —
+``test_an_exec_shaped_delta_spells_each_run_once``.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -39,11 +56,13 @@ from repro.cli import main
 from repro.core import Mahif, MahifConfig, Method
 from repro.core.delta import DatabaseDelta, RelationDelta
 from repro.relational import Database, Relation, Schema
-from repro.relational.algebra import Project, RelScan, Select
+from repro.relational.algebra import Join, Project, RelScan, Select
+from repro.relational.columnar import StoredTable
 from repro.relational.exec.backend import resolve_backend
 from repro.relational.expressions import Arith, Cmp, If, col, lit
 from repro.relational.relation import sort_rows
 from repro.service.cache import CachedAnswer
+from repro.service import wire
 from repro.service.wire import answer_json, result_payload
 from repro.workloads import WorkloadSpec, build_workload
 
@@ -82,11 +101,14 @@ def reference_delta(result) -> dict:
 
 
 def reference_payload(result) -> dict:
-    return {
+    payload = {
         "delta": reference_delta(result),
         "ps_seconds": result.ps_seconds,
         "exe_seconds": result.exe_seconds,
     }
+    if getattr(result, "profile", None) is not None:  # EXPLAIN
+        payload["profile"] = result_payload(result)["profile"]
+    return payload
 
 
 def assert_spelled_alike(result):
@@ -111,6 +133,29 @@ def test_workload_answers(workload, seed):
     built = build_workload(WorkloadSpec(seed=seed, **WORKLOADS[workload]))
     result = Mahif(MahifConfig(verify_plans=False)).answer(
         built.query, Method.R_PS_DS
+    )
+    assert len(result.delta) > 0
+    assert_spelled_alike(result)
+
+
+#: Every route a delta takes to the wire besides the default answer: the
+#: other backends, naive replay (frozensets) and EXPLAIN ANALYZE.
+ROUTES = {
+    "compiled": ("compiled", Method.R_PS_DS, False),
+    "sqlite": ("sqlite", Method.R_PS_DS, False),
+    "interpreted": ("interpreted", Method.R_PS_DS, False),
+    "naive": ("compiled", Method.NAIVE, False),
+    "explain": ("compiled", Method.R_PS_DS, True),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("workload", ["exec_bound", "mixed_dml"])
+def test_every_route_spells_alike(workload, route):
+    backend, method, explain = ROUTES[route]
+    built = build_workload(WorkloadSpec(seed=9, **WORKLOADS[workload]))
+    result = Mahif(MahifConfig(backend=backend, verify_plans=False)).answer(
+        built.query, method, explain=explain
     )
     assert len(result.delta) > 0
     assert_spelled_alike(result)
@@ -209,6 +254,131 @@ def test_zero_width_and_empty_tables():
         "delta": {"R": {"attributes": ["a"], "added": [], "removed": []}},
         "ps_seconds": 0.0, "exe_seconds": 0.0,
     })
+
+
+# ---------------------------------------------------------------------------
+# runs: one text per stored row for adjacent pass-through columns
+# ---------------------------------------------------------------------------
+
+def test_an_exec_shaped_delta_spells_each_run_once(monkeypatch):
+    """The floor under ``_rows_json``, as counts: nine pass-through
+    columns and one computed one are two pieces per row and two
+    separators; two encodes of two answers over one version build the
+    run's text once and no pass-through column's text of its own."""
+    builds = []
+    real_text = StoredTable.text
+
+    def counting_text(self, lo, hi):
+        if (lo, hi) not in self._runs:
+            builds.append((id(self), lo, hi))
+        return real_text(self, lo, hi)
+
+    monkeypatch.setattr(StoredTable, "text", counting_text)
+    built = build_workload(WorkloadSpec(seed=11, **WORKLOADS["exec_bound"]))
+    engine = Mahif(MahifConfig(verify_plans=False))
+    for _ in range(2):
+        result = engine.answer(built.query, Method.R_PS_DS)
+        (delta,) = result.delta.relations.values()
+        for table in delta.tables():
+            stored = [column.stored is not None for column in table.columns]
+            assert stored == [True] * 9 + [False]
+            pieces: list[str] = []
+            wire._rows_json(table, pieces)
+            assert len(pieces) == 1 + 2 * 2 * table.nrows
+        assert_spelled_alike(result)
+    assert [(lo, hi) for _, lo, hi in builds] == [(0, 9)]
+
+
+def passed_through(names):
+    return tuple((col(name), name) for name in names)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "interpreted"])
+def test_a_computed_column_splits_a_run(backend):
+    """A computed column between pass-through ones, NULLs, escapes,
+    ``-0.0`` and ``±Inf`` inside the runs on both sides of it."""
+    db = nasty_database()
+    query_h = Project(RelScan("R"), (
+        (col("k"), "k"), (col("big"), "big"),
+        (Arith("*", col("f"), lit(-1.0)), "f"),
+        (col("b"), "b"), (col("s"), "s"),
+    ))
+    query_m = Project(
+        Select(RelScan("R"), Cmp("<", col("k"), lit(20))),
+        passed_through(("k", "big", "f", "b", "s")),
+    )
+    sides = resolve_backend(backend).evaluate_pair(query_h, query_m, db)
+    delta = RelationDelta.of_results(*sides)
+    removed, added = delta.tables()
+    if backend == "compiled":  # runs kept: [k, big], f, [b, s] / one
+        assert len(wire._run_texts(removed)) == 3
+        assert len(wire._run_texts(added)) == 1
+    else:  # relations: the frozenset route, one run over every column
+        assert len(wire._run_texts(removed)) == 1
+    assert_spelled_alike(answered(delta))
+    text = answer_json(answered(delta))
+    for spelled in ("null", "-0.0", "Infinity", '\\"hi\\"', "\\u2028"):
+        assert spelled in text
+
+
+def test_a_self_join_breaks_a_run_where_rows_differ():
+    """Two adjacent output columns reading adjacent stored columns of one
+    table, but each at its own side's rows, are two runs."""
+    db = nasty_database()
+    right = Project(RelScan("R"), ((col("k"), "k2"), (col("big"), "big2")))
+    joined = Join(
+        RelScan("R"), right, Cmp("=", col("k2"), Arith("+", col("k"), lit(1)))
+    )
+    query_h = Project(joined, ((col("k"), "k"), (col("big2"), "big")))
+    query_m = Project(RelScan("R"), passed_through(("k", "big")))
+    sides = resolve_backend("compiled").evaluate_pair(query_h, query_m, db)
+    delta = RelationDelta.of_results(*sides)
+    removed, added = delta.tables()
+    assert [column.stored.index for column in removed.columns] == [0, 1]
+    assert len(wire._run_texts(removed)) == 2
+    assert len(wire._run_texts(added)) == 1
+    assert_spelled_alike(answered(delta))
+
+
+def test_a_concatenated_table_keeps_its_cells_own_text():
+    """Section 10: a side unioned with inserted tuples is a table whose
+    columns join two tables' cells (``parts``): spelled per column."""
+    db = nasty_database()
+    names = ("k", "big", "f", "b", "s")
+    inserted = Relation.from_rows(Schema.of(*names), [
+        (100, None, -0.0, True, 'new "row"'),
+        (101, 2 ** 60, float("inf"), None, "\u2028"),
+    ])
+    query = Project(RelScan("R"), passed_through(names))
+    sides = resolve_backend("compiled").evaluate_pair(
+        query, Select(query, Cmp(">", col("k"), lit(3))), db
+    )
+    delta = RelationDelta.of_results(
+        *sides, extra_current=None, extra_modified=inserted
+    )
+    removed, added = delta.tables()
+    assert added.nrows == 2 and removed.nrows == 4
+    assert all(column.stored._parts for column in added.columns)
+    assert len(wire._run_texts(added)) == len(names)
+    assert_spelled_alike(answered(delta))
+
+
+def test_two_threads_encode_one_version_alike():
+    """The lazy fills may race: two threads spelling one version's
+    fresh runs at once send identical, correct bytes."""
+    built = build_workload(WorkloadSpec(seed=13, **WORKLOADS["exec_bound"]))
+    result = Mahif(MahifConfig(verify_plans=False)).answer(
+        built.query, Method.R_PS_DS
+    )
+    barrier = threading.Barrier(2)
+
+    def encode(_):
+        barrier.wait()
+        return answer_json(result)
+
+    with ThreadPoolExecutor(2) as pool:
+        first, second = pool.map(encode, range(2))
+    assert first == second == json.dumps(reference_payload(result))
 
 
 # ---------------------------------------------------------------------------
