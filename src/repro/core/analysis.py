@@ -34,7 +34,7 @@ from ..relational.statements import (
 from ..solver.session import SolverConfig, SolverSession
 from ..symbolic.compress import CompressionConfig, compress_relation
 from ..symbolic.symexec import (
-    prune_defining_conjuncts,
+    DefiningConjuncts,
     run_history_single_tuple,
 )
 from ..symbolic.vctable import SymbolicTuple
@@ -158,6 +158,7 @@ def build_dependency_graph(
 
         session = SolverSession(phi_d, solver)
         phi_d_variables = variables_of(phi_d)
+        defining = DefiningConjuncts(run.global_conjuncts)
         for index, i in enumerate(positions):
             tuple_i, local_i = run.steps[i - 1]
             theta_i = and_(
@@ -169,9 +170,8 @@ def build_dependency_graph(
                     local_j, _condition_over(history[j], tuple_j)
                 )
                 core = and_(theta_i, theta_j)
-                defs = prune_defining_conjuncts(
-                    run.global_conjuncts,
-                    variables_of(core) | phi_d_variables,
+                defs = defining.needed_by(
+                    variables_of(core) | phi_d_variables
                 )
                 if not session.check(core, defs).is_unsat:
                     graph.add_edge(i, j)

@@ -318,14 +318,16 @@ def pair_task(
     (module-level so process pools pick it up by reference; the operator
     trees and databases it receives all pickle).  The pair runs through the backend's
     ``evaluate_pair`` and :meth:`RelationDelta.of_results` — on the
-    columnar evaluator one sort of the two result tables, no row
+    columnar evaluator one ordering of the two result tables, no row
     materialized.  ``extra_original`` / ``extra_modified`` are the
     Section-10 inserted tuples, unioned into each side's result.
     ``profiled`` is EXPLAIN ANALYZE: the same evaluation through
     :func:`repro.obs.profile.profile_query`, which materializes
     bottom-up through the same backends, so the delta equals the plain
-    one.  Returns ``(delta, worker-side wall seconds, profiles)`` with
-    ``profiles`` = ``{"original": ..., "modified": ...}`` or ``None``.
+    one.  Returns ``(delta, seconds, profiles)``: ``seconds`` is the
+    worker-side wall time of evaluating the pair and of taking its delta,
+    ``(evaluate_s, delta_s)``, and ``profiles`` is
+    ``{"original": ..., "modified": ...}`` or ``None``.
     """
     t0 = time.perf_counter()
     profiles = None
@@ -339,10 +341,11 @@ def pair_task(
         result_h, result_m = resolve_backend(backend).evaluate_pair(
             query_h, query_m, db
         )
+    t1 = time.perf_counter()
     delta = RelationDelta.of_results(
         result_h, result_m, extra_original, extra_modified
     )
-    return delta, time.perf_counter() - t0, profiles
+    return delta, (t1 - t0, time.perf_counter() - t1), profiles
 
 
 def _scanned_only(call: tuple) -> tuple:
@@ -416,13 +419,15 @@ def _execute_stage(
         ):
             # Pool workers see no active trace; their timings come back
             # with the results and are attached here.
+            evaluate_s, delta_s = seconds
             trace.record_span(
-                "relation", seconds, relation=relation, query=index
+                "relation", evaluate_s + delta_s, relation=relation,
+                query=index, evaluate_s=evaluate_s, delta_s=delta_s,
             )
             entry = executed[index]
             entry.deltas[relation] = delta
             entry.profiles[relation] = profiles
-            entry.seconds += seconds
+            entry.seconds += evaluate_s + delta_s
         # relations this process scanned cold meanwhile (a process pool's
         # workers count in their own registries)
         span.set_attribute(

@@ -140,7 +140,7 @@ class RelationDelta:
         execution backend's ``evaluate_pair`` returns them, each unioned
         with its side's Section-10 inserted tuples (``extra_*``).
 
-        Two columnar tables are compared in one sort
+        Two columnar tables are compared in one ordering
         (:func:`~repro.relational.columnar.sorted_delta`) into a
         columnar delta; when some attribute has no exact sort key, and
         for relations, this is :meth:`between` of the two unions."""

@@ -61,7 +61,7 @@ from ..relational.statements import (
 from ..solver.session import SolverSession
 from ..symbolic.compress import CompressionConfig, compress_relation
 from ..symbolic.symexec import (
-    prune_defining_conjuncts,
+    DefiningConjuncts,
     run_history_single_tuple,
 )
 from ..symbolic.vctable import SymbolicTuple
@@ -126,7 +126,9 @@ def dependency_slice(
                 aligned.modified, relation, schema, input_tuple,
                 prefix=f"dm_{relation}",
             )
-            defs = list(run_h.global_conjuncts) + list(run_m.global_conjuncts)
+            defs = DefiningConjuncts(
+                list(run_h.global_conjuncts) + list(run_m.global_conjuncts)
+            )
 
             # "affected by some modification": the tuple's trajectories can
             # diverge between H and H[M].  For update-style pairs this is the
@@ -207,8 +209,8 @@ def dependency_slice(
                 touches_h = and_(local_h, _condition_over(stmt, tuple_h))
                 touches_m = and_(local_m, _condition_over(stmt, tuple_m))
                 core = or_(touches_h, touches_m)
-                relevant = prune_defining_conjuncts(
-                    defs, variables_of(core) | shared_variables
+                relevant = defs.needed_by(
+                    variables_of(core) | shared_variables
                 )
 
                 start = time.perf_counter()

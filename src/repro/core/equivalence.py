@@ -41,8 +41,8 @@ from ..relational.schema import Schema
 from ..solver.session import SolverConfig, SolverSession
 from ..symbolic.compress import CompressionConfig, compress_relation
 from ..symbolic.symexec import (
+    DefiningConjuncts,
     SymbolicExecutionError,
-    prune_defining_conjuncts,
     run_history_single_tuple,
 )
 from ..symbolic.vctable import SymbolicTuple
@@ -145,10 +145,9 @@ def check_history_equivalence(
             return EquivalenceResult(EquivalenceVerdict.UNKNOWN)
 
         equal = histories_equal_condition(run_a, run_b)
-        defs = prune_defining_conjuncts(
-            tuple(run_a.global_conjuncts) + tuple(run_b.global_conjuncts),
-            variables_of(equal) | variables_of(phi_d),
-        )
+        defs = DefiningConjuncts(
+            tuple(run_a.global_conjuncts) + tuple(run_b.global_conjuncts)
+        ).needed_by(variables_of(equal) | variables_of(phi_d))
         result = SolverSession(phi_d, solver).check(Not(equal), defs)
         if result.is_unsat:
             continue

@@ -42,8 +42,8 @@ from ..relational.schema import Schema
 from ..solver.session import SolverConfig, SolverSession
 from ..symbolic.compress import CompressionConfig, compress_relation
 from ..symbolic.symexec import (
+    DefiningConjuncts,
     SingleTupleRun,
-    prune_defining_conjuncts,
     run_history_single_tuple,
 )
 from ..symbolic.vctable import SymbolicTuple
@@ -186,8 +186,8 @@ class _RelationSlicer:
             + list(run_h_sliced.global_conjuncts)
             + list(run_m_sliced.global_conjuncts)
         )
-        relevant = prune_defining_conjuncts(
-            all_defs, variables_of(body) | self._phi_d_variables
+        relevant = DefiningConjuncts(all_defs).needed_by(
+            variables_of(body) | self._phi_d_variables
         )
 
         start = time.perf_counter()

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..core import DeleteStatementMod, Method, Replace
 from ..core.hwq import InsertStatementMod, Modification
-from ..relational.columnar import ColumnarTable
+from ..relational.columnar import ColumnarTable, run_texts
 from ..relational.parser import ParseError, parse_statement
 
 __all__ = [
@@ -108,23 +108,6 @@ def delta_payload(result, *, include_empty: bool = False) -> dict:
     return payload
 
 
-def _run_texts(table: ColumnarTable) -> list[Any]:
-    """Each row's text per maximal run of ``table``'s columns: adjacent
-    columns that read consecutive columns of one stored table at the
-    same rows (:meth:`~repro.relational.columnar.Column.followed_by`)
-    are one piece, the stored table's remembered text of the run; any
-    other column is a run of its own."""
-    columns = table.columns
-    texts, start = [], 0
-    for end in range(1, len(columns) + 1):
-        if end == len(columns) or not columns[end - 1].followed_by(
-            columns[end]
-        ):
-            texts.append(columns[start].json_text(end - start))
-            start = end
-    return texts
-
-
 def _rows_json(table: ColumnarTable, pieces: list[str]) -> None:
     """Append the pieces of ``table``'s rows as a JSON list of lists:
     each run's text interleaved with the separators in one object grid,
@@ -133,7 +116,7 @@ def _rows_json(table: ColumnarTable, pieces: list[str]) -> None:
     if not rows or not width:
         pieces.append(json.dumps([[]] * rows))
         return
-    texts = _run_texts(table)
+    texts = run_texts(table.columns)
     grid = np.empty((rows, 2 * len(texts)), dtype=object)
     for index, text in enumerate(texts):
         grid[:, 2 * index] = text

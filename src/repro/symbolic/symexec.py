@@ -55,7 +55,7 @@ __all__ = [
     "execute_history",
     "SingleTupleRun",
     "run_history_single_tuple",
-    "prune_defining_conjuncts",
+    "DefiningConjuncts",
 ]
 
 
@@ -183,40 +183,62 @@ class SingleTupleRun:
         return names
 
 
-def prune_defining_conjuncts(
-    conjuncts: Iterable[Expr], needed_variables: set[str]
-) -> list[Expr]:
-    """Keep only defining equalities transitively needed by a formula.
+class DefiningConjuncts:
+    """The defining equalities ``x = e`` among a list of conjuncts, read
+    once: which name each defines, and (when first needed) which
+    variables it mentions.  A slicing check prunes one run's conjuncts
+    for every statement it checks; reading them once makes a check that
+    needs none of the defined names one set test."""
 
-    Symbolic execution produces one conjunct ``x_new = if ... then ... else
-    x_old`` per updated attribute per statement.  A slicing/dependency
-    formula usually references only a few of those variables (conditions
-    over never-updated attributes reference none); constraining the others
-    is sound but bloats the MILP.  Starting from ``needed_variables``, we
-    keep a conjunct iff it defines a needed variable, adding the variables
-    it mentions to the needed set until fixpoint.
-    """
-    remaining = list(conjuncts)
-    kept: list[Expr] = []
-    needed = set(needed_variables)
-    changed = True
-    while changed and remaining:
-        changed = False
-        still_remaining = []
-        for conjunct in remaining:
-            defined: str | None = None
-            if isinstance(conjunct, Cmp) and conjunct.op == "=":
-                left = conjunct.left
-                if isinstance(left, Var):
-                    defined = left.name
-            if defined is not None and defined in needed:
-                kept.append(conjunct)
-                needed |= variables_of(conjunct)
-                changed = True
-            else:
-                still_remaining.append(conjunct)
-        remaining = still_remaining
-    return kept
+    __slots__ = ("_defining", "_names", "_variables")
+
+    def __init__(self, conjuncts: Iterable[Expr]) -> None:
+        self._defining = [
+            (conjunct.left.name, conjunct)
+            for conjunct in conjuncts
+            if isinstance(conjunct, Cmp)
+            and conjunct.op == "="
+            and isinstance(conjunct.left, Var)
+        ]
+        self._names = {name for name, _ in self._defining}
+        self._variables: list[set[str] | None] = [None] * len(self._defining)
+
+    def needed_by(self, needed_variables: set[str]) -> list[Expr]:
+        """Keep only defining equalities transitively needed by a formula.
+
+        Symbolic execution produces one conjunct ``x_new = if ... then ...
+        else x_old`` per updated attribute per statement.  A
+        slicing/dependency formula usually references only a few of those
+        variables (conditions over never-updated attributes reference
+        none); constraining the others is sound but bloats the MILP.
+        Starting from ``needed_variables``, we keep a conjunct iff it
+        defines a needed variable, adding the variables it mentions to the
+        needed set until fixpoint.  The kept conjuncts come in the order
+        of the passes that keep them, each pass in list order.
+        """
+        if self._names.isdisjoint(needed_variables):
+            return []
+        variables = self._variables
+        remaining = list(enumerate(self._defining))
+        kept: list[Expr] = []
+        needed = set(needed_variables)
+        changed = True
+        while changed and remaining:
+            changed = False
+            still_remaining = []
+            for entry in remaining:
+                index, (defined, conjunct) = entry
+                if defined in needed:
+                    kept.append(conjunct)
+                    mentioned = variables[index]
+                    if mentioned is None:
+                        mentioned = variables[index] = variables_of(conjunct)
+                    needed |= mentioned
+                    changed = True
+                else:
+                    still_remaining.append(entry)
+            remaining = still_remaining
+        return kept
 
 
 def run_history_single_tuple(

@@ -1,10 +1,13 @@
 """The columnar delta: ``evaluate_pair`` + ``RelationDelta.of_results``.
 
 On the columnar evaluator a reenactment query pair is never turned into
-rows: both result tables are ordered by one ``np.lexsort`` that is at
-once the anti-join and ``sort_rows``, and the delta keeps the two sorted
-tables, building ``added`` / ``removed`` frozensets when first read.
-This suite pins the contract that makes the shortcut invisible:
+rows: both result tables are put in one order that is at once the
+anti-join and ``sort_rows`` — the first key sorted, and only the rows it
+ties refined by the later keys (a pair by one compare and a swap, a
+larger group by one ``np.lexsort`` on every key) — and the delta keeps
+the two sorted tables, building ``added`` / ``removed`` frozensets when
+first read.  This suite pins the contract that makes the shortcut
+invisible:
 
 * on every backend, ``of_results(*evaluate_pair(h, m, db), extras)``
   equals ``between`` of the two evaluated (and unioned) results — over
@@ -16,6 +19,12 @@ This suite pins the contract that makes the shortcut invisible:
 * the sides fall back to ``between`` exactly where no exact sort key
   exists (list-backed columns, tags that differ between the sides,
   NaN), and take the columnar route otherwise;
+* the refined order is ``np.lexsort`` of every key and its ``tied`` the
+  per-key run boundaries, seeded over int, float (``-0.0`` / ``0.0``),
+  bool validity and permutation keys with tied groups of two (the swap)
+  and of three or more (the fallback); duplicates within a side under a
+  constant first key; and the count floor — an ``exec_bound``-shaped
+  what-if puts no row through the fallback sort;
 * a lazy delta is ``==`` to and hashes like its materialized twin;
   ``len``, ``is_empty`` and ``DatabaseDelta``'s empty filter do not
   materialize it; it pickles through a process pool; eight threads
@@ -30,7 +39,16 @@ of its first — ``test_first_occurrence_wins_where_text_differs``;
 dropping the validity key — ``test_corpus_of_random_plans``; NULL
 keyed last — ``test_nulls_sort_first_and_equal_each_other``;
 ``_materialize`` without its lock —
-``test_eight_first_readers_get_one_frozenset``.
+``test_eight_first_readers_get_one_frozenset``; a pair swapped on
+``>=`` instead of ``>`` — ``test_refined_order_is_the_lexsort_of_every_key``;
+the fallback skipped for a split group of three, or a group of three
+told by one neighbour only —
+``test_a_group_of_three_split_by_a_later_key_falls_back`` and the
+property test; after the fallback, ``tied`` narrowed with the order
+the pairs had before it —
+``test_a_group_of_three_split_by_a_later_key_falls_back``; the fallback
+sorting on the keys in the wrong priority —
+``test_nulls_sort_first_and_equal_each_other``.
 """
 
 from __future__ import annotations
@@ -39,6 +57,7 @@ import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from fuzz_differential import fresh_rng, random_hwq, scaled
@@ -54,11 +73,12 @@ from repro.relational.algebra import (
     evaluate_query,
     evaluate_query_interpreted,
 )
-from repro.relational.columnar import ColumnarTable, sorted_delta
+from repro.relational.columnar import ColumnarTable, _lex_order, sorted_delta
 from repro.relational.exec.backend import BACKENDS, resolve_backend
 from repro.relational.relation import sort_rows
 from repro.relational.expressions import Arith, EvaluationError, col, lit
 from repro.relational.schema import SchemaError
+from repro.workloads import WorkloadSpec, build_workload
 
 N_PLAN_PAIRS = 150
 N_WHATIFS = 25
@@ -264,6 +284,154 @@ def test_strings_order_as_python_orders_them():
     current = table(*[(w,) for w in words])
     removed, _ = sorted_delta(current, table(("zz",)))
     assert [row[0] for row in removed.tuples()] == sorted(words)
+
+
+# ---------------------------------------------------------------------------
+# the order: refining ties against one sort on every key
+# ---------------------------------------------------------------------------
+
+N_ORDER_TRIALS = 400
+#: The oracle's sort, kept before any test counts calls of np.lexsort.
+LEXSORT = np.lexsort
+
+
+def run_boundaries(keys, order):
+    """The reference ``tied``: per key, whether each row of ``order``
+    equals the next one."""
+    tied = np.ones(len(order) - 1, dtype=bool)
+    for key in keys:
+        ranked = key[order]
+        tied &= ranked[1:] == ranked[:-1]
+    return tied
+
+
+def random_key(rng, rows, kind):
+    if kind == "int":
+        return np.array([rng.randint(-2, 2) for _ in range(rows)])
+    if kind == "float":  # -0.0 and 0.0 tie, and tie with each other
+        values = [-0.0, 0.0, 1.5, -2.0]
+        return np.array([rng.choice(values) for _ in range(rows)])
+    if kind == "bool":  # a validity key
+        return np.array([rng.random() < 0.7 for _ in range(rows)])
+    values = list(range(rows))  # a permutation: no ties at all
+    rng.shuffle(values)
+    return np.array(values)
+
+
+def random_first_key(rng, rows):
+    """Groups of two rows (the keyed shape), of any size, or none."""
+    shape = rng.choice(["pairs", "pairs", "groups", "unique"])
+    if shape == "pairs":
+        values = [i // 2 for i in range(rows)]
+        if rng.random() < 0.5:  # a few groups of three among the pairs
+            values = [v - (v % 5 == 4 and i % 2 == 0) for i, v in
+                      enumerate(values)]
+    elif shape == "groups":
+        values = [rng.randint(0, max(1, rows // 4)) for _ in range(rows)]
+    else:
+        values = list(range(rows))
+    rng.shuffle(values)
+    return np.array(values)
+
+
+@pytest.fixture
+def lexsorts(monkeypatch):
+    """The rows each call of ``np.lexsort`` orders."""
+    calls = []
+
+    def counting(keys, *args, **kwargs):
+        calls.append(len(keys[0]))
+        return LEXSORT(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counting)
+    return calls
+
+
+def test_refined_order_is_the_lexsort_of_every_key(lexsorts):
+    """Seeded: the order and ``tied`` equal one stable sort on every key
+    and the per-key run boundaries — over int, float (with ``-0.0`` /
+    ``0.0``), bool validity and permutation keys, with first keys whose
+    tied groups are pairs (the swap), larger (the fallback) or absent."""
+    rng = fresh_rng(offset=38)
+    swapped = fell_back = 0
+    for _ in range(scaled(N_ORDER_TRIALS)):
+        rows = rng.randint(1, 40)
+        keys = [random_first_key(rng, rows)] + [
+            random_key(rng, rows, rng.choice(["int", "float", "bool", "perm"]))
+            for _ in range(rng.randint(0, 4))
+        ]
+        calls = len(lexsorts)
+        order, tied = _lex_order(keys)
+        expected = LEXSORT(keys[::-1])
+        assert order.tolist() == expected.tolist()
+        assert tied.tolist() == run_boundaries(keys, expected).tolist()
+        if len(lexsorts) > calls:
+            fell_back += 1
+        elif order.tolist() != np.argsort(keys[0], kind="stable").tolist():
+            swapped += 1
+    assert swapped >= scaled(N_ORDER_TRIALS) // 10
+    assert fell_back >= scaled(N_ORDER_TRIALS) // 10
+
+
+def test_a_group_of_three_split_by_a_later_key_falls_back(lexsorts):
+    first = np.array([0, 1, 1, 1, 2])
+    second = np.array([5.0, 3.0, -0.0, 0.0, 1.0])
+    order, tied = _lex_order([first, second])
+    assert order.tolist() == [0, 2, 3, 1, 4]
+    assert tied.tolist() == [False, True, False, False]
+    assert lexsorts == [5]
+
+
+def test_a_pair_is_ordered_by_one_compare(lexsorts):
+    first = np.array([1, 0, 1, 0])
+    second = np.array([7, 9, 3, 9])
+    third = np.array([True, False, False, True])
+    order, tied = _lex_order([first, second, third])
+    assert order.tolist() == [1, 3, 2, 0]
+    assert tied.tolist() == [False, False, False]
+    assert lexsorts == []
+
+
+def test_duplicates_within_a_side_under_a_constant_first_key():
+    """Every row ties on the first key (one group: the fallback), and
+    each side repeats rows: the delta is ``between``'s, in
+    ``sort_rows`` order, each distinct row once."""
+    current = table(
+        (1, "b", 2.0), (1, "a", 1.0), (1, "b", 2.0), (1, "c", -0.0),
+        (1, "a", 1.0), (1, "d", 4.0),
+    )
+    modified = table(
+        (1, "a", 1.0), (1, "e", 5.0), (1, "e", 5.0), (1, "c", 0.0),
+        (1, "b", 3.0),
+    )
+    removed, added = sorted_delta(current, modified)
+    expected = RelationDelta.between(
+        current.to_relation(), modified.to_relation()
+    )
+    assert removed.tuples() == sort_rows(expected.removed)
+    assert added.tuples() == sort_rows(expected.added)
+    assert removed.tuples() == [(1, "b", 2.0), (1, "d", 4.0)]
+    assert added.tuples() == [(1, "b", 3.0), (1, "e", 5.0)]
+
+
+def test_a_keyed_pair_never_reaches_the_fallback(lexsorts):
+    """The floor, as a count: an ``exec_bound``-shaped what-if — both
+    sides read one stored table, every tie a row and its twin on the
+    other side — is ordered with no row in ``np.lexsort``."""
+    built = build_workload(WorkloadSpec(
+        seed=7, dataset="taxi", rows=600, updates=10, dependent_pct=100,
+        affected_pct=50,
+    ))
+    result = Mahif(MahifConfig(verify_plans=False)).answer(
+        built.query, Method.R_PS_DS
+    )
+    (delta,) = result.delta.relations.values()
+    assert len(delta) > 0
+    assert lexsorts == []
+    reference_result = Mahif(MahifConfig(backend="interpreted")).answer(
+        built.query, Method.R_PS_DS
+    )
+    assert result.delta == reference_result.delta
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ Seeded via ``MAHIF_FUZZ_SEED``; ``MAHIF_FUZZ_SCALE`` shrinks the
 randomized trials (see ``fuzz_differential``).
 """
 
+import dataclasses
 import json
 import pickle
+import time
 
 import pytest
 
@@ -154,7 +156,8 @@ class TestPairTask:
         )
         assert delta.removed == frozenset((k, k % 7) for k in range(10))
         assert delta.added == frozenset()
-        assert seconds >= 0.0
+        evaluate_s, delta_s = seconds
+        assert evaluate_s >= 0.0 and delta_s >= 0.0
         assert profiles is None
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -270,17 +273,25 @@ def record_pair_tasks(monkeypatch):
     return seen
 
 
-def execute_span(config, queries, *, explain=False):
+def traced_spans(config, queries, *, explain=False):
     lines: list[str] = []
     trace.configure_tracing(lines.append, sample=1.0)
     with trace.start_trace("request"):
         results = Mahif(config).answer_batch(
             queries, Method.R_PS_DS, explain=explain
         )
-    (span,) = [
-        span for span in map(json.loads, lines) if span["name"] == "execute"
-    ]
+    return list(map(json.loads, lines)), results
+
+
+def execute_span(config, queries, *, explain=False):
+    spans, results = traced_spans(config, queries, explain=explain)
+    (span,) = [span for span in spans if span["name"] == "execute"]
     return span["attributes"], results
+
+
+def relation_spans(config, queries):
+    spans, _ = traced_spans(config, queries)
+    return [span for span in spans if span["name"] == "relation"]
 
 
 class TestExecuteStage:
@@ -313,6 +324,64 @@ class TestExecuteStage:
         assert attributes["mode"] == mode
         assert attributes["relations"] == 3
         assert [r.delta for r in results] == [oracle(q) for q in queries]
+
+    @pytest.mark.parametrize(
+        "backend, workers",
+        [("compiled", 0), ("compiled", 2), ("sqlite", 2)],
+    )
+    def test_every_relation_span_splits_evaluate_from_delta(
+        self, backend, workers
+    ):
+        """Each call's ``relation`` span — attached in this process,
+        whether the call ran here or in a pool — carries the two layers
+        of its duration: ``evaluate_s`` and ``delta_s``."""
+        queries = [window_query(), two_relation_query()]
+        config = MahifConfig(backend=backend, batch_workers=workers)
+        spans = relation_spans(config, queries)
+        assert len(spans) == 3
+        for span in spans:
+            attributes = span["attributes"]
+            assert attributes["evaluate_s"] >= 0.0
+            assert attributes["delta_s"] >= 0.0
+            assert span["duration"] == pytest.approx(
+                attributes["evaluate_s"] + attributes["delta_s"]
+            )
+
+    def test_delta_s_times_the_delta_and_evaluate_s_the_pair(
+        self, monkeypatch
+    ):
+        """Each attribute times its own layer: a delay put into
+        ``RelationDelta.of_results`` lands in ``delta_s``, one put into
+        the backend's ``evaluate_pair`` in ``evaluate_s``."""
+        delay = 0.05
+        real_of_results = RelationDelta.of_results.__func__
+
+        def slow_delta(cls, *args, **kwargs):
+            time.sleep(delay)
+            return real_of_results(cls, *args, **kwargs)
+
+        monkeypatch.setattr(
+            RelationDelta, "of_results", classmethod(slow_delta)
+        )
+        config = MahifConfig()
+        (span,) = relation_spans(config, [window_query()])
+        assert span["attributes"]["delta_s"] >= delay
+        monkeypatch.undo()
+
+        real_resolve = batch_module.resolve_backend
+
+        def slowed(name):
+            backend = real_resolve(name)
+
+            def slow_pair(*args):
+                time.sleep(delay)
+                return backend.evaluate_pair(*args)
+
+            return dataclasses.replace(backend, evaluate_pair=slow_pair)
+
+        monkeypatch.setattr(batch_module, "resolve_backend", slowed)
+        (span,) = relation_spans(config, [window_query()])
+        assert span["attributes"]["evaluate_s"] >= delay
 
     def test_a_failed_task_re_raises(self, monkeypatch):
         def failing(*call):

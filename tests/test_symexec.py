@@ -10,8 +10,11 @@ import itertools
 
 import pytest
 
+from fuzz_differential import fresh_rng, scaled
+
 from repro import Database, History, Relation, Schema
 from repro.relational.expressions import (
+    Cmp,
     Const,
     TRUE,
     Var,
@@ -21,6 +24,7 @@ from repro.relational.expressions import (
     ge,
     le,
     lit,
+    variables_of,
 )
 from repro.relational.statements import (
     DeleteStatement,
@@ -31,11 +35,11 @@ from repro.relational.statements import (
 )
 from repro.relational.algebra import RelScan
 from repro.symbolic.symexec import (
+    DefiningConjuncts,
     SymbolicExecutionError,
     VariableNamer,
     apply_statement,
     execute_history,
-    prune_defining_conjuncts,
     run_history_single_tuple,
 )
 from repro.symbolic.vctable import SymbolicTuple, VCDatabase, VCTable
@@ -190,13 +194,103 @@ class TestConjunctPruning:
         c1 = eq(Var("a"), Var("b") + 1)
         c2 = eq(Var("b"), Var("c") + 1)
         c3 = eq(Var("z"), Const(0))
-        kept = prune_defining_conjuncts([c1, c2, c3], {"a"})
+        kept = DefiningConjuncts([c1, c2, c3]).needed_by({"a"})
         assert c1 in kept and c2 in kept and c3 not in kept
 
     def test_empty_needed_drops_all(self):
         c1 = eq(Var("a"), Const(1))
-        assert prune_defining_conjuncts([c1], set()) == []
+        assert DefiningConjuncts([c1]).needed_by(set()) == []
 
     def test_non_defining_conjuncts_dropped(self):
         odd = ge(Var("a"), 0)  # not Var == expr
-        assert prune_defining_conjuncts([odd], {"a"}) == []
+        assert DefiningConjuncts([odd]).needed_by({"a"}) == []
+
+
+def reference_prune(conjuncts, needed_variables):
+    """The fixpoint as first written: every pass re-reads every
+    remaining conjunct."""
+    remaining = list(conjuncts)
+    kept = []
+    needed = set(needed_variables)
+    changed = True
+    while changed and remaining:
+        changed = False
+        still_remaining = []
+        for conjunct in remaining:
+            defined = None
+            if isinstance(conjunct, Cmp) and conjunct.op == "=":
+                if isinstance(conjunct.left, Var):
+                    defined = conjunct.left.name
+            if defined is not None and defined in needed:
+                kept.append(conjunct)
+                needed |= variables_of(conjunct)
+                changed = True
+            else:
+                still_remaining.append(conjunct)
+        remaining = still_remaining
+    return kept
+
+
+N_PRUNE_TRIALS = 300
+
+
+def random_conjuncts(rng, names):
+    """Defining equalities (chains, cycles, a name defined twice) mixed
+    with conjuncts that define nothing: ``>=``, a constant on the left."""
+    conjuncts = []
+    for _ in range(rng.randint(0, 14)):
+        mentioned = rng.sample(names, rng.randint(0, 3))
+        right = Const(rng.randint(0, 5))
+        for name in mentioned:
+            right = right + Var(name)
+        kind = rng.random()
+        if kind < 0.7:
+            conjuncts.append(eq(Var(rng.choice(names)), right))
+        elif kind < 0.85:
+            conjuncts.append(ge(Var(rng.choice(names)), right))
+        else:
+            conjuncts.append(eq(Const(1), right))
+    return conjuncts
+
+
+def test_pruning_keeps_the_reference_list_in_its_order():
+    """Seeded: one list read once and pruned for several needed sets
+    returns what the per-pass reference returns, element for element
+    and in the same order — the order the checks' formulas are built
+    in."""
+    rng = fresh_rng(offset=38)
+    names = [f"v{i}" for i in range(8)]
+    nonempty = 0
+    for _ in range(scaled(N_PRUNE_TRIALS)):
+        conjuncts = random_conjuncts(rng, names)
+        defining = DefiningConjuncts(conjuncts)
+        for _ in range(3):
+            needed = set(rng.sample(names, rng.randint(0, 4)))
+            expected = reference_prune(conjuncts, needed)
+            kept = defining.needed_by(needed)
+            assert [id(c) for c in kept] == [id(c) for c in expected]
+            assert DefiningConjuncts(conjuncts).needed_by(needed) == kept
+            nonempty += bool(kept)
+    assert nonempty >= scaled(N_PRUNE_TRIALS) // 2
+
+
+def test_pruning_reads_each_kept_conjunct_once(monkeypatch):
+    """Across the checks of one slicing run, a conjunct's variables are
+    read once, however often it is kept."""
+    from repro.symbolic import symexec
+
+    reads = []
+    real = symexec.variables_of
+
+    def counting(expr):
+        reads.append(expr)
+        return real(expr)
+
+    monkeypatch.setattr(symexec, "variables_of", counting)
+    c1 = eq(Var("a"), Var("b") + 1)
+    c2 = eq(Var("b"), Var("c") + 1)
+    defining = DefiningConjuncts([c2, c1, ge(Var("a"), 0)])
+    for _ in range(4):
+        assert defining.needed_by({"a"}) == [c1, c2]
+    assert defining.needed_by({"z"}) == []
+    assert sorted(map(id, reads)) == sorted([id(c1), id(c2)])

@@ -23,10 +23,13 @@ before it was columnar:
   column — passed through a plan and computed by one;
 * runs: a computed column between pass-through ones, a self-join whose
   adjacent stored columns read different rows, a Section-10
-  concatenation (``parts``), the frozenset route's one run over every
-  column, two threads spelling one version's fresh runs at once, and
-  the count floor — an ``exec_bound``-shaped delta is two pieces per
-  row, its run's text built once over two answers;
+  concatenation (``parts``: the joined columns are one run, each part
+  spelled by its own runs, a self-join's two included), a union of one
+  stored table (one joined ``rows`` array, one run), the frozenset
+  route's one run over every column, two threads spelling one version's
+  fresh runs at once, and the count floors — an ``exec_bound``-shaped
+  delta is two pieces per row, its run's text built once over two
+  answers, and a concatenated ``mixed_dml``-shaped one three;
 * the CLI's local ``--batch`` lines.
 
 Mutation checks, each made by hand on a copy of the tree; each must
@@ -38,7 +41,13 @@ dropped — ``test_workload_answers``; a run's cells joined by ``","``
 ``rows`` — ``test_a_self_join_breaks_a_run_where_rows_differ``;
 ``take_columns`` not sharing the gathered ``rows``, and
 ``StoredTable.text`` not remembering —
-``test_an_exec_shaped_delta_spells_each_run_once``.
+``test_an_exec_shaped_delta_spells_each_run_once``;
+``ColumnarTable.concat`` not binding the joined cells into one table —
+``test_a_concatenated_mixed_dml_delta_keeps_its_runs``;
+``concat_columns`` not sharing the joined ``rows`` —
+``test_a_union_of_one_stored_table_keeps_its_run``; a joined run's
+parts stacked in reverse — ``test_workload_answers``; a part's own runs
+joined in reverse — ``test_a_concatenated_self_join_joins_its_parts_runs``.
 """
 
 from __future__ import annotations
@@ -56,8 +65,8 @@ from repro.cli import main
 from repro.core import Mahif, MahifConfig, Method
 from repro.core.delta import DatabaseDelta, RelationDelta
 from repro.relational import Database, Relation, Schema
-from repro.relational.algebra import Join, Project, RelScan, Select
-from repro.relational.columnar import StoredTable
+from repro.relational.algebra import Join, Project, RelScan, Select, Union
+from repro.relational.columnar import StoredTable, run_texts
 from repro.relational.exec.backend import resolve_backend
 from repro.relational.expressions import Arith, Cmp, If, col, lit
 from repro.relational.relation import sort_rows
@@ -289,6 +298,35 @@ def test_an_exec_shaped_delta_spells_each_run_once(monkeypatch):
     assert [(lo, hi) for _, lo, hi in builds] == [(0, 9)]
 
 
+@pytest.mark.parametrize("seed", [3, 7, 8])
+def test_a_concatenated_mixed_dml_delta_keeps_its_runs(seed):
+    """The floor for Section-10 concatenations, as counts: a
+    ``mixed_dml``-shaped delta — each side unioned with its inserted
+    tuples, five stored columns around one computed one — is three
+    pieces per row (two runs and the computed column), not one per
+    column."""
+    built = build_workload(WorkloadSpec(seed=seed, **WORKLOADS["mixed_dml"]))
+    result = Mahif(MahifConfig(verify_plans=False)).answer(
+        built.query, Method.R_PS_DS
+    )
+    tables = [
+        table
+        for delta in result.delta.relations.values()
+        for table in delta.tables()
+        if table.nrows
+    ]
+    assert tables
+    for table in tables:
+        assert all(
+            column.stored._parts
+            for column in table.columns
+            if column.stored is not None
+        )
+        assert len(table.columns) == 6
+        assert len(run_texts(table.columns)) == 3
+    assert_spelled_alike(result)
+
+
 def passed_through(names):
     return tuple((col(name), name) for name in names)
 
@@ -311,10 +349,10 @@ def test_a_computed_column_splits_a_run(backend):
     delta = RelationDelta.of_results(*sides)
     removed, added = delta.tables()
     if backend == "compiled":  # runs kept: [k, big], f, [b, s] / one
-        assert len(wire._run_texts(removed)) == 3
-        assert len(wire._run_texts(added)) == 1
+        assert len(run_texts(removed.columns)) == 3
+        assert len(run_texts(added.columns)) == 1
     else:  # relations: the frozenset route, one run over every column
-        assert len(wire._run_texts(removed)) == 1
+        assert len(run_texts(removed.columns)) == 1
     assert_spelled_alike(answered(delta))
     text = answer_json(answered(delta))
     for spelled in ("null", "-0.0", "Infinity", '\\"hi\\"', "\\u2028"):
@@ -335,14 +373,16 @@ def test_a_self_join_breaks_a_run_where_rows_differ():
     delta = RelationDelta.of_results(*sides)
     removed, added = delta.tables()
     assert [column.stored.index for column in removed.columns] == [0, 1]
-    assert len(wire._run_texts(removed)) == 2
-    assert len(wire._run_texts(added)) == 1
+    assert len(run_texts(removed.columns)) == 2
+    assert len(run_texts(added.columns)) == 1
     assert_spelled_alike(answered(delta))
 
 
 def test_a_concatenated_table_keeps_its_cells_own_text():
     """Section 10: a side unioned with inserted tuples is a table whose
-    columns join two tables' cells (``parts``): spelled per column."""
+    columns join two tables' cells (``parts``).  The joined columns are
+    one stored table, so they spell as one run: each part's own run
+    text, stacked."""
     db = nasty_database()
     names = ("k", "big", "f", "b", "s")
     inserted = Relation.from_rows(Schema.of(*names), [
@@ -359,7 +399,53 @@ def test_a_concatenated_table_keeps_its_cells_own_text():
     removed, added = delta.tables()
     assert added.nrows == 2 and removed.nrows == 4
     assert all(column.stored._parts for column in added.columns)
-    assert len(wire._run_texts(added)) == len(names)
+    assert len(run_texts(added.columns)) == 1
+    assert_spelled_alike(answered(delta))
+
+
+def test_a_concatenated_self_join_joins_its_parts_runs():
+    """A joined run whose first part is itself two runs (a self-join's
+    columns, each at its own side's rows) spells each part's rows as
+    that part's runs joined."""
+    db = nasty_database()
+    right = Project(RelScan("R"), ((col("k"), "k2"), (col("big"), "big2")))
+    joined = Join(
+        RelScan("R"), right, Cmp("=", col("k2"), Arith("+", col("k"), lit(1)))
+    )
+    query_h = Project(joined, ((col("k"), "k"), (col("big2"), "big")))
+    query_m = Project(RelScan("R"), passed_through(("k", "big")))
+    inserted = Relation.from_rows(
+        Schema.of("k", "big"), [(100, None), (101, -(2 ** 60))]
+    )
+    sides = resolve_backend("compiled").evaluate_pair(query_h, query_m, db)
+    delta = RelationDelta.of_results(
+        *sides, extra_current=inserted, extra_modified=None
+    )
+    removed, _ = delta.tables()
+    assert all(column.stored._parts for column in removed.columns)
+    assert len(run_texts(removed.columns)) == 1
+    assert len(run_texts([c.stored._parts[0] for c in removed.columns])) == 2
+    assert_spelled_alike(answered(delta))
+
+
+def test_a_union_of_one_stored_table_keeps_its_run():
+    """A union of two selections of one relation reads one stored table
+    on both sides of the concatenation: its columns share one joined
+    ``rows`` array and stay one run."""
+    db = nasty_database()
+    names = ("k", "big", "f", "b", "s")
+    query = Project(RelScan("R"), passed_through(names))
+    union = Union(
+        Select(query, Cmp("<", col("k"), lit(6))),
+        Select(query, Cmp(">", col("k"), lit(20))),
+    )
+    sides = resolve_backend("compiled").evaluate_pair(
+        union, Select(query, Cmp("=", col("k"), lit(3))), db
+    )
+    delta = RelationDelta.of_results(*sides)
+    removed, added = delta.tables()
+    assert removed.nrows == 12 and added.nrows == 0
+    assert len(run_texts(removed.columns)) == 1
     assert_spelled_alike(answered(delta))
 
 
