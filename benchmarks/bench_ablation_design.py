@@ -4,11 +4,12 @@ Not figures from the paper, but ablations of this implementation:
 
 * **slicing algorithm** — the Section-9 dependency analysis (default, one
   small solver call per statement) vs the Section-8.3.3 greedy search
-  (exact Theorem-4 checks, one large solver call per candidate),
+  (exact Theorem-4 checks, one large solver call per candidate), on the
+  same 12-statement history,
 * **compression grouping** — Φ_D as a single range box vs grouped by a
   categorical attribute (Section 8.3.1's knob): more groups = tighter
   over-approximation = potentially smaller slices at higher solver cost,
-* **defining-conjunct pruning** — the MILP built from all symbolic
+* **defining-conjunct pruning** — the solver handed all symbolic
   defining equalities vs only the transitively-referenced ones.
 """
 
@@ -29,12 +30,8 @@ def test_ablation_slicing_algorithm(benchmark):
     """dependency vs greedy slicing: same slice quality, different cost."""
 
     def run():
-        # greedy's exact Theorem-4 checks carry the full CASE chains of
-        # every update into the MILP; on large/float formulas they go
-        # solver-bound (the paper's own Sec.-13.7 caveat about MILP cost),
-        # so this ablation uses a short history
         spec = WorkloadSpec(
-            dataset="taxi", rows=SMALL_ROWS, updates=5, seed=7
+            dataset="taxi", rows=SMALL_ROWS, updates=12, seed=7
         )
         workload = build_workload(spec)
         out = []
@@ -60,14 +57,15 @@ def test_ablation_slicing_algorithm(benchmark):
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print_series_table(
-        "Ablation — slicing algorithm (U5, taxi)",
+        "Ablation — slicing algorithm (U12, taxi)",
         ["algorithm", "total s", "PS s", "kept", "solver calls"],
         [
             [r["algorithm"], r["total"], r["ps"], r["kept"], r["solver_calls"]]
             for r in rows
         ],
-        note="dependency is cheap and effective; greedy's exact checks are "
-        "solver-bound on float data and keep more (UNKNOWN = keep)",
+        note=f"kept of 12 — dependency {rows[0]['kept']}, greedy "
+        f"{rows[1]['kept']}: dependency asks one small question per "
+        "statement, greedy one Theorem-4 question per candidate",
     )
 
 

@@ -1,7 +1,7 @@
 """Figure 19: varying the percentage of dependent updates D (at T10, U100).
 
 Paper shape: program slicing loses effectiveness as D grows (more updates
-must stay in the slice) until at D100 it pays the MILP cost for no
+must stay in the slice) until at D100 it pays the solver cost for no
 benefit; adding data slicing (R+PS+DS) mitigates the degradation because
 the reenacted input is still filtered.
 """

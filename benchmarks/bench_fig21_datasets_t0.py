@@ -1,7 +1,7 @@
 """Figure 21: all datasets at very low selectivity (T0, <1% affected).
 
 Paper shape: at tiny selectivity R+DS is extremely competitive — the
-filtered input is nearly empty, so the extra MILP cost of R+PS+DS may not
+filtered input is nearly empty, so the extra solver cost of R+PS+DS may not
 pay off on smaller relations; on larger relations program slicing's
 size-independent cost amortizes.
 """

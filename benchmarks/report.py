@@ -104,7 +104,7 @@ Generated by ``python benchmarks/report.py`` from the latest
 
 Scale note: the paper runs 5M/50M-row PostgreSQL tables on a 24-core
 server with CPLEX; this reproduction runs a pure-Python in-memory engine
-with a scipy-based MILP solver at laptop scale (defaults: "5M" → 1.2k
+with an exact case-split solver in place of the MILP at laptop scale (defaults: "5M" → 1.2k
 rows, "50M" → 3.6k rows, U ∈ {10, 20, 40}; override with MAHIF_BENCH_*).
 Absolute
 numbers are therefore not comparable — the claims being reproduced are the

@@ -7,8 +7,8 @@ been different?"  The answer is computed by *reenacting* the original and
 the hypothetically-modified transactional history as queries and taking
 the symmetric difference, optimized by *data slicing* (filter provably
 unaffected tuples) and *program slicing* (drop provably irrelevant
-statements, proved via symbolic execution over VC-tables and an MILP
-solver).
+statements, proved via symbolic execution over VC-tables and a
+satisfiability check that stands in for the paper's MILP).
 
 Quickstart::
 

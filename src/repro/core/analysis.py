@@ -31,7 +31,7 @@ from ..relational.statements import (
     Statement,
     UpdateStatement,
 )
-from ..solver.session import SolverConfig, SolverSession
+from ..solver.session import SolverSession
 from ..symbolic.compress import CompressionConfig, compress_relation
 from ..symbolic.symexec import (
     DefiningConjuncts,
@@ -90,7 +90,6 @@ def build_dependency_graph(
     history: History,
     database: Database,
     compression: CompressionConfig | None = None,
-    solver: SolverConfig | None = None,
 ) -> DependencyAnalysis:
     """Build the may-interact graph of a history over a database.
 
@@ -102,7 +101,6 @@ def build_dependency_graph(
     conservatively connected to everything sharing a relation.
     """
     compression = compression or CompressionConfig()
-    solver = solver or SolverConfig()
     graph = nx.DiGraph()
     for position in history.positions():
         stmt = history[position]
@@ -156,7 +154,7 @@ def build_dependency_graph(
                         graph.add_edge(i, j)
             continue
 
-        session = SolverSession(phi_d, solver)
+        session = SolverSession(phi_d)
         phi_d_variables = variables_of(phi_d)
         defining = DefiningConjuncts(run.global_conjuncts)
         for index, i in enumerate(positions):

@@ -191,7 +191,7 @@ def dependency_slice(
             # check below: prepare them once.
             shared = and_(phi_d, affected_any)
             start = time.perf_counter()
-            session = SolverSession(shared, config.solver)
+            session = SolverSession(shared)
             solver_seconds += time.perf_counter() - start
             shared_variables = variables_of(shared)
 
@@ -232,9 +232,9 @@ def dependency_slice(
                         "statements": len(positions),
                         "solver_calls": solver_calls - calls_before,
                         "kept": len(kept.intersection(positions)),
-                        "prefix_boxes": boxes.prefix_boxes if boxes else 0,
-                        "rest_boxes": boxes.rest_boxes if boxes else 0,
-                        "meets": boxes.meets if boxes else 0,
+                        "prefix_boxes": boxes.prefix_boxes,
+                        "rest_boxes": boxes.rest_boxes,
+                        "meets": boxes.meets,
                     }
                 )
 

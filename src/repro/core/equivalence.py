@@ -38,7 +38,7 @@ from ..relational.expressions import (
 )
 from ..relational.history import History
 from ..relational.schema import Schema
-from ..solver.session import SolverConfig, SolverSession
+from ..solver.session import SolverSession
 from ..symbolic.compress import CompressionConfig, compress_relation
 from ..symbolic.symexec import (
     DefiningConjuncts,
@@ -77,7 +77,6 @@ def check_history_equivalence(
     second: History,
     database: Database,
     compression: CompressionConfig | None = None,
-    solver: SolverConfig | None = None,
 ) -> EquivalenceResult:
     """Prove or refute ``first(D) == second(D)`` for all admitted worlds.
 
@@ -86,7 +85,6 @@ def check_history_equivalence(
     symbolically.  Inserts with queries yield UNKNOWN.
     """
     compression = compression or CompressionConfig()
-    solver = solver or SolverConfig()
     relations = first.target_relations() | second.target_relations()
     schemas: dict[str, Schema] = {
         name: database.schema_of(name)
@@ -148,7 +146,7 @@ def check_history_equivalence(
         defs = DefiningConjuncts(
             tuple(run_a.global_conjuncts) + tuple(run_b.global_conjuncts)
         ).needed_by(variables_of(equal) | variables_of(phi_d))
-        result = SolverSession(phi_d, solver).check(Not(equal), defs)
+        result = SolverSession(phi_d).check(Not(equal), defs)
         if result.is_unsat:
             continue
         if result.is_sat:

@@ -8,13 +8,14 @@ and full histories produce the same delta (Equation 16).  The check runs
 the four histories (H, H[M], H_I, H[M]_I) over a shared single-tuple
 VC-instance constrained by the compressed database Φ_D, builds the slicing
 condition ζ (Equation 18 with the per-pair equality of Equation 19), and
-asks the MILP solver whether ¬ζ is satisfiable; UNSAT proves the slice
-(Theorem 4).
+asks the solver (:mod:`repro.solver`, standing in for the paper's MILP)
+whether ¬ζ is satisfiable; UNSAT proves the slice (Theorem 4).
 
 The greedy algorithm (Section 8.3.3) starts from the full index set and
 tries to drop one statement at a time, keeping the drop whenever the
 solver proves the smaller set is still a slice.  UNKNOWN solver outcomes
-(node limit, unsupported expressions) conservatively keep the statement.
+(an atom the case split cannot normalise) conservatively keep the
+statement.
 
 Histories must contain only updates and deletes: the engine peels constant
 inserts away first (Section 10, :mod:`repro.core.insert_split`).
@@ -39,7 +40,7 @@ from ..relational.expressions import (
 )
 from ..relational.history import History
 from ..relational.schema import Schema
-from ..solver.session import SolverConfig, SolverSession
+from ..solver.session import SolverSession
 from ..symbolic.compress import CompressionConfig, compress_relation
 from ..symbolic.symexec import (
     DefiningConjuncts,
@@ -61,13 +62,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProgramSlicingConfig:
-    """Tunables for program slicing.
-
-    ``compression`` controls Φ_D; ``solver`` the MILP backend.
-    """
+    """Tunables for program slicing: ``compression`` controls Φ_D."""
 
     compression: CompressionConfig = field(default_factory=CompressionConfig)
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,7 @@ class _RelationSlicer:
         self.solver_calls = 0
         # Φ_D is the same for every candidate: prepare it once.
         start = time.perf_counter()
-        self._session = SolverSession(self.phi_d, config.solver)
+        self._session = SolverSession(self.phi_d)
         self.solver_seconds = time.perf_counter() - start
         self._phi_d_variables = variables_of(self.phi_d)
         self.run_h = self._run(aligned.original, "h")

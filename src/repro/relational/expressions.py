@@ -9,7 +9,7 @@ The grammar is::
 where ``v`` is a variable (an attribute reference or, during symbolic
 execution, a symbolic variable) and ``c`` is a constant.  Expressions are
 immutable dataclass trees; every analysis in the library (reenactment,
-data-slicing pushdown, symbolic execution, MILP compilation) walks these
+data-slicing pushdown, symbolic execution, the solver) walks these
 trees.
 
 Values are Python ``None`` (SQL NULL), ``bool``, ``int``, ``float`` and
@@ -132,7 +132,7 @@ class Attr(Expr):
 
 @dataclass(frozen=True)
 class Var(Expr):
-    """A symbolic variable, used by VC-tables and the MILP compiler.
+    """A symbolic variable, used by VC-tables and the solver.
 
     Distinct from :class:`Attr` so that symbolic states can mix attribute
     references (not yet bound) with solver variables (bound by the global

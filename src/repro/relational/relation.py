@@ -205,15 +205,27 @@ def _ordered_as_keyed(column: tuple[Any, ...]) -> bool:
     :func:`_sort_key`: all ``str``, or all ``int``/``float`` without
     NaN — every key is then ``(rank, 0, value)`` under one rank.
     ``None``, a ``bool``, NaN, a subclass or numbers beside strings
-    need the key."""
-    types = set(map(type, column))
-    if types == {str}:
-        return True
-    # NaN is the one value unequal to itself; the scan runs in C (no
-    # ``math.isnan``: it raises OverflowError on ints past float range).
-    return types <= {int, float} and not (
-        float in types and not all(map(operator.eq, column, column))
-    )
+    need the key.
+
+    Exact types are counted in C, one pass per type the column may
+    hold.  NaN, the one value unequal to itself, makes a float column's
+    sum NaN (so does ``inf`` beside ``-inf``: that column takes the key,
+    harmlessly); a column mixing ints and floats is scanned value by
+    value instead, since an int past float range would make the sum
+    raise."""
+    kind = type(column[0])
+    if kind is str:
+        return operator.countOf(map(type, column), str) == len(column)
+    if kind is not int and kind is not float:
+        return False
+    count = operator.countOf(map(type, column), kind)
+    if count == len(column):
+        total = sum(column)
+        return bool(total == total)
+    other = float if kind is int else int
+    if count + operator.countOf(map(type, column), other) < len(column):
+        return False
+    return all(map(operator.eq, column, column))
 
 
 def _fmt(value: Any) -> str:

@@ -3,8 +3,7 @@
 A schema is an ordered list of attribute names with optional type tags.
 Set-semantics relations (Section 2 of the paper) are sets of tuples over
 the universal domain; the type tags are advisory and used by the workload
-generators and the MILP compiler (to pick categorical encodings for
-strings).
+generators.
 """
 
 from __future__ import annotations

@@ -1,34 +1,22 @@
 """Constraint-solving substrate.
 
-Replaces the paper's CPLEX dependency: condition formulas are compiled to
-MILPs with the Figure-13 rules (:mod:`repro.solver.compiler`) and solved
-for feasibility with branch and bound over scipy LP relaxations
-(:mod:`repro.solver.branch_bound`).  :mod:`repro.solver.session` is the
-entry point used by program slicing — many checks behind one prepared
-prefix, decided by :mod:`repro.solver.intervals` where possible —
-:mod:`repro.solver.sat` its one-shot form, and
-:mod:`repro.solver.bruteforce` cross-validates the whole pipeline in tests.
+Replaces the paper's CPLEX dependency.  Condition formulas are decided
+over interval boxes (:mod:`repro.solver.intervals`): a presolver that
+meets DNF boxes answers most checks, and an exact case split on one
+atom at a time answers the rest, with a witness when satisfiable.
+:mod:`repro.solver.session` is the entry point used by program slicing —
+many checks behind one prepared prefix — :mod:`repro.solver.sat` its
+one-shot form, and :mod:`repro.solver.bruteforce` cross-validates the
+whole pipeline in tests.
 """
 
-from .branch_bound import Feasibility, SolveResult, is_feasible, solve
 from .bruteforce import enumerate_satisfying, is_satisfiable_bruteforce
-from .intervals import IntervalOutcome, interval_presolve
-from .compiler import (
-    AffineForm,
-    FormulaCompiler,
-    StringEncoder,
-    UnsupportedExpression,
-)
-from .milp import LinearConstraint, MILPModel, ModelError, Variable
+from .intervals import IntervalOutcome, case_split, interval_presolve
 from .sat import check_satisfiable
-from .session import SatResult, SolverConfig, SolverSession
+from .session import SatResult, SolverSession
 
 __all__ = [
-    "MILPModel", "Variable", "LinearConstraint", "ModelError",
-    "FormulaCompiler", "AffineForm", "StringEncoder",
-    "UnsupportedExpression",
-    "Feasibility", "SolveResult", "solve", "is_feasible",
-    "SatResult", "SolverConfig", "SolverSession", "check_satisfiable",
+    "SatResult", "SolverSession", "check_satisfiable",
     "enumerate_satisfying", "is_satisfiable_bruteforce",
-    "IntervalOutcome", "interval_presolve",
+    "IntervalOutcome", "case_split", "interval_presolve",
 ]

@@ -1,6 +1,6 @@
 """Brute-force finite-domain satisfiability checker.
 
-Used in tests to cross-validate the MILP pipeline: a formula is satisfiable
+Used in tests to cross-validate the solver: a formula is satisfiable
 over given finite domains iff some assignment evaluates it to true.  This
 is exponential and only suitable for the small domains used in property
 tests — which is exactly its purpose.

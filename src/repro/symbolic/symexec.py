@@ -210,7 +210,8 @@ class DefiningConjuncts:
         else x_old`` per updated attribute per statement.  A
         slicing/dependency formula usually references only a few of those
         variables (conditions over never-updated attributes reference
-        none); constraining the others is sound but bloats the MILP.
+        none); constraining the others is sound but makes the solver
+        split on conditions no check depends on.
         Starting from ``needed_variables``, we keep a conjunct iff it
         defines a needed variable, adding the variables it mentions to the
         needed set until fixpoint.  The kept conjuncts come in the order

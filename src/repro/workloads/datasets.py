@@ -9,9 +9,8 @@ correlated value distributions, and — crucially for the experiments —
 because the paper's histories are range-predicate updates over those
 columns.
 
-All values are integers or 2-decimal floats so the MILP encoding's
-strictness margin is always valid, and every table has an immutable
-integer key (see the key-preservation note in DESIGN.md).
+All values are integers or 2-decimal floats, and every table has an
+immutable integer key (see the key-preservation note in DESIGN.md).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ the first statement; its hypothetical replacement shifts the predicate
 window so some tuples are affected by exactly one version.  Dependent
 updates overlap that window; independent updates live in a disjoint region
 of ``P``'s value space (which is what makes their independence *provable*
-by the MILP check).  For large ``T`` the disjoint region may be narrower
+by the solver's check).  For large ``T`` the disjoint region may be narrower
 than ``T``; independent windows are then capped to what remains, which
 preserves each figure's intent (``T`` controls the data volume the HWQ
 touches).

@@ -1,4 +1,4 @@
-"""Interval presolver tests, including agreement with the MILP path.
+"""Interval presolver tests, including agreement with brute force.
 
 The meet (``IntervalPrefix.decide`` deciding a prefix box and a rest box
 without building the box that holds both) is checked against the one
@@ -25,9 +25,10 @@ from repro.relational.expressions import (
     TRUE,
     Var,
     and_,
+    attributes_of,
 )
 from repro.relational.parser import parse_expression
-from repro.solver import SolverConfig, check_satisfiable
+from repro.solver import check_satisfiable, is_satisfiable_bruteforce
 from repro.solver.intervals import (
     IntervalOutcome,
     IntervalPrefix,
@@ -94,7 +95,7 @@ class TestPresolve:
         assert interval_presolve(formula) is IntervalOutcome.UNKNOWN
 
 
-class TestAgreementWithMILP:
+class TestAgreementWithBruteForce:
     CASES = [
         "x >= 1 AND x <= 5",
         "x >= 5 AND x <= 1",
@@ -102,29 +103,34 @@ class TestAgreementWithMILP:
         "(x >= 5 AND x <= 1) OR (y >= 0 AND y <= 1)",
         "c = 'UK' AND c = 'US'",
         "NOT (x >= 1 OR x < 1)",
+        "x > 1 AND x < 2",
     ]
+    #: Half steps around every constant above, and a string none of them
+    #: names: the grid holds a point of every non-empty box the cases make.
+    DOMAINS = {
+        "x": [i / 2 for i in range(-2, 13)],
+        "y": [i / 2 for i in range(-2, 13)],
+        "c": ["UK", "US", "other"],
+    }
 
     @pytest.mark.parametrize("source", CASES)
-    def test_presolve_matches_milp(self, source):
+    def test_presolve_matches_bruteforce(self, source):
         formula = parse_expression(source)
-        with_presolve = check_satisfiable(
-            formula, SolverConfig(use_interval_presolve=True)
-        )
-        without = check_satisfiable(
-            formula, SolverConfig(use_interval_presolve=False)
-        )
-        assert with_presolve.status == without.status
+        outcome = interval_presolve(formula)
+        assert outcome is not IntervalOutcome.UNKNOWN
+        domains = {n: self.DOMAINS[n] for n in attributes_of(formula)}
+        expected = is_satisfiable_bruteforce(formula, domains)
+        assert (outcome is IntervalOutcome.SAT) == expected
+        assert check_satisfiable(formula).is_sat == expected
 
-    def test_presolve_speeds_up_window_checks(self):
+    def test_presolve_decides_window_checks(self):
         """The presolver must decide a typical dependency-check formula
-        (disjoint windows) without compiling a model."""
+        (disjoint windows) without the case split."""
         formula = parse_expression(
             "(P >= 10 AND P <= 30 OR P >= 10 AND P <= 40)"
             " AND P >= 80 AND P <= 95"
         )
-        result = check_satisfiable(formula)
-        assert result.is_unsat
-        assert result.model_stats is None  # never reached the compiler
+        assert interval_presolve(formula) is IntervalOutcome.UNSAT
 
 
 # -- the meet against one folded box ---------------------------------------

@@ -529,7 +529,7 @@ def series_moved(counter, before: dict) -> dict:
 
 def test_solver_checks_counter_moves_by_solver_calls():
     """``mahif_solver_checks_total{decided_by,outcome}``: one increment per
-    statement checked, so an operator reads "0 MILP calls" off /metrics."""
+    statement checked, so an operator reads "0 case splits" off /metrics."""
     schema = Schema.of("k", "P", "F")
     database = Database(
         {"R": Relation.from_rows(schema, [(i, i, 0) for i in range(100)])}

@@ -7,8 +7,8 @@ census fails when such a field is added — re-adding
 ``ProgramSlicingConfig.skip_modified_positions`` (only ever its default,
 deleted in PR 20) fails it — so the next knob arrives with a caller.
 
-Only *leaf* fields are counted: ``program_slicing``, ``compression``,
-``solver`` and ``optimizer`` hold another config and are paths to leaves.
+Only *leaf* fields are counted: ``program_slicing``, ``compression`` and
+``optimizer`` hold another config and are paths to leaves.
 """
 
 import ast
@@ -20,14 +20,12 @@ import typing
 from repro.core.engine import MahifConfig
 from repro.core.program_slicing import ProgramSlicingConfig
 from repro.relational.optimizer import OptimizerConfig
-from repro.solver.session import SolverConfig
 from repro.symbolic.compress import CompressionConfig
 
 CONFIGS = (
     MahifConfig,
     ProgramSlicingConfig,
     CompressionConfig,
-    SolverConfig,
     OptimizerConfig,
 )
 ROOT = pathlib.Path(__file__).resolve().parents[1]

@@ -9,7 +9,8 @@ updates/deletes/inserts over two value attributes.  Properties:
 * tuple independence (Lemma 1),
 * every method agrees with direct execution (Theorems 2/4/5 combined),
 * VC-table updates have possible-world semantics (Theorem 3),
-* MILP satisfiability is complete w.r.t. finite-domain enumeration,
+* solver satisfiability agrees with finite-domain enumeration
+  (:mod:`repro.solver.bruteforce`) in both directions,
 * simplification preserves semantics.
 """
 
@@ -199,9 +200,9 @@ class TestSymbolicSemantics:
 class TestSolverCompleteness:
     @SETTINGS
     @given(windows(), windows())
-    def test_milp_never_misses_finite_witness(self, w1, w2):
+    def test_solver_never_misses_finite_witness(self, w1, w2):
         """If brute force over a small integer grid finds a satisfying
-        assignment, the MILP (over a superset domain) must agree."""
+        assignment, the solver (over a superset domain) must agree."""
         from repro.solver import check_satisfiable, is_satisfiable_bruteforce
 
         formula = and_(w1, w2)
@@ -211,7 +212,7 @@ class TestSolverCompleteness:
 
     @SETTINGS
     @given(windows(), windows())
-    def test_milp_unsat_implies_no_finite_witness(self, w1, w2):
+    def test_solver_unsat_implies_no_finite_witness(self, w1, w2):
         """INFEASIBLE answers must really have no witness (soundness of
         the direction program slicing relies on)."""
         from repro.solver import check_satisfiable, enumerate_satisfying

@@ -1,5 +1,5 @@
 """Additional property-based tests: parser round-trips, optimizer
-equivalence, presolver agreement with the MILP."""
+equivalence, presolver agreement with the exact case split."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,8 +27,7 @@ from repro.relational.optimizer import OptimizerConfig, optimize
 from repro.relational.parser import parse_expression
 from repro.relational.statements import DeleteStatement, UpdateStatement
 from repro.solver import (
-    SolverConfig,
-    check_satisfiable,
+    case_split,
     interval_presolve,
     IntervalOutcome,
 )
@@ -152,15 +151,14 @@ class TestOptimizerEquivalence:
 class TestPresolverAgreement:
     @SETTINGS
     @given(conditions(depth=2))
-    def test_presolver_never_contradicts_milp(self, condition):
-        """When both engines give verdicts, they must agree (the MILP is
-        the reference; UNKNOWN from either side is fine)."""
+    def test_presolver_never_contradicts_the_split(self, condition):
+        """When both steps give verdicts, they must agree (UNKNOWN from
+        either side is fine).  The split expands no DNF and meets no
+        boxes, so it checks the presolver by another route."""
         outcome = interval_presolve(condition)
         if outcome is IntervalOutcome.UNKNOWN:
             return
-        milp = check_satisfiable(
-            condition, SolverConfig(use_interval_presolve=False)
-        )
-        if milp.status.value == "unknown":
+        split, _ = case_split(condition)
+        if split is IntervalOutcome.UNKNOWN:
             return
-        assert (outcome is IntervalOutcome.SAT) == milp.is_sat
+        assert outcome is split

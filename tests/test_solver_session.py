@@ -10,12 +10,12 @@ guard that path, none of which shares code with it:
   them sometimes ``If``-defined) and one categorical string variable
   (ranges, strict and non-strict bounds, ``!=``, mirrored atoms, nested
   and/or/not).  ``SolverSession(prefix).check(core)`` must give the status
-  of one-shot ``check_satisfiable(and_(prefix, core))``, with the interval
-  presolver on and off, and every decided status must agree with
-  :mod:`repro.solver.bruteforce`.  All constants are integers and the
-  enumeration grid has the half steps between and beyond them, so a
-  formula is satisfiable over the reals exactly when it is on the grid —
-  brute force is an exact oracle here, not a one-sided one.
+  of one-shot ``check_satisfiable(and_(prefix, core))``, and every status
+  must be decided and agree with :mod:`repro.solver.bruteforce` — the
+  boxes' verdicts and the case split's alike.  All constants are integers
+  and the enumeration grid has the half steps between and beyond them, so
+  a formula is satisfiable over the reals exactly when it is on the grid
+  — brute force is an exact oracle here, not a one-sided one.
 * **kept sets vs exhaustive removal.**  ``dependency_slice`` on tiny random
   histories (≤ 8 updates/deletes, ≤ 30 rows, 1–2 modifications, every
   compression grouping): dropping any excluded statement after the last
@@ -33,28 +33,32 @@ Seeded through ``MAHIF_FUZZ_SEED`` / ``MAHIF_FUZZ_SCALE`` like the other
 fuzz suites.
 
 Mutation checks (each applied to ``solver/intervals.py`` by hand, default
-seed; the named tests fail, the rest of the module stays green):
+seed; the named tests fail, the rest of this module and of
+``tests/test_intervals.py`` stays green).  ``_meet`` also decides the
+case split's atoms, so each mutation shows on both steps:
 
-* ``_meet`` drops the tie-strictness OR (at either bound) — a bound both
-  sides set to one value keeps the prefix's strictness only:
-  ``test_seam_cases``'s same-bound case for that bound fails, and so do
+* ``_meet`` drops the tie-strictness OR at the upper bound — a bound
+  both sides set to one value keeps the prefix's strictness only:
+  ``test_seam_cases``'s same-upper-bound case and its defined-variable
+  SAT case, ``test_split_matches_whole_formula_and_bruteforce``,
+  ``test_excluded_statements_do_not_matter``, and
   ``tests/test_intervals.py``'s meet oracle, its seam case and its
-  split-vs-whole fuzz (at the upper bound,
-  ``test_split_matches_whole_formula_and_bruteforce`` too).
+  split-vs-whole fuzz.
 * ``_meet`` skips the prefix side's ``numeric_neq`` — a prefix exclusion
-  no longer empties a core's point interval: ``test_seam_cases``,
-  ``test_split_matches_whole_formula_and_bruteforce`` and the three
-  ``tests/test_intervals.py`` meet tests fail.
+  no longer empties a core's point interval: ``test_seam_cases``'s
+  exclusion case, ``test_split_matches_whole_formula_and_bruteforce``,
+  ``test_highs_false_unsat_reproducer``,
+  ``test_excluded_statements_do_not_matter`` and the three
+  ``tests/test_intervals.py`` meet tests.
 * ``_meet`` drops ``a.residual`` — a prefix atom the boxes cannot read is
-  treated as decided: the same five fail (SAT claimed where the MILP
-  and brute force say UNSAT).
+  treated as decided: ``test_seam_cases``'s defined-variable UNSAT case,
+  ``test_split_matches_whole_formula_and_bruteforce`` and the three
+  ``tests/test_intervals.py`` meet tests (SAT claimed where brute force
+  says UNSAT).
 
-What this does not do: make the MILP arm exact.  With the presolver off
-every check is a MILP solve, and the fuzz found HiGHS presolve reporting
-a feasible big-M model infeasible (``test_milp_false_unsat_reproducer``);
-MILP-decided UNSATs are therefore held to a rate, everything else —
-every verdict of the boxes, every MILP witness — exactly.  An exact
-(rational) re-check of MILP verdicts is ROADMAP item 4(a).
+``test_highs_false_unsat_reproducer`` is the formula on which the former
+big-M MILP arm (HiGHS presolve) reported a feasible model infeasible; the
+case split decides it exactly.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ from repro.relational.expressions import (
     col,
     eq,
     expr_size,
+    evaluate,
     ge,
     le,
     lit,
@@ -94,7 +99,6 @@ from repro.relational.expressions import (
 from repro.relational.parser import parse_expression
 from repro.relational.statements import DeleteStatement, UpdateStatement
 from repro.solver import (
-    SolverConfig,
     check_satisfiable,
     intervals,
     is_satisfiable_bruteforce,
@@ -217,9 +221,9 @@ SEAM_CASES = [
     ("c != 'a'", "c = 'b'", True),
     ("x >= 0 OR x <= -5", "x > -5 AND x < 0", False),
     # a prefix atom the boxes cannot read stays undecided for them; the
-    # MILP settles it
-    ("x <= 1 AND y <= 1 AND x + y >= 3", "x >= 0", False),
-    ("x <= 1 AND y <= 1 AND x + y >= 2", "x >= 0", True),
+    # case split settles it
+    ("x <= 1 AND y = x + 1", "y >= 3", False),
+    ("x <= 1 AND y = x + 1", "y >= 2", True),
 ]
 
 
@@ -235,7 +239,7 @@ def test_seam_cases(prefix, core, satisfiable):
 
 def test_split_matches_whole_formula_and_bruteforce():
     rng = random.Random(FUZZ_SEED)
-    decided = unsat = milp_unsat = milp_false_unsat = 0
+    decided = unsat = 0
     for trial in range(scaled(100)):
         numeric = [f"x{i}" for i in range(rng.randint(2, 3))]
         prefix = random_prefix(rng, numeric)
@@ -254,40 +258,23 @@ def test_split_matches_whole_formula_and_bruteforce():
             domains and is_satisfiable_bruteforce(whole, domains)
             for whole, domains in zip(wholes, map(grid_domains, wholes))
         ]
-        for presolve in (True, False):
-            config = SolverConfig(use_interval_presolve=presolve)
-            session = SolverSession(prefix, config)
-            for core, whole, truth in zip(cores, wholes, truths):
-                context = f"seed={FUZZ_SEED} trial={trial} presolve={presolve}: {whole}"
-                got = session.check(core, defining)
-                assert got.status is check_satisfiable(whole, config).status, context
-                if truth is None or not (got.is_sat or got.is_unsat):
-                    continue
-                decided += 1
-                unsat += got.is_unsat
-                if got.model_stats is None or got.is_sat:
-                    # decided by the boxes, or a verified MILP witness: exact
-                    assert got.is_sat == truth, context
-                else:
-                    milp_unsat += 1
-                    milp_false_unsat += truth
+        session = SolverSession(prefix)
+        for core, whole, truth in zip(cores, wholes, truths):
+            context = f"seed={FUZZ_SEED} trial={trial}: {whole}"
+            got = session.check(core, defining)
+            assert got.status is check_satisfiable(whole).status, context
+            assert got.is_sat or got.is_unsat, context
+            if truth is None:
+                continue
+            decided += 1
+            unsat += got.is_unsat
+            # every verdict is exact: the boxes' and the split's
+            assert got.is_sat == truth, context
     # the generator must keep exercising both verdicts
     assert 0 < unsat < decided
-    # The MILP arm is not exact: HiGHS presolve reports the odd feasible
-    # big-M model infeasible (about 1 UNSAT in 300 here; reproducer below,
-    # ROADMAP item 4(a)).  More than that is a new bug.
-    assert milp_false_unsat <= 1 + milp_unsat // 50, (
-        f"seed={FUZZ_SEED}: {milp_false_unsat} of {milp_unsat} MILP UNSATs wrong"
-    )
 
 
-@pytest.mark.xfail(
-    reason="HiGHS MIP presolve calls this feasible big-M model infeasible "
-    "(transformNewIntegerFeasibleSolution); found by the fuzz above at "
-    "seed 5, present before the session existed — ROADMAP item 4(a). "
-    "Not strict: the verdict depends on the HiGHS build."
-)
-def test_milp_false_unsat_reproducer():
+def test_highs_false_unsat_reproducer():
     x0, x1, c, d = Var("x0"), Var("x1"), Var("c"), Var("d")
     # the nesting is the generator's: the verdict depends on the row order
     box1 = and_(eq(x1, 1), Cmp("!=", x0, Const(1)))
@@ -309,7 +296,9 @@ def test_milp_false_unsat_reproducer():
         Cmp(">=", Const(2), d),
     )
     assert is_satisfiable_bruteforce(formula, grid_domains(formula))  # x0=0, x1=1
-    assert not check_satisfiable(formula).is_unsat
+    result = check_satisfiable(formula)
+    assert result.is_sat
+    assert evaluate(formula, result.witness) is True
 
 
 # -- (ii) kept sets vs exhaustive per-statement removal ---------------------
