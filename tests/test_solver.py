@@ -4,12 +4,16 @@ enumeration."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from fuzz_differential import FUZZ_SEED, scaled
 from test_solver_session import random_definition, random_formula
 
 from repro.relational.expressions import (
+    Attr,
+    Cmp,
+    Const,
     and_,
     attributes_of,
     evaluate,
@@ -21,6 +25,7 @@ from repro.solver import (
     case_split,
     check_satisfiable,
     enumerate_satisfying,
+    intervals,
     is_satisfiable_bruteforce,
 )
 
@@ -98,6 +103,90 @@ class TestCheckSatisfiable:
         outcome, witness = case_split(formula)
         assert outcome is IntervalOutcome.SAT
         assert evaluate(formula, witness)
+
+
+def _atom(source: str, defined: dict | None = None):
+    return intervals._fact(parse_expression(source), defined or {})
+
+
+def _point(name: str, *sources: str):
+    """The witness value the split picks for ``name`` in the box of
+    ``sources``."""
+    box = intervals._folded([parse_expression(s) for s in sources])
+    return intervals._value_in(box, name)
+
+
+class TestAtomNormalForm:
+    """The case split reads each comparison as ``name op constant``
+    through affine terms; anything else stays unread (UNKNOWN)."""
+
+    def test_constant_product_is_exact(self):
+        assert intervals._affine(parse_expression("a * 3 + 1"), {}) == (
+            {"a": Fraction(3)}, Fraction(1),
+        )
+
+    @pytest.mark.parametrize(
+        "source",
+        ["a * b", "a / b", "a / 0", "a + NULL"],
+        ids=["product", "division-by-variable", "division-by-zero", "null"],
+    )
+    def test_non_affine_terms_rejected(self, source):
+        assert intervals._affine(parse_expression(source), {}) is None
+
+    def test_defined_name_is_not_free(self):
+        defined = {"d": parse_expression("x + 1")}
+        assert intervals._affine(Attr("d"), defined) is None
+        assert _atom("d >= 1", defined) is None
+
+    def test_null_comparison_unread(self):
+        assert intervals._fact(Cmp(">=", Attr("a"), Const(None)), {}) is None
+
+    def test_fractional_bound_stays_exact(self):
+        name, op, bound = _atom("3 * x <= 1")
+        assert (name, op) == ("x", "<=")
+        assert type(bound) is Fraction and bound == Fraction(1, 3)
+
+    def test_integral_bound_is_a_plain_int(self):
+        fact = _atom("2 * x - 1 > 3")
+        assert fact == ("x", ">", 2) and type(fact[2]) is int
+
+    def test_negative_coefficient_mirrors_the_operator(self):
+        assert _atom("3 - x >= 1") == ("x", "<=", 2)
+
+    def test_constant_on_the_left_mirrors_the_operator(self):
+        assert _atom("5 < x") == ("x", ">", 5)
+
+    def test_atom_without_a_variable_is_its_truth_value(self):
+        assert _atom("x - x + 2 >= 1") is True
+        assert _atom("x - x + 2 < 1") is False
+
+    def test_string_atoms(self):
+        assert _atom("c = 'UK'") == ("c", "=", "UK")
+        assert _atom("'UK' != c") == ("c", "!=", "UK")
+        assert _atom("c < 'UK'") is None
+
+    def test_bare_reference_as_condition_unknown(self):
+        assert case_split(Attr("a")) == (IntervalOutcome.UNKNOWN, None)
+
+
+class TestWitnessPoint:
+    def test_integer_clear_of_the_exclusions(self):
+        assert _point("x", "x >= 1", "x <= 3", "x != 1", "x != 2") == 3
+
+    def test_fraction_between_strict_bounds(self):
+        value = _point("x", "x > 1", "x < 2")
+        assert 1 < value < 2
+
+    def test_upper_bound_only(self):
+        assert _point("x", "x < -3") < -3
+
+    def test_string_avoiding_the_exclusions(self):
+        value = _point("c", "c != 'a'", "c != 'b'")
+        assert isinstance(value, str) and value not in ("a", "b")
+
+    def test_string_witness_decoded(self):
+        formula = parse_expression("(c = 'UK' OR c = 'US') AND c != 'UK'")
+        assert case_split(formula) == (IntervalOutcome.SAT, {"c": "US"})
 
 
 class TestBruteForce:
