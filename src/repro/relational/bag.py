@@ -63,7 +63,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BagRelation:
-    """An immutable multiset relation: rows with multiplicities."""
+    """An immutable multiset relation: rows with multiplicities.
+
+    The public constructors validate every row and count and drop zero
+    counts.  :meth:`_known_counts` does not: like
+    :meth:`Relation._known_rows` it is for statement replay
+    (:mod:`repro.relational.exec.plan_compile`) alone, whose counts are
+    the input's own positive counts, moved or summed.
+    """
 
     schema: Schema
     multiplicities: Mapping[tuple[Any, ...], int]
@@ -93,6 +100,16 @@ class BagRelation:
             schema = Schema(tuple(schema))
         counts = Counter(tuple(r) for r in rows)
         return cls(schema, counts)
+
+    @classmethod
+    def _known_counts(cls, schema: Schema, counts: dict) -> "BagRelation":
+        """A bag over a dict the caller guarantees clean (well-formed
+        rows, positive counts) and hands over: nothing is checked or
+        copied (see the class docstring for who may call it)."""
+        bag = object.__new__(cls)
+        object.__setattr__(bag, "schema", schema)
+        object.__setattr__(bag, "multiplicities", counts)
+        return bag
 
     @classmethod
     def from_set_relation(cls, relation: Relation) -> "BagRelation":
@@ -237,6 +254,7 @@ def apply_statement_bag_interpreted(
     relation = db[stmt.relation]
     schema = relation.schema
     if isinstance(stmt, UpdateStatement):
+        stmt.check_set_attributes(schema)
         counts: Counter = Counter()
         for row, count in relation.multiplicities.items():
             updated = stmt.apply_to_row(schema.as_dict(row))

@@ -22,7 +22,15 @@ __all__ = ["Relation", "sort_rows"]
 
 @dataclass(frozen=True)
 class Relation:
-    """An immutable set-semantics relation instance."""
+    """An immutable set-semantics relation instance.
+
+    The public constructors validate every row (a plain tuple of the
+    schema's arity).  :meth:`_known_rows` does not: it is for statement
+    replay (:mod:`repro.relational.exec.plan_compile`) alone, whose
+    result is the input's own rows plus rows a compiled ``Set`` closure
+    built as tuples of the schema's arity, so re-validating the rows a
+    statement leaves alone would only repeat work.
+    """
 
     schema: Schema
     tuples: frozenset[tuple[Any, ...]]
@@ -69,6 +77,15 @@ class Relation:
     @classmethod
     def empty(cls, schema: Schema) -> "Relation":
         return cls(schema, frozenset())
+
+    @classmethod
+    def _known_rows(cls, schema: Schema, tuples: frozenset) -> "Relation":
+        """A relation over rows the caller guarantees well-formed: no
+        row is checked (see the class docstring for who may call it)."""
+        relation = object.__new__(cls)
+        object.__setattr__(relation, "schema", schema)
+        object.__setattr__(relation, "tuples", tuples)
+        return relation
 
     # -- basic protocol ------------------------------------------------------
     def __len__(self) -> int:

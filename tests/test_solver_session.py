@@ -333,6 +333,15 @@ def random_statement(rng: random.Random):
     return UpdateStatement("R", {attribute: value}, random_condition(rng))
 
 
+def _replacement(rng: random.Random, replaced):
+    """A random statement other than ``replaced``: an equal one would
+    leave its position unmodified, and the case would check nothing."""
+    statement = random_statement(rng)
+    while statement == replaced:
+        statement = random_statement(rng)
+    return statement
+
+
 def random_case(rng: random.Random):
     rows = [
         (k, rng.randint(0, 9), rng.randint(0, 9), rng.choice(CATEGORIES))
@@ -345,7 +354,9 @@ def random_case(rng: random.Random):
     positions = [1]
     if rng.random() < 0.5:
         positions.append(rng.randint(2, len(statements)))
-    modifications = [Replace(p, random_statement(rng)) for p in positions]
+    modifications = [
+        Replace(p, _replacement(rng, statements[p - 1])) for p in positions
+    ]
     compression = rng.choice(
         (
             CompressionConfig(),
