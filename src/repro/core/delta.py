@@ -22,7 +22,12 @@ from ..relational.algebra import (
     Project,
     Union,
 )
-from ..relational.columnar import ColumnarTable, column_values, sorted_delta
+from ..relational.columnar import (
+    ColumnarTable,
+    column_values,
+    columnar_of_relation,
+    sorted_delta,
+)
 from ..relational.database import Database
 from ..relational.expressions import Attr, Const
 from ..relational.relation import Relation, sort_rows
@@ -155,7 +160,7 @@ class RelationDelta:
                             f"arity mismatch: {table.schema.arity} vs "
                             f"{extra.schema.arity}"
                         )
-                    table = table.concat(ColumnarTable.from_relation(extra))
+                    table = table.concat(columnar_of_relation(extra))
                 sides.append(table)
             ordered = sorted_delta(sides[0], sides[1])
             if ordered is not None:

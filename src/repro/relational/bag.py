@@ -66,10 +66,9 @@ class BagRelation:
     """An immutable multiset relation: rows with multiplicities.
 
     The public constructors validate every row and count and drop zero
-    counts.  :meth:`_known_counts` does not: like
-    :meth:`Relation._known_rows` it is for statement replay
-    (:mod:`repro.relational.exec.plan_compile`) alone, whose counts are
-    the input's own positive counts, moved or summed.
+    counts.  :meth:`_known_counts` does not: it is for bag statement
+    replay (:mod:`repro.relational.exec.plan_compile`) alone, whose
+    counts are the input's own positive counts, moved or summed.
     """
 
     schema: Schema

@@ -1,8 +1,8 @@
 """Columnar storage for relations: typed columns with a cheap tuple view.
 
 The columnar evaluator (:mod:`repro.relational.exec.vector_compile` —
-what the default ``"compiled"`` backend and ``"vector"`` run a *query*
-on; statements replay row-wise) evaluates operators as whole-column
+what the default ``"compiled"`` backend and ``"vector"`` run a query
+and a set-semantics statement on) evaluates operators as whole-column
 kernels instead of streaming Python tuples row-at-a-time.  This module
 supplies its data layer:
 
@@ -21,12 +21,15 @@ supplies its data layer:
 * :class:`ColumnarTable` — a schema plus one column per attribute and an
   optional multiplicity vector (bag semantics), with ``tuples()`` /
   ``to_relation()`` / ``to_bag()`` views so the interpreter oracle and
-  the store codec keep consuming row tuples unchanged.
+  the store codec keep consuming row tuples unchanged, and the columns
+  known to hold pairwise distinct values (:meth:`ColumnarTable.is_distinct`).
 * :func:`sorted_delta` — the delta of two set-semantics results in one
   ordering that refines ties key by key, in ``sort_rows`` order,
   without materializing a row.
-* :func:`columnar_of_relation` / :func:`columnar_of_bag` — per-object
-  columnarization caches on object identity
+* :func:`columnar_of_relation` / :func:`columnar_of_bag` — the table of
+  a table-backed :class:`~repro.relational.relation.Relation` (what
+  statement replay returns), else per-object columnarization caches on
+  object identity
   (:class:`~repro.relational.identity_memo.IdentityMemo`:
   :class:`~repro.relational.bag.BagRelation` is unhashable, so entries
   are keyed by ``id`` and evicted by weak finalizers).
@@ -509,9 +512,18 @@ class ColumnarTable:
 
     Row order is meaningful: operators preserve it so the vector
     backend's per-row fallbacks hit rows in exactly the order the
-    compiled pipelines would (identical first-error behaviour)."""
+    compiled pipelines would (identical first-error behaviour).
 
-    __slots__ = ("schema", "columns", "nrows", "mult")
+    ``distinct`` holds what is known of each column's values, per column
+    index: ``True`` where they are pairwise distinct (no two rows equal
+    there, as Python's ``==`` tells values apart), ``False`` where that
+    is not known to hold; a column it lacks has not been looked at.
+    :meth:`is_distinct` establishes a fact once per table, :meth:`take`
+    carries the facts to a row subset, and statement replay carries them
+    through an ``UPDATE`` (less the columns it SETs) and an ``INSERT``
+    (less a column the new row repeats)."""
+
+    __slots__ = ("schema", "columns", "nrows", "mult", "distinct")
 
     def __init__(self, schema: Schema, columns: list[Column], nrows: int,
                  mult: list[int] | None = None) -> None:
@@ -519,6 +531,7 @@ class ColumnarTable:
         self.columns = columns
         self.nrows = nrows
         self.mult = mult
+        self.distinct: dict[int, bool] = {}
 
     @classmethod
     def from_rows(
@@ -552,8 +565,31 @@ class ColumnarTable:
             return [()] * self.nrows
         return list(zip(*[column_values(c) for c in self.columns]))
 
+    def is_distinct(self, index: int) -> bool:
+        """Whether column ``index`` holds pairwise distinct values: one
+        ``np.unique`` over a NULL-free, NaN-free int, float or str array
+        (``-0.0`` and ``0.0`` count as one value, as ``==`` has them),
+        the first time it is asked of this table; ``False`` for any
+        other column.  The lazy fill may race: two threads compute one
+        fact."""
+        fact = self.distinct.get(index)
+        if fact is None:
+            column = self.columns[index]
+            data = column.data
+            fact = (
+                column.is_array
+                and column.tag in ("int", "float", "str")
+                and (column.valid is None or bool(column.valid.all()))
+                and not (column.tag == "float" and _np.isnan(data).any())
+                and len(_np.unique(data)) == len(data)
+            )
+            self.distinct[index] = fact
+        return fact
+
     def take(self, indices: Any) -> "ColumnarTable":
-        """Gather a row subset/permutation (indices array or list)."""
+        """Gather a row subset/permutation (indices array or list, each
+        row at most once: a subset keeps the table's distinct columns
+        distinct, so it carries :attr:`distinct`)."""
         idx_list = None
         if self.mult is not None or not self.columns:
             idx_list = (
@@ -565,12 +601,14 @@ class ColumnarTable:
             else [self.mult[i] for i in idx_list]
         )
         nrows = len(idx_list) if idx_list is not None else len(indices)
-        return ColumnarTable(
+        table = ColumnarTable(
             self.schema,
             take_columns(self.columns, indices),
             nrows,
             mult,
         )
+        table.distinct = dict(self.distinct)
+        return table
 
     def concat(self, other: "ColumnarTable") -> "ColumnarTable":
         """The rows of ``self`` followed by those of ``other`` (whose
@@ -601,6 +639,26 @@ class ColumnarTable:
         return ColumnarTable(
             self.schema, columns, self.nrows + other.nrows, mult
         )
+
+    def appended(self, row: tuple) -> "ColumnarTable":
+        """``self`` followed by ``row``, as :meth:`concat` with a one-row
+        table makes it, except that each joined column's cells stand
+        alone rather than as parts of ``self``'s: a chain of inserts
+        (statement replay) then keeps no earlier table's columns alive."""
+        table = self.concat(ColumnarTable.from_rows(self.schema, [row]))
+        alone: list[StoredCells | None] = []
+        for column in table.columns:
+            cells = column.stored
+            if cells is not None and cells._parts:
+                cells = column.stored = StoredCells(
+                    column.tag, column.data, column.valid, cells.objects()
+                )
+                alone.append(cells)
+            else:
+                alone.append(None)
+        if any(alone):
+            StoredTable.bind(alone)
+        return table
 
     def to_relation(self) -> Relation:
         return Relation(self.schema, frozenset(self.tuples()))
@@ -780,7 +838,13 @@ def _cached_table(memo: IdentityMemo, obj: Any, build) -> ColumnarTable:
 
 
 def columnar_of_relation(relation: Relation) -> ColumnarTable:
-    """The cached columnar view of a stored set relation."""
+    """The columnar view of a set relation: the table a table-backed
+    relation holds (a memo hit: nothing to build), else the one
+    remembered on a row-backed relation's identity."""
+    table = relation._table
+    if table is not None:
+        MEMO_OUTCOMES.inc(outcome="hit")
+        return table
     return _cached_table(_RELATIONS, relation, ColumnarTable.from_relation)
 
 

@@ -12,9 +12,9 @@ This subpackage lowers the interpreted algebra to compiled form:
   bitmap selections and bloom-prefiltered coded hash joins, falling back
   to the compiled per-row closures wherever eager vectorized evaluation
   could diverge from interpreter semantics,
-* :mod:`.plan_compile` — row-wise statement replay, the compiled
-  backend's ``apply`` / ``apply_bag``: one compiled closure per row; the
-  query of an ``INSERT … SELECT`` goes to the columnar evaluator,
+* :mod:`.plan_compile` — statement replay, the compiled backend's
+  ``apply`` (set semantics, over the columnar evaluator's kernels, to a
+  table-backed relation) and ``apply_bag`` (row-wise),
 * :mod:`.sqlite_sql` / :mod:`.sql_backend` — the ``"sqlite"`` middleware
   backend: trees and statements are translated to SQL and executed
   server-side on an in-memory :mod:`sqlite3` database,

@@ -12,14 +12,13 @@ under four names:
   (:mod:`.vector_compile`): whole-column kernels over typed NumPy
   columns wherever eager array evaluation provably equals the
   interpreter, expression trees lowered to Python closures over
-  positional row tuples elsewhere — a reenactment query reads a version
-  that every what-if at that position reads again, so the one
-  columnarization is remembered on the relation.  A statement replays
-  row-wise, one compiled closure per row (:mod:`.plan_compile`): it
-  reads a state once and produces the next, so there is nothing to
-  amortise (29 chained statements: 75 ms row-wise, 416 ms columnar).
-  The query of an ``INSERT … SELECT`` inside a replayed statement is an
-  operator tree, so it too runs columnar,
+  positional row tuples elsewhere.  A set-semantics statement is
+  reenacted over the relation's table with the same kernels
+  (:mod:`.plan_compile`), so a replayed version *is* a columnar table
+  (a table-backed ``Relation``) that no query columnarizes again; a
+  bag statement replays row-wise.  The query of an ``INSERT … SELECT``
+  inside a replayed statement is an operator tree, so it too runs
+  columnar,
 * ``"vector"`` — the same :class:`Backend` object as ``"compiled"``,
   under the older name the benchmark's diagnostic pass still asks for,
 * ``"interpreted"`` — the tree-walking reference semantics in

@@ -2,7 +2,9 @@
 
 Per Section 2 of the paper, a relation instance of arity ``n`` is a subset
 of ``D^n``.  We store relations as frozensets of value tuples together with
-their :class:`~repro.relational.schema.Schema`.  All operations are
+their :class:`~repro.relational.schema.Schema` — or, for a state that
+statement replay produced, as the columnar table it computed, with the
+frozenset built on first read.  All operations are
 functional: statements and queries produce new relations and never mutate
 their inputs, which is what makes cheap snapshot-based time travel possible
 (see :mod:`repro.relational.versioning`).
@@ -11,7 +13,7 @@ their inputs, which is what makes cheap snapshot-based time travel possible
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .expressions import Expr, evaluate
@@ -19,41 +21,110 @@ from .schema import Schema, SchemaError
 
 __all__ = ["Relation", "sort_rows"]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class Relation:
-    """An immutable set-semantics relation instance.
+    """An immutable set-semantics relation instance, in one of two forms
+    that hold the same value.
 
-    The public constructors validate every row (a plain tuple of the
-    schema's arity).  :meth:`_known_rows` does not: it is for statement
-    replay (:mod:`repro.relational.exec.plan_compile`) alone, whose
-    result is the input's own rows plus rows a compiled ``Set`` closure
-    built as tuples of the schema's arity, so re-validating the rows a
-    statement leaves alone would only repeat work.
+    *Row-backed*: the rows as a frozenset of plain tuples.  The public
+    constructors build this form and validate every row (a plain tuple
+    of the schema's arity).
+
+    *Table-backed*: a set-semantics
+    :class:`~repro.relational.columnar.ColumnarTable` (distinct rows, no
+    multiplicities).  The frozenset is built the first time something
+    reads :attr:`tuples`, iterates, compares, hashes or pickles the
+    relation (a checkpoint write, the interpreter, ``==``, a process
+    pool) and kept; ``len`` reads the table's row count, and
+    :func:`~repro.relational.columnar.columnar_of_relation` returns the
+    table itself.  Only statement replay on the compiled backend
+    (:mod:`repro.relational.exec.plan_compile`) builds one, through
+    :meth:`_of_table`: every row it holds is an input row or one the
+    columnar evaluator computed, and it removes duplicates itself, so
+    the rows are neither re-validated nor hashed.
+
+    Either way the relation is frozen, weakly referenceable (what is
+    derived from it is remembered on its identity, see
+    :mod:`repro.relational.identity_memo`) and compares, hashes,
+    prints and pickles by ``(schema, tuples)``.
     """
 
-    schema: Schema
-    tuples: frozenset[tuple[Any, ...]]
+    __slots__ = ("schema", "_rows", "_table", "__weakref__")
 
-    def __post_init__(self) -> None:
-        raw = self.tuples
+    schema: Schema
+
+    def __init__(
+        self, schema: Schema, tuples: Iterable[tuple[Any, ...]]
+    ) -> None:
+        raw = tuples
         # A frozenset of plain tuples needs no rebuild: validating in
         # place skips rehashing every row, which is measurable on the
         # execution backends' result construction.
         if type(raw) is frozenset and all(type(t) is tuple for t in raw):
-            tuples = raw
+            rows = raw
         else:
-            tuples = frozenset(
+            rows = frozenset(
                 t if type(t) is tuple else tuple(t) for t in raw
             )
-        arity = self.schema.arity  # bound once: this loop is hot
-        for t in tuples:
+        arity = schema.arity  # bound once: this loop is hot
+        for t in rows:
             if len(t) != arity:
                 raise SchemaError(
                     f"tuple {t} has arity {len(t)}, schema expects "
                     f"{arity}"
                 )
-        object.__setattr__(self, "tuples", tuples)
+        _set(self, "schema", schema)
+        _set(self, "_rows", rows)
+        _set(self, "_table", None)
+
+    @classmethod
+    def _of_table(cls, table: Any) -> "Relation":
+        """The table-backed relation over ``table``, whose rows must be
+        distinct (see the class docstring for who may call it)."""
+        relation = object.__new__(cls)
+        _set(relation, "schema", table.schema)
+        _set(relation, "_rows", None)
+        _set(relation, "_table", table)
+        return relation
+
+    @property
+    def tuples(self) -> frozenset[tuple[Any, ...]]:
+        """The rows, as a frozenset of plain tuples."""
+        rows = self._rows
+        if rows is None:
+            rows = self._materialize()
+        return rows
+
+    def _materialize(self) -> frozenset[tuple[Any, ...]]:
+        """Build and keep a table-backed relation's frozenset (a race
+        builds two equal sets; one is kept, and no reader can tell)."""
+        rows = frozenset(self._table.tuples())
+        _set(self, "_rows", rows)
+        return rows
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.schema, self.tuples) == (
+            other.schema, other.tuples  # type: ignore[attr-defined]
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.schema, self.tuples))
+
+    def __repr__(self) -> str:
+        return f"Relation(schema={self.schema!r}, tuples={self.tuples!r})"
+
+    def __reduce__(self) -> tuple:
+        return (_restored, (self.schema, self.tuples))
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -78,18 +149,11 @@ class Relation:
     def empty(cls, schema: Schema) -> "Relation":
         return cls(schema, frozenset())
 
-    @classmethod
-    def _known_rows(cls, schema: Schema, tuples: frozenset) -> "Relation":
-        """A relation over rows the caller guarantees well-formed: no
-        row is checked (see the class docstring for who may call it)."""
-        relation = object.__new__(cls)
-        object.__setattr__(relation, "schema", schema)
-        object.__setattr__(relation, "tuples", tuples)
-        return relation
-
     # -- basic protocol ------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.tuples)
+        if self._rows is None:
+            return int(self._table.nrows)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[tuple[Any, ...]]:
         return iter(self.tuples)
@@ -178,6 +242,15 @@ class Relation:
         if len(self.tuples) > limit:
             lines.append(f"... ({len(self.tuples) - limit} more rows)")
         return "\n".join(lines)
+
+
+def _restored(schema: Schema, rows: frozenset) -> Relation:
+    """Unpickle a relation: its rows were validated when it was built."""
+    relation = object.__new__(Relation)
+    _set(relation, "schema", schema)
+    _set(relation, "_rows", rows)
+    _set(relation, "_table", None)
+    return relation
 
 
 def _sort_key(value: Any) -> tuple[int, int, Any]:

@@ -298,13 +298,17 @@ class WhatIfService:
             "JSON response bodies serialised, by route.",
             ("route",),
         )
-        #: Where a request's misses spend their time outside the locks:
-        #: ``compute`` (their one ``answer_batch`` call) and ``encode``
-        #: (their bytes); one observation each per request that missed.
+        #: Where a request spends its time, by stage: a what-if's misses
+        #: outside the locks, ``compute`` (their one ``answer_batch``
+        #: call) and ``encode`` (their bytes), one observation each per
+        #: request that missed; an append, ``apply`` (the replay that
+        #: validates its statements) and ``persist`` (the store's log
+        #: write, fsync and checkpoint), one each per append that
+        #: reached them.
         self._stage_seconds = self.metrics.histogram(
             "mahif_stage_seconds",
-            "Seconds a request's cache misses spend in each unlocked "
-            "stage: compute or encode.",
+            "Seconds a request spends in each stage: a what-if's misses "
+            "in compute and encode, an append in apply and persist.",
             ("stage",),
         )
 
@@ -474,20 +478,21 @@ class WhatIfService:
                 recorded = handle.idempotency.get(idempotency_key)
                 if recorded is not None:
                     return {**recorded, "idempotent_replay": True}
-            # Validate the whole batch before any durable write, so a
-            # bad statement in the middle cannot persist a partial
-            # prefix (a 400, not a half-applied 500).  The validated
-            # states double as the store's apply results below.
+            # Validate the whole batch before any durable write (a bad
+            # statement mid-batch is a 400, not a half-applied 500); the
+            # validated states are the store's apply results below.
             states: list[Database] = []
             state = handle.store.current
-            for stmt in statements:
-                state = _applied(stmt, state, "statement")
-                states.append(state)
+            with self._stage_seconds.time(stage="apply"):
+                for stmt in statements:
+                    state = _applied(stmt, state, "statement")
+                    states.append(state)
             appended = dropped = retained = 0
             try:
-                for stmt, new_state in zip(statements, states):
-                    handle.store.append(stmt, state=new_state)
-                    appended += 1
+                with self._stage_seconds.time(stage="persist"):
+                    for stmt, new_state in zip(statements, states):
+                        handle.store.append(stmt, state=new_state)
+                        appended += 1
             except StoreError as exc:
                 # A rolled-back transient failure before anything
                 # persisted is cleanly retryable (503 + Retry-After); a

@@ -17,7 +17,9 @@ This module extends (rather than duplicates) the untyped generators in
 Environment knobs, consumed by the differential suite:
 
 * ``MAHIF_FUZZ_SEED`` — base RNG seed (default fixed, for reproducible
-  CI); set it to a fresh value for a randomized smoke run.
+  CI); set it to a fresh value for a randomized smoke run.  Unset or
+  empty, either knob takes its default (:func:`env_number`, which the
+  seeded suites with defaults of their own read too).
 * ``MAHIF_FUZZ_SCALE`` — float multiplier on trial counts (CI smoke
   runs use ``0.2``); the acceptance budget of ≥ 200 differential cases
   refers to the unscaled defaults.
@@ -53,8 +55,17 @@ from repro.relational.statements import (
     UpdateStatement,
 )
 
-FUZZ_SEED = int(os.environ.get("MAHIF_FUZZ_SEED", "20260725"))
-_SCALE = float(os.environ.get("MAHIF_FUZZ_SCALE", "1"))
+def env_number(name: str, default: int | float) -> int | float:
+    """The number the environment variable ``name`` spells, of the
+    default's type — or ``default`` when it is unset, empty or blank (a
+    CI variable that expands to nothing means "not set", not a broken
+    suite)."""
+    value = os.environ.get(name, "").strip()
+    return type(default)(value) if value else default
+
+
+FUZZ_SEED = env_number("MAHIF_FUZZ_SEED", 20260725)
+_SCALE = env_number("MAHIF_FUZZ_SCALE", 1.0)
 
 def scaled(trials: int) -> int:
     """Trial count honouring the CI smoke-run scale knob."""

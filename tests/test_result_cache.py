@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import random
 import types
 
 import pytest
 
+from fuzz_differential import env_number
 from repro.service.cache import CachedAnswer, ResultCache
 
-_SCALE = float(os.environ.get("MAHIF_FUZZ_SCALE", "1.0"))
-_SEED = int(os.environ.get("MAHIF_FUZZ_SEED", "20260927"))
+_SCALE = env_number("MAHIF_FUZZ_SCALE", 1.0)
+_SEED = env_number("MAHIF_FUZZ_SEED", 20260927)
 
 FINGERPRINTS = ("q0", "q1", "q2", "q3", "q4")
 RELATIONS = ("R", "S", "T", "U")

@@ -1,12 +1,16 @@
 """Statement replay on the compiled backend rewrites only the rows a
 statement matches.
 
-``exec/plan_compile`` makes one predicate pass over a relation, keeps
-the rows it does not match as they are stored (same objects, never
-re-validated) and runs the ``Set`` closure once per matched row; a
+``exec/plan_compile`` evaluates a set-semantics statement over the
+relation's columnar table: one predicate mask, the SET expressions over
+the matched rows alone, scattered into copies of the SET columns while
+every other column is the input's own; a DELETE keeps the unmatched
+rows' cells, an INSERT appends one row unless it is present, and a
 statement that matches nothing leaves the relation object in place.
-These tests pin that rule by value against the ``interpreted`` oracle,
-by object identity and by counted calls — never by a clock.
+Bags replay row-wise: one predicate pass, the ``Set`` closure once per
+matched row, unmatched rows kept as the stored objects.  These tests pin
+that rule by value and type against the ``interpreted`` oracle, by
+object identity and by counted calls — never by a clock.
 
 Seeded through ``MAHIF_FUZZ_SEED`` / ``MAHIF_FUZZ_SCALE`` like the other
 fuzz suites (``tests/fuzz_differential.py``).
@@ -27,7 +31,8 @@ from fuzz_differential import (
 )
 from repro import Database, History, Relation, Schema, parse_history
 from repro.relational.bag import BagDatabase, BagRelation
-from repro.relational.exec import plan_compile
+from repro.relational.columnar import columnar_of_relation
+from repro.relational.exec import plan_compile, vector_compile
 from repro.relational.exec.backend import resolve_backend
 from repro.relational.expressions import Attr, Cmp, Const, IsNull, col, lit
 from repro.relational.schema import SchemaError
@@ -217,18 +222,33 @@ def test_unknown_set_attribute_raises(backend, rows):
 
 # -- what the rule keeps and what it runs --------------------------------------
 
-@pytest.mark.parametrize("matched", (20, 140), ids=("subtract", "rebuild"))
+@pytest.mark.parametrize("matched", (20, 140, 200))
 @pytest.mark.parametrize("kind", ("update", "delete"))
-def test_unmatched_rows_are_the_same_objects(matched, kind):
+def test_columns_not_set_are_the_input_columns(matched, kind):
+    """Set: an UPDATE's result shares every column it does not SET (the
+    ``Column`` object, stored cells and remembered text and all) with
+    the input table, and a DELETE's columns read the input's stored
+    cells.  Bags: the unmatched rows are the stored tuple objects."""
     condition = Cmp("<", Attr("A"), Const(matched))
     if kind == "update":
         stmt = UpdateStatement("R", {"B": col("B") + 100}, condition)
     else:
         stmt = DeleteStatement("R", condition)
     db = numbered_db()
+    table = columnar_of_relation(db["R"])
+    result = columnar_of_relation(COMPILED.apply(stmt, db)["R"])
+    assert result is not table
+    if kind == "update":
+        assert result.columns[0] is table.columns[0]
+        assert result.columns[1] is table.columns[1]
+        assert result.columns[2] is not table.columns[2]
+    else:
+        assert result.nrows == 200 - matched
+        assert all(
+            after.stored is before.stored
+            for after, before in zip(result.columns, table.columns)
+        )
     unmatched = [row for row in db["R"].tuples if row[1] >= matched]
-    result = {row: row for row in COMPILED.apply(stmt, db)["R"].tuples}
-    assert all(result[row] is row for row in unmatched)
     bags = BagDatabase({"R": bag_of(db["R"])})
     stored = {row: row for row in bags["R"].multiplicities}
     result_bag = COMPILED.apply_bag(stmt, bags)["R"].multiplicities
@@ -237,30 +257,61 @@ def test_unmatched_rows_are_the_same_objects(matched, kind):
 
 
 @pytest.mark.parametrize("matched", (0, 20, 140, 200))
-def test_set_closure_runs_once_per_matched_row(monkeypatch, matched):
-    calls = []
+@pytest.mark.parametrize(
+    "set_b, per_row",
+    # ``B * 2**62`` leaves int64: the kernel refuses it, rows compute it
+    ((col("B") + 100, False), (col("B") * lit(2 ** 62), True)),
+    ids=("kernel", "fallback"),
+)
+def test_set_expressions_see_only_matched_rows(
+    monkeypatch, matched, set_b, per_row
+):
+    """The SET expressions are evaluated over the matched rows alone —
+    by the kernel or, where it refuses, by the per-row closure — and a
+    bag's ``Set`` closure runs once per matched row (counted)."""
+    seen, calls = [], []
+    project_table = plan_compile._project_table
+
+    def counting_project_table(table, outputs):
+        seen.extend(table.tuples())
+        return project_table(table, outputs)
+
+    vector_row = vector_compile.compile_row
+
+    def counting_vector_row(exprs, schema):
+        row_fn = vector_row(exprs, schema)
+
+        def counted(row):
+            calls.append(row)
+            return row_fn(row)
+
+        return counted
+
+    monkeypatch.setattr(plan_compile, "_project_table", counting_project_table)
+    monkeypatch.setattr(vector_compile, "compile_row", counting_vector_row)
+    stmt = UpdateStatement(
+        "R", {"B": set_b}, Cmp("<", Attr("A"), Const(matched))
+    )
+    db = numbered_db()
+    assert_same_as_interpreted(stmt, db)
+    assert sorted(seen) == ROWS[:matched]
+    assert sorted(calls) == (ROWS[:matched] if per_row else [])
+
+    bag_calls = []
     compile_row = plan_compile.compile_row
 
     def counting_compile_row(exprs, schema):
         set_row = compile_row(exprs, schema)
 
         def counted(row):
-            calls.append(row)
+            bag_calls.append(row)
             return set_row(row)
 
         return counted
 
     monkeypatch.setattr(plan_compile, "compile_row", counting_compile_row)
-    stmt = UpdateStatement(
-        "R", {"B": col("B") + 100}, Cmp("<", Attr("A"), Const(matched))
-    )
-    db = numbered_db()
-    COMPILED.apply(stmt, db)
-    assert len(calls) == matched
-    assert sorted(calls) == ROWS[:matched]
-    calls.clear()
     COMPILED.apply_bag(stmt, BagDatabase({"R": bag_of(db["R"])}))
-    assert len(calls) == matched
+    assert len(bag_calls) == matched
 
 
 @pytest.mark.parametrize("kind", ("update", "delete"))

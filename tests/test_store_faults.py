@@ -22,7 +22,11 @@ import random
 
 import pytest
 
-from fuzz_differential import random_history, random_typed_database
+from fuzz_differential import (
+    env_number,
+    random_history,
+    random_typed_database,
+)
 from repro.relational import Database, Relation, Schema
 from repro.relational.expressions import TRUE, col, ge, lit
 from repro.relational.statements import (
@@ -41,8 +45,8 @@ from repro.store import (
     encode_statement,
 )
 
-_SCALE = float(os.environ.get("MAHIF_FUZZ_SCALE", "1.0"))
-_SEED = int(os.environ.get("MAHIF_FUZZ_SEED", "20220614"))
+_SCALE = env_number("MAHIF_FUZZ_SCALE", 1.0)
+_SEED = env_number("MAHIF_FUZZ_SEED", 20220614)
 
 CHECKPOINT_INTERVAL = 2
 

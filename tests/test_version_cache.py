@@ -68,20 +68,21 @@ And on the served path (``service/core.py`` ``_time_travel``):
   fails ``test_served_time_travel_runs_compiled_whatever_the_backend``
   (by the count of statements sqlite executed).
 
-The last section pins the rule the default backend follows — queries run
-columnar over a table remembered on the relation, statements replay
-row-wise — by count (a spy on ``ColumnarTable.from_relation`` and
-``mahif_columnar_memo_total``): a version is columnarized once, by the
-first what-if or served miss that reads it, and ``stmt.apply``,
-``History.execute``, ``HistoryStore.as_of`` and the service's append
-validation columnarize nothing.  Mutations, made and reverted the same
-way:
+The last section pins the rule the default backend follows — queries
+and statements both run columnar, a replayed state *is* the table replay
+computed — by count (a spy on ``ColumnarTable.from_relation`` and
+``mahif_columnar_memo_total``): replay (``stmt.apply``,
+``History.execute``, ``HistoryStore.as_of``, the service's registration
+and append validation) columnarizes each row-backed relation it first
+touches exactly once — the base, a decoded checkpoint — and nothing
+after, and a what-if or served miss over a replayed version scans
+nothing.  Mutations, made and reverted the same way:
 
 * ``columnar._cached_table`` never remembering — fails
-  ``test_second_whatif_at_a_position_columnarizes_nothing`` and
-  ``test_served_misses_columnarize_a_version_once``;
-* ``apply_statement_compiled`` evaluating ``INSERT … SELECT`` through
-  the columnar evaluator — fails ``test_replay_columnarizes_nothing``.
+  ``test_served_misses_and_appends_scan_no_relation`` and
+  ``test_replay_columnarizes_a_stored_relation_once``;
+* ``columnar_of_relation`` ignoring a relation's table (columnarizing
+  its rows like a row-backed one's) — fails all three.
 """
 
 from __future__ import annotations
@@ -603,7 +604,9 @@ def test_keying_a_prefix_again_builds_and_hashes_nothing(monkeypatch):
         of_the_prefix = {id(statement) for statement in prefix}
         return sum(id(s) in of_the_prefix for s in built), Tallied.hashed
 
-    assert ask(13, 100)[1] >= 12  # the replay and ``put``, once
+    # the oracle built the prefix's keys; replay (columnar) hashes no
+    # constant, so even the first ask hashes none
+    assert ask(13, 100) == (0, 0)
     assert ask(13, 101) == (0, 0)
     assert ask(14, 102) == (0, 0)  # extends the kept prefix: no more
     assert ask(13, 103) == (0, 0)
@@ -989,13 +992,14 @@ def test_time_travel_span_and_counter_on_the_served_path(tmp_path):
     ]
 
 
-# -- queries run columnar, statements replay row-wise -------------------------
+# -- queries and statements run columnar --------------------------------------
 #
-# ``compiled`` evaluates a query over the columnar view remembered on
-# each relation it scans, and replays statements through row closures.
-# By count: a version is columnarized once, whoever asks and however
-# often; replay — ``stmt.apply``, ``History.execute``, the store's
-# ``as_of``, the service's append validation — columnarizes nothing.
+# ``compiled`` evaluates a query over the columnar view of each relation
+# it scans, and replays a statement over it too, so a replayed state is
+# the table replay computed.  By count: replay — ``stmt.apply``,
+# ``History.execute``, the store's ``as_of``, the service's registration
+# and append validation — columnarizes each row-backed relation it first
+# touches once, and nothing reads a replayed version's rows to scan them.
 
 
 @pytest.fixture
@@ -1050,17 +1054,22 @@ def test_second_whatif_at_a_position_columnarizes_nothing(columnarized):
             after["hit"] > before["hit"],
         )
 
-    # version 29 of R, once: both sides of the pair read the one table
+    # the base relation, once, by the replay to version 29; that version
+    # and every later one is the table replay computed, read as it is
     assert ask(30, 100) == (1, 1, True)
     assert ask(30, 101) == (0, 0, True)
-    assert ask(35, 102) == (1, 1, True)
+    assert ask(35, 102) == (0, 0, True)
     assert ask(30, 103) == (0, 0, True)
 
 
-def test_served_misses_columnarize_a_version_once(service, columnarized):
+def test_served_misses_and_appends_scan_no_relation(service, columnarized):
+    """Registration replays the history over the base relation: one
+    scan.  A miss over a replayed version, and the replay that validates
+    an append, read tables replay computed: none."""
     database = rows_database([(i, i % 200, 5) for i in range(300)])
     history = windows_history(20)
     service.register("h", database, history)
+    assert columnarized == [database["R"]]
 
     def served(spec, over):
         scanned = len(columnarized)
@@ -1069,12 +1078,13 @@ def test_served_misses_columnarize_a_version_once(service, columnarized):
         assert answer["delta"] == naive_delta(database, over, spec)
         return len(columnarized) - scanned
 
-    assert served(served_spec(12, 100), history) == 1
+    assert served(served_spec(12, 100), history) == 0
     assert served(served_spec(12, 101), history) == 0
-    # the append is validated by replaying it: row-wise
+    assert served(served_spec(15, 101), history) == 0
+    # the append is validated by replaying it, over the current table
     appended = UpdateStatement("R", {"F": col("F") + 1}, window(0, 50))
     scanned = len(columnarized)
-    assert service.append("h", [appended])["cache_dropped"] == 2
+    assert service.append("h", [appended])["cache_dropped"] == 3
     assert len(columnarized) == scanned
     longer = History(history.statements + (appended,))
     assert served(served_spec(12, 102), longer) == 0
@@ -1090,9 +1100,12 @@ INSERT_SELECT = InsertQuery(
 )
 
 
-def test_replay_columnarizes_nothing(tmp_path, columnarized):
-    """Every row-wise statement kind through ``stmt.apply(db)``,
-    ``History.execute`` and ``HistoryStore.as_of``."""
+def test_replay_columnarizes_a_stored_relation_once(tmp_path, columnarized):
+    """Every statement kind through ``stmt.apply(db)``,
+    ``History.execute`` and ``HistoryStore.as_of``: replay columnarizes
+    each row-backed relation it first touches exactly once and nothing
+    after — the states it computes are tables — so the one other scan is
+    of the relation a checkpoint load decoded."""
     database = rows_database([(i, i, 5) for i in range(80)])
     statements = (
         UpdateStatement("R", {"F": col("F") + 1}, window(0, 40)),
@@ -1107,20 +1120,22 @@ def test_replay_columnarizes_nothing(tmp_path, columnarized):
     for statement in statements:
         state = statement.apply(state)
     assert state.same_contents(oracle)
+    assert columnarized == [database["R"]]
     assert history.execute(database).same_contents(oracle)
+    evaluate_query(RelScan("R"), state)
+    assert columnarized == [database["R"]]
     with HistoryStore.create(
         tmp_path / "s", database, checkpoint_interval=2
     ) as store:
         store.append_history(history)
+        assert columnarized == [database["R"]]
         for version in range(len(statements) + 1):
             expected = History(statements[:version]).execute(
                 twin(database), backend="interpreted"
             )
             assert store.as_of(version).same_contents(expected)
-    assert columnarized == []
-    # ... and the spy does see a query
-    evaluate_query(RelScan("R"), database)
-    assert columnarized == [database["R"]]
+    # version 3: checkpoint 2 decoded, one statement replayed over it
+    assert len(columnarized) == 2 and columnarized[1] is not database["R"]
 
 
 def test_insert_select_columnarizes_what_its_query_reads(columnarized):
