@@ -518,10 +518,11 @@ class ColumnarTable:
     index: ``True`` where they are pairwise distinct (no two rows equal
     there, as Python's ``==`` tells values apart), ``False`` where that
     is not known to hold; a column it lacks has not been looked at.
-    :meth:`is_distinct` establishes a fact once per table, :meth:`take`
-    carries the facts to a row subset, and statement replay carries them
-    through an ``UPDATE`` (less the columns it SETs) and an ``INSERT``
-    (less a column the new row repeats)."""
+    :meth:`is_distinct` establishes a fact once per table; operators
+    start a new table knowing nothing, and statement replay carries the
+    facts to a ``DELETE``'s rows, through an ``UPDATE`` (less the
+    columns it SETs) and an ``INSERT`` (less a column the new row
+    repeats)."""
 
     __slots__ = ("schema", "columns", "nrows", "mult", "distinct")
 
@@ -587,9 +588,7 @@ class ColumnarTable:
         return fact
 
     def take(self, indices: Any) -> "ColumnarTable":
-        """Gather a row subset/permutation (indices array or list, each
-        row at most once: a subset keeps the table's distinct columns
-        distinct, so it carries :attr:`distinct`)."""
+        """Gather a row subset/permutation (indices array or list)."""
         idx_list = None
         if self.mult is not None or not self.columns:
             idx_list = (
@@ -601,14 +600,12 @@ class ColumnarTable:
             else [self.mult[i] for i in idx_list]
         )
         nrows = len(idx_list) if idx_list is not None else len(indices)
-        table = ColumnarTable(
+        return ColumnarTable(
             self.schema,
             take_columns(self.columns, indices),
             nrows,
             mult,
         )
-        table.distinct = dict(self.distinct)
-        return table
 
     def concat(self, other: "ColumnarTable") -> "ColumnarTable":
         """The rows of ``self`` followed by those of ``other`` (whose

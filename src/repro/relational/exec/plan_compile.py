@@ -101,10 +101,6 @@ _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 #: ``True`` (those, NaN and ints beyond int64 take the frozenset rule).
 _TAG_OF_TYPE = {int: "int", float: "float", bool: "bool", str: "str"}
 
-#: Which columns an ``UPDATE`` looks at first for a distinct one: the
-#: cheapest ``np.unique`` first.
-_PROBE_ORDER = {"int": 0, "float": 1, "str": 2}
-
 
 def apply_statement_compiled(stmt: Statement, db: Any) -> Any:
     """The compiled backend's set-semantics ``apply``: the statement's
@@ -134,6 +130,7 @@ def apply_statement_compiled(stmt: Statement, db: Any) -> Any:
         return db
     if isinstance(stmt, DeleteStatement):
         after = table.take(np.flatnonzero(~mask))
+        after.distinct = dict(table.distinct)  # a subset stays distinct
     else:
         after = _updated(stmt, table, np.flatnonzero(mask))
     return db.with_relation(stmt.relation, Relation._of_table(after))
@@ -159,19 +156,22 @@ def _updated(
         index: fact for index, fact in table.distinct.items()
         if index not in targets
     }
-    return after if keyed else _dedup(after)
+    if keyed:
+        return after
+    deduped = _dedup(after)
+    deduped.distinct = after.distinct  # a subset stays distinct
+    return deduped
 
 
 def _keyed(table: ColumnarTable, targets: list[int]) -> bool:
     """Whether a column outside ``targets`` is distinct, so that rows
     which differ there still differ after an UPDATE of ``targets``: a
-    fact the table already knows, else established column by column,
-    cheapest first, until one holds."""
+    fact the table already knows, else established column by column, in
+    schema order, until one holds."""
     others = [i for i in range(len(table.columns)) if i not in targets]
-    if any(table.distinct.get(i) for i in others):
-        return True
-    others.sort(key=lambda i: _PROBE_ORDER.get(table.columns[i].tag, 3))
-    return any(table.is_distinct(i) for i in others)
+    return any(table.distinct.get(i) for i in others) or any(
+        table.is_distinct(i) for i in others
+    )
 
 
 def _scattered(old: Column, new: Column, matched: Any) -> Column:

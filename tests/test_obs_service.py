@@ -108,6 +108,33 @@ class TestMetricsEndpoint:
             ] == 2
             assert samples[f'mahif_stage_seconds_sum{{stage="{stage}"}}'] > 0
 
+    def test_stage_seconds_observe_each_append_stage_reached(self, client):
+        """An append is observed once in ``apply`` and once in
+        ``persist``; one whose statement does not apply is observed in
+        ``apply`` and never reaches ``persist`` (a count, not a clock)."""
+
+        def counts():
+            samples = parse_exposition(client.metrics())
+            return tuple(
+                samples.get(f'mahif_stage_seconds_count{{stage="{stage}"}}', 0)
+                for stage in ("apply", "persist")
+            )
+
+        assert counts() == (0, 0)
+        client.append(
+            "orders",
+            statements_sql="UPDATE Orders SET Price = Price + 1 "
+            "WHERE Country = 'US';",
+        )
+        assert counts() == (1, 1)
+        with pytest.raises(ServiceClientError) as err:
+            client.append(
+                "orders",
+                statements_sql="UPDATE Orders SET Nope = 1 WHERE Price > 0;",
+            )
+        assert err.value.status == 400
+        assert counts() == (2, 1)
+
     def test_metrics_scrape_counts_itself(self, client):
         first = parse_exposition(client.metrics())
         assert first['mahif_requests_total{route="metrics",code="200"}'] == 1

@@ -26,7 +26,9 @@ fails a test here:
 * ``plan_compile._keyed`` always true (no dedup even where no column is
   distinct) — fails ``test_updates_that_merge_rows_equal_interpreted``;
 * ``_updated`` keeping the distinct fact of a column the ``UPDATE``
-  SETs — fails ``test_distinct_fact_is_carried_and_dropped``.
+  SETs — fails ``test_distinct_fact_is_carried_and_dropped``;
+* ``ColumnarTable.take`` carrying the facts — fails
+  ``test_a_gather_knows_no_distinct_column``.
 
 Seeded through ``MAHIF_FUZZ_SEED`` / ``MAHIF_FUZZ_SCALE`` like the other
 fuzz suites (``tests/fuzz_differential.py``).
@@ -294,6 +296,16 @@ def test_distinct_fact_is_carried_and_dropped():
     actual = COMPILED.apply(merging, state)["R"]
     assert tagged(actual) == tagged(expected)
     assert len(actual) == len(expected)
+
+
+def test_a_gather_knows_no_distinct_column():
+    """``ColumnarTable.take`` may repeat a row (a join's gather does), so
+    it carries no fact; replay alone carries them, to row subsets."""
+    table = columnar_of_relation(keyed_db(10)["R"])
+    assert table.is_distinct(0)
+    repeated = table.take([3, 3])
+    assert repeated.distinct == {}
+    assert not repeated.is_distinct(0)
 
 
 # -- INSERT membership --------------------------------------------------------
